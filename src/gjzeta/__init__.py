@@ -9,9 +9,9 @@ from .distributions import (DIRECT, INVERSE, TwistedDistribution,
                             verify_bk_identity, verify_inverse_weak,
                             verify_relation)
 from .errors import (AllDegenerate, BudgetExceeded, EngineError,
-                     InfiniteLowerSupport, LevelUncertified,
-                     NearZeroDenominator, NoRecurrence, NoStabilization,
-                     Singular, ToleranceNotMet, ZeroArgument, ZeroDenominator)
+                     InfiniteLowerSupport, NearZeroDenominator, NoRecurrence,
+                     NoStabilization, Singular, ToleranceNotMet, ZeroArgument,
+                     ZeroDenominator)
 from .integrate import IntegrationConfig, rationalize, schwartz_shell_integral
 from .padic import PAdicContext, PAdicMatrix, psi_value, valuation
 from .ratfun import LaurentPoly, RationalFunctionT, ratfun_equal
@@ -19,7 +19,7 @@ from .scalars import (CyclotomicNumber, QuadExt, as_scalar, embed_complex,
                       root_of_unity, sqrt_q, sqrt_q_power)
 from .schwartz import SchwartzBruhatFn
 from .zeta import (GammaResult, MultiplicativeCharacter, ZetaResult,
-                   contragredient_twist, dual_gamma_factor, gamma_factor,
-                   phi_independence_check, zeta_integral)
+                   dual_gamma_factor, gamma_factor, phi_independence_check,
+                   zeta_integral)
 
 __version__ = "0.1.0"

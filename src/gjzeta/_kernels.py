@@ -1,37 +1,25 @@
-"""Hot integer-enumeration kernels with numba @njit and a numpy fallback.
+"""Integer-enumeration kernel for the n = 2 Hermite-orbit path.
 
-The exact layer reduces every residue-cell sweep to counting integer
-matrices mod p^J by small invariants (entry residues, det valuation, det
-unit, trace residue); these histograms are then combined with exact
-cyclotomic weights, so the fast path loses no exactness.
-
-Set GJZETA_NO_NUMBA=1 to force the pure-numpy fallback.
+The exact layer reduces a residue-cell sweep to counting integer matrices
+mod p^J by small invariants (entry residues and det unit); the histogram is
+then combined with exact cyclotomic weights, so the fast path loses no
+exactness.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_USE_NUMBA = os.environ.get("GJZETA_NO_NUMBA", "").strip() not in ("1", "true", "yes")
-
-if _USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover
-        _USE_NUMBA = False
 
 
 def backend() -> str:
-    return "numba" if _USE_NUMBA else "numpy"
+    return "numpy"
 
 
-# -- gl2: matrices mod p^J with unit determinant -----------------------
-
-def _gl2_histogram_py(p, J, m1, cu):
+def gl2_histogram(p: int, J: int, m1: int, cu: int) -> np.ndarray:
     """counts[g11 % p^m1, g21 % p^m1, g22 % p^m1, det % p^cu] over
-    g in M_2(Z/p^J) with det(g) a unit; vectorized numpy."""
+    g in M_2(Z/p^J) with det(g) a unit."""
+    if m1 > J or cu > J:
+        raise ValueError("bin moduli cannot exceed the enumeration level")
     q = p ** J
     mmod = p ** m1
     umod = p ** cu
@@ -53,107 +41,3 @@ def _gl2_histogram_py(p, J, m1, cu):
             sub = np.bincount(idx, minlength=mmod * umod).reshape(mmod, umod)
             counts[g11 % mmod, :, g22 % mmod, :] += sub
     return counts
-
-
-if _USE_NUMBA:
-    @njit(cache=True)
-    def _gl2_histogram_nb(p, J, m1, cu):  # pragma: no cover - jitted
-        q = p ** J
-        mmod = p ** m1
-        umod = p ** cu
-        counts = np.zeros((mmod, mmod, mmod, umod), dtype=np.int64)
-        for g11 in range(q):
-            for g12 in range(q):
-                for g21 in range(q):
-                    pr = g12 * g21
-                    for g22 in range(q):
-                        det = (g11 * g22 - pr) % q
-                        if det % p != 0:
-                            counts[g11 % mmod, g21 % mmod, g22 % mmod, det % umod] += 1
-        return counts
-
-
-def gl2_histogram(p: int, J: int, m1: int, cu: int) -> np.ndarray:
-    if m1 > J or cu > J:
-        raise ValueError("bin moduli cannot exceed the enumeration level")
-    if _USE_NUMBA:
-        return _gl2_histogram_nb(p, J, m1, cu)
-    return _gl2_histogram_py(p, J, m1, cu)
-
-
-# -- m2: full matrix box with det-valuation resolution -----------------
-
-def _m2_shell_histogram_py(p, J, mt, cu):
-    """counts[kclip, t, u] over g in M_2(Z/p^J): kclip = v_p(det) clipped to
-    J (det = 0 mod p^J counts as J), t = tr(g) % p^mt, u = (det/p^k) % p^cu
-    (0 when k + cu > J, caller must avoid those bins)."""
-    q = p ** J
-    tmod = p ** mt
-    umod = p ** cu
-    counts = np.zeros((J + 1, tmod, umod), dtype=np.int64)
-    r = np.arange(q, dtype=np.int64)
-    g12 = r[:, None]
-    g21 = r[None, :]
-    prod = (g12 * g21) % q
-    # precompute valuation table for residues mod p^J
-    val = np.zeros(q, dtype=np.int64)
-    val[0] = J
-    for k in range(1, J + 1):
-        step = p ** k
-        if k < J:
-            val[step::step] += 1
-        else:
-            val[0] = J
-    # val[x] for x>0: largest k with p^k | x
-    for g11 in range(q):
-        for g22 in range(q):
-            det = (g11 * g22 - prod) % q
-            t = (g11 + g22) % tmod
-            k = val[det]
-            u = np.zeros_like(det)
-            ok = (k + cu) <= J
-            nz = det > 0
-            sel = ok & nz
-            u[sel] = (det[sel] // p ** np.minimum(k[sel], J)) % umod
-            idx = (k * umod + u).ravel()
-            sub = np.bincount(idx, minlength=(J + 1) * umod).reshape(J + 1, umod)
-            counts[:, t, :] += sub
-    return counts
-
-
-if _USE_NUMBA:
-    @njit(cache=True)
-    def _m2_shell_histogram_nb(p, J, mt, cu):  # pragma: no cover - jitted
-        q = p ** J
-        tmod = p ** mt
-        umod = p ** cu
-        counts = np.zeros((J + 1, tmod, umod), dtype=np.int64)
-        for g11 in range(q):
-            for g12 in range(q):
-                for g21 in range(q):
-                    pr = g12 * g21
-                    for g22 in range(q):
-                        det = (g11 * g22 - pr) % q
-                        t = (g11 + g22) % tmod
-                        if det == 0:
-                            counts[J, t, 0] += 1
-                        else:
-                            k = 0
-                            d = det
-                            while d % p == 0:
-                                d //= p
-                                k += 1
-                            if k + cu <= J:
-                                counts[k, t, d % umod] += 1
-                            else:
-                                counts[k, t, 0] += 1
-
-        return counts
-
-
-def m2_shell_histogram(p: int, J: int, mt: int, cu: int) -> np.ndarray:
-    if mt > J:
-        raise ValueError("trace modulus cannot exceed the enumeration level")
-    if _USE_NUMBA:
-        return _m2_shell_histogram_nb(p, J, mt, cu)
-    return _m2_shell_histogram_py(p, J, mt, cu)

@@ -114,12 +114,6 @@ class RealSchwartzFn:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def even_part(self) -> "RealSchwartzFn":
-        return RealSchwartzFn([c if i % 2 == 0 else PiCoeff() for i, c in enumerate(self.coeffs)])
-
-    def odd_part(self) -> "RealSchwartzFn":
-        return RealSchwartzFn([c if i % 2 == 1 else PiCoeff() for i, c in enumerate(self.coeffs)])
-
     def __add__(self, other: "RealSchwartzFn") -> "RealSchwartzFn":
         k = max(len(self.coeffs), len(other.coeffs))
         out = []

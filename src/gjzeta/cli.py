@@ -12,13 +12,14 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
 from fractions import Fraction
 
 from . import __version__
 from .archimedean import (QuadratureConfig, RealCharacter, RealSchwartzFn,
-                          fourier_real, gamma_oracle, gamma_real)
+                          gamma_oracle, gamma_real)
 from .distributions import (INVERSE, TwistedDistribution, cstar_gamma, tilde,
                             verify_bk_identity, verify_inverse_weak,
                             verify_relation)
@@ -26,7 +27,7 @@ from .errors import EngineError
 from .integrate import IntegrationConfig
 from .padic import PAdicContext, PAdicMatrix
 from .schwartz import SchwartzBruhatFn
-from .zeta import MultiplicativeCharacter, gamma_factor, phi_independence_check
+from .zeta import MultiplicativeCharacter, phi_independence_check
 
 EXIT_PASS, EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_INVALID = 0, 1, 2, 3
 
@@ -130,8 +131,13 @@ def parse_phi_list(n: int, ctx: PAdicContext, spec: str):
 
 
 def build_config(args) -> IntegrationConfig:
+    """Engine settings from the flags; --hard-budget wins over the
+    GJZETA_HARD_BUDGET environment variable, which wins over the default."""
     cfg = IntegrationConfig()
-    for field in ("m_max", "m_confirm", "r_max", "confirm", "hard_budget", "threads"):
+    env = os.environ.get("GJZETA_HARD_BUDGET", "").strip()
+    if env:
+        cfg.hard_budget = int(env)
+    for field in ("m_max", "r_max", "confirm", "hard_budget", "threads"):
         v = getattr(args, field, None)
         if v is not None:
             setattr(cfg, field, v)

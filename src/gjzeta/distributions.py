@@ -27,7 +27,7 @@ from .integrate import (IntegrationConfig, parallel_map, rationalize,
                         stabilized_shell_integral)
 from .padic import PAdicContext, PAdicMatrix, valuation
 from .ratfun import LaurentPoly, RationalFunctionT, ratfun_equal
-from .scalars import as_scalar, scalar_is_zero, sqrt_q_power
+from .scalars import scalar_is_zero, sqrt_q_power
 from .zeta import MultiplicativeCharacter, gamma_factor
 
 DIRECT = "direct"
@@ -129,9 +129,8 @@ def spectral_action(d: TwistedDistribution, chi: MultiplicativeCharacter,
     def entry(k):
         # shell k is only reachable from truncation p^-m M with nm >= -k
         m0 = max(config.m_start, (-k + n - 1) // n) if k < 0 else config.m_start
-        cfg = replace_config(config, m_start=m0)
-        val, m = stabilized_shell_integral(ctx, n, k, eps_mod, cfg, kchi, stats)
-        return val, m
+        return stabilized_shell_integral(ctx, n, k, eps_mod,
+                                         replace(config, m_start=m0), kchi, stats)
 
     results = parallel_map(entry, range(k_low, k_high + 1), config.threads)
     seq = []
@@ -154,11 +153,6 @@ def spectral_action(d: TwistedDistribution, chi: MultiplicativeCharacter,
     stats.setdefault("m_range", tuple(m_range))
     stats.setdefault("k_range", (k_low, k_high))
     return (value * fx) / fx
-
-
-def replace_config(config: IntegrationConfig, **kw) -> IntegrationConfig:
-    out = IntegrationConfig(**{**config.__dict__, **kw})
-    return out
 
 
 # -- verification reports ----------------------------------------------

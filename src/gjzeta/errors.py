@@ -29,10 +29,6 @@ class InfiniteLowerSupport(EngineError):
     pass
 
 
-class LevelUncertified(EngineError):
-    pass
-
-
 class Singular(EngineError):
     pass
 

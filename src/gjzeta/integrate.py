@@ -17,7 +17,7 @@ Three evaluation paths:
 
 from __future__ import annotations
 
-import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,8 +44,7 @@ class IntegrationConfig:
     m_*: truncation-ball growth for non-compact distribution integrals.
     r_max/confirm: recurrence order bound and confirmation window for
     rationalization (r_max defaults to n at the call site).
-    hard_budget: max refinement cells per integral (env GJZETA_HARD_BUDGET
-    overrides).
+    hard_budget: max refinement cells per integral.
     """
     m_start: int = 0
     m_max: int = 8
@@ -56,11 +55,6 @@ class IntegrationConfig:
     hard_budget: int = 10 ** 7
     force_enumeration: bool = False
     threads: int = 1
-
-    def __post_init__(self):
-        env = os.environ.get("GJZETA_HARD_BUDGET", "").strip()
-        if env:
-            self.hard_budget = int(env)
 
 
 def parallel_map(fn, items, threads: int = 1):
@@ -105,9 +99,14 @@ def term_shell_integral(ctx: PAdicContext, k: int, center: PAdicMatrix,
     return _shell_generic(ctx, k, center, level, modulation, config, unit_char, stats)
 
 
+# parallel_map workers share one stats dict
+_stats_lock = threading.Lock()
+
+
 def _bump(stats, key, amount=1):
     if stats is not None:
-        stats[key] = stats.get(key, 0) + amount
+        with _stats_lock:
+            stats[key] = stats.get(key, 0) + amount
 
 
 # -- n = 1 --------------------------------------------------------------
@@ -140,7 +139,7 @@ def _shell_n1(ctx, k, center, level, modulation, unit_char, stats):
 
 # -- n = 2 Hermite-orbit fast path --------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _gl2_hist_cached(p, J, m1, cu):
     if p ** (4 * J) > _KERNEL_SWEEP_BUDGET:
         raise BudgetExceeded("histogram sweep p^(4*%d) exceeds the kernel budget" % J)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import Singular, ZeroArgument
+from .errors import Singular
 from .scalars import CyclotomicNumber, root_of_unity
 
 INFINITE = float("inf")  # valuation of zero
@@ -51,14 +51,6 @@ class PAdicContext:
     def __post_init__(self):
         if self.p < 2 or any(self.p % d == 0 for d in range(2, int(self.p ** 0.5) + 1)):
             raise ValueError("p must be prime")
-
-
-def norm_monomial(x, p: int):
-    """(valuation v, |x| = q^(-v)) for a nonzero rational x."""
-    v = valuation(x, p)
-    if v == INFINITE:
-        raise ZeroArgument("x = 0 has no multiplicative norm monomial")
-    return v, Fraction(p) ** (-v)
 
 
 def psi_value(x, ctx: PAdicContext) -> CyclotomicNumber:
@@ -189,10 +181,6 @@ class PAdicMatrix:
     def __repr__(self):
         return "PAdicMatrix(%s)" % (
             [[str(e) for e in row] for row in self.entries],)
-
-
-def mat_invert(g: PAdicMatrix) -> PAdicMatrix:
-    return g.inverse()
 
 
 def trace_pairing(b: PAdicMatrix, x: PAdicMatrix) -> Fraction:

@@ -13,8 +13,6 @@ from functools import lru_cache
 
 import mpmath
 
-BigRational = Fraction
-
 
 def _euler_phi_prime_power(p: int, m: int) -> int:
     return 1 if m == 0 else (p - 1) * p ** (m - 1)
@@ -39,10 +37,6 @@ class CyclotomicNumber:
         self._hash = None
 
     # -- construction -------------------------------------------------
-
-    @staticmethod
-    def from_rational(r, p: int = 2) -> "CyclotomicNumber":
-        return CyclotomicNumber(p, 0, [Fraction(r)])
 
     @staticmethod
     def zeta(p: int, m: int, a: int = 1) -> "CyclotomicNumber":
@@ -71,14 +65,6 @@ class CyclotomicNumber:
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
-
-    def is_rational(self) -> bool:
-        return self.m == 0
-
-    def rational_value(self) -> Fraction:
-        if self.m != 0:
-            raise ValueError("not a rational number")
-        return self.coeffs[0]
 
     # -- arithmetic ----------------------------------------------------
 
@@ -235,7 +221,7 @@ class CyclotomicNumber:
             return total
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _reduction_row(p: int, m: int, e: int):
     # zeta^e for e in [phi, p^m) as a vector over the power basis.
     phi = _euler_phi_prime_power(p, m)
@@ -296,10 +282,6 @@ def _solve_linear(mat, rhs):
 def root_of_unity(p: int, m: int, a: int) -> CyclotomicNumber:
     """zeta_{p^m}^a in canonical form."""
     return CyclotomicNumber.zeta(p, m, a)
-
-
-def cyc_conjugate(z: CyclotomicNumber) -> CyclotomicNumber:
-    return z.conjugate()
 
 
 def embed_complex(z, digits: int = 20):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .padic import PAdicContext, PAdicMatrix, psi_value, trace_pairing, valuation
+from .padic import PAdicContext, PAdicMatrix, psi_value, trace_pairing
 from .scalars import CyclotomicNumber, as_scalar, scalar_conjugate, scalar_is_zero
 
 

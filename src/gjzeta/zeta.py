@@ -18,7 +18,7 @@ from .errors import AllDegenerate, ZeroArgument, ZeroDenominator
 from .integrate import IntegrationConfig, rationalize, schwartz_shell_integral
 from .padic import valuation
 from .ratfun import RationalFunctionT
-from .scalars import as_scalar, root_of_unity, scalar_is_zero
+from .scalars import as_scalar
 
 
 class MultiplicativeCharacter:
@@ -118,11 +118,6 @@ class MultiplicativeCharacter:
     def __repr__(self):
         return "MultiplicativeCharacter(p=%d, c=%d, chi(p)=%r)" % (
             self.p, self.conductor_exp, self.value_at_p)
-
-
-def contragredient_twist(chi: MultiplicativeCharacter) -> MultiplicativeCharacter:
-    """Central character data of the contragredient: chi -> chi^(-1)."""
-    return chi.inverse()
 
 
 def phi_fingerprint(phi) -> str:

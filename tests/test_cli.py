@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from gjzeta.cli import main
+from gjzeta.cli import build_config, build_parser, main
 
 TATE_GAMMA_P2 = {"base_q": 2, "den": {"0": "1", "2": "-2"},
                  "num": {"2": "-2", "4": "2"}}
@@ -120,3 +120,13 @@ def test_thread_flag_does_not_change_values(threads, capsys):
                           "--threads", threads], capsys)
     assert code == 0
     assert rep["results"]["gamma"] == TATE_GAMMA_P2
+
+
+def test_hard_budget_precedence(monkeypatch):
+    argv = ["verify-inverse", "--p", "2", "--n", "1"]
+    parser = build_parser()
+    assert build_config(parser.parse_args(argv)).hard_budget == 10 ** 7
+    monkeypatch.setenv("GJZETA_HARD_BUDGET", "50")
+    assert build_config(parser.parse_args(argv)).hard_budget == 50
+    flagged = parser.parse_args(argv + ["--hard-budget", "999"])
+    assert build_config(flagged).hard_budget == 999

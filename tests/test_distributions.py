@@ -1,5 +1,6 @@
 """Twisted-distribution calculus and its spectral action."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from gjzeta.distributions import (DIRECT, INVERSE, TwistedDistribution,
                                   gj_delta, spectral_action, tilde,
                                   verify_bk_identity, verify_inverse_weak,
                                   verify_relation)
-from gjzeta.errors import Singular
+from gjzeta.errors import BudgetExceeded, Singular
 from gjzeta.integrate import IntegrationConfig
 from gjzeta.padic import PAdicContext, PAdicMatrix
 from gjzeta.ratfun import ratfun_equal
@@ -100,3 +101,33 @@ def test_spectral_action_thread_invariance():
     a = spectral_action(gj_delta(1), chi, x, IntegrationConfig(threads=1))
     b = spectral_action(gj_delta(1), chi, x, IntegrationConfig(threads=4))
     assert a.serialize() == b.serialize()
+
+
+def test_environment_does_not_override_explicit_budget(monkeypatch):
+    # the budget set on the config must survive the per-shell config copies
+    monkeypatch.setenv("GJZETA_HARD_BUDGET", "5")
+    cfg = IntegrationConfig(hard_budget=7, force_enumeration=True)
+    with pytest.raises(BudgetExceeded, match="exceeded 7 cells"):
+        spectral_action(gj_delta(2), MultiplicativeCharacter.trivial(2),
+                        PAdicMatrix.identity(2), cfg)
+
+
+class _YieldingStats(dict):
+    """A stats dict that lets other threads run between a read and the
+    write that follows it, which exposes an unguarded read-modify-write."""
+
+    def get(self, key, default=None):
+        value = super().get(key, default)
+        time.sleep(0)
+        return value
+
+
+def test_cell_count_is_thread_safe():
+    cells = []
+    for threads in (1, 4):
+        stats = _YieldingStats()
+        spectral_action(gj_delta(1), MultiplicativeCharacter.trivial(2),
+                        PAdicMatrix.identity(1), IntegrationConfig(threads=threads),
+                        stats)
+        cells.append(stats["cells"])
+    assert cells[0] == cells[1]
