@@ -130,17 +130,25 @@ def parse_phi_list(n: int, ctx: PAdicContext, spec: str):
     return [parse_phi(n, ctx, s) for s in out if s.strip()]
 
 
+# smallest allowed value of each engine flag (r_max = 0 means the default n)
+FLAG_MINIMUM = {"m_max": 0, "r_max": 0, "confirm": 1, "hard_budget": 1, "threads": 1}
+
+
 def build_config(args) -> IntegrationConfig:
     """Engine settings from the flags; --hard-budget wins over the
-    GJZETA_HARD_BUDGET environment variable, which wins over the default."""
+    GJZETA_HARD_BUDGET environment variable, which wins over the default.
+    A value below its FLAG_MINIMUM, from either source, is InvalidSpec."""
     cfg = IntegrationConfig()
     env = os.environ.get("GJZETA_HARD_BUDGET", "").strip()
     if env:
         cfg.hard_budget = int(env)
-    for field in ("m_max", "r_max", "confirm", "hard_budget", "threads"):
+    for field, low in FLAG_MINIMUM.items():
         v = getattr(args, field, None)
         if v is not None:
             setattr(cfg, field, v)
+        v = getattr(cfg, field)
+        if v < low:
+            raise InvalidSpec("%s must be >= %d, got %d" % (field.replace("_", "-"), low, v))
     return cfg
 
 
@@ -445,10 +453,7 @@ def main(argv=None) -> int:
         return EXIT_INVALID if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except InvalidSpec as exc:
-        print("invalid input: %s" % exc, file=sys.stderr)
-        return EXIT_INVALID
-    except (ValueError, json.JSONDecodeError) as exc:
+    except (InvalidSpec, ValueError) as exc:
         print("invalid input: %s" % exc, file=sys.stderr)
         return EXIT_INVALID
     except EngineError as exc:

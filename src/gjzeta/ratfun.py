@@ -7,9 +7,7 @@ are exact scalars (cyclotomic, possibly extended by sqrt(q)).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .scalars import as_scalar, scalar_is_zero
+from .scalars import as_scalar, scalar_inverse, scalar_is_zero
 
 
 class LaurentPoly:
@@ -99,7 +97,7 @@ def _poly_divmod(a: LaurentPoly, b: LaurentPoly):
     lb = b.leading()
     while not r.is_zero() and r.degree() >= db:
         e = r.degree() - db
-        c = r.leading() * (Fraction(1) / lb if isinstance(lb, (int, Fraction)) else lb.inverse())
+        c = r.leading() * scalar_inverse(lb)
         mono = LaurentPoly.monomial(c, e)
         q = q + mono
         r = r - mono * b
@@ -143,8 +141,7 @@ class RationalFunctionT:
             num = LaurentPoly()
             den = LaurentPoly.const(1)
         # trailing-coefficient normalization of the denominator
-        t = den.trailing()
-        tin = Fraction(1) / t if isinstance(t, (int, Fraction)) else t.inverse()
+        tin = scalar_inverse(den.trailing())
         den = den * tin
         num = num * tin
         den = den.shift(-den.low_degree())
@@ -232,7 +229,7 @@ class RationalFunctionT:
         d0 = den.get(0)
         if d0 is None or scalar_is_zero(d0):
             raise ValueError("denominator not invertible as a power series")
-        inv0 = Fraction(1) / d0 if isinstance(d0, (int, Fraction)) else d0.inverse()
+        inv0 = scalar_inverse(d0)
         out = []
         cache = {}
         for k in range(k0, k0 + count):

@@ -10,11 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NoRecurrence
-from .scalars import scalar_is_zero
-
-
-def _inv(x):
-    return Fraction(1) / x if isinstance(x, (int, Fraction)) else x.inverse()
+from .scalars import scalar_inverse, scalar_is_zero
 
 
 def berlekamp_massey(seq):
@@ -34,7 +30,7 @@ def berlekamp_massey(seq):
         if scalar_is_zero(d):
             m += 1
             continue
-        factor = d * _inv(d_prev)
+        factor = d * scalar_inverse(d_prev)
         c_new = list(c) + [0] * max(0, len(b) + m - len(c))
         for j, bj in enumerate(b):
             c_new[j + m] = c_new[j + m] - factor * bj

@@ -4,12 +4,18 @@ All integral values produced by the p-adic layer live in Q(zeta_{p^m}) for
 some m; half-integer powers of q additionally require sqrt(q), which is
 either an explicit cyclotomic element (p = 2 or p = 1 mod 4) or a formal
 quadratic generator (p = 3 mod 4, where the extension is a genuine field).
+
+Inverses need no linear algebra.  Multiplying x in Q(zeta_{p^m}) by its other
+conjugates over Q(zeta_{p^(m-1)}) gives its relative norm, one level down;
+repeating down the tower reaches a rational N, and x^-1 is the product of
+all the conjugates used, divided by N.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import mul
 
 import mpmath
 
@@ -53,15 +59,15 @@ class CyclotomicNumber:
     # -- canonicalization ---------------------------------------------
 
     def _lift(self, m: int) -> "CyclotomicNumber":
-        """Re-express at level m >= self.m (no minimality normalization)."""
+        """Re-express at level m >= self.m (no minimality normalization).
+
+        j*step < phi(p^m) for every j < phi(p^self.m): nothing to reduce."""
         if m == self.m:
             return self
         step = self.p ** (m - self.m)
-        vec = [Fraction(0)] * (self.p ** m)
-        for j, c in enumerate(self.coeffs):
-            if c:
-                vec[j * step] = c
-        return _reduce(self.p, m, vec, normalize=False)
+        vec = [Fraction(0)] * _euler_phi_prime_power(self.p, m)
+        vec[::step] = self.coeffs
+        return CyclotomicNumber(self.p, m, vec)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -130,21 +136,20 @@ class CyclotomicNumber:
     __rmul__ = __mul__
 
     def inverse(self) -> "CyclotomicNumber":
+        """cofactor / N, with N the norm of x to Q (see the module docstring).
+
+        zeta -> zeta^a with a = 1 + j*p^(m-1) < p^m, j >= 1, are the
+        conjugations of level m over level m-1 (at m = 1: a = 2..p-1).
+        """
         if self.is_zero():
             raise ZeroDivisionError("cyclotomic division by zero")
-        if self.m == 0:
-            return CyclotomicNumber(self.p, 0, [1 / self.coeffs[0]])
-        # Solve (self * x) = 1 in the power basis by Gaussian elimination.
-        phi = len(self.coeffs)
-        cols = []
-        for j in range(phi):
-            basis = CyclotomicNumber.zeta(self.p, self.m, j)._lift(self.m)
-            prod = self * basis
-            cols.append(prod._lift(self.m).coeffs)
-        mat = [[cols[j][i] for j in range(phi)] for i in range(phi)]
-        rhs = [Fraction(1)] + [Fraction(0)] * (phi - 1)
-        sol = _solve_linear(mat, rhs)
-        return _normalize_level(CyclotomicNumber(self.p, self.m, sol))
+        p = self.p
+        norm, cofactor = _normalize_level(self), 1
+        while norm.m:
+            step = p ** (norm.m - 1)
+            conj = reduce(mul, map(norm._galois, range(1 + step, p * step, step)))
+            norm, cofactor = norm * conj, conj * cofactor
+        return as_scalar(cofactor / norm.coeffs[0], p)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -158,27 +163,22 @@ class CyclotomicNumber:
         return self.inverse() * other
 
     def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = CyclotomicNumber(self.p, 0, [Fraction(1)])
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, e, one(self.p))
 
-    def conjugate(self) -> "CyclotomicNumber":
-        """Complex conjugation zeta -> zeta^{-1}."""
+    def _galois(self, a: int) -> "CyclotomicNumber":
+        """The field automorphism zeta -> zeta^a, for a prime to p."""
         if self.m == 0:
             return self
         order = self.p ** self.m
         vec = [Fraction(0)] * order
         for j, c in enumerate(self.coeffs):
             if c:
-                vec[(-j) % order] += c
+                vec[a * j % order] = c
         return _reduce(self.p, self.m, vec)
+
+    def conjugate(self) -> "CyclotomicNumber":
+        """Complex conjugation zeta -> zeta^{-1}."""
+        return self._galois(-1)
 
     # -- comparison / misc --------------------------------------------
 
@@ -232,7 +232,7 @@ def _reduction_row(p: int, m: int, e: int):
     return tuple(row)
 
 
-def _reduce(p: int, m: int, vec, normalize: bool = True) -> CyclotomicNumber:
+def _reduce(p: int, m: int, vec) -> CyclotomicNumber:
     """Reduce a length-p^m exponent vector into the power basis."""
     phi = _euler_phi_prime_power(p, m)
     out = list(vec[:phi]) + [Fraction(0)] * (phi - min(phi, len(vec)))
@@ -243,8 +243,7 @@ def _reduce(p: int, m: int, vec, normalize: bool = True) -> CyclotomicNumber:
             for j, r in enumerate(row):
                 if r:
                     out[j] += c * r
-    z = CyclotomicNumber(p, m, out)
-    return _normalize_level(z) if normalize else z
+    return _normalize_level(CyclotomicNumber(p, m, out))
 
 
 def _normalize_level(z: CyclotomicNumber) -> CyclotomicNumber:
@@ -261,20 +260,17 @@ def _normalize_level(z: CyclotomicNumber) -> CyclotomicNumber:
     return z
 
 
-def _solve_linear(mat, rhs):
-    """Gaussian elimination over Fraction; mat is modified in place."""
-    n = len(mat)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)]
+def _power(x, e: int, unit):
+    """x**e by square-and-multiply; a negative e inverts x first."""
+    if e < 0:
+        x, e = x.inverse(), -e
+    result = unit
+    while e:
+        if e & 1:
+            result = result * x
+        x = x * x
+        e >>= 1
+    return result
 
 
 # -- public helpers ----------------------------------------------------
@@ -403,16 +399,7 @@ class QuadExt:
         return self.inverse() * other
 
     def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = QuadExt(one(self.p), zero(self.p), self.p)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, e, QuadExt(one(self.p), zero(self.p), self.p))
 
     def conjugate(self) -> "QuadExt":
         # complex conjugation; sqrt(p) is real
@@ -441,6 +428,12 @@ def scalar_is_zero(x) -> bool:
     if isinstance(x, (CyclotomicNumber, QuadExt)):
         return x.is_zero()
     return x == 0
+
+
+def scalar_inverse(x):
+    if isinstance(x, (CyclotomicNumber, QuadExt)):
+        return x.inverse()
+    return 1 / Fraction(x)
 
 
 def scalar_conjugate(x):

@@ -130,3 +130,22 @@ def test_hard_budget_precedence(monkeypatch):
     assert build_config(parser.parse_args(argv)).hard_budget == 50
     flagged = parser.parse_args(argv + ["--hard-budget", "999"])
     assert build_config(flagged).hard_budget == 999
+
+
+@pytest.mark.parametrize("flags, env", [
+    (["--confirm", "-1"], None),
+    (["--confirm", "0"], None),
+    (["--m-max", "-1"], None),
+    (["--r-max", "-1"], None),
+    (["--hard-budget", "0"], None),
+    (["--threads", "0"], None),
+    ([], "-5"),
+], ids=["confirm=-1", "confirm=0", "m-max=-1", "r-max=-1", "hard-budget=0",
+        "threads=0", "env-hard-budget=-5"])
+def test_out_of_range_engine_flags_exit_3(flags, env, monkeypatch, capsys):
+    # before validation these crashed (exit 1), passed on zero confirmed
+    # terms, ran to INCONCLUSIVE, or were accepted silently
+    if env is not None:
+        monkeypatch.setenv("GJZETA_HARD_BUDGET", env)
+    assert main(["verify-inverse", "--p", "2", "--n", "1"] + flags) == 3
+    assert "invalid input" in capsys.readouterr().err
