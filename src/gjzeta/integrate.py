@@ -9,10 +9,14 @@ distribution kernels alike.
 Three evaluation paths:
   * n = 1: direct unit enumeration at the certified constancy level;
   * n = 2, zero-centered coset with scalar modulation: Hermite-orbit
-    decomposition G = gamma * [[p^a, b], [0, p^d]] with the b-sum collapsed
-    analytically and gamma binned by an integer histogram kernel;
+    decomposition G = gamma * [[p^a, b], [0, p^d]], gamma binned by an
+    integer histogram kernel; the b-sum leaves only gamma21 = 0, weighted
+    by p^d;
   * generic: recursive residue-cell refinement with an exact resolution
     rule, bounded by a hard cell budget.
+The first two count cells in python integers by (det unit residue, psi
+exponent) and reduce once per shell (_phase_sum); the generic path adds one
+exact value per cell and is their independent check.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .errors import BudgetExceeded, NoStabilization
 from .padic import INFINITE, PAdicContext, PAdicMatrix, psi_value, valuation
 from .ratfun import LaurentPoly, RationalFunctionT
 from .recurrence import detect_recurrence
-from .scalars import as_scalar, scalar_is_zero
+from .scalars import as_scalar, root_of_unity_sum, scalar_is_zero
 
 # integer sweeps inside the histogram kernels are far cheaper than exact
 # python cells, so they get their own (fixed) budget
@@ -64,13 +68,6 @@ def parallel_map(fn, items, threads: int = 1):
         return [fn(x) for x in items]
     with ThreadPoolExecutor(max_workers=threads) as ex:
         return list(ex.map(fn, items))
-
-
-def _unit_values(unit_char):
-    """(conductor exponent, value callback) for an optional unit character."""
-    if unit_char is None:
-        return 0, None
-    return unit_char.conductor_exp, unit_char.unit_value
 
 
 def _is_scalar_matrix(b: PAdicMatrix):
@@ -109,35 +106,36 @@ def _bump(stats, key, amount=1):
             stats[key] = stats.get(key, 0) + amount
 
 
-# -- n = 1 --------------------------------------------------------------
+# -- n = 1 and Hermite: integer phase histograms ------------------------
+
+def _phase_sum(p, m, hist, chi_table):
+    """sum over det residues u of chi(u) * sum_e hist[u][e] zeta_{p^m}^e."""
+    total = as_scalar(0, p)
+    for u, row in enumerate(hist):
+        if any(row):
+            total = total + root_of_unity_sum(p, m, row) * chi_table.get(u, 1)
+    return total
+
 
 def _shell_n1(ctx, k, center, level, modulation, unit_char, stats):
+    """Units r mod p^j, x = p^k r, counted by (r mod p^cu, psi exponent)."""
     p = ctx.p
-    cu, chi = _unit_values(unit_char)
+    cu, chi_table = (unit_char.conductor_exp, unit_char.table) if unit_char else (0, {})
     a = center.entries[0][0]
     b = modulation.entries[0][0]
     vb = valuation(b, p)
-    j = max(1, cu, level - k)
-    if vb is not INFINITE:
-        j = max(j, -(k + vb))
+    m = 0 if vb is INFINITE else max(0, -(k + vb))
+    j = max(1, cu, level - k, m)
     pk = Fraction(p) ** k
-    pcu = p ** cu
-    total = as_scalar(0, p)
+    M = p ** m
+    w = _mod_int(b * pk * M, M)  # psi(b p^k r) = zeta_{p^m}^(w r)
+    hist = [[0] * M for _ in range(p ** cu)]
     for r in range(p ** j):
-        if r % p == 0:
-            continue
-        _bump(stats, "cells")
-        x = pk * r
-        if valuation(x - a, p) < level:
-            continue
-        val = psi_value(b * x, ctx)
-        if chi is not None:
-            val = chi(r % pcu) * val
-        total = total + val
-    return total * Fraction(1, p ** j)
+        if r % p and valuation(pk * r - a, p) >= level:
+            hist[r % p ** cu][w * r % M] += 1
+    _bump(stats, "cells", p ** j - p ** (j - 1))
+    return _phase_sum(p, m, hist, chi_table) * Fraction(1, p ** j)
 
-
-# -- n = 2 Hermite-orbit fast path --------------------------------------
 
 @lru_cache(maxsize=32)
 def _gl2_hist_cached(p, J, m1, cu):
@@ -146,27 +144,20 @@ def _gl2_hist_cached(p, J, m1, cu):
     return gl2_histogram(p, J, m1, cu)
 
 
-def _geometric_char_sum(w: Fraction, N: int, ctx: PAdicContext):
-    """sum_{b=0}^{N-1} psi(w b), exact."""
-    p = ctx.p
-    if N == 1 or w == 0 or valuation(w, p) >= 0:
-        return as_scalar(N, p)
-    zN = psi_value(w * N, ctx)
-    one = as_scalar(1, p)
-    if (zN - one).is_zero():
-        return as_scalar(0, p)
-    return (zN - one) * (psi_value(w, ctx) - one).inverse()
-
-
 def _shell_n2_hermite(ctx, k, level, c, unit_char, stats):
     """Zero-centered coset p^level M_2, modulation c * Id.
 
     Substituting g = p^level H reduces to integral H with v(det H) = k',
     k' = k - 2*level; the d^x measure is scale-invariant so no prefactor
-    survives except the gamma-cell volume p^(-4J).
+    survives except the gamma-cell volume p^(-4J).  H = gamma [[p^a, b],
+    [0, p^d]] contributes chi(det gamma) zeta^(w (g11 p^a + g21 b + g22 p^d)),
+    zeta = zeta_{p^mc}.  Only g21 = 0 survives, with weight p^d: the b-sum
+    cancels whole cosets of roots of unity when v(g21) >= mc - d, and
+    gamma -> gamma [[1, s], [0, 1]] (det fixed, g22 -> g22 + s g21) cancels
+    the g22-sum when v(g21) < mc - d.
     """
     p = ctx.p
-    cu, chi = _unit_values(unit_char)
+    cu, chi_table = (unit_char.conductor_exp, unit_char.table) if unit_char else (0, {})
     kp = k - 2 * level
     if kp < 0:
         return as_scalar(0, p)
@@ -174,42 +165,23 @@ def _shell_n2_hermite(ctx, k, level, c, unit_char, stats):
     vc = valuation(cH, p)
     mc = 0 if vc is INFINITE else max(0, -int(vc))
     J = max(1, cu, mc)
-    counts = _gl2_hist_cached(p, J, mc, cu)
     M1 = p ** mc
     MU = p ** cu
-    psi_tab = [psi_value(cH * t, ctx) for t in range(M1)]
-    chi_tab = {u: (chi(u) if chi is not None else as_scalar(1, p))
-               for u in range(MU) if MU == 1 or u % p != 0}
-    total = as_scalar(0, p)
-    i11g, i22g = np.meshgrid(np.arange(M1), np.arange(M1), indexing="ij")
+    counts = _gl2_hist_cached(p, J, mc, cu)[:, 0].reshape(M1 * M1, MU)
+    w = _mod_int(cH * M1, M1)  # psi(cH y) = zeta^(w y) for integral y
+    g = np.arange(M1)
+    hist = np.zeros((MU, M1), dtype=object)  # python ints: p^d is unbounded
+    cells = 0
     for a in range(kp + 1):
         d = kp - a
-        # trace phase index (gamma11 p^a + gamma22 p^d) mod p^mc
-        tkey = ((i11g * pow(p, a, M1) if a < mc else np.zeros_like(i11g))
-                + (i22g * pow(p, d, M1) if d < mc else np.zeros_like(i22g))) % M1
-        for i21 in range(M1):
-            # b-sum over the off-diagonal Hermite entry, collapsed analytically
-            if i21 == 0:
-                bsum = as_scalar(p ** d, p)
-            else:
-                v21 = 0
-                r = i21
-                while r % p == 0:
-                    r //= p
-                    v21 += 1
-                if v21 >= mc - d:
-                    continue  # full character sum vanishes
-                bsum = _geometric_char_sum(cH * i21, p ** d, ctx)
-            for u, chival in chi_tab.items():
-                acc = np.zeros(M1, dtype=np.int64)
-                np.add.at(acc, tkey.ravel(), counts[:, i21, :, u].ravel())
-                _bump(stats, "cells", M1)
-                sub = as_scalar(0, p)
-                for t in range(M1):
-                    if acc[t]:
-                        sub = sub + psi_tab[t] * int(acc[t])
-                total = total + sub * bsum * chival
-    return total * Fraction(1, p ** (4 * J))
+        acc = np.zeros((M1, MU), dtype=np.int64)  # [exponent, det residue]
+        np.add.at(acc, (w * (g[:, None] * pow(p, a, M1) + g * pow(p, d, M1)) % M1).ravel(),
+                  counts)
+        hist += acc.T.astype(object) * p ** d
+        # reported cells: M1 per det residue for each g21 the b-sum leaves
+        cells += M1 * (MU - MU // p) * (1 + max(0, M1 - p ** d))
+    _bump(stats, "cells", cells)
+    return _phase_sum(p, mc, hist, chi_table) * Fraction(1, p ** (4 * J))
 
 
 # -- generic recursive refinement ---------------------------------------
@@ -250,7 +222,7 @@ def _shell_generic(ctx, k, center, level, modulation, config, unit_char, stats):
     p = ctx.p
     n = center.n
     n2 = n * n
-    cu, chi = _unit_values(unit_char)
+    cu, chi = (unit_char.conductor_exp, unit_char.unit_value) if unit_char else (0, None)
     mv = center.min_valuation(p)
     m = max(0, -level, 0 if mv is INFINITE else -min(0, int(mv)))
     kp = k + n * m

@@ -280,6 +280,13 @@ def root_of_unity(p: int, m: int, a: int) -> CyclotomicNumber:
     return CyclotomicNumber.zeta(p, m, a)
 
 
+def root_of_unity_sum(p: int, m: int, counts) -> CyclotomicNumber:
+    """sum_e counts[e] * zeta_{p^m}^e in canonical form, len(counts) <= p^m."""
+    if len(counts) > p ** m:
+        raise ValueError("more than p^m exponents for level %d" % m)
+    return _reduce(p, m, counts)
+
+
 def embed_complex(z, digits: int = 20):
     if isinstance(z, QuadExt):
         return z.embed(digits)

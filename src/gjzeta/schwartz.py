@@ -13,7 +13,8 @@ import json
 from fractions import Fraction
 
 from .padic import PAdicContext, PAdicMatrix, psi_value, trace_pairing
-from .scalars import CyclotomicNumber, as_scalar, scalar_conjugate, scalar_is_zero
+from .scalars import (CyclotomicNumber, as_scalar, root_of_unity_sum, scalar_conjugate,
+                      scalar_is_zero)
 
 
 class SchwartzTerm:
@@ -231,8 +232,8 @@ class SchwartzBruhatFn:
         ctx = PAdicContext(int(data["p"]))
         terms = []
         for t in data["terms"]:
-            c = CyclotomicNumber(ctx.p, int(t["coeff"]["level"]),
-                                 [Fraction(x) for x in t["coeff"]["coeffs"]])
+            c = root_of_unity_sum(ctx.p, int(t["coeff"]["level"]),
+                                  [Fraction(x) for x in t["coeff"]["coeffs"]])
             center = PAdicMatrix([[Fraction(e) for e in row] for row in t["center"]])
             modulation = PAdicMatrix([[Fraction(e) for e in row] for row in t["modulation"]])
             terms.append(SchwartzTerm(c, center, int(t["level"]), modulation))

@@ -3,12 +3,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gjzeta.errors import NoRecurrence
 from gjzeta.ratfun import LaurentPoly, RationalFunctionT, ratfun_equal
 from gjzeta.recurrence import berlekamp_massey, detect_recurrence
 from gjzeta.integrate import rationalize
-from gjzeta.scalars import as_scalar, root_of_unity
+from gjzeta.scalars import as_scalar, root_of_unity, root_of_unity_sum
 
 
 def rf(num, den, q=2):
@@ -103,3 +104,39 @@ def test_rationalize_negative_weight():
     r = rationalize(seq, 0, -2, p, r_max=1, confirm=3)
     # sum (1/2)^k T^(-2k) = 1 / (1 - (1/2) T^-2)
     assert r == rf({0: 1}, {0: 1, -2: Fraction(-1, 2)})
+
+
+# -- Berlekamp-Massey recovery (hypothesis) ---------------------------------
+
+_small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def _recurrent_sequences(draw):
+    """A head of arbitrary terms, then 7..10 terms of a random recurrence of
+    order <= 2, over Q or Q(zeta_9)."""
+    if draw(st.booleans()):
+        scalar = _small
+    else:
+        scalar = st.lists(_small, min_size=6, max_size=6).map(
+            lambda cs: root_of_unity_sum(3, 2, cs))
+    order = draw(st.integers(0, 2))
+    coeffs = draw(st.lists(scalar, min_size=order, max_size=order))
+    head = draw(st.lists(scalar, max_size=3))
+    tail = draw(st.lists(scalar, min_size=order, max_size=order))
+    length = draw(st.integers(7, 10))
+    while len(tail) < length:
+        tail.append(sum((c * tail[-i] for i, c in enumerate(coeffs, start=1)),
+                        start=as_scalar(0, 3)))
+    return head + tail
+
+
+@settings(max_examples=60, deadline=None)
+@given(_recurrent_sequences(), st.integers(-2, 2), st.sampled_from([1, 2]))
+def test_berlekamp_massey_recovers_random_recurrences(seq, k0, weight):
+    rec = detect_recurrence(seq, 2, 3)
+    assert rec.order <= 2
+    for k in range(rec.start, len(seq)):
+        assert rec.predict(seq, k) == seq[k]
+    r = rationalize(seq, k0, weight, 3, 2, 3)
+    assert r.series_coefficients(k0, len(seq), step=weight) == seq

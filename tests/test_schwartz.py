@@ -1,12 +1,13 @@
 """Schwartz-Bruhat functions: Fourier, Plancherel, canonical forms."""
 
+import json
 import random
 from fractions import Fraction
 
 from gjzeta.padic import PAdicContext, PAdicMatrix
 from gjzeta.cli import random_schwartz
 from gjzeta.schwartz import SchwartzBruhatFn
-from gjzeta.scalars import scalar_is_zero
+from gjzeta.scalars import as_scalar, scalar_is_zero
 
 
 def test_unit_ball_is_self_dual():
@@ -74,6 +75,16 @@ def test_json_roundtrip():
         f = random_schwartz(n, ctx, rng)
         g = SchwartzBruhatFn.from_json(f.to_json())
         assert f.fn_equal(g)
+
+
+def test_from_json_stores_coefficients_at_their_minimal_level():
+    # 3 written at level 2 must equal, and hash like, the level-0 scalar 3
+    doc = {"n": 1, "p": 3, "terms": [{
+        "coeff": {"level": 2, "coeffs": ["3", "0", "0", "0", "0", "0"]},
+        "center": [["0"]], "level": 0, "modulation": [["0"]]}]}
+    c = SchwartzBruhatFn.from_json(json.dumps(doc)).terms[0].coeff
+    assert c == 3
+    assert hash(c) == hash(as_scalar(3, 3))
 
 
 def test_det_valuation_bound():
