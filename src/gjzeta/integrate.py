@@ -9,9 +9,9 @@ distribution kernels alike.
 Three evaluation paths:
   * n = 1: direct unit enumeration at the certified constancy level;
   * n = 2, zero-centered coset with scalar modulation: Hermite-orbit
-    decomposition G = gamma * [[p^a, b], [0, p^d]], gamma binned by an
-    integer histogram kernel; the b-sum leaves only gamma21 = 0, weighted
-    by p^d;
+    decomposition G = gamma * [[p^a, b], [0, p^d]]; the b-sum leaves only
+    gamma21 = 0, weighted by p^d, and a closed-form count kernel bins those
+    gamma by (g11, g22, det residue);
   * generic: recursive residue-cell refinement with an exact resolution
     rule, bounded by a hard cell budget.
 The first two count cells in python integers by (det unit residue, psi
@@ -36,9 +36,9 @@ from .ratfun import LaurentPoly, RationalFunctionT
 from .recurrence import detect_recurrence
 from .scalars import as_scalar, root_of_unity_sum, scalar_is_zero
 
-# integer sweeps inside the histogram kernels are far cheaper than exact
-# python cells, so they get their own (fixed) budget
-_KERNEL_SWEEP_BUDGET = 3 * 10 ** 8
+# bins of the Hermite count array: one shell at 5^10 (about 10^7) bins peaks
+# near 360 MiB, so memory, not time, sets this bound
+_KERNEL_BIN_BUDGET = 10 ** 7
 
 
 @dataclass
@@ -139,8 +139,10 @@ def _shell_n1(ctx, k, center, level, modulation, unit_char, stats):
 
 @lru_cache(maxsize=32)
 def _gl2_hist_cached(p, J, m1, cu):
-    if p ** (4 * J) > _KERNEL_SWEEP_BUDGET:
-        raise BudgetExceeded("histogram sweep p^(4*%d) exceeds the kernel budget" % J)
+    # the int64 counts, and every sum of them, stay below the group order p^(4J)
+    if p ** (2 * m1 + cu) > _KERNEL_BIN_BUDGET or p ** (4 * J) >= 2 ** 63:
+        raise BudgetExceeded("histogram of p^%d bins at level %d exceeds the kernel budget"
+                             % (2 * m1 + cu, J))
     return gl2_histogram(p, J, m1, cu)
 
 
@@ -167,7 +169,7 @@ def _shell_n2_hermite(ctx, k, level, c, unit_char, stats):
     J = max(1, cu, mc)
     M1 = p ** mc
     MU = p ** cu
-    counts = _gl2_hist_cached(p, J, mc, cu)[:, 0].reshape(M1 * M1, MU)
+    counts = _gl2_hist_cached(p, J, mc, cu).reshape(M1 * M1, MU)
     w = _mod_int(cH * M1, M1)  # psi(cH y) = zeta^(w y) for integral y
     g = np.arange(M1)
     hist = np.zeros((MU, M1), dtype=object)  # python ints: p^d is unbounded

@@ -51,6 +51,14 @@ def test_verify_inverse_pass(capsys):
     assert code == 0 and rep["verdict"] == "PASS"
 
 
+@pytest.mark.parametrize("argv", [["verify-inverse", "--p", "5", "--n", "2"],
+                                  ["verify-bk", "--p", "5", "--n", "2",
+                                   "--phis", "unit_ball"]])
+def test_n2_hermite_p5_pass(argv, capsys):
+    code, rep = run_json(argv, capsys)
+    assert code == 0 and rep["verdict"] == "PASS"
+
+
 def test_verify_relation_pass(capsys):
     code, rep = run_json(["verify-relation", "--n", "8"], capsys)
     assert code == 0 and rep["verdict"] == "PASS"

@@ -1,17 +1,19 @@
 """The n = 1 and Hermite shell paths against scalar-accumulating references.
 
-The references below add one exact cyclotomic value per cell and sum the
-Hermite off-diagonal entry as a geometric ratio (with an inverse); the engine
+The references below add one exact cyclotomic value per cell, sum the
+Hermite off-diagonal entry as a geometric ratio (with an inverse) and bin the
+Hermite gamma cells with their own sweep over all of M_2(Z/p^J); the engine
 counts the same cells by (det residue, psi exponent) and reduces once.
 Results must agree exactly, including for characters with non-rational values.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from gjzeta.integrate import _gl2_hist_cached, _shell_n1, _shell_n2_hermite
+from gjzeta.integrate import _shell_n1, _shell_n2_hermite
 from gjzeta.padic import INFINITE, PAdicContext, PAdicMatrix, psi_value, valuation
 from gjzeta.scalars import as_scalar, root_of_unity
 from gjzeta.zeta import MultiplicativeCharacter
@@ -49,6 +51,28 @@ def shell_n1_reference(ctx, k, center, level, modulation, unit_char, stats):
     return total * Fraction(1, p ** j)
 
 
+@lru_cache(maxsize=None)
+def gl2_histogram_sweep(p, J, m1, cu):
+    """counts[g11 % p^m1, g21 % p^m1, g22 % p^m1, det % p^cu] over all
+    g in M_2(Z/p^J) with det(g) a unit."""
+    q = p ** J
+    mmod = p ** m1
+    umod = p ** cu
+    counts = np.zeros((mmod, mmod, mmod, umod), dtype=np.int64)
+    r = np.arange(q, dtype=np.int64)
+    g21 = r[None, :]
+    prod = (r[:, None] * g21) % q  # g12 * g21
+    g21s = np.broadcast_to(g21 % mmod, prod.shape)
+    for g11 in range(q):
+        for g22 in range(q):
+            det = (g11 * g22 - prod) % q
+            unit = (det % p) != 0
+            idx = g21s[unit] * umod + det[unit] % umod
+            sub = np.bincount(idx, minlength=mmod * umod).reshape(mmod, umod)
+            counts[g11 % mmod, :, g22 % mmod, :] += sub
+    return counts
+
+
 def geometric_char_sum_reference(w, N, ctx):
     """sum_{b=0}^{N-1} psi(w b) as (psi(w N) - 1) / (psi(w) - 1)."""
     p = ctx.p
@@ -71,7 +95,7 @@ def shell_n2_hermite_reference(ctx, k, level, c, unit_char, stats):
     vc = valuation(cH, p)
     mc = 0 if vc is INFINITE else max(0, -int(vc))
     J = max(1, cu, mc)
-    counts = _gl2_hist_cached(p, J, mc, cu)
+    counts = gl2_histogram_sweep(p, J, mc, cu)
     M1 = p ** mc
     MU = p ** cu
     psi_tab = [psi_value(cH * t, ctx) for t in range(M1)]
@@ -169,3 +193,13 @@ def test_hermite_zero_modulation_matches_reference():
         want = shell_n2_hermite_reference(ctx, k, 0, Fraction(0), chi, want_stats)
         _same(got, want, got_stats.get("cells", 0), want_stats.get("cells", 0))
 
+
+
+def test_hermite_p5_matches_reference():
+    ctx = PAdicContext(5)
+    for chi in _characters(5):
+        for k in range(-1, 3):
+            got_stats, want_stats = {}, {}
+            got = _shell_n2_hermite(ctx, k, 0, Fraction(1, 5), chi, got_stats)
+            want = shell_n2_hermite_reference(ctx, k, 0, Fraction(1, 5), chi, want_stats)
+            _same(got, want, got_stats.get("cells", 0), want_stats.get("cells", 0))
