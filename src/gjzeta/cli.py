@@ -155,7 +155,7 @@ def build_config(args) -> IntegrationConfig:
 # -- report plumbing -----------------------------------------------------
 
 def make_report(command: str, parameters: dict, results, verdict: str,
-                elapsed: float, cells: int, windows=None) -> dict:
+                elapsed: float, cells: int | None, windows=None) -> dict:
     return {
         "tool": "gjzeta",
         "version": __version__,
@@ -451,6 +451,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INVALID if exc.code not in (0, None) else 0
+    t0 = time.time()
     try:
         return args.fn(args)
     except (InvalidSpec, ValueError) as exc:
@@ -458,6 +459,13 @@ def main(argv=None) -> int:
         return EXIT_INVALID
     except EngineError as exc:
         print("INCONCLUSIVE: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        where = {f: getattr(exc, f) for f in ("shell", "truncation", "cells")
+                 if getattr(exc, f, None) is not None}
+        emit(make_report(
+            args.command,
+            {k: v for k, v in vars(args).items() if k not in ("fn", "command", "out")},
+            {"error": type(exc).__name__, "message": str(exc)} | where,
+            "INCONCLUSIVE", time.time() - t0, None), args)
         return EXIT_INCONCLUSIVE
 
 

@@ -14,9 +14,9 @@ Three evaluation paths:
     gamma by (g11, g22, det residue);
   * generic: recursive residue-cell refinement with an exact resolution
     rule, bounded by a hard cell budget.
-The first two count cells in python integers by (det unit residue, psi
-exponent) and reduce once per shell (_phase_sum); the generic path adds one
-exact value per cell and is their independent check.
+All three count cells in python integers by (det unit residue, psi
+exponent) and reduce once per shell (_phase_sum).  The generic path still
+visits every cell one by one and is the independent check of the other two.
 """
 
 from __future__ import annotations
@@ -26,12 +26,14 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
+from operator import add, mul
 
 import numpy as np
 
 from ._kernels import gl2_histogram
 from .errors import BudgetExceeded, NoStabilization
-from .padic import INFINITE, PAdicContext, PAdicMatrix, psi_value, valuation
+from .padic import INFINITE, PAdicContext, PAdicMatrix, valuation
 from .ratfun import LaurentPoly, RationalFunctionT
 from .recurrence import detect_recurrence
 from .scalars import as_scalar, root_of_unity_sum, scalar_is_zero
@@ -219,12 +221,14 @@ def _shell_generic(ctx, k, center, level, modulation, config, unit_char, stats):
     v(det a) < j the det valuation is constant on the cell; it is resolved
     once j also certifies the psi phase and the det unit residue.  If
     v(det a) >= j every point has v(det) >= j, so the cell is dead once
-    j > k'.  Otherwise split into p^(n^2) children at level j+1.
+    j > k'.  Otherwise split into p^(n^2) children at level j+1.  Resolved
+    cells are counted by (j, det unit residue, psi exponent) and each level
+    j is reduced once (_phase_sum).
     """
     p = ctx.p
     n = center.n
     n2 = n * n
-    cu, chi = (unit_char.conductor_exp, unit_char.unit_value) if unit_char else (0, None)
+    cu = unit_char.conductor_exp if unit_char else 0
     mv = center.min_valuation(p)
     m = max(0, -level, 0 if mv is INFINITE else -min(0, int(mv)))
     kp = k + n * m
@@ -238,11 +242,16 @@ def _shell_generic(ctx, k, center, level, modulation, config, unit_char, stats):
     C = tuple(e / pm for row in modulation.entries for e in row)
     cv = min((valuation(c, p) for c in C if c != 0), default=INFINITE)
     mpsi = 0 if cv is INFINITE else max(0, -int(cv))
+    P = p ** mpsi
+    # psi(tr(C a)) = zeta_P^(sum(Cint * a)) for an integral flat cell a
+    Cint = tuple(_mod_int(C[l * n + i] * P, P) for i in range(n) for l in range(n))
     pcu = p ** cu
+    chi_table = ({u: unit_char.unit_value(u) for u in range(pcu) if pcu == 1 or u % p}
+                 if unit_char else {})
     prefactor = Fraction(p) ** (n * k + m * n2)
     budget = config.hard_budget
     visited = 0
-    total = as_scalar(0, p)
+    hists = {}  # j -> [det residue][psi exponent] cell count
     stack = [(A, max(Lp, 0))]
     while stack:
         a, j = stack.pop()
@@ -263,39 +272,25 @@ def _shell_generic(ctx, k, center, level, modulation, config, unit_char, stats):
             if dv != kp:
                 continue
             if j >= mpsi and j >= dv + cu:
-                tr = sum(C[i * n + l] * a[l * n + i] for i in range(n) for l in range(n))
-                val = psi_value(tr, ctx)
-                if chi is not None:
-                    val = chi(d % pcu if pcu > 1 else 0) * val
-                total = total + val * Fraction(1, p ** (j * n2))
+                if j not in hists:
+                    hists[j] = [[0] * P for _ in range(pcu)]
+                hists[j][d % pcu][sum(map(mul, Cint, a)) % P] += 1
                 continue
-        else:
-            if kp < j:
-                continue
-        pj = p ** j
-        offs = [tuple(pj * t[i] for i in range(n2))
-                for t in _offset_digits(n2, p)]
-        for off in offs:
-            stack.append((tuple(x + y for x, y in zip(a, off)), j + 1))
+        elif kp < j:
+            continue
+        stack.extend((tuple(map(add, a, off)), j + 1) for off in _offsets(n2, p, j))
     _bump(stats, "cells", visited)
+    total = as_scalar(0, p)
+    for j, hist in hists.items():
+        total = total + _phase_sum(p, mpsi, hist, chi_table) * Fraction(1, p ** (j * n2))
     return total * prefactor
 
 
-@lru_cache(maxsize=None)
-def _offset_digits(n2: int, p: int):
-    out = []
-    idx = [0] * n2
-    while True:
-        out.append(tuple(idx))
-        pos = 0
-        while pos < n2:
-            idx[pos] += 1
-            if idx[pos] < p:
-                break
-            idx[pos] = 0
-            pos += 1
-        if pos == n2:
-            return tuple(out)
+@lru_cache(maxsize=32)
+def _offsets(n2: int, p: int, j: int):
+    """The p^n2 child offsets of a level-j cell: digit vectors times p^j."""
+    pj = p ** j
+    return tuple(tuple(pj * t for t in digits) for digits in product(range(p), repeat=n2))
 
 
 # -- whole-function and stabilized integrals ----------------------------

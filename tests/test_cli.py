@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from gjzeta import cli
 from gjzeta.cli import build_config, build_parser, main
+from gjzeta.errors import BudgetExceeded
 
 TATE_GAMMA_P2 = {"base_q": 2, "den": {"0": "1", "2": "-2"},
                  "num": {"2": "-2", "4": "2"}}
@@ -106,6 +108,34 @@ def test_engine_error_maps_to_inconclusive(capsys):
     code = main(["verify-bk", "--p", "2", "--n", "1", "--char", "trivial",
                  "--phis", "unit_ball", "--m-max", "0"])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["verify-bk", "--p", "3", "--n", "1", "--char", "quadratic"], "ZeroDenominator"),
+    (["verify-bk", "--p", "2", "--n", "1", "--phis", "unit_ball", "--m-max", "0"],
+     "NoStabilization")])
+def test_inconclusive_writes_report(argv, error, tmp_path, capsys):
+    # a stale report from an earlier run must not survive an INCONCLUSIVE one
+    out = tmp_path / "report.json"
+    out.write_text(json.dumps({"verdict": "PASS"}))
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "INCONCLUSIVE: %s" % error in capsys.readouterr().err
+    rep = json.loads(out.read_text())
+    assert rep["verdict"] == "INCONCLUSIVE" and rep["command"] == "verify-bk"
+    assert rep["results"]["error"] == error and rep["results"]["message"]
+    assert rep["parameters"]["p"] == int(argv[2]) and rep["cells_enumerated"] is None
+
+
+def test_inconclusive_report_names_budget_shell(monkeypatch, capsys):
+    def over_budget(args):
+        raise BudgetExceeded("refinement exceeded 5 cells", shell=3, truncation=1, cells=6)
+    monkeypatch.setattr(cli, "cmd_verify_inverse", over_budget)
+    code, rep = run_json(["verify-inverse", "--p", "2", "--n", "2", "--hard-budget", "5"],
+                         capsys)
+    assert code == 2
+    assert rep["results"] == {"error": "BudgetExceeded",
+                              "message": "refinement exceeded 5 cells",
+                              "shell": 3, "truncation": 1, "cells": 6}
 
 
 def test_failure_exit_1(capsys):

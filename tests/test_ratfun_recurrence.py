@@ -106,9 +106,42 @@ def test_rationalize_negative_weight():
     assert r == rf({0: 1}, {0: 1, -2: Fraction(-1, 2)})
 
 
-# -- Berlekamp-Massey recovery (hypothesis) ---------------------------------
-
 _small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+# -- canonical form and hashing (hypothesis) --------------------------------
+
+# rationals and elements of Q(zeta_9)
+_scalars = st.one_of(_small, st.lists(_small, min_size=6, max_size=6).map(
+    lambda cs: root_of_unity_sum(3, 2, cs)))
+_polys = st.dictionaries(st.integers(-3, 3), _scalars, max_size=3).map(LaurentPoly)
+_nonzero_polys = _polys.filter(lambda f: not f.is_zero())
+
+
+def _canonical_parts(r):
+    return (r.q, r.num.coeffs, r.den.coeffs, repr(r))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_polys, _nonzero_polys)
+def test_canonical_form_is_idempotent(num, den):
+    r = RationalFunctionT(num, den, 3)
+    assert _canonical_parts(RationalFunctionT(r.num, r.den, 3)) == _canonical_parts(r)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_polys, _nonzero_polys, _nonzero_polys, _polys, _nonzero_polys)
+def test_equal_rational_functions_hash_equal(num, den, f, num2, den2):
+    a = RationalFunctionT(num, den, 3)
+    b = RationalFunctionT(num * f, den * f, 3)  # the same function, unreduced
+    c = RationalFunctionT(num2, den2, 3)
+    assert a == b
+    for x, y in ((a, b), (a, c)):
+        if x == y:
+            assert hash(x) == hash(y)
+
+
+# -- Berlekamp-Massey recovery (hypothesis) ---------------------------------
 
 
 @st.composite

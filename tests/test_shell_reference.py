@@ -1,4 +1,4 @@
-"""The n = 1 and Hermite shell paths against scalar-accumulating references.
+"""The three shell paths against scalar-accumulating references.
 
 The references below add one exact cyclotomic value per cell, sum the
 Hermite off-diagonal entry as a geometric ratio (with an inverse) and bin the
@@ -9,11 +9,14 @@ Results must agree exactly, including for characters with non-rational values.
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 import pytest
 
-from gjzeta.integrate import _shell_n1, _shell_n2_hermite
+from gjzeta.errors import BudgetExceeded
+from gjzeta.integrate import (IntegrationConfig, _int_det, _mod_int, _shell_generic,
+                              _shell_n1, _shell_n2_hermite)
 from gjzeta.padic import INFINITE, PAdicContext, PAdicMatrix, psi_value, valuation
 from gjzeta.scalars import as_scalar, root_of_unity
 from gjzeta.zeta import MultiplicativeCharacter
@@ -131,6 +134,60 @@ def shell_n2_hermite_reference(ctx, k, level, c, unit_char, stats):
     return total * Fraction(1, p ** (4 * J))
 
 
+def shell_generic_reference(ctx, k, center, level, modulation, config, unit_char, stats):
+    """Residue-cell refinement adding psi(tr(C a)) chi(det unit) p^(-j n^2)
+    for each resolved cell."""
+    p = ctx.p
+    n = center.n
+    n2 = n * n
+    cu, chi = _unit_values(unit_char)
+    mv = center.min_valuation(p)
+    m = max(0, -level, 0 if mv is INFINITE else -min(0, int(mv)))
+    kp = k + n * m
+    if kp < 0:
+        return as_scalar(0, p)
+    pm = Fraction(p) ** m
+    Lp = level + m
+    A = tuple(_mod_int(e * pm, p ** max(Lp, 0)) for row in center.entries for e in row)
+    C = tuple(e / pm for row in modulation.entries for e in row)
+    cv = min((valuation(c, p) for c in C if c != 0), default=INFINITE)
+    mpsi = 0 if cv is INFINITE else max(0, -int(cv))
+    pcu = p ** cu
+    digits = list(product(range(p), repeat=n2))
+    visited = 0
+    total = as_scalar(0, p)
+    stack = [(A, max(Lp, 0))]
+    while stack:
+        a, j = stack.pop()
+        visited += 1
+        if visited > config.hard_budget:
+            raise BudgetExceeded("refinement exceeded %d cells" % config.hard_budget,
+                                 shell=k, truncation=m, cells=visited)
+        det = _int_det(a, n)
+        dv, d = j, det  # a zero det only says "v >= j"
+        if det != 0:
+            dv = 0
+            while d % p == 0:
+                d //= p
+                dv += 1
+        if det != 0 and dv < j:
+            if dv != kp:
+                continue
+            if j >= mpsi and j >= dv + cu:
+                tr = sum(C[i * n + l] * a[l * n + i] for i in range(n) for l in range(n))
+                val = psi_value(tr, ctx)
+                if chi is not None:
+                    val = chi(d % pcu if pcu > 1 else 0) * val
+                total = total + val * Fraction(1, p ** (j * n2))
+                continue
+        elif kp < j:
+            continue
+        for t in digits:
+            stack.append((tuple(x + p ** j * y for x, y in zip(a, t)), j + 1))
+    stats["cells"] = stats.get("cells", 0) + visited
+    return total * Fraction(p) ** (n * k + m * n2)
+
+
 def _characters(p):
     """Trivial (None and explicit), unramified, quadratic, and one character
     whose values are not rational."""
@@ -203,3 +260,71 @@ def test_hermite_p5_matches_reference():
             got = _shell_n2_hermite(ctx, k, 0, Fraction(1, 5), chi, got_stats)
             want = shell_n2_hermite_reference(ctx, k, 0, Fraction(1, 5), chi, want_stats)
             _same(got, want, got_stats.get("cells", 0), want_stats.get("cells", 0))
+
+
+def _generic_characters(p):
+    """None, the quadratic character, and at p = 3 the conductor-2 one with
+    chi(2) = -zeta_3."""
+    chars = _characters(p)
+    return [chars[0], chars[3]] + ([chars[4]] if p == 3 else [])
+
+
+def _generic_same(p, k, center, level, modulation, chi, budget=10 ** 7):
+    ctx = PAdicContext(p)
+    config = IntegrationConfig(hard_budget=budget)
+    got_stats, want_stats = {}, {}
+    try:
+        want = shell_generic_reference(ctx, k, center, level, modulation, config,
+                                       chi, want_stats)
+    except BudgetExceeded as exc:
+        with pytest.raises(BudgetExceeded) as got:
+            _shell_generic(ctx, k, center, level, modulation, config, chi, got_stats)
+        assert ((got.value.shell, got.value.truncation, got.value.cells)
+                == (exc.shell, exc.truncation, exc.cells))
+        return None
+    got = _shell_generic(ctx, k, center, level, modulation, config, chi, got_stats)
+    _same(got, want, got_stats, want_stats)
+    return got
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_generic_n1_matches_reference(p):
+    centers = [Fraction(0), Fraction(1), Fraction(p - 1, p)]
+    modulations = [Fraction(0), Fraction(1, p), Fraction(p + 2, p ** 2)]
+    for chi in _generic_characters(p):
+        for a in centers:
+            for b in modulations:
+                for level in (-1, 0, 1):
+                    for k in range(-1, 3):
+                        _generic_same(p, k, PAdicMatrix([[a]]), level,
+                                      PAdicMatrix([[b]]), chi)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_generic_n2_matches_reference(p):
+    q = Fraction(1, p)
+    # (center, level, shells): zero, non-integral, and integral but not
+    # transpose-invariant cosets
+    cosets = [(PAdicMatrix.zero(2), 0, (0, 1)), (PAdicMatrix([[q, q], [0, 0]]), 0, (-1, 0)),
+              (PAdicMatrix([[1, 1], [0, p]]), 1, (1, 2))]
+    modulations = [PAdicMatrix.zero(2), PAdicMatrix.scalar(2, q),
+                   PAdicMatrix([[q, 1], [2 * q, 0]])]
+    for chi in _generic_characters(p):
+        for center, level, ks in cosets:
+            for mod in modulations:
+                for k in ks:
+                    if chi is not None and chi.conductor_exp > 1 and k == ks[-1]:
+                        continue  # over 10^5 reference cells for each such shell
+                    _generic_same(p, k, center, level, mod, chi)
+
+
+def test_generic_budget_matches_reference():
+    # 142,723 cells unbounded: both sides stop at the same cell
+    chi = _generic_characters(3)[-1]
+    assert _generic_same(3, 1, PAdicMatrix.zero(2), 0, PAdicMatrix.scalar(2, Fraction(1, 3)),
+                         chi, budget=500) is None
+
+
+@pytest.mark.parametrize("k, volume", [(0, Fraction(21, 64)), (1, Fraction(147, 64))])
+def test_generic_n3_unit_ball_matches_reference(k, volume):
+    assert _generic_same(2, k, PAdicMatrix.zero(3), 0, PAdicMatrix.zero(3), None) == volume
