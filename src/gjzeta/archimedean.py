@@ -4,6 +4,12 @@ Test functions are P(x) exp(-pi x^2) with P polynomial over Q(i)[pi, 1/pi];
 this class is closed under the real Fourier transform (psi(x) = e^{2 pi i x})
 with exactly representable coefficients.  Zeta integrals are adaptive
 quadratures; gamma factors are checked against a Gamma-function oracle.
+
+The real and imaginary quadrature passes share one evaluation per node, and
+Phi(x), Phi(-x) share one Gaussian.  The Gaussian stays an mpmath evaluation
+rather than math.exp so that every arch-gamma row is bit-identical to the
+plain evaluation of Phi at x and -x (tests/test_archimedean.py keeps it as a
+reference).
 """
 
 from __future__ import annotations
@@ -204,22 +210,43 @@ def zeta_real(phi: RealSchwartzFn, chi: RealCharacter, s: complex,
     Fold to (0, inf) with the sign character and substitute x = e^t, which
     removes both endpoint singularities: the integrand becomes
     [Phi(e^t) +- Phi(-e^t)] e^{t(s + i tau)} over t in (-inf, inf).
+
+    The real and imaginary parts are two `quad` passes over the same
+    integrand, so each node t is evaluated once and shared between them.
+    Phi(x) and Phi(-x) share the Gaussian exp(-pi x^2), which stays an
+    mpmath evaluation: the float expressions are those of
+    `RealSchwartzFn.evaluate`, so every value is bit-identical to
+    evaluating Phi at x and -x separately.
     """
     config = config or QuadratureConfig()
     delta = chi.sign_exponent % 2
     sp = complex(s) + 1j * float(chi.imaginary_twist)
     sign = 1.0 if delta == 0 else -1.0
+    coeffs = [c.to_complex() for c in reversed(phi.coeffs)]
+    neg_pi = -mpmath.pi
+    nodes = {}
 
-    def integrand(t: float) -> complex:
+    def folded(t: float) -> complex:
         # exp(-pi e^{2t}) underflows to exactly 0 well before e^{t Re s}
         # can overflow; short-circuit so the dead region stays finite
         if t > 4.0:
             return 0j
         x = math.exp(t)
-        val = phi.evaluate(x) + sign * phi.evaluate(-x)
+        gauss = float(mpmath.exp(neg_pi * x * x))
+        px = pmx = 0j
+        for c in coeffs:
+            px = px * x + c
+            pmx = pmx * -x + c
+        val = px * gauss + sign * (pmx * gauss)
         if val == 0:
             return 0j
         return val * cmath.exp(t * sp)
+
+    def integrand(t: float) -> complex:
+        val = nodes.get(t)
+        if val is None:
+            val = nodes[t] = folded(t)
+        return val
 
     def part(fn):
         val, err = quad(fn, -float("inf"), float("inf"),

@@ -26,6 +26,7 @@ from .distributions import (INVERSE, TwistedDistribution, cstar_gamma, tilde,
 from .errors import EngineError
 from .integrate import IntegrationConfig
 from .padic import PAdicContext, PAdicMatrix
+from .scalars import scalar_is_zero
 from .schwartz import SchwartzBruhatFn
 from .zeta import MultiplicativeCharacter, phi_independence_check
 
@@ -300,12 +301,12 @@ def cmd_fourier_selftest(args) -> int:
                 total += 1
                 f = random_schwartz(n, ctx, rng)
                 g = random_schwartz(n, ctx, rng)
-                if not f.fourier().fourier().fn_equal(f.reflect()):
+                f_hat = f.fourier()
+                if not f_hat.fourier().fn_equal(f.reflect()):
                     failures.append({"n": n, "p": p, "index": i,
                                      "law": "double transform = reflect"})
-                from .scalars import scalar_is_zero
                 if not scalar_is_zero(f.inner_product(g)
-                                      - f.fourier().inner_product(g.fourier())):
+                                      - f_hat.inner_product(g.fourier())):
                     failures.append({"n": n, "p": p, "index": i, "law": "Plancherel"})
     verdict = "PASS" if not failures else "FAIL"
     report = make_report(

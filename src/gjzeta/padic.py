@@ -28,7 +28,8 @@ def int_valuation(n: int, p: int) -> int:
 
 def valuation(x, p: int):
     """p-adic valuation of a rational; +inf for zero."""
-    x = Fraction(x)
+    if type(x) is not Fraction:
+        x = Fraction(x)
     if x == 0:
         return INFINITE
     return int_valuation(x.numerator, p) - int_valuation(x.denominator, p)
@@ -55,7 +56,8 @@ class PAdicContext:
 
 def psi_value(x, ctx: PAdicContext) -> CyclotomicNumber:
     """psi(x) = zeta_{p^m}^a where a/p^m is the p-fractional part of x."""
-    x = Fraction(x)
+    if type(x) is not Fraction:
+        x = Fraction(x)
     p = ctx.p
     if x == 0:
         return root_of_unity(p, 0, 0)
@@ -73,7 +75,8 @@ class PAdicMatrix:
     __slots__ = ("n", "entries")
 
     def __init__(self, entries):
-        rows = [tuple(Fraction(e) for e in row) for row in entries]
+        rows = [tuple([e if type(e) is Fraction else Fraction(e) for e in row])
+                for row in entries]
         self.n = len(rows)
         if any(len(r) != self.n for r in rows):
             raise ValueError("matrix must be square")

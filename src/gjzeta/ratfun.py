@@ -204,7 +204,7 @@ class RationalFunctionT:
 
     def __eq__(self, other):
         if isinstance(other, RationalFunctionT):
-            return self.equals(other)
+            return self.q == other.q and self.equals(other)
         try:
             return self.equals(RationalFunctionT.from_poly(
                 LaurentPoly.const(as_scalar(other)), self.q))
@@ -212,6 +212,10 @@ class RationalFunctionT:
             return NotImplemented
 
     def __hash__(self):
+        # a constant equals (and so must hash like) the scalar it holds;
+        # the canonical form gives a constant the denominator 1
+        if len(self.den.coeffs) == 1 and self.num.coeffs.keys() <= {0}:
+            return hash(self.num.coeffs.get(0, 0))
         return hash((self.q, self.num, self.den))
 
     def is_monomial(self) -> bool:

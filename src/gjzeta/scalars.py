@@ -37,7 +37,9 @@ class CyclotomicNumber:
     def __init__(self, p: int, m: int, coeffs):
         self.p = p
         self.m = m
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
+        # callers mostly pass Fractions already; wrapping those again is the
+        # dominant cost of every add, mul and reduce
+        self.coeffs = tuple([c if type(c) is Fraction else Fraction(c) for c in coeffs])
         if len(self.coeffs) != _euler_phi_prime_power(p, m):
             raise ValueError("coefficient vector has wrong length for level")
         self._hash = None

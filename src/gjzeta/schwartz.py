@@ -146,8 +146,9 @@ class SchwartzBruhatFn:
         p = self.ctx.p
         n2 = self.n * self.n
         total = as_scalar(0, p)
+        other_terms = [(t, scalar_conjugate(t.coeff)) for t in other.terms]
         for s in self.terms:
-            for t in other.terms:
+            for t, t_coeff_bar in other_terms:
                 # coset intersection
                 if s.level >= t.level:
                     inner, outer = s, t
@@ -157,10 +158,10 @@ class SchwartzBruhatFn:
                     continue
                 a, k = inner.center, inner.level
                 b = s.modulation - t.modulation
-                # int_{a + p^k M} psi(tr(b x)) dx
-                if (b.scale(Fraction(p) ** k)).min_valuation(p) < 0:
+                # int_{a + p^k M} psi(tr(b x)) dx vanishes unless p^k b is integral
+                if b.min_valuation(p) + k < 0:
                     continue
-                val = s.coeff * scalar_conjugate(t.coeff) \
+                val = s.coeff * t_coeff_bar \
                     * psi_value(trace_pairing(b, a), self.ctx) * Fraction(p) ** (-k * n2)
                 total = total + val
         return total

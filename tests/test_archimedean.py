@@ -1,8 +1,12 @@
 """Numeric real-place module: exact Fourier layer and quadrature engine."""
 
+import cmath
+import math
 from fractions import Fraction
 
+import mpmath
 import pytest
+from scipy.integrate import quad
 
 from gjzeta.archimedean import (QuadratureConfig, RealCharacter,
                                 RealSchwartzFn, fourier_real, gamma_oracle,
@@ -87,3 +91,74 @@ def test_quadrature_is_deterministic():
     a = zeta_real(phi, TRIV, 0.45 + 0.2j, cfg)
     b = zeta_real(phi, TRIV, 0.45 + 0.2j, cfg)
     assert a == b
+
+
+# -- the quadrature against a plain reference -------------------------------
+#
+# zeta_reference is the straightforward quadrature: Phi evaluated at x and -x
+# on its own, coefficient by coefficient, and each quad pass calling the
+# integrand afresh.  zeta_real shares nodes and the Gaussian; the results must
+# be equal as floats, not merely close.
+
+def evaluate_reference(phi, x):
+    px = 0j
+    for c in reversed(phi.coeffs):
+        px = px * x + c.to_complex()
+    return px * float(mpmath.exp(-mpmath.pi * x * x))
+
+
+def zeta_reference(phi, chi, s, config):
+    delta = chi.sign_exponent % 2
+    sp = complex(s) + 1j * float(chi.imaginary_twist)
+    sign = 1.0 if delta == 0 else -1.0
+
+    def integrand(t):
+        if t > 4.0:
+            return 0j
+        x = math.exp(t)
+        val = evaluate_reference(phi, x) + sign * evaluate_reference(phi, -x)
+        if val == 0:
+            return 0j
+        return val * cmath.exp(t * sp)
+
+    def part(fn):
+        return quad(fn, -float("inf"), float("inf"),
+                    epsabs=config.abs_tol / 4, epsrel=config.rel_tol / 4,
+                    limit=config.max_subdivisions)
+
+    re_val, re_err = part(lambda t: integrand(t).real)
+    im_val, im_err = part(lambda t: integrand(t).imag)
+    total = complex(re_val, im_val)
+    assert re_err + im_err <= max(config.abs_tol, config.rel_tol * abs(total))
+    return total
+
+
+# one Phi of each degree 1..6, with complex coefficients from degree 2 on
+REFERENCE_PHIS = [
+    [1, 1],
+    [2, 0, (0, 1)],
+    [1, 3, 0, 1],
+    [1, Fraction(-2, 3), (0, 1), 0, 3],
+    [Fraction(1, 2), (1, 1), 0, (0, -2), 1, Fraction(1, 7)],
+    [1, 2, (0, 1), 0, 3, 0, Fraction(1, 2)],
+]
+# the s values of the benchmark's arch-gamma grids, then the default grid
+BENCHMARK_S = [complex(x) for grid in ("0.3,0.6+0.2j,0.45-0.15j",
+                                       "0.35,0.55,0.65+0.1j",
+                                       "0.4,0.5+0.25j,0.7",
+                                       "0.25+0.1j,0.5,0.6-0.2j")
+               for x in grid.split(",")]
+REFERENCE_S = BENCHMARK_S + [complex(s) for s in QuadratureConfig().s_grid
+                             if complex(s) not in BENCHMARK_S]
+
+
+@pytest.mark.parametrize("coeffs", REFERENCE_PHIS,
+                         ids=["degree%d" % (len(c) - 1) for c in REFERENCE_PHIS])
+def test_zeta_real_equals_reference_quadrature(coeffs):
+    cfg = QuadratureConfig()
+    phi = RealSchwartzFn.hermite_multiple(coeffs)
+    for delta in (0, 1):
+        for tau in (Fraction(0), Fraction(1, 3), Fraction(-1, 2)):
+            chi = RealCharacter(delta, tau)
+            for s in REFERENCE_S:
+                assert zeta_real(phi, chi, s, cfg) == zeta_reference(phi, chi, s, cfg)

@@ -141,6 +141,24 @@ def test_equal_rational_functions_hash_equal(num, den, f, num2, den2):
             assert hash(x) == hash(y)
 
 
+def test_constant_hashes_like_the_scalar_it_equals():
+    for c in (1, 0, Fraction(-2, 3), root_of_unity(3, 2, 4)):
+        r = RationalFunctionT.const(c, 3)
+        assert r == c
+        assert hash(r) == hash(c)
+        assert len({r, c}) == 1
+    # constants over different q collide in hash but stay distinct
+    assert len({RationalFunctionT.const(1, 2), RationalFunctionT.const(1, 3)}) == 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(_scalars, _nonzero_polys)
+def test_scalar_equal_rational_functions_hash_equal(c, f):
+    r = RationalFunctionT(f * LaurentPoly.const(c), f, 3)  # c, unreduced
+    assert r == c
+    assert hash(r) == hash(c)
+
+
 # -- Berlekamp-Massey recovery (hypothesis) ---------------------------------
 
 
