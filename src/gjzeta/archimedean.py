@@ -5,11 +5,9 @@ this class is closed under the real Fourier transform (psi(x) = e^{2 pi i x})
 with exactly representable coefficients.  Zeta integrals are adaptive
 quadratures; gamma factors are checked against a Gamma-function oracle.
 
-The real and imaginary quadrature passes share one evaluation per node, and
-Phi(x), Phi(-x) share one Gaussian.  The Gaussian stays an mpmath evaluation
-rather than math.exp so that every arch-gamma row is bit-identical to the
-plain evaluation of Phi at x and -x (tests/test_archimedean.py keeps it as a
-reference).
+Both quadrature passes share one evaluation per node (see zeta_real); the
+Gaussian stays an mpmath evaluation so every arch-gamma row is bit-identical
+to evaluating Phi at x and -x on its own.
 """
 
 from __future__ import annotations
