@@ -1,7 +1,7 @@
 """Closed-form count kernel for the n = 2 Hermite-orbit path.
 
-The counts are exact integers found by a group-theoretic argument, so no
-matrix is enumerated; the caller combines them with exact cyclotomic weights.
+Exact counts from a group-theoretic argument, no matrix enumerated.  Read
+only by perfbench/ and tests/test_kernels.py; ROADMAP item 1 deletes it.
 """
 
 from __future__ import annotations

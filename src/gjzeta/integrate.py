@@ -10,13 +10,13 @@ Three evaluation paths:
   * n = 1: direct unit enumeration at the certified constancy level;
   * n = 2, zero-centered coset with scalar modulation: Hermite-orbit
     decomposition G = gamma * [[p^a, b], [0, p^d]]; the b-sum leaves only
-    gamma21 = 0, weighted by p^d, and a closed-form count kernel bins those
-    gamma by (g11, g22, det residue);
+    gamma21 = 0 mod p^mc, weighted by p^d, and the shell factors into Gauss
+    (for unramified chi, Ramanujan) sums;
   * generic: recursive residue-cell refinement with an exact resolution
     rule, bounded by a hard cell budget.
-All three count cells in python integers by (det unit residue, psi
-exponent) and reduce once per shell (_phase_sum).  The generic path still
-visits every cell one by one and is the independent check of the other two.
+The n = 1 and generic paths count cells in python integers by (det unit
+residue, psi exponent) and reduce once per shell (_phase_sum); the generic
+one visits every cell and is the independent check of the other two.
 """
 
 from __future__ import annotations
@@ -29,19 +29,13 @@ from functools import lru_cache
 from itertools import product
 from operator import add, mul
 
-import numpy as np
-
+# read only by perfbench/tracer.py (kernels.* metrics); ROADMAP item 1 deletes it
 from ._kernels import gl2_histogram
 from .errors import BudgetExceeded, NoStabilization
 from .padic import INFINITE, PAdicContext, PAdicMatrix, valuation
 from .ratfun import LaurentPoly, RationalFunctionT
 from .recurrence import detect_recurrence
 from .scalars import as_scalar, root_of_unity_sum, scalar_is_zero
-
-# bins of the Hermite count array: one shell at 5^10 (about 10^7) bins peaks
-# near 360 MiB, so memory, not time, sets this bound
-_KERNEL_BIN_BUDGET = 10 ** 7
-
 
 @dataclass
 class IntegrationConfig:
@@ -139,10 +133,11 @@ def _shell_n1(ctx, k, center, level, modulation, unit_char, stats):
     return _phase_sum(p, m, hist, chi_table) * Fraction(1, p ** j)
 
 
+# read only by perfbench/tracer.py (kernels.* metrics); ROADMAP item 1 deletes it
 @lru_cache(maxsize=32)
 def _gl2_hist_cached(p, J, m1, cu):
-    # the int64 counts, and every sum of them, stay below the group order p^(4J)
-    if p ** (2 * m1 + cu) > _KERNEL_BIN_BUDGET or p ** (4 * J) >= 2 ** 63:
+    # at most 10^7 bins; the int64 counts, and their sums, stay below p^(4J)
+    if p ** (2 * m1 + cu) > 10 ** 7 or p ** (4 * J) >= 2 ** 63:
         raise BudgetExceeded("histogram of p^%d bins at level %d exceeds the kernel budget"
                              % (2 * m1 + cu, J))
     return gl2_histogram(p, J, m1, cu)
@@ -151,41 +146,45 @@ def _gl2_hist_cached(p, J, m1, cu):
 def _shell_n2_hermite(ctx, k, level, c, unit_char, stats):
     """Zero-centered coset p^level M_2, modulation c * Id.
 
-    Substituting g = p^level H reduces to integral H with v(det H) = k',
-    k' = k - 2*level; the d^x measure is scale-invariant so no prefactor
-    survives except the gamma-cell volume p^(-4J).  H = gamma [[p^a, b],
-    [0, p^d]] contributes chi(det gamma) zeta^(w (g11 p^a + g21 b + g22 p^d)),
-    zeta = zeta_{p^mc}.  Only g21 = 0 survives, with weight p^d: the b-sum
-    cancels whole cosets of roots of unity when v(g21) >= mc - d, and
-    gamma -> gamma [[1, s], [0, 1]] (det fixed, g22 -> g22 + s g21) cancels
-    the g22-sum when v(g21) < mc - d.
+    g = p^level H leaves v(det H) = k' = k - 2*level (d^x g is scale-invariant).
+    H = gamma [[p^a, b], [0, p^d]] contributes chi(det gamma) zeta^(w (g11 p^a
+    + g21 b + g22 p^d)), zeta = zeta_{p^mc}.  Only g21 = 0 mod p^mc survives,
+    with weight p^d: the b-sum cancels whole cosets of roots of unity when
+    v(g21) >= mc - d, and gamma -> gamma [[1, s], [0, 1]] (det fixed, g22 ->
+    g22 + s g21) cancels the g22-sum when v(g21) < mc - d.  On Gamma_0(p^mc),
+    (g11, g22, det) mod (p^mc, p^mc, p^cu) is a homomorphism with the image of
+    (x, y, xy) on unit pairs mod p^L, L = max(mc, cu).  So, with the Gauss sum
+    G(b) = sum_{x in (Z/p^L)^x} chi(x) zeta^(b x) (G(w p^a) needs a <= mc only),
+      shell = vol(Gamma_0(p^mc)) / phi(p^L)^2 * sum_{a+d=k'} p^d G(w p^a) G(w p^d).
+    For unramified chi, G(w p^a) is the Ramanujan sum c_{p^mc}(w p^a), w a
+    unit: phi(p^mc) if a >= mc, -p^(mc-1) if a = mc - 1, else 0 (1 at mc = 0).
     """
     p = ctx.p
-    cu, chi_table = (unit_char.conductor_exp, unit_char.table) if unit_char else (0, {})
+    cu = unit_char.conductor_exp if unit_char else 0
     kp = k - 2 * level
     if kp < 0:
         return as_scalar(0, p)
     cH = Fraction(c) * Fraction(p) ** level
-    vc = valuation(cH, p)
-    mc = 0 if vc is INFINITE else max(0, -int(vc))
-    J = max(1, cu, mc)
-    M1 = p ** mc
-    MU = p ** cu
-    counts = _gl2_hist_cached(p, J, mc, cu).reshape(M1 * M1, MU)
-    w = _mod_int(cH * M1, M1)  # psi(cH y) = zeta^(w y) for integral y
-    g = np.arange(M1)
-    hist = np.zeros((MU, M1), dtype=object)  # python ints: p^d is unbounded
-    cells = 0
-    for a in range(kp + 1):
-        d = kp - a
-        acc = np.zeros((M1, MU), dtype=np.int64)  # [exponent, det residue]
-        np.add.at(acc, (w * (g[:, None] * pow(p, a, M1) + g * pow(p, d, M1)) % M1).ravel(),
-                  counts)
-        hist += acc.T.astype(object) * p ** d
-        # reported cells: M1 per det residue for each g21 the b-sum leaves
-        cells += M1 * (MU - MU // p) * (1 + max(0, M1 - p ** d))
-    _bump(stats, "cells", cells)
-    return _phase_sum(p, mc, hist, chi_table) * Fraction(1, p ** (4 * J))
+    mc = max(0, -valuation(cH, p))  # cH = w / p^mc, w a unit when mc > 0
+    M1, MU, PL = p ** mc, p ** cu, p ** max(mc, cu)
+    if cu:  # p^L times the n = 1 integral of chi(x) psi(cH p^t x) over Z_p^x
+        G = [_shell_n1(ctx, 0, PAdicMatrix([[0]]), 0, PAdicMatrix([[cH * p ** t]]),
+                       unit_char, None) * PL for t in range(mc + 1)]
+    else:
+        G = [M1 - M1 // p if t == mc else -(M1 // p) if t == mc - 1 else 0
+             for t in range(mc + 1)]
+    # reported cells: M1 per det residue for each g21 the b-sum leaves
+    _bump(stats, "cells", M1 * (MU - MU // p)
+          * sum(1 + max(0, M1 - p ** d) for d in range(kp + 1)))
+    weights = {}  # (min(a, mc), min(d, mc)) -> sum of p^d over a + d = k'
+    for d in range(kp + 1):
+        key = (min(kp - d, mc), min(d, mc))
+        weights[key] = weights.get(key, 0) + p ** d
+    total = sum(G[ta] * G[td] * n for (ta, td), n in weights.items()
+                if not (scalar_is_zero(G[ta]) or scalar_is_zero(G[td])))
+    # vol(Gamma_0(p^mc)) is (1 - 1/p)^2 p^(-mc), and (1 - 1/p)(1 - 1/p^2) at mc = 0
+    vol = Fraction((p - 1) ** 2, p ** (mc + 2)) if mc else Fraction((p - 1) * (p * p - 1), p ** 3)
+    return as_scalar(total * (vol / (PL - PL // p) ** 2), p)
 
 
 # -- generic recursive refinement ---------------------------------------

@@ -170,8 +170,9 @@ class PAdicMatrix:
         return min(vals)
 
     def in_coset(self, center: "PAdicMatrix", level: int, p: int) -> bool:
-        """self in center + p^level M_n(Z_p)?"""
-        return (self - center).min_valuation(p) >= level
+        """self in center + p^level M_n(Z_p)?  Stops at the first entry below."""
+        return all(valuation(x - y, p) >= level
+                   for r1, r2 in zip(self.entries, center.entries) for x, y in zip(r1, r2))
 
     def __eq__(self, other):
         if not isinstance(other, PAdicMatrix):

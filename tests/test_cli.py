@@ -61,6 +61,17 @@ def test_n2_hermite_p5_pass(argv, capsys):
     assert code == 0 and rep["verdict"] == "PASS"
 
 
+@pytest.mark.parametrize("argv", [["verify-inverse", "--p", "11", "--n", "2"],
+                                  ["verify-bk", "--p", "11", "--n", "2",
+                                   "--phis", "unit_ball"],
+                                  ["verify-inverse", "--p", "5", "--n", "2",
+                                   "--char", "quadratic"]])
+def test_n2_hermite_has_no_bin_bound(argv, capsys):
+    # each run has a Hermite shell with p^(2 mc + cu) above 10^7
+    code, rep = run_json(argv, capsys)
+    assert code == 0 and rep["verdict"] == "PASS"
+
+
 def test_verify_relation_pass(capsys):
     code, rep = run_json(["verify-relation", "--n", "8"], capsys)
     assert code == 0 and rep["verdict"] == "PASS"

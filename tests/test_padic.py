@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gjzeta.errors import Singular
 from gjzeta.padic import (INFINITE, PAdicContext, PAdicMatrix, psi_value,
@@ -52,6 +53,29 @@ def test_coset_membership():
     g = PAdicMatrix([[1, 4], [8, 1]])
     assert g.in_coset(PAdicMatrix.identity(2), 2, 2)
     assert not g.in_coset(PAdicMatrix.identity(2), 3, 2)
+
+
+@st.composite
+def _coset_cases(draw):
+    """(g, center, level, p) with entries a/u * p^e, zero included; center is
+    g minus a random matrix so both answers are common."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 3))
+    entry = st.builds(lambda a, u, e: Fraction(a, u) * Fraction(p) ** e,
+                      st.integers(-12, 12), st.sampled_from([1, 7, 11]), st.integers(-3, 3))
+
+    def matrix():
+        return PAdicMatrix([[draw(entry) for _ in range(n)] for _ in range(n)])
+    g = matrix()
+    delta = draw(st.sampled_from([PAdicMatrix.zero(n), matrix()]))
+    return g, g - delta, draw(st.integers(-4, 4)), p
+
+
+@settings(max_examples=200, deadline=None)
+@given(_coset_cases())
+def test_in_coset_matches_min_valuation(case):
+    g, center, level, p = case
+    assert g.in_coset(center, level, p) == ((g - center).min_valuation(p) >= level)
 
 
 def test_trace_pairing_matches_trace_of_product():

@@ -14,6 +14,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from gjzeta import integrate
 from gjzeta.errors import BudgetExceeded
 from gjzeta.integrate import (IntegrationConfig, _int_det, _mod_int, _shell_generic,
                               _shell_n1, _shell_n2_hermite)
@@ -196,7 +197,9 @@ def _characters(p):
             3: MultiplicativeCharacter.from_generators(
                 3, 2, {2: -root_of_unity(3, 1, 1)}),
             5: MultiplicativeCharacter.from_generators(
-                5, 2, {2: root_of_unity(5, 1, 1)})}[p]
+                5, 2, {2: root_of_unity(5, 1, 1)}),
+            7: MultiplicativeCharacter.from_generators(
+                7, 2, {3: root_of_unity(7, 1, 1)})}[p]
     return [None, MultiplicativeCharacter.trivial(p),
             MultiplicativeCharacter.unramified(p, Fraction(1, p)),
             MultiplicativeCharacter.quadratic_ramified(p), zeta]
@@ -260,6 +263,41 @@ def test_hermite_p5_matches_reference():
             got = _shell_n2_hermite(ctx, k, 0, Fraction(1, 5), chi, got_stats)
             want = shell_n2_hermite_reference(ctx, k, 0, Fraction(1, 5), chi, want_stats)
             _same(got, want, got_stats.get("cells", 0), want_stats.get("cells", 0))
+
+
+# (c, level) with mc = max(0, -v(c) - level) <= 2: the reference adds one
+# cyclotomic value per (a, g21, det residue, exponent), too slow above that
+_HERMITE_P57_SHELLS = [(Fraction(0), 0), (Fraction(1), 0), (Fraction(1), -1),
+                       (Fraction(1, 7), 0), (Fraction(2, 25), 1), (Fraction(3), 1),
+                       (Fraction(1, 25), 0)]
+
+
+@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("c, level", _HERMITE_P57_SHELLS)
+def test_hermite_p5_p7_matches_reference(p, c, level):
+    ctx = PAdicContext(p)
+    for chi in _characters(p):
+        for kp in range(-1, 3):
+            k = kp + 2 * level
+            got_stats, want_stats = {}, {}
+            got = _shell_n2_hermite(ctx, k, level, c, chi, got_stats)
+            want = shell_n2_hermite_reference(ctx, k, level, c, chi, want_stats)
+            _same(got, want, got_stats.get("cells", 0), want_stats.get("cells", 0))
+
+
+def test_hermite_never_builds_the_count_kernel(monkeypatch):
+    def kernel(*args):
+        raise AssertionError("count kernel built on the Hermite path")
+    monkeypatch.setattr(integrate, "_gl2_hist_cached", kernel)
+    monkeypatch.setattr(integrate, "gl2_histogram", kernel)
+    for p in (2, 3, 5, 7):
+        ctx = PAdicContext(p)
+        for chi in _characters(p):
+            for c_exp in range(3):
+                for level in (-1, 0, 1):
+                    for kp in range(-1, 4):
+                        _shell_n2_hermite(ctx, kp + 2 * level, level, Fraction(1, p ** c_exp),
+                                          chi, {})
 
 
 def _generic_characters(p):
