@@ -385,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--confirm", type=int)
             sp.add_argument("--hard-budget", dest="hard_budget", type=int)
             sp.add_argument("--threads", type=int,
-                            help="worker threads (never changes values)")
+                            help="accepted for compatibility; evaluation is serial")
 
     sp = sub.add_parser("gamma", help="gamma factor as an exact rational function in T")
     common(sp)

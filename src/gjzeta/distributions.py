@@ -124,7 +124,6 @@ def spectral_action(d: TwistedDistribution, chi: MultiplicativeCharacter,
     k_low = -window
     r_max = config.r_max or n
     k_high = 2 * r_max + config.confirm + config.k_extra
-    m_range = [None, None]
 
     def entry(k):
         # shell k is only reachable from truncation p^-m M with nm >= -k
@@ -132,13 +131,9 @@ def spectral_action(d: TwistedDistribution, chi: MultiplicativeCharacter,
         return stabilized_shell_integral(ctx, n, k, eps_mod,
                                          replace(config, m_start=m0), kchi, stats)
 
-    results = parallel_map(entry, range(k_low, k_high + 1), config.threads)
-    seq = []
-    for i, (val, m) in enumerate(results):
-        k = k_low + i
-        m_range[0] = m if m_range[0] is None else min(m_range[0], m)
-        m_range[1] = m if m_range[1] is None else max(m_range[1], m)
-        seq.append(val * kchi.value_at_p ** k * sqrt_q_power(p, -k * d.alpha2))
+    results = parallel_map(entry, range(k_low, k_high + 1))
+    seq = [val * kchi.value_at_p ** k * sqrt_q_power(p, -k * d.alpha2)
+           for k, (val, _) in enumerate(results, start=k_low)]
     # certify the dead zone below the window
     if not (scalar_is_zero(seq[0]) and scalar_is_zero(seq[1])):
         raise InfiniteLowerSupport(
@@ -150,8 +145,11 @@ def spectral_action(d: TwistedDistribution, chi: MultiplicativeCharacter,
     vx = int(valuation(detx, p))
     fx = RationalFunctionT.from_poly(
         LaurentPoly({2 * vx: chi.char_eval(detx)}), p)
-    stats.setdefault("m_range", tuple(m_range))
-    stats.setdefault("k_range", (k_low, k_high))
+    # the windows cover every call that shares these stats
+    ms = [m for _, m in results]
+    for key, lo, hi in (("m_range", min(ms), max(ms)), ("k_range", k_low, k_high)):
+        old = stats.get(key, (lo, hi))
+        stats[key] = (min(old[0], lo), max(old[1], hi))
     return (value * fx) / fx
 
 

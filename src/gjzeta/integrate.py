@@ -21,8 +21,6 @@ one visits every cell and is the independent check of the other two.
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -45,6 +43,7 @@ class IntegrationConfig:
     r_max/confirm: recurrence order bound and confirmation window for
     rationalization (r_max defaults to n at the call site).
     hard_budget: max refinement cells per integral.
+    threads: accepted for compatibility; evaluation is serial at any value.
     """
     m_start: int = 0
     m_max: int = 8
@@ -57,13 +56,10 @@ class IntegrationConfig:
     threads: int = 1
 
 
+# name and signature kept because perfbench/tracer.py wraps it
 def parallel_map(fn, items, threads: int = 1):
-    """Order-preserving map; results are identical for any thread count."""
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, items))
+    """Order-preserving serial map; `threads` is ignored."""
+    return [fn(x) for x in items]
 
 
 def _is_scalar_matrix(b: PAdicMatrix):
@@ -92,14 +88,10 @@ def term_shell_integral(ctx: PAdicContext, k: int, center: PAdicMatrix,
     return _shell_generic(ctx, k, center, level, modulation, config, unit_char, stats)
 
 
-# parallel_map workers share one stats dict
-_stats_lock = threading.Lock()
-
-
+# name kept because perfbench/tracer.py wraps it to count cells per path
 def _bump(stats, key, amount=1):
     if stats is not None:
-        with _stats_lock:
-            stats[key] = stats.get(key, 0) + amount
+        stats[key] = stats.get(key, 0) + amount
 
 
 # -- n = 1 and Hermite: integer phase histograms ------------------------
@@ -301,7 +293,7 @@ def schwartz_shell_integral(phi, k: int, config: IntegrationConfig,
     vals = parallel_map(
         lambda t: t.coeff * term_shell_integral(ctx, k, t.center, t.level,
                                                 t.modulation, config, unit_char, stats),
-        phi.terms, config.threads)
+        phi.terms)
     total = as_scalar(0, ctx.p)
     for v in vals:
         total = total + v

@@ -223,28 +223,18 @@ class CyclotomicNumber:
             return total
 
 
-@lru_cache(maxsize=256)
-def _reduction_row(p: int, m: int, e: int):
-    # zeta^e for e in [phi, p^m) as a vector over the power basis.
-    phi = _euler_phi_prime_power(p, m)
-    t = e - (p - 1) * p ** (m - 1)
-    row = [Fraction(0)] * phi
-    for j in range(p - 1):
-        row[t + j * p ** (m - 1)] -= 1
-    return tuple(row)
-
-
 def _reduce(p: int, m: int, vec) -> CyclotomicNumber:
-    """Reduce a length-p^m exponent vector into the power basis."""
+    """Reduce a length-p^m exponent vector into the power basis.
+
+    For phi <= e < p^m, zeta^e = -sum_{j<p-1} zeta^(e - phi + j p^(m-1))."""
     phi = _euler_phi_prime_power(p, m)
     out = list(vec[:phi]) + [Fraction(0)] * (phi - min(phi, len(vec)))
+    step = p ** m // p  # only read when len(vec) > phi, so m >= 1
     for e in range(phi, len(vec)):
         c = vec[e]
         if c:
-            row = _reduction_row(p, m, e)
-            for j, r in enumerate(row):
-                if r:
-                    out[j] += c * r
+            for i in range(e - phi, phi, step):
+                out[i] -= c
     return _normalize_level(CyclotomicNumber(p, m, out))
 
 

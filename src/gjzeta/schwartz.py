@@ -30,13 +30,6 @@ class SchwartzTerm:
     def n(self) -> int:
         return self.center.n
 
-    def modulation_level(self, p: int) -> int:
-        """Smallest l with psi(tr(b .)) constant on cosets of p^l M_n(Z_p)."""
-        mv = self.modulation.min_valuation(p)
-        if mv == float("inf"):
-            return 0
-        return max(0, -int(mv))
-
     def __repr__(self):
         return "Term(%r, center=%r, level=%d, mod=%r)" % (
             self.coeff, self.center, self.level, self.modulation)
@@ -109,13 +102,6 @@ class SchwartzBruhatFn:
             m = max(m, -int(mv) if mv != float("inf") else -t.level)
         return m
 
-    def local_constancy_level(self) -> int:
-        p = self.ctx.p
-        lv = 0
-        for t in self.terms:
-            lv = max(lv, t.level, t.modulation_level(p))
-        return lv
-
     def det_valuation_bound(self):
         """Lower bound for v(det x) on the support: -n * support_min_valuation."""
         return -self.n * self.support_min_valuation()
@@ -176,34 +162,6 @@ class SchwartzBruhatFn:
     def fn_equal(self, other: "SchwartzBruhatFn") -> bool:
         return (self - other).is_zero_fn()
 
-    def canonicalize(self, max_cells: int = 10 ** 6) -> "SchwartzBruhatFn":
-        """Disjoint-support form: refine to a common level, fold modulations
-        into coefficients, merge coincident cells, drop zeros."""
-        p = self.ctx.p
-        if not self.terms:
-            return SchwartzBruhatFn(self.n, self.ctx, [])
-        level = self.local_constancy_level()
-        seen = {}
-        order = []
-        ncells = 0
-        for t in self.terms:
-            for cell in _coset_cells(t.center, t.level, level, p, self.n):
-                ncells += 1
-                if ncells > max_cells:
-                    raise MemoryError("canonicalize refinement exceeds cell budget")
-                key = tuple(tuple(_mod_reduce(e, level, p) for e in row)
-                            for row in cell.entries)
-                if key not in seen:
-                    seen[key] = PAdicMatrix(key)
-                    order.append(key)
-        out = []
-        for key in order:
-            rep = seen[key]
-            val = self.evaluate(rep)
-            if not scalar_is_zero(val):
-                out.append(SchwartzTerm(val, rep, level, PAdicMatrix.zero(self.n)))
-        return SchwartzBruhatFn(self.n, self.ctx, out)
-
     # -- serialization -------------------------------------------------
 
     def to_json(self) -> str:
@@ -242,43 +200,3 @@ class SchwartzBruhatFn:
 
     def __repr__(self):
         return "SchwartzBruhatFn(n=%d, p=%d, %d terms)" % (self.n, self.ctx.p, len(self.terms))
-
-
-def _mod_reduce(x: Fraction, level: int, p: int) -> Fraction:
-    """Canonical representative r of x mod p^level (i.e. v(x - r) >= level)."""
-    x = Fraction(x)
-    if x == 0:
-        return x
-    vden = 0
-    d = x.denominator
-    while d % p == 0:
-        d //= p
-        vden += 1
-    if level + vden <= 0:
-        return Fraction(0)
-    modulus = p ** (level + vden)
-    a = x.numerator * pow(d, -1, modulus) % modulus
-    return Fraction(a, p ** vden)
-
-
-def _coset_cells(center: PAdicMatrix, level: int, target: int, p: int, n: int):
-    """Cells of a + p^level M at refinement level target >= level."""
-    if target <= level:
-        yield center
-        return
-    step = target - level
-    count = p ** step
-    idx = [0] * (n * n)
-    base = Fraction(p) ** level
-    while True:
-        offs = [[base * idx[i * n + j] for j in range(n)] for i in range(n)]
-        yield center + PAdicMatrix(offs)
-        pos = 0
-        while pos < n * n:
-            idx[pos] += 1
-            if idx[pos] < count:
-                break
-            idx[pos] = 0
-            pos += 1
-        if pos == n * n:
-            return

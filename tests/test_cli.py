@@ -1,6 +1,7 @@
 """CLI contract: golden runs, exit codes, report shape, determinism."""
 
 import json
+import threading
 
 import pytest
 
@@ -170,6 +171,17 @@ def test_thread_flag_does_not_change_values(threads, capsys):
     assert code == 0
     assert rep["results"]["gamma"] == TATE_GAMMA_P2
 
+
+
+def test_engine_starts_no_thread(monkeypatch, tmp_path):
+    # evaluation is serial: --threads is accepted but never starts a worker
+    def refuse(self):
+        raise AssertionError("thread started: %r" % self)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    out = tmp_path / "report.json"
+    assert main(["verify-inverse", "--p", "3", "--n", "2", "--threads", "4",
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["verdict"] == "PASS"
 
 def test_hard_budget_precedence(monkeypatch):
     argv = ["verify-inverse", "--p", "2", "--n", "1"]

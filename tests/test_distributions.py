@@ -131,3 +131,13 @@ def test_cell_count_is_thread_safe():
                         stats)
         cells.append(stats["cells"])
     assert cells[0] == cells[1]
+
+
+@pytest.mark.parametrize("order", [1, -1])
+def test_windows_cover_every_spectral_action_call(order):
+    # each chi's calls widen the windows; the first call no longer fixes them
+    chis = [MultiplicativeCharacter.trivial(3), MultiplicativeCharacter.quadratic_ramified(3)]
+    rep = verify_inverse_weak(tilde(cstar_gamma(1)), chis[::order])
+    assert rep["verdict"] == "PASS"
+    assert rep["windows"] == {"k_range": [-4, 7], "m_range": [2, 6]}
+    assert rep["cells_enumerated"] == 828

@@ -59,18 +59,6 @@ def test_norm_detects_zero_function():
     assert not f.is_zero_fn()
 
 
-def test_canonicalize_disjoint_support():
-    ctx = PAdicContext(2)
-    f = SchwartzBruhatFn.unit_ball(1, ctx) \
-        + SchwartzBruhatFn.indicator(1, ctx, PAdicMatrix([[1]]), 1, coeff=2)
-    c = f.canonicalize()
-    assert c.fn_equal(f)
-    # disjoint cells at a single level, no modulations
-    levels = {t.level for t in c.terms}
-    assert len(levels) == 1
-    assert all(t.modulation == PAdicMatrix.zero(1) for t in c.terms)
-
-
 def test_json_roundtrip():
     rng = random.Random(13)
     for n, p in [(1, 2), (2, 3)]:
