@@ -1,7 +1,8 @@
 """Batch CLI: every verification and computation as a reproducible run.
 
-Each subcommand validates its inputs, runs the engine, and writes a
-machine-readable Report (JSON; CSV for arch-gamma).  Exit codes:
+Each subcommand validates its inputs, runs the engine and returns the report
+body; `main` alone times the run, writes the machine-readable Report (JSON;
+CSV for arch-gamma) and maps its verdict to an exit code.  Exit codes:
 0 = all PASS, 1 = any FAIL, 2 = INCONCLUSIVE (stabilization or budget
 limits — an engineering limit, never a refutation), 3 = invalid input.
 """
@@ -10,11 +11,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
 import time
+from contextlib import nullcontext
 from fractions import Fraction
 
 from . import __version__
@@ -131,7 +132,8 @@ def parse_phi_list(n: int, ctx: PAdicContext, spec: str):
     return [parse_phi(n, ctx, s) for s in out if s.strip()]
 
 
-# smallest allowed value of each engine flag (r_max = 0 means the default n)
+# smallest allowed value of each engine flag (r_max = 0 means the default n);
+# --threads is range-checked but not stored: evaluation is serial
 FLAG_MINIMUM = {"m_max": 0, "r_max": 0, "confirm": 1, "hard_budget": 1, "threads": 1}
 
 
@@ -145,15 +147,20 @@ def build_config(args) -> IntegrationConfig:
         cfg.hard_budget = int(env)
     for field, low in FLAG_MINIMUM.items():
         v = getattr(args, field, None)
-        if v is not None:
+        if v is None:
+            v = getattr(cfg, field, low)
+        elif hasattr(cfg, field):
             setattr(cfg, field, v)
-        v = getattr(cfg, field)
         if v < low:
             raise InvalidSpec("%s must be >= %d, got %d" % (field.replace("_", "-"), low, v))
     return cfg
 
 
 # -- report plumbing -----------------------------------------------------
+
+ARCH_COLUMNS = ("s_re", "s_im", "gamma_re", "gamma_im",
+                "oracle_re", "oracle_im", "abs_err")
+
 
 def make_report(command: str, parameters: dict, results, verdict: str,
                 elapsed: float, cells: int | None, windows=None) -> dict:
@@ -171,50 +178,40 @@ def make_report(command: str, parameters: dict, results, verdict: str,
 
 
 def emit(report, args) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True, default=str)
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-
-
-def verdict_exit(verdict: str) -> int:
-    return {"PASS": EXIT_PASS, "FAIL": EXIT_FAIL}.get(verdict, EXIT_INCONCLUSIVE)
+    """Write the report to --out or stdout: the arch-gamma table under
+    --format csv, JSON otherwise (an INCONCLUSIVE report has no rows)."""
+    with open(args.out, "w") if args.out else nullcontext(sys.stdout) as fh:
+        if getattr(args, "format", None) == "csv" and report["verdict"] != "INCONCLUSIVE":
+            csv.writer(fh).writerows(
+                [ARCH_COLUMNS] + [["%.12g" % row[c] for c in ARCH_COLUMNS]
+                                  for row in report["results"]["rows"]])
+        else:
+            fh.write(json.dumps(report, indent=2, sort_keys=True, default=str) + "\n")
 
 
 # -- subcommands ---------------------------------------------------------
+# each returns the report body: (parameters, results, verdict, cells, windows)
 
-def cmd_gamma(args) -> int:
+def cmd_gamma(args):
+    # verify-fe runs this too: its claim *is* Phi-independence of the ratio
     ctx = PAdicContext(args.p)
     chi = parse_character(args.p, args.char)
     cfg = build_config(args)
     phis = parse_phi_list(args.n, ctx, args.phis)
-    t0 = time.time()
     ok, gamma, warnings = phi_independence_check(phis, chi, cfg)
     cells = sum(z.stats.get("cells", 0)
                 for z in (gamma.num, gamma.den))
-    report = make_report(
-        "gamma",
-        {"p": args.p, "n": args.n, "char": args.char, "phis": args.phis},
-        {"gamma": gamma.value.serialize(),
-         "num": gamma.num.value.serialize(),
-         "den": gamma.den.value.serialize(),
-         "warnings": warnings},
-        "PASS" if ok else "FAIL",
-        time.time() - t0, cells,
-        {"k_range_den": list(gamma.den.k_range),
-         "k_range_num": list(gamma.num.k_range)})
-    emit(report, args)
-    return verdict_exit(report["verdict"])
+    return ({"p": args.p, "n": args.n, "char": args.char, "phis": args.phis},
+            {"gamma": gamma.value.serialize(),
+             "num": gamma.num.value.serialize(),
+             "den": gamma.den.value.serialize(),
+             "warnings": warnings},
+            "PASS" if ok else "FAIL", cells,
+            {"k_range_den": list(gamma.den.k_range),
+             "k_range_num": list(gamma.num.k_range)})
 
 
-def cmd_verify_fe(args) -> int:
-    # same engine as gamma: the claim *is* Phi-independence of the ratio
-    return cmd_gamma(args)
-
-
-def cmd_verify_bk(args) -> int:
+def cmd_verify_bk(args):
     ctx = PAdicContext(args.p)
     chi = parse_character(args.p, args.char)
     cfg = build_config(args)
@@ -222,50 +219,36 @@ def cmd_verify_bk(args) -> int:
     if args.n == 1:
         xs = [PAdicMatrix([[Fraction(1)]]), PAdicMatrix([[Fraction(args.p)]]),
               PAdicMatrix([[Fraction(1, args.p)]])]
-    elif args.n == 2:
+    else:
         xs = [PAdicMatrix.identity(2),
               PAdicMatrix([[1, 0], [0, 2]]),
               PAdicMatrix([[0, 1], [2, 0]])]
-    else:
-        raise InvalidSpec("verify-bk supports n in {1, 2}")
-    t0 = time.time()
     rep = verify_bk_identity(chi, args.n, phis, xs, cfg)
-    report = make_report(
-        "verify-bk", rep["parameters"] | {"char": args.char, "phis": args.phis},
-        {"claim": rep["claim"], "lhs": rep["lhs"], "rhs": rep["rhs"]},
-        rep["verdict"], time.time() - t0, rep["cells_enumerated"], rep["windows"])
-    emit(report, args)
-    return verdict_exit(report["verdict"])
+    return (rep["parameters"] | {"char": args.char, "phis": args.phis},
+            {"claim": rep["claim"], "lhs": rep["lhs"], "rhs": rep["rhs"]},
+            rep["verdict"], rep["cells_enumerated"], rep["windows"])
 
 
-def cmd_verify_inverse(args) -> int:
+def cmd_verify_inverse(args):
     chi = parse_character(args.p, args.char)
     cfg = build_config(args)
     if args.alpha2 is None:
         d = tilde(cstar_gamma(args.n))
     else:
         d = TwistedDistribution(args.n, args.alpha2, -1, INVERSE)
-    t0 = time.time()
     rep = verify_inverse_weak(d, [chi], cfg)
-    report = make_report(
-        "verify-inverse", rep["parameters"] | {"char": args.char},
-        {"claim": rep["claim"], "products": rep["lhs"], "target": rep["rhs"]},
-        rep["verdict"], time.time() - t0, rep["cells_enumerated"], rep["windows"])
-    emit(report, args)
-    return verdict_exit(report["verdict"])
+    return (rep["parameters"] | {"char": args.char},
+            {"claim": rep["claim"], "products": rep["lhs"], "target": rep["rhs"]},
+            rep["verdict"], rep["cells_enumerated"], rep["windows"])
 
 
-def cmd_verify_relation(args) -> int:
-    t0 = time.time()
+def cmd_verify_relation(args):
     reps = [verify_relation(n) for n in range(1, args.n + 1)]
     verdict = "PASS" if all(r["verdict"] == "PASS" for r in reps) else "FAIL"
-    report = make_report(
-        "verify-relation", {"n_max": args.n},
-        [{"n": r["parameters"]["n"], "verdict": r["verdict"],
-          "lhs": r["lhs"], "rhs": r["rhs"]} for r in reps],
-        verdict, time.time() - t0, 0)
-    emit(report, args)
-    return verdict_exit(verdict)
+    return ({"n_max": args.n},
+            [{"n": r["parameters"]["n"], "verdict": r["verdict"],
+              "lhs": r["lhs"], "rhs": r["rhs"]} for r in reps],
+            verdict, 0, None)
 
 
 def random_schwartz(n: int, ctx: PAdicContext, rng, terms: int = 3,
@@ -288,10 +271,9 @@ def random_schwartz(n: int, ctx: PAdicContext, rng, terms: int = 3,
     return out
 
 
-def cmd_fourier_selftest(args) -> int:
+def cmd_fourier_selftest(args):
     import random
     rng = random.Random(args.seed)
-    t0 = time.time()
     failures = []
     total = 0
     for n in (1, 2):
@@ -308,16 +290,12 @@ def cmd_fourier_selftest(args) -> int:
                 if not scalar_is_zero(f.inner_product(g)
                                       - f_hat.inner_product(g.fourier())):
                     failures.append({"n": n, "p": p, "index": i, "law": "Plancherel"})
-    verdict = "PASS" if not failures else "FAIL"
-    report = make_report(
-        "fourier-selftest", {"count_per_case": args.count, "seed": args.seed},
-        {"functions_checked": total, "failures": failures},
-        verdict, time.time() - t0, 0)
-    emit(report, args)
-    return verdict_exit(verdict)
+    return ({"count_per_case": args.count, "seed": args.seed},
+            {"functions_checked": total, "failures": failures},
+            "PASS" if not failures else "FAIL", 0, None)
 
 
-def cmd_arch_gamma(args) -> int:
+def cmd_arch_gamma(args):
     chi = RealCharacter(args.delta, Fraction(args.tau))
     qcfg = QuadratureConfig()
     if args.s is not None:
@@ -325,42 +303,17 @@ def cmd_arch_gamma(args) -> int:
     else:
         grid = [complex(x) for x in qcfg.s_grid]
     phi = RealSchwartzFn.hermite_multiple([1, 1])
-    t0 = time.time()
     rows = []
-    worst = 0.0
     for s in grid:
         val = gamma_real(chi, s, phi, qcfg)
         oracle = gamma_oracle(chi, s)
-        err = abs(val - oracle)
-        worst = max(worst, err)
-        rows.append((s.real, s.imag, val.real, val.imag,
-                     oracle.real, oracle.imag, err))
-    verdict = "PASS" if worst < args.tol else "FAIL"
-    if args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["s_re", "s_im", "gamma_re", "gamma_im",
-                    "oracle_re", "oracle_im", "abs_err"])
-        for row in rows:
-            w.writerow(["%.12g" % x for x in row])
-        text = buf.getvalue()
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-        return verdict_exit(verdict)
-    report = make_report(
-        "arch-gamma",
-        {"delta": args.delta, "tau": str(args.tau), "tol": args.tol,
-         "s_grid": [str(s) for s in grid]},
-        {"rows": [dict(zip(("s_re", "s_im", "gamma_re", "gamma_im",
-                            "oracle_re", "oracle_im", "abs_err"), r))
-                  for r in rows],
-         "max_abs_err": worst},
-        verdict, time.time() - t0, 0)
-    emit(report, args)
-    return verdict_exit(verdict)
+        rows.append(dict(zip(ARCH_COLUMNS, (s.real, s.imag, val.real, val.imag,
+                                            oracle.real, oracle.imag, abs(val - oracle)))))
+    worst = max(0.0, *(row["abs_err"] for row in rows))
+    return ({"delta": args.delta, "tau": str(args.tau), "tol": args.tol,
+             "s_grid": [str(s) for s in grid]},
+            {"rows": rows, "max_abs_err": worst},
+            "PASS" if worst < args.tol else "FAIL", 0, None)
 
 
 # -- argument plumbing ---------------------------------------------------
@@ -399,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--n", type=int, required=True, choices=(1, 2))
     sp.add_argument("--phis", default="unit_ball,scaled_ball(1)")
-    sp.set_defaults(fn=cmd_verify_fe)
+    sp.set_defaults(fn=cmd_gamma)
 
     sp = sub.add_parser("verify-bk",
                         help="generating-distribution spectral identity")
@@ -454,7 +407,7 @@ def main(argv=None) -> int:
         return EXIT_INVALID if exc.code not in (0, None) else 0
     t0 = time.time()
     try:
-        return args.fn(args)
+        parameters, results, verdict, cells, windows = args.fn(args)
     except (InvalidSpec, ValueError) as exc:
         print("invalid input: %s" % exc, file=sys.stderr)
         return EXIT_INVALID
@@ -462,12 +415,13 @@ def main(argv=None) -> int:
         print("INCONCLUSIVE: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         where = {f: getattr(exc, f) for f in ("shell", "truncation", "cells")
                  if getattr(exc, f, None) is not None}
-        emit(make_report(
-            args.command,
-            {k: v for k, v in vars(args).items() if k not in ("fn", "command", "out")},
-            {"error": type(exc).__name__, "message": str(exc)} | where,
-            "INCONCLUSIVE", time.time() - t0, None), args)
-        return EXIT_INCONCLUSIVE
+        parameters = {k: v for k, v in vars(args).items()
+                      if k not in ("fn", "command", "out")}
+        results = {"error": type(exc).__name__, "message": str(exc)} | where
+        verdict, cells, windows = "INCONCLUSIVE", None, None
+    emit(make_report(args.command, parameters, results, verdict,
+                     time.time() - t0, cells, windows), args)
+    return {"PASS": EXIT_PASS, "FAIL": EXIT_FAIL}.get(verdict, EXIT_INCONCLUSIVE)
 
 
 if __name__ == "__main__":

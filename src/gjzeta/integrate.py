@@ -43,7 +43,6 @@ class IntegrationConfig:
     r_max/confirm: recurrence order bound and confirmation window for
     rationalization (r_max defaults to n at the call site).
     hard_budget: max refinement cells per integral.
-    threads: accepted for compatibility; evaluation is serial at any value.
     """
     m_start: int = 0
     m_max: int = 8
@@ -53,7 +52,6 @@ class IntegrationConfig:
     confirm: int = 3
     hard_budget: int = 10 ** 7
     force_enumeration: bool = False
-    threads: int = 1
 
 
 # name and signature kept because perfbench/tracer.py wraps it
@@ -337,16 +335,14 @@ def rationalize(seq, k0: int, weight: int, q: int, r_max: int,
     rec = detect_recurrence(seq, r_max, confirm)
     s = rec.start
     r = rec.order
-    head = LaurentPoly({weight * (k0 + i): as_scalar(seq[i])
-                        for i in range(s) if not scalar_is_zero(seq[i])})
-    den = LaurentPoly({0: as_scalar(1)})
+    head = LaurentPoly({weight * (k0 + i): seq[i] for i in range(s)})
+    den = LaurentPoly.const(1)
     for i, ci in enumerate(rec.coeffs, start=1):
-        den = den - LaurentPoly({weight * i: as_scalar(ci)})
+        den = den - LaurentPoly({weight * i: ci})
     tail = LaurentPoly()
     for jj in range(r):
         e = seq[s + jj]
         for i in range(1, jj + 1):
             e = e - rec.coeffs[i - 1] * seq[s + jj - i]
-        if not scalar_is_zero(e):
-            tail = tail + LaurentPoly({weight * (k0 + s + jj): as_scalar(e)})
+        tail = tail + LaurentPoly({weight * (k0 + s + jj): e})
     return RationalFunctionT(head * den + tail, den, q)

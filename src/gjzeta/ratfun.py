@@ -20,7 +20,7 @@ class LaurentPoly:
         if coeffs:
             for e, c in coeffs.items():
                 if not scalar_is_zero(c):
-                    self.coeffs[int(e)] = c
+                    self.coeffs[int(e)] = as_scalar(c)
 
     @staticmethod
     def monomial(c, e: int = 0) -> "LaurentPoly":
@@ -28,7 +28,7 @@ class LaurentPoly:
 
     @staticmethod
     def const(c) -> "LaurentPoly":
-        return LaurentPoly({0: as_scalar(c)})
+        return LaurentPoly({0: c})
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -154,7 +154,7 @@ class RationalFunctionT:
 
     @staticmethod
     def const(c, q: int) -> "RationalFunctionT":
-        return RationalFunctionT.from_poly(LaurentPoly.const(as_scalar(c)), q)
+        return RationalFunctionT.from_poly(LaurentPoly.const(c), q)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()

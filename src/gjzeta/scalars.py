@@ -116,6 +116,8 @@ class CyclotomicNumber:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
+            if not other:
+                return zero(self.p)  # canonical level 0, so == and hash agree
             f = Fraction(other)
             return CyclotomicNumber(self.p, self.m, [c * f for c in self.coeffs])
         a, b = self._pair(other)

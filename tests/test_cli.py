@@ -7,10 +7,11 @@ import pytest
 
 from gjzeta import cli
 from gjzeta.cli import build_config, build_parser, main
-from gjzeta.errors import BudgetExceeded
+from gjzeta.errors import BudgetExceeded, NearZeroDenominator
 
 TATE_GAMMA_P2 = {"base_q": 2, "den": {"0": "1", "2": "-2"},
                  "num": {"2": "-2", "4": "2"}}
+COLUMNS = ("s_re", "s_im", "gamma_re", "gamma_im", "oracle_re", "oracle_im", "abs_err")
 
 
 def run(argv, capsys):
@@ -37,6 +38,12 @@ def test_verify_fe_pass(capsys):
     code, rep = run_json(["verify-fe", "--p", "3", "--n", "1",
                           "--char", "unramified:-1"], capsys)
     assert code == 0 and rep["verdict"] == "PASS"
+
+
+def test_verify_fe_report_names_its_command(capsys):
+    # verify-fe runs the gamma engine but reports under its own name
+    code, rep = run_json(["verify-fe", "--p", "3", "--n", "1"], capsys)
+    assert code == 0 and rep["command"] == "verify-fe"
 
 
 def test_verify_bk_pass(capsys):
@@ -92,6 +99,19 @@ def test_arch_gamma_csv(capsys):
     assert lines[0] == "s_re,s_im,gamma_re,gamma_im,oracle_re,oracle_im,abs_err"
     assert len(lines) >= 4
     assert all(float(line.split(",")[-1]) < 1e-6 for line in lines[1:])
+    # each CSV row is the %.12g form of the JSON row for the same s grid
+    _, rep = run_json(["arch-gamma"], capsys)
+    assert lines[1:] == [",".join("%.12g" % row[c] for c in COLUMNS)
+                         for row in rep["results"]["rows"]]
+
+
+def test_arch_gamma_csv_inconclusive_writes_json(monkeypatch, capsys):
+    def near_zero(chi, s, phi, cfg):
+        raise NearZeroDenominator("Z(Phi, s, chi) too close to zero at s=%s" % s)
+    monkeypatch.setattr(cli, "gamma_real", near_zero)
+    code, rep = run_json(["arch-gamma", "--format", "csv"], capsys)
+    assert code == 2 and rep["verdict"] == "INCONCLUSIVE"
+    assert rep["results"]["error"] == "NearZeroDenominator"
 
 
 def test_arch_gamma_json(capsys):

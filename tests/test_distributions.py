@@ -1,6 +1,5 @@
 """Twisted-distribution calculus and its spectral action."""
 
-import time
 from fractions import Fraction
 
 import pytest
@@ -94,15 +93,6 @@ def test_weak_inverse_requires_inverse_mode():
         verify_inverse_weak(gj_delta(1), [MultiplicativeCharacter.trivial(2)])
 
 
-def test_spectral_action_thread_invariance():
-    p = 2
-    chi = MultiplicativeCharacter.trivial(p)
-    x = PAdicMatrix.identity(1)
-    a = spectral_action(gj_delta(1), chi, x, IntegrationConfig(threads=1))
-    b = spectral_action(gj_delta(1), chi, x, IntegrationConfig(threads=4))
-    assert a.serialize() == b.serialize()
-
-
 def test_environment_does_not_override_explicit_budget(monkeypatch):
     # the budget set on the config must survive the per-shell config copies
     monkeypatch.setenv("GJZETA_HARD_BUDGET", "5")
@@ -110,27 +100,6 @@ def test_environment_does_not_override_explicit_budget(monkeypatch):
     with pytest.raises(BudgetExceeded, match="exceeded 7 cells"):
         spectral_action(gj_delta(2), MultiplicativeCharacter.trivial(2),
                         PAdicMatrix.identity(2), cfg)
-
-
-class _YieldingStats(dict):
-    """A stats dict that lets other threads run between a read and the
-    write that follows it, which exposes an unguarded read-modify-write."""
-
-    def get(self, key, default=None):
-        value = super().get(key, default)
-        time.sleep(0)
-        return value
-
-
-def test_cell_count_is_thread_safe():
-    cells = []
-    for threads in (1, 4):
-        stats = _YieldingStats()
-        spectral_action(gj_delta(1), MultiplicativeCharacter.trivial(2),
-                        PAdicMatrix.identity(1), IntegrationConfig(threads=threads),
-                        stats)
-        cells.append(stats["cells"])
-    assert cells[0] == cells[1]
 
 
 @pytest.mark.parametrize("order", [1, -1])

@@ -13,8 +13,8 @@ from fractions import Fraction
 import pytest
 
 from gjzeta.errors import BudgetExceeded, NoStabilization
-from gjzeta.integrate import (IntegrationConfig, parallel_map,
-                              stabilized_shell_integral, term_shell_integral)
+from gjzeta.integrate import (IntegrationConfig, stabilized_shell_integral,
+                              term_shell_integral)
 from gjzeta.padic import PAdicContext, PAdicMatrix
 from gjzeta.scalars import scalar_is_zero
 from gjzeta.zeta import MultiplicativeCharacter
@@ -116,9 +116,3 @@ def test_no_stabilization_raises():
     cfg = IntegrationConfig(m_max=1, m_confirm=5)
     with pytest.raises(NoStabilization):
         stabilized_shell_integral(ctx, 1, 0, PAdicMatrix([[1]]), cfg)
-
-
-def test_parallel_map_is_order_preserving():
-    items = list(range(20))
-    assert parallel_map(lambda x: x * x, items, 1) == \
-        parallel_map(lambda x: x * x, items, 4)

@@ -60,6 +60,9 @@ def test_serialize_roundtrip_shape():
     assert doc["base_q"] == 2
     assert set(doc) == {"num", "den", "base_q"}
     assert all(isinstance(k, str) for k in doc["num"])
+    # Fraction coefficients serialize like the equal cyclotomic ones
+    one = LaurentPoly({0: Fraction(1)})
+    assert RationalFunctionT(one, one, 3).serialize()["num"] == {"0": "1"}
 
 
 def test_berlekamp_massey_fibonacci():
@@ -142,7 +145,7 @@ def test_equal_rational_functions_hash_equal(num, den, f, num2, den2):
 
 
 def test_constant_hashes_like_the_scalar_it_equals():
-    for c in (1, 0, Fraction(-2, 3), root_of_unity(3, 2, 4)):
+    for c in (1, 0, Fraction(-2, 3), root_of_unity(3, 2, 4), root_of_unity(3, 2, 4) * 0):
         r = RationalFunctionT.const(c, 3)
         assert r == c
         assert hash(r) == hash(c)

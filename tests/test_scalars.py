@@ -28,6 +28,7 @@ def test_minimal_level_normalization():
     assert z.m == 2
     assert root_of_unity(2, 3, 4).m == 0  # = -1
     assert root_of_unity(3, 2, 3).m == 1  # zeta_9^3 = zeta_3
+    assert (root_of_unity(3, 2, 1) * 0).m == 0  # a scaled zero is the level-0 zero
 
 
 def test_vanishing_sums():
