@@ -216,14 +216,14 @@ def cmd_verify_bk(args):
     chi = parse_character(args.p, args.char)
     cfg = build_config(args)
     phis = parse_phi_list(args.n, ctx, args.phis)
-    if args.n == 1:
-        xs = [PAdicMatrix([[Fraction(1)]]), PAdicMatrix([[Fraction(args.p)]]),
-              PAdicMatrix([[Fraction(1, args.p)]])]
-    else:
-        xs = [PAdicMatrix.identity(2),
-              PAdicMatrix([[1, 0], [0, 2]]),
-              PAdicMatrix([[0, 1], [2, 0]])]
-    rep = verify_bk_identity(chi, args.n, phis, xs, cfg)
+    n = args.n
+    if n == 1:
+        xs = [PAdicMatrix([[x]]) for x in (1, args.p, Fraction(1, args.p))]
+    else:  # I, diag(1, ..., 1, 2), and the cyclic shift with 2 in its (n-1, 0) corner
+        xs = [PAdicMatrix.identity(n), PAdicMatrix.diagonal([1] * (n - 1) + [2]),
+              PAdicMatrix([[2 if (i, j) == (n - 1, 0) else int(j == i + 1)
+                            for j in range(n)] for i in range(n)])]
+    rep = verify_bk_identity(chi, n, phis, xs, cfg)
     return (rep["parameters"] | {"char": args.char, "phis": args.phis},
             {"claim": rep["claim"], "lhs": rep["lhs"], "rhs": rep["rhs"]},
             rep["verdict"], rep["cells_enumerated"], rep["windows"])
@@ -342,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("gamma", help="gamma factor as an exact rational function in T")
     common(sp)
-    sp.add_argument("--n", type=int, required=True, choices=(1, 2))
+    sp.add_argument("--n", type=int, required=True, choices=(1, 2, 3))
     sp.add_argument("--phis", default="unit_ball,scaled_ball(1),shifted_ball(1,1)",
                     help="comma-separated Phi list (independence is re-verified)")
     sp.set_defaults(fn=cmd_gamma)
@@ -350,21 +350,21 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify-fe",
                         help="Phi-independence of the functional-equation ratio")
     common(sp)
-    sp.add_argument("--n", type=int, required=True, choices=(1, 2))
+    sp.add_argument("--n", type=int, required=True, choices=(1, 2, 3))
     sp.add_argument("--phis", default="unit_ball,scaled_ball(1)")
     sp.set_defaults(fn=cmd_gamma)
 
     sp = sub.add_parser("verify-bk",
                         help="generating-distribution spectral identity")
     common(sp)
-    sp.add_argument("--n", type=int, required=True, choices=(1, 2))
+    sp.add_argument("--n", type=int, required=True, choices=(1, 2, 3))
     sp.add_argument("--phis", default="unit_ball,scaled_ball(1)")
     sp.set_defaults(fn=cmd_verify_bk)
 
     sp = sub.add_parser("verify-inverse",
                         help="weak convolution-inverse identity")
     common(sp)
-    sp.add_argument("--n", type=int, required=True, choices=(1, 2))
+    sp.add_argument("--n", type=int, required=True, choices=(1, 2, 3))
     sp.add_argument("--alpha2", type=int,
                     help="2*alpha for D = (alpha, -1, INVERSE); default: "
                          "the sign-flipped normalizing distribution")

@@ -8,10 +8,7 @@ distribution kernels alike.
 
 Three evaluation paths:
   * n = 1: direct unit enumeration at the certified constancy level;
-  * n = 2, zero-centered coset with scalar modulation: Hermite-orbit
-    decomposition G = gamma * [[p^a, b], [0, p^d]]; the b-sum leaves only
-    gamma21 = 0 mod p^mc, weighted by p^d, and the shell factors into Gauss
-    (for unramified chi, Ramanujan) sums;
+  * any n, zero-centered coset with scalar modulation: sums of Gauss-sum products;
   * generic: recursive residue-cell refinement with an exact resolution
     rule, bounded by a hard cell budget.
 The n = 1 and generic paths count cells in python integers by (det unit
@@ -25,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import prod
 from operator import add, mul
 
 # read only by perfbench/tracer.py (kernels.* metrics); ROADMAP item 1 deletes it
@@ -60,17 +58,6 @@ def parallel_map(fn, items, threads: int = 1):
     return [fn(x) for x in items]
 
 
-def _is_scalar_matrix(b: PAdicMatrix):
-    """The scalar c if b = c * Id, else None (0 counts: returns Fraction 0)."""
-    c = b.entries[0][0]
-    n = b.n
-    for i in range(n):
-        for j in range(n):
-            if b.entries[i][j] != (c if i == j else 0):
-                return None
-    return c
-
-
 def term_shell_integral(ctx: PAdicContext, k: int, center: PAdicMatrix,
                         level: int, modulation: PAdicMatrix,
                         config: IntegrationConfig, unit_char=None, stats=None):
@@ -79,10 +66,10 @@ def term_shell_integral(ctx: PAdicContext, k: int, center: PAdicMatrix,
     n = center.n
     if n == 1:
         return _shell_n1(ctx, k, center, level, modulation, unit_char, stats)
-    if n == 2 and not config.force_enumeration:
-        c = _is_scalar_matrix(modulation)
-        if c is not None and center.in_coset(PAdicMatrix.zero(2), level, ctx.p):
-            return _shell_n2_hermite(ctx, k, level, c, unit_char, stats)
+    c = modulation.entries[0][0]
+    if (not config.force_enumeration and modulation == PAdicMatrix.scalar(n, c)
+            and center.in_coset(PAdicMatrix.zero(n), level, ctx.p)):
+        return _shell_hermite(ctx, n, k, level, c, unit_char, stats)
     return _shell_generic(ctx, k, center, level, modulation, config, unit_char, stats)
 
 
@@ -133,48 +120,67 @@ def _gl2_hist_cached(p, J, m1, cu):
     return gl2_histogram(p, J, m1, cu)
 
 
-def _shell_n2_hermite(ctx, k, level, c, unit_char, stats):
-    """Zero-centered coset p^level M_2, modulation c * Id.
+def _shell_hermite(ctx, n, k, level, c, unit_char, stats):
+    """Zero-centered coset p^level M_n, modulation c * Id, any n.
 
-    g = p^level H leaves v(det H) = k' = k - 2*level (d^x g is scale-invariant).
-    H = gamma [[p^a, b], [0, p^d]] contributes chi(det gamma) zeta^(w (g11 p^a
-    + g21 b + g22 p^d)), zeta = zeta_{p^mc}.  Only g21 = 0 mod p^mc survives,
-    with weight p^d: the b-sum cancels whole cosets of roots of unity when
-    v(g21) >= mc - d, and gamma -> gamma [[1, s], [0, 1]] (det fixed, g22 ->
-    g22 + s g21) cancels the g22-sum when v(g21) < mc - d.  On Gamma_0(p^mc),
-    (g11, g22, det) mod (p^mc, p^mc, p^cu) is a homomorphism with the image of
-    (x, y, xy) on unit pairs mod p^L, L = max(mc, cu).  So, with the Gauss sum
-    G(b) = sum_{x in (Z/p^L)^x} chi(x) zeta^(b x) (G(w p^a) needs a <= mc only),
-      shell = vol(Gamma_0(p^mc)) / phi(p^L)^2 * sum_{a+d=k'} p^d G(w p^a) G(w p^d).
-    For unramified chi, G(w p^a) is the Ramanujan sum c_{p^mc}(w p^a), w a
-    unit: phi(p^mc) if a >= mc, -p^(mc-1) if a = mc - 1, else 0 (1 at mc = 0).
+    g = p^level H leaves v(det H) = k' = k - n*level and psi(cH tr H), with
+    cH = c p^level = w / p^mc (w a unit).  Write H = kappa b, kappa in GL_n(Z_p),
+    b upper triangular with diagonal t_j = p^(a_j) u_j: d^x H = d kappa d_r b /
+    (1 - 1/p)^n, d_r b = prod_{i<j} db_ij prod_j p^((j-1) a_j) d^x t_j.  Each
+    b_ij (i < j) runs over Z_p in psi(cH kappa_ji b_ij), whose integral is 1 if
+    kappa_ji = 0 mod p^mc and 0 otherwise: only kappa in B_0(p^mc) survive.  There
+    (kappa_11, ..., kappa_nn, det) mod (p^mc, ..., p^mc, p^cu) is a homomorphism
+    with the image of (x_1, ..., x_n, x_1...x_n) on units mod p^L, L = max(mc, cu),
+    so the u_j-integrals split into G(b) = sum_{x in (Z/p^L)^x} chi(x) zeta_{p^mc}^(b x):
+      shell = vol(B_0(p^mc)) / phi(p^L)^n
+              * sum_{a_1+...+a_n=k'} p^(sum_j (j-1) a_j) prod_j G(w p^(a_j)).
+    G(w p^a) depends on min(a, mc) only.  For unramified chi it is the Ramanujan sum:
+    phi(p^mc) at a >= mc, -p^(mc-1) at a = mc - 1, else 0.  For ramified chi it is 0
+    when mc - a > cu: with x = x0 + p^(mc-a-1) y, chi(x) and the unit test see x0
+    alone, and sum_y zeta_p^(w y) = 0.
     """
     p = ctx.p
     cu = unit_char.conductor_exp if unit_char else 0
-    kp = k - 2 * level
+    kp = k - n * level
     if kp < 0:
         return as_scalar(0, p)
     cH = Fraction(c) * Fraction(p) ** level
-    mc = max(0, -valuation(cH, p))  # cH = w / p^mc, w a unit when mc > 0
+    mc = max(0, -valuation(cH, p))
     M1, MU, PL = p ** mc, p ** cu, p ** max(mc, cu)
     if cu:  # p^L times the n = 1 integral of chi(x) psi(cH p^t x) over Z_p^x
-        G = [_shell_n1(ctx, 0, PAdicMatrix([[0]]), 0, PAdicMatrix([[cH * p ** t]]),
-                       unit_char, None) * PL for t in range(mc + 1)]
+        G = [0 if mc - t > cu else PL * _shell_n1(ctx, 0, PAdicMatrix([[0]]), 0,
+             PAdicMatrix([[cH * p ** t]]), unit_char, None) for t in range(mc + 1)]
     else:
         G = [M1 - M1 // p if t == mc else -(M1 // p) if t == mc - 1 else 0
              for t in range(mc + 1)]
-    # reported cells: M1 per det residue for each g21 the b-sum leaves
-    _bump(stats, "cells", M1 * (MU - MU // p)
-          * sum(1 + max(0, M1 - p ** d) for d in range(kp + 1)))
-    weights = {}  # (min(a, mc), min(d, mc)) -> sum of p^d over a + d = k'
-    for d in range(kp + 1):
-        key = (min(kp - d, mc), min(d, mc))
-        weights[key] = weights.get(key, 0) + p ** d
-    total = sum(G[ta] * G[td] * n for (ta, td), n in weights.items()
-                if not (scalar_is_zero(G[ta]) or scalar_is_zero(G[td])))
-    # vol(Gamma_0(p^mc)) is (1 - 1/p)^2 p^(-mc), and (1 - 1/p)(1 - 1/p^2) at mc = 0
-    vol = Fraction((p - 1) ** 2, p ** (mc + 2)) if mc else Fraction((p - 1) * (p * p - 1), p ** 3)
-    return as_scalar(total * (vol / (PL - PL // p) ** 2), p)
+    if n == 2:  # legacy count, pending ROADMAP item 6: M1 per det residue for each of
+        D = min(kp + 1, mc)  # the sum_{d <= k'} (1 + max(0, M1 - p^d)) g21 the b-sum leaves
+        _bump(stats, "cells",
+              M1 * (MU - MU // p) * (kp + 1 + D * M1 - (p ** D - 1) // (p - 1)))
+    live = tuple(t for t in range(mc + 1) if not scalar_is_zero(G[t]))
+    total = sum(prod(G[t] for t in key) * weight
+                for key, weight in _hermite_weights(p, n, kp, mc, live))
+    # vol(B_0(p^mc)) is (1 - 1/p)^n p^(-mc n(n-1)/2), and prod_{i<=n} (1 - p^-i) at mc = 0
+    vol = (Fraction((p - 1) ** n, p ** (n + mc * n * (n - 1) // 2)) if mc else
+           Fraction(prod(p ** i - 1 for i in range(1, n + 1)), p ** (n * (n + 1) // 2)))
+    return as_scalar(total * (vol / (PL - PL // p) ** n), p)
+
+
+_shell_n2_hermite = _shell_hermite  # name kept because perfbench/tracer.py wraps it
+
+
+@lru_cache(maxsize=256)
+def _hermite_weights(p, n, kp, mc, live):
+    """Sum of p^(sum_j (j-1) a_j) over a_1 + ... + a_n = k' per live (min(a_j, mc))_j."""
+    parts = [a for a in range(kp + 1) if min(a, mc) in live]
+    weights = {}
+    for head in product(parts, repeat=n - 1):
+        last = kp - sum(head)
+        if last >= 0 and min(last, mc) in live:
+            a = head + (last,)
+            key = tuple(min(x, mc) for x in a)
+            weights[key] = weights.get(key, 0) + p ** sum(j * x for j, x in enumerate(a))
+    return tuple(weights.items())
 
 
 # -- generic recursive refinement ---------------------------------------

@@ -80,6 +80,22 @@ def test_n2_hermite_has_no_bin_bound(argv, capsys):
     assert code == 0 and rep["verdict"] == "PASS"
 
 
+GJ_GAMMA_P2_N3 = {"base_q": 2, "den": {"0": "1", "2": "-8"},
+                  "num": {"6": "-64", "8": "64"}}
+
+
+@pytest.mark.parametrize("argv", [["gamma", "--p", "2", "--n", "3",
+                                   "--phis", "unit_ball,scaled_ball(1)"],
+                                  ["verify-inverse", "--p", "3", "--n", "3"],
+                                  ["verify-bk", "--p", "2", "--n", "3",
+                                   "--phis", "unit_ball"]])
+def test_n3_pass(argv, capsys):
+    code, rep = run_json(argv, capsys)
+    assert code == 0 and rep["verdict"] == "PASS"
+    if argv[0] == "gamma":  # gamma_Tate(s) gamma_Tate(s - 1) gamma_Tate(s - 2)
+        assert rep["results"]["gamma"] == GJ_GAMMA_P2_N3
+
+
 def test_verify_relation_pass(capsys):
     code, rep = run_json(["verify-relation", "--n", "8"], capsys)
     assert code == 0 and rep["verdict"] == "PASS"

@@ -17,7 +17,7 @@ import pytest
 from gjzeta import integrate
 from gjzeta.errors import BudgetExceeded
 from gjzeta.integrate import (IntegrationConfig, _int_det, _mod_int, _shell_generic,
-                              _shell_n1, _shell_n2_hermite)
+                              _shell_hermite, _shell_n1)
 from gjzeta.padic import INFINITE, PAdicContext, PAdicMatrix, psi_value, valuation
 from gjzeta.scalars import as_scalar, root_of_unity
 from gjzeta.zeta import MultiplicativeCharacter
@@ -239,7 +239,7 @@ def test_hermite_matches_reference(p, c_exp, level):
         for kp in range(-1, 3):
             k = kp + 2 * level
             got_stats, want_stats = {}, {}
-            got = _shell_n2_hermite(ctx, k, level, c, chi, got_stats)
+            got = _shell_hermite(ctx, 2, k, level, c, chi, got_stats)
             want = shell_n2_hermite_reference(ctx, k, level, c, chi, want_stats)
             _same(got, want, got_stats.get("cells", 0), want_stats.get("cells", 0))
 
@@ -249,7 +249,7 @@ def test_hermite_zero_modulation_matches_reference():
     chi = _characters(3)[-1]
     for k in range(0, 4):
         got_stats, want_stats = {}, {}
-        got = _shell_n2_hermite(ctx, k, 0, Fraction(0), chi, got_stats)
+        got = _shell_hermite(ctx, 2, k, 0, Fraction(0), chi, got_stats)
         want = shell_n2_hermite_reference(ctx, k, 0, Fraction(0), chi, want_stats)
         _same(got, want, got_stats.get("cells", 0), want_stats.get("cells", 0))
 
@@ -260,7 +260,7 @@ def test_hermite_p5_matches_reference():
     for chi in _characters(5):
         for k in range(-1, 3):
             got_stats, want_stats = {}, {}
-            got = _shell_n2_hermite(ctx, k, 0, Fraction(1, 5), chi, got_stats)
+            got = _shell_hermite(ctx, 2, k, 0, Fraction(1, 5), chi, got_stats)
             want = shell_n2_hermite_reference(ctx, k, 0, Fraction(1, 5), chi, want_stats)
             _same(got, want, got_stats.get("cells", 0), want_stats.get("cells", 0))
 
@@ -280,7 +280,7 @@ def test_hermite_p5_p7_matches_reference(p, c, level):
         for kp in range(-1, 3):
             k = kp + 2 * level
             got_stats, want_stats = {}, {}
-            got = _shell_n2_hermite(ctx, k, level, c, chi, got_stats)
+            got = _shell_hermite(ctx, 2, k, level, c, chi, got_stats)
             want = shell_n2_hermite_reference(ctx, k, level, c, chi, want_stats)
             _same(got, want, got_stats.get("cells", 0), want_stats.get("cells", 0))
 
@@ -296,8 +296,8 @@ def test_hermite_never_builds_the_count_kernel(monkeypatch):
             for c_exp in range(3):
                 for level in (-1, 0, 1):
                     for kp in range(-1, 4):
-                        _shell_n2_hermite(ctx, kp + 2 * level, level, Fraction(1, p ** c_exp),
-                                          chi, {})
+                        _shell_hermite(ctx, 2, kp + 2 * level, level,
+                                       Fraction(1, p ** c_exp), chi, {})
 
 
 def _generic_characters(p):
@@ -366,3 +366,54 @@ def test_generic_budget_matches_reference():
 @pytest.mark.parametrize("k, volume", [(0, Fraction(21, 64)), (1, Fraction(147, 64))])
 def test_generic_n3_unit_ball_matches_reference(k, volume):
     assert _generic_same(2, k, PAdicMatrix.zero(3), 0, PAdicMatrix.zero(3), None) == volume
+
+
+# -- the Hermite path at n = 1 and n = 3 --------------------------------
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_hermite_n1_matches_n1_path(p):
+    ctx = PAdicContext(p)
+    zero = PAdicMatrix([[0]])
+    for chi in _characters(p):
+        for c in (Fraction(0), Fraction(1), Fraction(1, p), Fraction(p + 2, p ** 3)):
+            for level in (-1, 0, 1):
+                for k in range(-2, 4):
+                    want = _shell_n1(ctx, k, zero, level, PAdicMatrix([[c]]), chi, None)
+                    got = _shell_hermite(ctx, 1, k, level, c, chi, None)
+                    assert got == want and hash(got) == hash(want)
+
+
+# (p, character index in _characters, c, k, level): k' = k - 3*level <= 1,
+# and a generic refinement of at most ~10^5 cells each
+_HERMITE_N3_SHELLS = [(3, 0, Fraction(1, 3), 0, 0), (3, 3, Fraction(1, 3), 0, 0),
+                      (3, 2, Fraction(1), 0, 0), (2, 3, Fraction(3, 4), 0, 0),
+                      (2, 0, Fraction(1, 2), 1, 0), (2, 2, Fraction(1), -2, -1)]
+
+
+@pytest.mark.parametrize("p, chi_index, c, k, level", _HERMITE_N3_SHELLS)
+def test_hermite_n3_matches_generic(p, chi_index, c, k, level):
+    ctx = PAdicContext(p)
+    chi = _characters(p)[chi_index]
+    want = _shell_generic(ctx, k, PAdicMatrix.zero(3), level, PAdicMatrix.scalar(3, c),
+                          IntegrationConfig(), chi, {})
+    got = _shell_hermite(ctx, 3, k, level, c, chi, {})
+    assert got == want and hash(got) == hash(want)
+
+
+def test_ramified_gauss_sums_stay_at_the_conductor(monkeypatch):
+    # G(w p^t) vanishes once mc - t > cu, so no n = 1 enumeration runs at a
+    # psi level above max(1, cu)
+    levels = []
+    shell_n1 = integrate._shell_n1
+
+    def spy(ctx, k, center, level, modulation, unit_char, stats):
+        levels.append(-valuation(modulation.entries[0][0], ctx.p))
+        return shell_n1(ctx, k, center, level, modulation, unit_char, stats)
+
+    monkeypatch.setattr(integrate, "_shell_n1", spy)
+    ctx = PAdicContext(11)
+    chi = MultiplicativeCharacter.quadratic_ramified(11)
+    for mc in range(5):
+        for kp in range(4):
+            _shell_hermite(ctx, 2, kp, 0, Fraction(1, 11 ** mc), chi, {})
+    assert levels and max(levels) <= max(1, chi.conductor_exp)
