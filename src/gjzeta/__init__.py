@@ -1,8 +1,8 @@
 """Exact Godement-Jacquet zeta integrals and gamma factors on GL_n(Q_p),
 with a numeric real-place companion and a batch verification CLI."""
 
-from .archimedean import (QuadratureConfig, RealCharacter, RealSchwartzFn,
-                          fourier_real, gamma_oracle, gamma_real, zeta_real)
+from .archimedean import (RealCharacter, RealSchwartzFn, fourier_real,
+                          gamma_oracle, gamma_real, zeta_real)
 from .distributions import (DIRECT, INVERSE, TwistedDistribution,
                             closed_form_inverse, cstar_gamma, det_twist,
                             gj_delta, spectral_action, tilde,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
@@ -193,16 +193,14 @@ class RealCharacter:
         return RealCharacter(self.sign_exponent, -self.imaginary_twist)
 
 
-@dataclass
-class QuadratureConfig:
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-9
-    max_subdivisions: int = 200
-    s_grid: list = field(default_factory=lambda: [0.3, 0.5, 0.7, 0.5 + 0.25j, 0.4 - 0.1j])
+# quadrature tolerances and the default arch-gamma grid
+ABS_TOL = 1e-10
+REL_TOL = 1e-9
+MAX_SUBDIVISIONS = 200
+S_GRID = (0.3, 0.5, 0.7, 0.5 + 0.25j, 0.4 - 0.1j)
 
 
-def zeta_real(phi: RealSchwartzFn, chi: RealCharacter, s: complex,
-              config: QuadratureConfig | None = None) -> complex:
+def zeta_real(phi: RealSchwartzFn, chi: RealCharacter, s: complex) -> complex:
     """Z(Phi, s, chi) = int_{R^x} Phi(x) chi(x) |x|^s dx/|x| by quadrature.
 
     Fold to (0, inf) with the sign character and substitute x = e^t, which
@@ -216,7 +214,6 @@ def zeta_real(phi: RealSchwartzFn, chi: RealCharacter, s: complex,
     `RealSchwartzFn.evaluate`, so every value is bit-identical to
     evaluating Phi at x and -x separately.
     """
-    config = config or QuadratureConfig()
     delta = chi.sign_exponent % 2
     sp = complex(s) + 1j * float(chi.imaginary_twist)
     sign = 1.0 if delta == 0 else -1.0
@@ -247,26 +244,22 @@ def zeta_real(phi: RealSchwartzFn, chi: RealCharacter, s: complex,
         return val
 
     def part(fn):
-        val, err = quad(fn, -float("inf"), float("inf"),
-                        epsabs=config.abs_tol / 4, epsrel=config.rel_tol / 4,
-                        limit=config.max_subdivisions)
-        return val, err
+        return quad(fn, -float("inf"), float("inf"),
+                    epsabs=ABS_TOL / 4, epsrel=REL_TOL / 4, limit=MAX_SUBDIVISIONS)
 
     re_val, re_err = part(lambda t: integrand(t).real)
     im_val, im_err = part(lambda t: integrand(t).imag)
     total = complex(re_val, im_val)
     err = re_err + im_err
-    if err > max(config.abs_tol, config.rel_tol * abs(total)):
+    if err > max(ABS_TOL, REL_TOL * abs(total)):
         raise ToleranceNotMet("quadrature error %.3e exceeds tolerance" % err)
     return total
 
 
-def gamma_real(chi: RealCharacter, s: complex, phi: RealSchwartzFn,
-               config: QuadratureConfig | None = None) -> complex:
+def gamma_real(chi: RealCharacter, s: complex, phi: RealSchwartzFn) -> complex:
     """gamma(s, chi) = Z(Phi^, 1-s, chi^(-1)) / Z(Phi, s, chi)."""
-    config = config or QuadratureConfig()
-    den = zeta_real(phi, chi, s, config)
-    num = zeta_real(fourier_real(phi), chi.inverse(), 1 - complex(s), config)
+    den = zeta_real(phi, chi, s)
+    num = zeta_real(fourier_real(phi), chi.inverse(), 1 - complex(s))
     if abs(den) < 1e-6 * max(1.0, abs(num)):
         raise NearZeroDenominator("Z(Phi, s, chi) too close to zero at s=%s" % s)
     return num / den

@@ -19,8 +19,8 @@ from contextlib import nullcontext
 from fractions import Fraction
 
 from . import __version__
-from .archimedean import (QuadratureConfig, RealCharacter, RealSchwartzFn,
-                          gamma_oracle, gamma_real)
+from .archimedean import (S_GRID, RealCharacter, RealSchwartzFn, gamma_oracle,
+                          gamma_real)
 from .distributions import (INVERSE, TwistedDistribution, cstar_gamma, tilde,
                             verify_bk_identity, verify_inverse_weak,
                             verify_relation)
@@ -129,7 +129,10 @@ def parse_phi_list(n: int, ctx: PAdicContext, spec: str):
         depth -= ch == ")"
         cur.append(ch)
     out.append("".join(cur))
-    return [parse_phi(n, ctx, s) for s in out if s.strip()]
+    phis = [parse_phi(n, ctx, s) for s in out if s.strip()]
+    if not phis:
+        raise InvalidSpec("the Phi list %r is empty" % spec)
+    return phis
 
 
 # smallest allowed value of each engine flag (r_max = 0 means the default n);
@@ -243,6 +246,8 @@ def cmd_verify_inverse(args):
 
 
 def cmd_verify_relation(args):
+    if args.n < 1:
+        raise InvalidSpec("n must be >= 1, got %d" % args.n)
     reps = [verify_relation(n) for n in range(1, args.n + 1)]
     verdict = "PASS" if all(r["verdict"] == "PASS" for r in reps) else "FAIL"
     return ({"n_max": args.n},
@@ -272,6 +277,8 @@ def random_schwartz(n: int, ctx: PAdicContext, rng, terms: int = 3,
 
 
 def cmd_fourier_selftest(args):
+    if args.count < 1:
+        raise InvalidSpec("count must be >= 1, got %d" % args.count)
     import random
     rng = random.Random(args.seed)
     failures = []
@@ -297,15 +304,11 @@ def cmd_fourier_selftest(args):
 
 def cmd_arch_gamma(args):
     chi = RealCharacter(args.delta, Fraction(args.tau))
-    qcfg = QuadratureConfig()
-    if args.s is not None:
-        grid = [complex(x) for x in args.s.split(",")]
-    else:
-        grid = [complex(x) for x in qcfg.s_grid]
+    grid = [complex(x) for x in (args.s.split(",") if args.s is not None else S_GRID)]
     phi = RealSchwartzFn.hermite_multiple([1, 1])
     rows = []
     for s in grid:
-        val = gamma_real(chi, s, phi, qcfg)
+        val = gamma_real(chi, s, phi)
         oracle = gamma_oracle(chi, s)
         rows.append(dict(zip(ARCH_COLUMNS, (s.real, s.imag, val.real, val.imag,
                                             oracle.real, oracle.imag, abs(val - oracle)))))

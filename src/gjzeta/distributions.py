@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import InfiniteLowerSupport, Singular
-from .integrate import (IntegrationConfig, parallel_map, rationalize,
+from .integrate import (K_EXTRA, IntegrationConfig, parallel_map, rationalize,
                         stabilized_shell_integral)
 from .padic import PAdicContext, PAdicMatrix, valuation
 from .ratfun import LaurentPoly, RationalFunctionT, ratfun_equal
@@ -123,7 +123,7 @@ def spectral_action(d: TwistedDistribution, chi: MultiplicativeCharacter,
     window = _zero_window(n, kchi.conductor_exp)
     k_low = -window
     r_max = config.r_max or n
-    k_high = 2 * r_max + config.confirm + config.k_extra
+    k_high = 2 * r_max + config.confirm + K_EXTRA
 
     def entry(k):
         # shell k is only reachable from truncation p^-m M with nm >= -k
@@ -172,6 +172,8 @@ def verify_bk_identity(chi: MultiplicativeCharacter, n: int, phi_list,
                        x_list, config: IntegrationConfig | None = None) -> dict:
     """spectral_action(gj_delta(n), chi, x) must equal gamma_factor(chi, Phi)
     for every sample point x and every Phi."""
+    if not (phi_list and x_list):
+        raise ValueError("the identity needs at least one Phi and one sample point")
     config = config or IntegrationConfig()
     stats = {}
     d = gj_delta(n)
@@ -185,7 +187,7 @@ def verify_bk_identity(chi: MultiplicativeCharacter, n: int, phi_list,
          "x_count": len(x_list), "phi_count": len(phi_list)},
         "PASS" if ok else "FAIL",
         spectral[0].serialize(),
-        gammas[0].serialize() if gammas else None,
+        gammas[0].serialize(),
         stats)
 
 
@@ -195,6 +197,8 @@ def verify_inverse_weak(d: TwistedDistribution, chi_list,
     config = config or IntegrationConfig()
     if d.mode != INVERSE:
         raise ValueError("weak inverse check expects an INVERSE-mode distribution")
+    if not chi_list:
+        raise ValueError("weak inverse check needs at least one character")
     stats = {}
     inv = closed_form_inverse(d)
     x = PAdicMatrix.identity(d.n)
@@ -210,7 +214,7 @@ def verify_inverse_weak(d: TwistedDistribution, chi_list,
         "weak convolution inverse",
         {"n": d.n, "alpha2": d.alpha2, "epsilon": d.epsilon,
          "chi_count": len(chi_list),
-         "p": chi_list[0].p if chi_list else None},
+         "p": chi_list[0].p},
         "PASS" if ok else "FAIL",
         products,
         "1",

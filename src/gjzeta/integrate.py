@@ -33,19 +33,23 @@ from .ratfun import LaurentPoly, RationalFunctionT
 from .recurrence import detect_recurrence
 from .scalars import as_scalar, root_of_unity_sum, scalar_is_zero
 
+# a stabilized integral needs M_CONFIRM consecutive equal truncations; a shell
+# series takes K_EXTRA shells beyond the 2 r_max + confirm that rationalize reads
+M_CONFIRM = 2
+K_EXTRA = 2
+
+
 @dataclass
 class IntegrationConfig:
     """Truncation, certification, and budget knobs.
 
-    m_*: truncation-ball growth for non-compact distribution integrals.
+    m_start/m_max: truncation-ball growth for non-compact distribution integrals.
     r_max/confirm: recurrence order bound and confirmation window for
     rationalization (r_max defaults to n at the call site).
     hard_budget: max refinement cells per integral.
     """
     m_start: int = 0
     m_max: int = 8
-    m_confirm: int = 2
-    k_extra: int = 2
     r_max: int = 0
     confirm: int = 3
     hard_budget: int = 10 ** 7
@@ -310,7 +314,7 @@ def stabilized_shell_integral(ctx: PAdicContext, n: int, k: int,
     """int_{v(det g)=k} psi(tr(modulation g)) chi(det g / p^k) d^x g.
 
     The domain is not compact; truncate to p^(-m) M_n(Z_p) and grow m until
-    m_confirm consecutive truncations agree exactly.  Returns (value, m).
+    M_CONFIRM consecutive truncations agree exactly.  Returns (value, m).
     """
     center = PAdicMatrix.zero(n)
     prev = None
@@ -320,7 +324,7 @@ def stabilized_shell_integral(ctx: PAdicContext, n: int, k: int,
                                   unit_char, stats)
         if prev is not None and scalar_is_zero(val - prev):
             agree += 1
-            if agree >= config.m_confirm:
+            if agree >= M_CONFIRM:
                 return val, m
         else:
             agree = 0

@@ -7,10 +7,9 @@ factorizations with no precision bookkeeping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import Singular
 from .scalars import CyclotomicNumber, root_of_unity
 
 INFINITE = float("inf")  # valuation of zero
@@ -37,17 +36,12 @@ def valuation(x, p: int):
 
 @dataclass(frozen=True)
 class PAdicContext:
-    """Prime p, residue cardinality q = p, and the fixed psi convention.
+    """Prime p (the residue cardinality q = p) and the fixed psi convention.
 
     psi has conductor Z_p: trivial on Z_p, nontrivial on p^(-1) Z_p.  With
     this choice 1_{M_n(Z_p)} is self-dual and vol(M_n(Z_p)) = 1.
     """
     p: int
-    psi_convention: str = field(default="conductor Z_p")
-
-    @property
-    def q(self) -> int:
-        return self.p
 
     def __post_init__(self):
         if self.p < 2 or any(self.p % d == 0 for d in range(2, int(self.p ** 0.5) + 1)):
@@ -122,36 +116,11 @@ class PAdicMatrix:
                     a[r] = [x - f * y for x, y in zip(a[r], a[col])]
         return det
 
-    def inverse(self) -> "PAdicMatrix":
+    def __mul__(self, other: "PAdicMatrix") -> "PAdicMatrix":
         n = self.n
-        a = [list(row) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-             for i, row in enumerate(self.entries)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-            if piv is None:
-                raise Singular("matrix is singular")
-            a[col], a[piv] = a[piv], a[col]
-            inv = 1 / a[col][col]
-            a[col] = [x * inv for x in a[col]]
-            for r in range(n):
-                if r != col and a[r][col]:
-                    f = a[r][col]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-        return PAdicMatrix([row[n:] for row in a])
-
-    def __mul__(self, other):
-        if isinstance(other, PAdicMatrix):
-            n = self.n
-            return PAdicMatrix([[sum(self.entries[i][k] * other.entries[k][j]
-                                     for k in range(n)) for j in range(n)]
-                                for i in range(n)])
-        return PAdicMatrix([[e * Fraction(other) for e in row] for row in self.entries])
-
-    __rmul__ = __mul__
-
-    def __add__(self, other: "PAdicMatrix") -> "PAdicMatrix":
-        return PAdicMatrix([[x + y for x, y in zip(r1, r2)]
-                            for r1, r2 in zip(self.entries, other.entries)])
+        return PAdicMatrix([[sum(self.entries[i][k] * other.entries[k][j]
+                                 for k in range(n)) for j in range(n)]
+                            for i in range(n)])
 
     def __sub__(self, other: "PAdicMatrix") -> "PAdicMatrix":
         return PAdicMatrix([[x - y for x, y in zip(r1, r2)]

@@ -82,16 +82,6 @@ class SchwartzBruhatFn:
     def __sub__(self, other: "SchwartzBruhatFn") -> "SchwartzBruhatFn":
         return self + other.scale(-1)
 
-    # -- pointwise -----------------------------------------------------
-
-    def evaluate(self, x: PAdicMatrix):
-        p = self.ctx.p
-        total = as_scalar(0, p)
-        for t in self.terms:
-            if x.in_coset(t.center, t.level, p):
-                total = total + t.coeff * psi_value(trace_pairing(t.modulation, x), self.ctx)
-        return total
-
     # -- structure queries ---------------------------------------------
 
     def support_min_valuation(self):
@@ -152,15 +142,10 @@ class SchwartzBruhatFn:
                 total = total + val
         return total
 
-    def norm_sq(self):
-        return self.inner_product(self)
-
-    def is_zero_fn(self) -> bool:
-        """Exact function equality with 0 via positivity of the L^2 norm."""
-        return scalar_is_zero(self.norm_sq())
-
     def fn_equal(self, other: "SchwartzBruhatFn") -> bool:
-        return (self - other).is_zero_fn()
+        """Exact function equality via positivity of the L^2 norm of the difference."""
+        diff = self - other
+        return scalar_is_zero(diff.inner_product(diff))
 
     # -- serialization -------------------------------------------------
 

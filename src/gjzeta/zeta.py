@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import AllDegenerate, ZeroArgument, ZeroDenominator
-from .integrate import IntegrationConfig, rationalize, schwartz_shell_integral
+from .integrate import (K_EXTRA, IntegrationConfig, rationalize,
+                        schwartz_shell_integral)
 from .padic import valuation
 from .ratfun import RationalFunctionT
 from .scalars import as_scalar
@@ -127,9 +128,7 @@ def phi_fingerprint(phi) -> str:
 @dataclass
 class ZetaResult:
     value: RationalFunctionT
-    entries: dict
     k_range: tuple
-    phi_fingerprint: str
     stats: dict = field(default_factory=dict)
 
 
@@ -147,7 +146,7 @@ def zeta_integral(phi, chi: MultiplicativeCharacter,
     p = phi.ctx.p
     r_max = config.r_max or n
     k_min = phi.det_valuation_bound()
-    count = 2 * r_max + config.confirm + config.k_extra
+    count = 2 * r_max + config.confirm + K_EXTRA
     stats = {}
     seq = []
     for k in range(k_min, k_min + count):
@@ -158,11 +157,7 @@ def zeta_integral(phi, chi: MultiplicativeCharacter,
         seq.append(entry)
     weight = -2 if dual_weight else 2
     value = rationalize(seq, k_min, weight, p, r_max, config.confirm)
-    return ZetaResult(value=value,
-                      entries={k_min + i: s for i, s in enumerate(seq)},
-                      k_range=(k_min, k_min + count - 1),
-                      phi_fingerprint=phi_fingerprint(phi),
-                      stats=stats)
+    return ZetaResult(value=value, k_range=(k_min, k_min + count - 1), stats=stats)
 
 
 @dataclass

@@ -8,9 +8,9 @@ import mpmath
 import pytest
 from scipy.integrate import quad
 
-from gjzeta.archimedean import (QuadratureConfig, RealCharacter,
-                                RealSchwartzFn, fourier_real, gamma_oracle,
-                                gamma_real, zeta_real)
+from gjzeta.archimedean import (ABS_TOL, MAX_SUBDIVISIONS, REL_TOL, S_GRID,
+                                RealCharacter, RealSchwartzFn, fourier_real,
+                                gamma_oracle, gamma_real, zeta_real)
 from gjzeta.errors import NearZeroDenominator
 
 GAUSS = RealSchwartzFn.gaussian()
@@ -86,10 +86,9 @@ def test_degenerate_phi_near_zero_denominator():
 
 
 def test_quadrature_is_deterministic():
-    cfg = QuadratureConfig()
     phi = RealSchwartzFn.hermite_multiple([1, 2, 3])
-    a = zeta_real(phi, TRIV, 0.45 + 0.2j, cfg)
-    b = zeta_real(phi, TRIV, 0.45 + 0.2j, cfg)
+    a = zeta_real(phi, TRIV, 0.45 + 0.2j)
+    b = zeta_real(phi, TRIV, 0.45 + 0.2j)
     assert a == b
 
 
@@ -107,7 +106,7 @@ def evaluate_reference(phi, x):
     return px * float(mpmath.exp(-mpmath.pi * x * x))
 
 
-def zeta_reference(phi, chi, s, config):
+def zeta_reference(phi, chi, s):
     delta = chi.sign_exponent % 2
     sp = complex(s) + 1j * float(chi.imaginary_twist)
     sign = 1.0 if delta == 0 else -1.0
@@ -123,13 +122,12 @@ def zeta_reference(phi, chi, s, config):
 
     def part(fn):
         return quad(fn, -float("inf"), float("inf"),
-                    epsabs=config.abs_tol / 4, epsrel=config.rel_tol / 4,
-                    limit=config.max_subdivisions)
+                    epsabs=ABS_TOL / 4, epsrel=REL_TOL / 4, limit=MAX_SUBDIVISIONS)
 
     re_val, re_err = part(lambda t: integrand(t).real)
     im_val, im_err = part(lambda t: integrand(t).imag)
     total = complex(re_val, im_val)
-    assert re_err + im_err <= max(config.abs_tol, config.rel_tol * abs(total))
+    assert re_err + im_err <= max(ABS_TOL, REL_TOL * abs(total))
     return total
 
 
@@ -148,17 +146,16 @@ BENCHMARK_S = [complex(x) for grid in ("0.3,0.6+0.2j,0.45-0.15j",
                                        "0.4,0.5+0.25j,0.7",
                                        "0.25+0.1j,0.5,0.6-0.2j")
                for x in grid.split(",")]
-REFERENCE_S = BENCHMARK_S + [complex(s) for s in QuadratureConfig().s_grid
+REFERENCE_S = BENCHMARK_S + [complex(s) for s in S_GRID
                              if complex(s) not in BENCHMARK_S]
 
 
 @pytest.mark.parametrize("coeffs", REFERENCE_PHIS,
                          ids=["degree%d" % (len(c) - 1) for c in REFERENCE_PHIS])
 def test_zeta_real_equals_reference_quadrature(coeffs):
-    cfg = QuadratureConfig()
     phi = RealSchwartzFn.hermite_multiple(coeffs)
     for delta in (0, 1):
         for tau in (Fraction(0), Fraction(1, 3), Fraction(-1, 2)):
             chi = RealCharacter(delta, tau)
             for s in REFERENCE_S:
-                assert zeta_real(phi, chi, s, cfg) == zeta_reference(phi, chi, s, cfg)
+                assert zeta_real(phi, chi, s) == zeta_reference(phi, chi, s)

@@ -8,6 +8,8 @@ import pytest
 from gjzeta import cli
 from gjzeta.cli import build_config, build_parser, main
 from gjzeta.errors import BudgetExceeded, NearZeroDenominator
+from gjzeta.padic import PAdicContext
+from gjzeta.schwartz import SchwartzBruhatFn
 
 TATE_GAMMA_P2 = {"base_q": 2, "den": {"0": "1", "2": "-2"},
                  "num": {"2": "-2", "4": "2"}}
@@ -122,7 +124,7 @@ def test_arch_gamma_csv(capsys):
 
 
 def test_arch_gamma_csv_inconclusive_writes_json(monkeypatch, capsys):
-    def near_zero(chi, s, phi, cfg):
+    def near_zero(chi, s, phi):
         raise NearZeroDenominator("Z(Phi, s, chi) too close to zero at s=%s" % s)
     monkeypatch.setattr(cli, "gamma_real", near_zero)
     code, rep = run_json(["arch-gamma", "--format", "csv"], capsys)
@@ -143,12 +145,47 @@ def test_character_json_inline(capsys):
     assert code == 0 and rep["verdict"] == "PASS"
 
 
+def test_phi_from_json_file(tmp_path, capsys):
+    path = tmp_path / "phi.json"
+    path.write_text(SchwartzBruhatFn.unit_ball(1, PAdicContext(2)).to_json())
+    argv = ["gamma", "--p", "2", "--n", "1", "--phis"]
+    code, from_file = run_json(argv + ["@%s" % path], capsys)
+    assert code == 0 and from_file["verdict"] == "PASS"
+    _, built_in = run_json(argv + ["unit_ball"], capsys)
+    assert from_file["results"]["gamma"] == built_in["results"]["gamma"]
+    # the same file is a Phi on M_1(Q_2), not on M_1(Q_3)
+    assert main(["gamma", "--p", "3", "--n", "1", "--phis", "@%s" % path]) == 3
+    assert "wrong n or p" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("char, same_as", [
+    # 2 generates (Z/3)^x, so chi(2) = -1 is the Legendre symbol mod 3
+    ('{"conductor_exp": 1, "generators": {"2": -1}}', "quadratic"),
+    ('{"conductor_exp": 0, "value_at_p": {"root": [1, 1]}}', "unramified:root:1/1"),
+], ids=["generators", "root"])
+def test_character_spec_forms_agree(char, same_as, capsys):
+    argv = ["gamma", "--p", "3", "--n", "1",
+            "--phis", "shifted_ball(1,1),shifted_ball(1,2)", "--char"]
+    code, rep = run_json(argv + [char], capsys)
+    assert code == 0 and rep["verdict"] == "PASS"
+    code, ref = run_json(argv + [same_as], capsys)
+    assert code == 0 and rep["results"] == ref["results"]
+
+
 def test_invalid_inputs_exit_3(capsys):
     assert main(["gamma", "--p", "2", "--n", "1", "--char", "nonsense"]) == 3
     assert main(["gamma", "--p", "2", "--n", "1", "--phis", "mystery_ball"]) == 3
     assert main(["gamma", "--p", "2", "--n", "9"]) == 3
     assert main(["gamma", "--p", "2"]) == 3  # missing --n
     assert main(["no-such-command"]) == 3
+    capsys.readouterr()
+    # each of these used to PASS with nothing checked
+    for argv in (["verify-bk", "--p", "2", "--n", "1", "--phis", ","],
+                 ["verify-relation", "--n", "0"],
+                 ["verify-relation", "--n", "-3"],
+                 ["fourier-selftest", "--count", "0"]):
+        assert main(argv) == 3
+        assert "invalid input" in capsys.readouterr().err
 
 
 def test_engine_error_maps_to_inconclusive(capsys):

@@ -93,6 +93,15 @@ def test_weak_inverse_requires_inverse_mode():
         verify_inverse_weak(gj_delta(1), [MultiplicativeCharacter.trivial(2)])
 
 
+def test_empty_lists_are_not_a_pass():
+    # an empty Phi or character list used to return PASS with nothing compared
+    chi = MultiplicativeCharacter.trivial(2)
+    with pytest.raises(ValueError):
+        verify_bk_identity(chi, 1, [], [PAdicMatrix([[1]])])
+    with pytest.raises(ValueError):
+        verify_inverse_weak(tilde(cstar_gamma(1)), [])
+
+
 def test_environment_does_not_override_explicit_budget(monkeypatch):
     # the budget set on the config must survive the per-shell config copies
     monkeypatch.setenv("GJZETA_HARD_BUDGET", "5")

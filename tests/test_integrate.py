@@ -113,6 +113,7 @@ def test_stabilized_integral_n1():
 
 def test_no_stabilization_raises():
     ctx = PAdicContext(2)
-    cfg = IntegrationConfig(m_max=1, m_confirm=5)
+    # truncations m = 0, 1 agree at most once, short of M_CONFIRM = 2
+    cfg = IntegrationConfig(m_max=1)
     with pytest.raises(NoStabilization):
         stabilized_shell_integral(ctx, 1, 0, PAdicMatrix([[1]]), cfg)

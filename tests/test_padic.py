@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gjzeta.errors import Singular
 from gjzeta.padic import (INFINITE, PAdicContext, PAdicMatrix, psi_value,
                           trace_pairing, valuation)
 from gjzeta.scalars import scalar_is_zero
@@ -41,12 +40,9 @@ def test_psi_additivity():
                                   - psi_value(x, ctx) * psi_value(y, ctx))
 
 
-def test_matrix_det_and_inverse():
-    g = PAdicMatrix([[1, 2], [3, 4]])
-    assert g.det() == -2
-    assert g * g.inverse() == PAdicMatrix.identity(2)
-    with pytest.raises(Singular):
-        PAdicMatrix([[1, 2], [2, 4]]).inverse()
+def test_matrix_det():
+    assert PAdicMatrix([[1, 2], [3, 4]]).det() == -2
+    assert PAdicMatrix([[1, 2], [2, 4]]).det() == 0
 
 
 def test_coset_membership():

@@ -55,8 +55,8 @@ def test_norm_detects_zero_function():
     f = SchwartzBruhatFn.unit_ball(1, ctx)
     halves = SchwartzBruhatFn.indicator(1, ctx, PAdicMatrix([[0]]), 1) \
         + SchwartzBruhatFn.indicator(1, ctx, PAdicMatrix([[1]]), 1)
-    assert (f - halves).is_zero_fn()
-    assert not f.is_zero_fn()
+    assert f.fn_equal(halves)
+    assert not f.fn_equal(SchwartzBruhatFn(1, ctx, []))
 
 
 def test_json_roundtrip():
