@@ -6,19 +6,21 @@ with exactly representable coefficients.  Zeta integrals are adaptive
 quadratures; gamma factors are checked against a Gamma-function oracle.
 
 Both quadrature passes share one evaluation per node (see zeta_real); the
-Gaussian stays an mpmath evaluation so every arch-gamma row is bit-identical
-to evaluating Phi at x and -x on its own.
+Gaussian stays an mpmath evaluation (cached per node and precision), so every
+arch-gamma row is bit-identical to evaluating Phi at x and -x on its own
+(`evaluate_reference` in tests/test_archimedean.py).  scipy is imported by
+zeta_real on first use, so the p-adic engine never loads it.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
-from scipy.integrate import quad
 
 from .errors import NearZeroDenominator, ToleranceNotMet
 
@@ -133,12 +135,6 @@ class RealSchwartzFn:
     def reflect(self) -> "RealSchwartzFn":
         return RealSchwartzFn([(-c if i % 2 else c) for i, c in enumerate(self.coeffs)])
 
-    def evaluate(self, x: float) -> complex:
-        px = 0j
-        for c in reversed(self.coeffs):
-            px = px * x + c.to_complex()
-        return px * float(mpmath.exp(-mpmath.pi * x * x))
-
     def __eq__(self, other):
         if not isinstance(other, RealSchwartzFn):
             return NotImplemented
@@ -200,6 +196,18 @@ MAX_SUBDIVISIONS = 200
 S_GRID = (0.3, 0.5, 0.7, 0.5 + 0.25j, 0.4 - 0.1j)
 
 
+@functools.lru_cache(maxsize=4096)
+def _gaussian_node(t: float, prec: int) -> tuple[float, float]:
+    """(x, exp(-pi x^2)) at x = e^t, the Gaussian at mpmath precision prec.
+
+    QUADPACK revisits the same nodes for every s and for both zeta_real
+    calls of a gamma; the precision is part of the key so a caller inside
+    mpmath.workdps is never served a value computed at another precision.
+    """
+    x = math.exp(t)
+    return x, float(mpmath.exp(-mpmath.pi * x * x))
+
+
 def zeta_real(phi: RealSchwartzFn, chi: RealCharacter, s: complex) -> complex:
     """Z(Phi, s, chi) = int_{R^x} Phi(x) chi(x) |x|^s dx/|x| by quadrature.
 
@@ -209,16 +217,18 @@ def zeta_real(phi: RealSchwartzFn, chi: RealCharacter, s: complex) -> complex:
 
     The real and imaginary parts are two `quad` passes over the same
     integrand, so each node t is evaluated once and shared between them.
-    Phi(x) and Phi(-x) share the Gaussian exp(-pi x^2), which stays an
-    mpmath evaluation: the float expressions are those of
-    `RealSchwartzFn.evaluate`, so every value is bit-identical to
-    evaluating Phi at x and -x separately.
+    Phi(x) and Phi(-x) share the Gaussian exp(-pi x^2), an mpmath
+    evaluation cached across calls (`_gaussian_node`): the float expressions
+    are those of `evaluate_reference` in tests/test_archimedean.py, so every
+    value is bit-identical to evaluating Phi at x and -x separately.
     """
+    from scipy.integrate import quad
+
     delta = chi.sign_exponent % 2
     sp = complex(s) + 1j * float(chi.imaginary_twist)
     sign = 1.0 if delta == 0 else -1.0
     coeffs = [c.to_complex() for c in reversed(phi.coeffs)]
-    neg_pi = -mpmath.pi
+    prec = mpmath.mp.prec
     nodes = {}
 
     def folded(t: float) -> complex:
@@ -226,8 +236,7 @@ def zeta_real(phi: RealSchwartzFn, chi: RealCharacter, s: complex) -> complex:
         # can overflow; short-circuit so the dead region stays finite
         if t > 4.0:
             return 0j
-        x = math.exp(t)
-        gauss = float(mpmath.exp(neg_pi * x * x))
+        x, gauss = _gaussian_node(t, prec)
         px = pmx = 0j
         for c in coeffs:
             px = px * x + c

@@ -9,8 +9,9 @@ import pytest
 from scipy.integrate import quad
 
 from gjzeta.archimedean import (ABS_TOL, MAX_SUBDIVISIONS, REL_TOL, S_GRID,
-                                RealCharacter, RealSchwartzFn, fourier_real,
-                                gamma_oracle, gamma_real, zeta_real)
+                                RealCharacter, RealSchwartzFn, _gaussian_node,
+                                fourier_real, gamma_oracle, gamma_real,
+                                zeta_real)
 from gjzeta.errors import NearZeroDenominator
 
 GAUSS = RealSchwartzFn.gaussian()
@@ -38,7 +39,7 @@ def test_pointwise_inversion_numeric():
     phi = RealSchwartzFn.hermite_multiple([1, 2, (0, 1), 0, 3, 0, Fraction(1, 2)])
     ff = fourier_real(fourier_real(phi))
     for x in (0.0, 0.7, -0.7, 1.3, -1.3):
-        assert abs(ff.evaluate(x) - phi.evaluate(-x)) < 1e-10
+        assert abs(evaluate_reference(ff, x) - evaluate_reference(phi, -x)) < 1e-10
 
 
 def test_zeta_gaussian_at_two():
@@ -90,6 +91,39 @@ def test_quadrature_is_deterministic():
     a = zeta_real(phi, TRIV, 0.45 + 0.2j)
     b = zeta_real(phi, TRIV, 0.45 + 0.2j)
     assert a == b
+
+
+# -- the Gaussian node cache -------------------------------------------------
+
+def test_gaussian_cache_is_bounded():
+    maxsize = _gaussian_node.cache_info().maxsize
+    assert maxsize is not None and maxsize > 0
+
+
+def test_zeta_real_cold_equals_warm():
+    phi = RealSchwartzFn.hermite_multiple([1, 2, (0, 1)])
+    chi = RealCharacter(1, Fraction(1, 3))
+    _gaussian_node.cache_clear()
+    cold = zeta_real(phi, chi, 0.45 + 0.2j)
+    hits = _gaussian_node.cache_info().hits
+    warm = zeta_real(phi, chi, 0.45 + 0.2j)
+    assert _gaussian_node.cache_info().hits > hits
+    assert warm == cold
+
+
+def test_gaussian_cache_keys_on_precision():
+    _gaussian_node.cache_clear()
+    default = _gaussian_node(1.0, mpmath.mp.prec)
+    with mpmath.workdps(30):
+        precise = _gaussian_node(1.0, mpmath.mp.prec)
+    assert precise[0] == default[0] and precise[1] != default[1]
+    # zeta_real under workdps reads no entry made at the default precision
+    _gaussian_node.cache_clear()
+    zeta_real(GAUSS, TRIV, 0.5)
+    hits = _gaussian_node.cache_info().hits
+    with mpmath.workdps(30):
+        zeta_real(GAUSS, TRIV, 0.5)
+    assert _gaussian_node.cache_info().hits == hits
 
 
 # -- the quadrature against a plain reference -------------------------------

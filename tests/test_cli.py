@@ -1,6 +1,9 @@
 """CLI contract: golden runs, exit codes, report shape, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -283,3 +286,30 @@ def test_out_of_range_engine_flags_exit_3(flags, env, monkeypatch, capsys):
         monkeypatch.setenv("GJZETA_HARD_BUDGET", env)
     assert main(["verify-inverse", "--p", "2", "--n", "1"] + flags) == 3
     assert "invalid input" in capsys.readouterr().err
+
+
+# A fresh interpreter: which modules a CLI run loads.  The p-adic commands
+# must not load scipy; arch-gamma loads scipy.integrate when it integrates.
+SCIPY_PROBE = """
+import sys
+from gjzeta import cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+assert cli.main(["verify-inverse", "--p", "3", "--n", "2", "--out", sys.argv[1]]) == 0
+assert not scipy_modules(), scipy_modules()[:5]
+assert cli.main(["arch-gamma", "--out", sys.argv[2]]) == 0
+assert "scipy.integrate" in sys.modules
+"""
+
+
+def test_scipy_is_loaded_only_by_the_real_place(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE,
+         str(tmp_path / "inverse.json"), str(tmp_path / "arch.json")],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
