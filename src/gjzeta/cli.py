@@ -27,7 +27,7 @@ from .distributions import (INVERSE, TwistedDistribution, cstar_gamma, tilde,
 from .errors import EngineError
 from .integrate import IntegrationConfig
 from .padic import PAdicContext, PAdicMatrix
-from .scalars import scalar_is_zero
+from .scalars import root_of_unity, scalar_is_zero
 from .schwartz import SchwartzBruhatFn
 from .zeta import MultiplicativeCharacter, phi_independence_check
 
@@ -63,6 +63,10 @@ def parse_character(p: int, source: str) -> MultiplicativeCharacter:
                 data = json.load(fh)
         except OSError as exc:
             raise InvalidSpec("cannot read character source %r: %s" % (source, exc))
+    if not (isinstance(data, dict) and isinstance(data.get("table", {}), dict)
+            and isinstance(data.get("generators", {}), dict)):
+        raise InvalidSpec("a character is a JSON object whose table and generators "
+                          "are objects")
     try:
         c = int(data.get("conductor_exp", 0))
         vp = _parse_scalar_spec(p, data.get("value_at_p", 1))
@@ -78,7 +82,6 @@ def parse_character(p: int, source: str) -> MultiplicativeCharacter:
 
 
 def _parse_scalar_spec(p: int, v):
-    from .scalars import root_of_unity
     if isinstance(v, dict):
         if "root" not in v:
             raise InvalidSpec("scalar dict needs a 'root': [m, a] entry")
@@ -100,7 +103,7 @@ def parse_phi(n: int, ctx: PAdicContext, name: str) -> SchwartzBruhatFn:
         try:
             with open(name[1:]) as fh:
                 phi = SchwartzBruhatFn.from_json(fh.read())
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError, KeyError, TypeError) as exc:
             raise InvalidSpec("cannot load Phi from %r: %s" % (name[1:], exc))
         if phi.n != n or phi.ctx.p != ctx.p:
             raise InvalidSpec("Phi file %r has wrong n or p" % name[1:])
@@ -259,7 +262,6 @@ def cmd_verify_relation(args):
 def random_schwartz(n: int, ctx: PAdicContext, rng, terms: int = 3,
                     max_level: int = 3) -> SchwartzBruhatFn:
     """Deterministic pseudo-random test function, levels within |k| <= max_level."""
-    from .scalars import root_of_unity
     p = ctx.p
     out = SchwartzBruhatFn(n, ctx, [])
     for _ in range(rng.randint(1, terms)):

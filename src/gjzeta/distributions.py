@@ -25,8 +25,8 @@ from fractions import Fraction
 from .errors import InfiniteLowerSupport, Singular
 from .integrate import (K_EXTRA, IntegrationConfig, parallel_map, rationalize,
                         stabilized_shell_integral)
-from .padic import PAdicContext, PAdicMatrix, valuation
-from .ratfun import LaurentPoly, RationalFunctionT, ratfun_equal
+from .padic import PAdicContext, PAdicMatrix
+from .ratfun import RationalFunctionT, ratfun_equal
 from .scalars import scalar_is_zero, sqrt_q_power
 from .zeta import MultiplicativeCharacter, gamma_factor
 
@@ -105,15 +105,15 @@ def spectral_action(d: TwistedDistribution, chi: MultiplicativeCharacter,
                     x: PAdicMatrix, config: IntegrationConfig | None = None,
                     stats=None) -> RationalFunctionT:
     """The rational function by which D acts on chi(det)|det|^s at x:
-    (D * chi(det)|det|^s)(x) / (chi(det x)|det x|^s)."""
+    (D * chi(det)|det|^s)(x) / (chi(det x)|det x|^s).  It does not depend
+    on x, which is only checked for its size and invertibility."""
     config = config or IntegrationConfig()
     n = d.n
     p = chi.p
     ctx = PAdicContext(p)
     if x.n != n:
         raise ValueError("sample point has wrong size")
-    detx = x.det()
-    if detx == 0:
+    if x.det() == 0:
         raise Singular("sample point x is not invertible")
     if stats is None:
         stats = {}
@@ -140,17 +140,12 @@ def spectral_action(d: TwistedDistribution, chi: MultiplicativeCharacter,
             "kernel shells still nonzero at the lower window edge k=%d" % k_low)
     weight = -2 if d.mode == DIRECT else 2
     value = rationalize(seq, k_low, weight, p, r_max, config.confirm)
-    # pass the result through the literal coefficient value at x;
-    # exercises the sample point (exact cancellation is part of the claim)
-    vx = int(valuation(detx, p))
-    fx = RationalFunctionT.from_poly(
-        LaurentPoly({2 * vx: chi.char_eval(detx)}), p)
     # the windows cover every call that shares these stats
     ms = [m for _, m in results]
     for key, lo, hi in (("m_range", min(ms), max(ms)), ("k_range", k_low, k_high)):
         old = stats.get(key, (lo, hi))
         stats[key] = (min(old[0], lo), max(old[1], hi))
-    return (value * fx) / fx
+    return value
 
 
 # -- verification reports ----------------------------------------------

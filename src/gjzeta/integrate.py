@@ -28,7 +28,8 @@ from operator import add, mul
 # read only by perfbench/tracer.py (kernels.* metrics); ROADMAP item 1 deletes it
 from ._kernels import gl2_histogram
 from .errors import BudgetExceeded, NoStabilization
-from .padic import INFINITE, PAdicContext, PAdicMatrix, valuation
+from .padic import (INFINITE, PAdicContext, PAdicMatrix, flat_det, mod_int,
+                    valuation)
 from .ratfun import LaurentPoly, RationalFunctionT
 from .recurrence import detect_recurrence
 from .scalars import as_scalar, root_of_unity_sum, scalar_is_zero
@@ -105,7 +106,7 @@ def _shell_n1(ctx, k, center, level, modulation, unit_char, stats):
     j = max(1, cu, level - k, m)
     pk = Fraction(p) ** k
     M = p ** m
-    w = _mod_int(b * pk * M, M)  # psi(b p^k r) = zeta_{p^m}^(w r)
+    w = mod_int(b * pk * M, M)  # psi(b p^k r) = zeta_{p^m}^(w r)
     hist = [[0] * M for _ in range(p ** cu)]
     for r in range(p ** j):
         if r % p and valuation(pk * r - a, p) >= level:
@@ -189,30 +190,6 @@ def _hermite_weights(p, n, kp, mc, live):
 
 # -- generic recursive refinement ---------------------------------------
 
-def _mod_int(x: Fraction, modulus: int) -> int:
-    """Integer representative of a p-integral rational mod p^j."""
-    x = Fraction(x)
-    if modulus <= 1:
-        return 0
-    return x.numerator * pow(x.denominator, -1, modulus) % modulus
-
-
-def _int_det(a, n: int) -> int:
-    """Determinant of a flat integer tuple, cofactor expansion (n is small)."""
-    if n == 1:
-        return a[0]
-    if n == 2:
-        return a[0] * a[3] - a[1] * a[2]
-    total = 0
-    minor_rows = range(1, n)
-    for col in range(n):
-        if a[col] == 0:
-            continue
-        sub = tuple(a[r * n + c] for r in minor_rows for c in range(n) if c != col)
-        total += (-1) ** col * a[col] * _int_det(sub, n - 1)
-    return total
-
-
 def _shell_generic(ctx, k, center, level, modulation, config, unit_char, stats):
     """Residue-cell refinement on integer matrices after scaling to M_n(Z_p).
 
@@ -237,13 +214,13 @@ def _shell_generic(ctx, k, center, level, modulation, config, unit_char, stats):
     Lp = level + m
     # integer representative of the scaled center mod p^Lp (denominators
     # prime to p are inverted modularly)
-    A = tuple(_mod_int(e * pm, p ** max(Lp, 0)) for row in center.entries for e in row)
+    A = tuple(mod_int(e * pm, p ** max(Lp, 0)) for row in center.entries for e in row)
     C = tuple(e / pm for row in modulation.entries for e in row)
     cv = min((valuation(c, p) for c in C if c != 0), default=INFINITE)
     mpsi = 0 if cv is INFINITE else max(0, -int(cv))
     P = p ** mpsi
     # psi(tr(C a)) = zeta_P^(sum(Cint * a)) for an integral flat cell a
-    Cint = tuple(_mod_int(C[l * n + i] * P, P) for i in range(n) for l in range(n))
+    Cint = tuple(mod_int(C[l * n + i] * P, P) for i in range(n) for l in range(n))
     pcu = p ** cu
     chi_table = ({u: unit_char.unit_value(u) for u in range(pcu) if pcu == 1 or u % p}
                  if unit_char else {})
@@ -258,7 +235,7 @@ def _shell_generic(ctx, k, center, level, modulation, config, unit_char, stats):
         if visited > budget:
             raise BudgetExceeded("refinement exceeded %d cells" % budget,
                                  shell=k, truncation=m, cells=visited)
-        det = _int_det(a, n)
+        det = flat_det(a, n)
         if det != 0:
             dv = 0
             d = det

@@ -63,6 +63,31 @@ def psi_value(x, ctx: PAdicContext) -> CyclotomicNumber:
     return root_of_unity(p, m, a)
 
 
+def mod_int(x, modulus: int) -> int:
+    """Integer representative of a p-integral rational mod p^j."""
+    if modulus <= 1:
+        return 0
+    x = Fraction(x)
+    return x.numerator * pow(x.denominator, -1, modulus) % modulus
+
+
+def flat_det(a, n: int):
+    """Determinant of a flat row-major n x n tuple of ints or Fractions,
+    by cofactor expansion along the first row (n is small)."""
+    if n == 1:
+        return a[0]
+    if n == 2:
+        return a[0] * a[3] - a[1] * a[2]
+    total = 0
+    minor_rows = range(1, n)
+    for col in range(n):
+        if a[col] == 0:
+            continue
+        sub = tuple(a[r * n + c] for r in minor_rows for c in range(n) if c != col)
+        total += (-1) ** col * a[col] * flat_det(sub, n - 1)
+    return total
+
+
 class PAdicMatrix:
     """n x n matrix with exact rational entries."""
 
@@ -97,24 +122,7 @@ class PAdicMatrix:
         return sum(self.entries[i][i] for i in range(self.n))
 
     def det(self) -> Fraction:
-        # fraction Gaussian elimination; n is small throughout the engine
-        n = self.n
-        a = [list(row) for row in self.entries]
-        det = Fraction(1)
-        for col in range(n):
-            piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-            if piv is None:
-                return Fraction(0)
-            if piv != col:
-                a[col], a[piv] = a[piv], a[col]
-                det = -det
-            det *= a[col][col]
-            inv = 1 / a[col][col]
-            for r in range(col + 1, n):
-                if a[r][col]:
-                    f = a[r][col] * inv
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-        return det
+        return Fraction(flat_det([e for row in self.entries for e in row], self.n))
 
     def __mul__(self, other: "PAdicMatrix") -> "PAdicMatrix":
         n = self.n

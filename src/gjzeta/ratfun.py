@@ -105,8 +105,7 @@ def _poly_divmod(a: LaurentPoly, b: LaurentPoly):
 
 
 def _poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    a = a.shift(-a.low_degree()) if not a.is_zero() else a
-    b = b.shift(-b.low_degree()) if not b.is_zero() else b
+    """gcd of a and b, both given with lowest degree 0."""
     while not b.is_zero():
         _, r = _poly_divmod(a, b)
         a, b = b, r
@@ -124,11 +123,13 @@ class RationalFunctionT:
 
     __slots__ = ("num", "den", "q")
 
-    def __init__(self, num: LaurentPoly, den: LaurentPoly, q: int, reduce: bool = True):
+    def __init__(self, num: LaurentPoly, den: LaurentPoly, q: int):
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         self.q = q
-        if reduce and not num.is_zero():
+        if num.is_zero():
+            num, den = LaurentPoly(), LaurentPoly.const(1)
+        else:
             shift_n, shift_d = num.low_degree(), den.low_degree()
             num = num.shift(-shift_n)
             den = den.shift(-shift_d)
@@ -137,20 +138,14 @@ class RationalFunctionT:
                 num, _ = _poly_divmod(num, g)
                 den, _ = _poly_divmod(den, g)
             num = num.shift(shift_n - shift_d)
-        elif num.is_zero():
-            num = LaurentPoly()
-            den = LaurentPoly.const(1)
         # trailing-coefficient normalization of the denominator
         tin = scalar_inverse(den.trailing())
-        den = den * tin
-        num = num * tin
-        den = den.shift(-den.low_degree())
-        self.num = num
-        self.den = den
+        self.num = num * tin
+        self.den = den * tin
 
     @staticmethod
     def from_poly(pnum: LaurentPoly, q: int) -> "RationalFunctionT":
-        return RationalFunctionT(pnum, LaurentPoly.const(1), q, reduce=False)
+        return RationalFunctionT(pnum, LaurentPoly.const(1), q)
 
     @staticmethod
     def const(c, q: int) -> "RationalFunctionT":
@@ -167,7 +162,7 @@ class RationalFunctionT:
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunctionT(-self.num, self.den, self.q, reduce=False)
+        return RationalFunctionT(-self.num, self.den, self.q)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -206,8 +201,7 @@ class RationalFunctionT:
         if isinstance(other, RationalFunctionT):
             return self.q == other.q and self.equals(other)
         try:
-            return self.equals(RationalFunctionT.from_poly(
-                LaurentPoly.const(as_scalar(other)), self.q))
+            return self.equals(other)
         except (TypeError, ValueError):
             return NotImplemented
 

@@ -44,20 +44,6 @@ class CyclotomicNumber:
             raise ValueError("coefficient vector has wrong length for level")
         self._hash = None
 
-    # -- construction -------------------------------------------------
-
-    @staticmethod
-    def zeta(p: int, m: int, a: int = 1) -> "CyclotomicNumber":
-        """zeta_{p^m}^a, reduced to canonical form."""
-        if m < 0:
-            raise ValueError("level must be >= 0")
-        if m == 0:
-            return CyclotomicNumber(p, 0, [Fraction(1)])
-        order = p ** m
-        vec = [Fraction(0)] * order
-        vec[a % order] = Fraction(1)
-        return _reduce(p, m, vec)
-
     # -- canonicalization ---------------------------------------------
 
     def _lift(self, m: int) -> "CyclotomicNumber":
@@ -271,7 +257,14 @@ def _power(x, e: int, unit):
 
 def root_of_unity(p: int, m: int, a: int) -> CyclotomicNumber:
     """zeta_{p^m}^a in canonical form."""
-    return CyclotomicNumber.zeta(p, m, a)
+    if m < 0:
+        raise ValueError("level must be >= 0")
+    if m == 0:
+        return CyclotomicNumber(p, 0, [Fraction(1)])
+    order = p ** m
+    vec = [Fraction(0)] * order
+    vec[a % order] = Fraction(1)
+    return _reduce(p, m, vec)
 
 
 def root_of_unity_sum(p: int, m: int, counts) -> CyclotomicNumber:
@@ -282,8 +275,6 @@ def root_of_unity_sum(p: int, m: int, counts) -> CyclotomicNumber:
 
 
 def embed_complex(z, digits: int = 20):
-    if isinstance(z, QuadExt):
-        return z.embed(digits)
     if isinstance(z, (int, Fraction)):
         return mpmath.mpc(Fraction(z).numerator) / Fraction(z).denominator
     return z.embed(digits)
@@ -303,7 +294,7 @@ def as_scalar(x, p: int = 2):
     return CyclotomicNumber(p, 0, [Fraction(x)])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def sqrt_q(p: int):
     """Exact sqrt(p).
 
@@ -313,13 +304,13 @@ def sqrt_q(p: int):
     then a field, so division stays safe).
     """
     if p == 2:
-        return CyclotomicNumber.zeta(2, 3, 1) - CyclotomicNumber.zeta(2, 3, 3)
+        return root_of_unity(2, 3, 1) - root_of_unity(2, 3, 3)
     if p % 4 == 1:
         total = zero(p)
         for a in range(1, p):
             ls = pow(a, (p - 1) // 2, p)
             sign = 1 if ls == 1 else -1
-            total = total + CyclotomicNumber.zeta(p, 1, a) * sign
+            total = total + root_of_unity(p, 1, a) * sign
         return total
     return QuadExt(zero(p), one(p), p)
 

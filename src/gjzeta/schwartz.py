@@ -84,17 +84,12 @@ class SchwartzBruhatFn:
 
     # -- structure queries ---------------------------------------------
 
-    def support_min_valuation(self):
-        """m with support contained in p^(-m) M_n(Z_p) (entries have v >= -m)."""
-        m = 0
-        for t in self.terms:
-            mv = min(t.center.min_valuation(self.ctx.p), t.level)
-            m = max(m, -int(mv) if mv != float("inf") else -t.level)
-        return m
-
     def det_valuation_bound(self):
-        """Lower bound for v(det x) on the support: -n * support_min_valuation."""
-        return -self.n * self.support_min_valuation()
+        """Lower bound -n m for v(det x) on the support, which lies in
+        p^(-m) M_n(Z_p) (every entry has v >= -m)."""
+        p = self.ctx.p
+        return -self.n * max([0] + [-min(t.center.min_valuation(p), t.level)
+                                    for t in self.terms])
 
     # -- operators -----------------------------------------------------
 

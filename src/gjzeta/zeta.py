@@ -17,9 +17,9 @@ from fractions import Fraction
 from .errors import AllDegenerate, ZeroArgument, ZeroDenominator
 from .integrate import (K_EXTRA, IntegrationConfig, rationalize,
                         schwartz_shell_integral)
-from .padic import valuation
+from .padic import mod_int, valuation
 from .ratfun import RationalFunctionT
-from .scalars import as_scalar
+from .scalars import as_scalar, scalar_is_zero
 
 
 class MultiplicativeCharacter:
@@ -35,6 +35,8 @@ class MultiplicativeCharacter:
         self.conductor_exp = conductor_exp
         self.table = {int(u): as_scalar(v, p) for u, v in table.items()}
         self.value_at_p = as_scalar(value_at_p, p)
+        if any(map(scalar_is_zero, [self.value_at_p, *self.table.values()])):
+            raise ValueError("a character takes no zero value")
         pc = p ** conductor_exp
         units = [u for u in range(pc) if pc == 1 or u % p != 0]
         if conductor_exp and sorted(self.table) != sorted(units):
@@ -102,9 +104,7 @@ class MultiplicativeCharacter:
         if x == 0:
             raise ZeroArgument("character evaluated at 0")
         v = int(valuation(x, self.p))
-        u = x / Fraction(self.p) ** v
-        pc = self.p ** self.conductor_exp
-        ures = u.numerator * pow(u.denominator, -1, pc) % pc if pc > 1 else 0
+        ures = mod_int(x / Fraction(self.p) ** v, self.p ** self.conductor_exp)
         return self.value_at_p ** v * self.unit_value(ures)
 
     def inverse(self) -> "MultiplicativeCharacter":
@@ -114,7 +114,7 @@ class MultiplicativeCharacter:
             self.value_at_p.inverse())
 
     def value_at_minus_one(self):
-        return self.unit_value((-1) % max(self.p ** self.conductor_exp, 1))
+        return self.unit_value(-1)
 
     def __repr__(self):
         return "MultiplicativeCharacter(p=%d, c=%d, chi(p)=%r)" % (

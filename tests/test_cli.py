@@ -175,7 +175,7 @@ def test_character_spec_forms_agree(char, same_as, capsys):
     assert code == 0 and rep["results"] == ref["results"]
 
 
-def test_invalid_inputs_exit_3(capsys):
+def test_invalid_inputs_exit_3(tmp_path, capsys):
     assert main(["gamma", "--p", "2", "--n", "1", "--char", "nonsense"]) == 3
     assert main(["gamma", "--p", "2", "--n", "1", "--phis", "mystery_ball"]) == 3
     assert main(["gamma", "--p", "2", "--n", "9"]) == 3
@@ -187,6 +187,20 @@ def test_invalid_inputs_exit_3(capsys):
                  ["verify-relation", "--n", "0"],
                  ["verify-relation", "--n", "-3"],
                  ["fourier-selftest", "--count", "0"]):
+        assert main(argv) == 3
+        assert "invalid input" in capsys.readouterr().err
+    # zero character values and JSON of the wrong shape, each once a traceback
+    char_list = tmp_path / "char.json"
+    char_list.write_text("[1, 2]")
+    gamma = ["gamma", "--p", "3", "--n", "1"]
+    argvs = [gamma + ["--char", char] for char in
+             ("unramified:0", '{"conductor_exp": 1, "table": {"1": "0", "2": "1"}}',
+              '{"table": [1, 2]}', str(char_list))]
+    for i, doc in enumerate(("[]", '{"n": 1, "p": 3, "terms": [1]}')):
+        phi = tmp_path / ("phi%d.json" % i)
+        phi.write_text(doc)
+        argvs.append(gamma + ["--phis", "@%s" % phi])
+    for argv in argvs + [["verify-bk", "--p", "3", "--n", "1", "--char", "unramified:0"]]:
         assert main(argv) == 3
         assert "invalid input" in capsys.readouterr().err
 

@@ -46,12 +46,15 @@ def test_spectral_action_matches_tate_gamma():
 
 
 def test_spectral_action_sample_point_invariance():
+    # the verify-bk sample points for n = 1 and n = 2 give one canonical form
     p = 3
     chi = MultiplicativeCharacter.unramified(p, root_of_unity(p, 1, 1))
-    acts = [spectral_action(gj_delta(1), chi, PAdicMatrix([[x]]))
-            for x in (1, p, Fraction(1, p))]
-    assert ratfun_equal(acts[0], acts[1])
-    assert ratfun_equal(acts[0], acts[2])
+    for n, xs in ((1, [[[1]], [[p]], [[Fraction(1, p)]]]),
+                  (2, [[[1, 0], [0, 1]], [[1, 0], [0, 2]], [[0, 1], [2, 0]]])):
+        acts = [spectral_action(gj_delta(n), chi, PAdicMatrix(x)) for x in xs]
+        for act in acts[1:]:
+            assert ratfun_equal(acts[0], act)
+            assert act.serialize() == acts[0].serialize()
 
 
 def test_spectral_action_singular_x():

@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gjzeta.padic import (INFINITE, PAdicContext, PAdicMatrix, psi_value,
+import sympy
+
+from gjzeta.padic import (INFINITE, PAdicContext, PAdicMatrix, flat_det, psi_value,
                           trace_pairing, valuation)
 from gjzeta.scalars import scalar_is_zero
 
@@ -43,6 +45,29 @@ def test_psi_additivity():
 def test_matrix_det():
     assert PAdicMatrix([[1, 2], [3, 4]]).det() == -2
     assert PAdicMatrix([[1, 2], [2, 4]]).det() == 0
+
+
+@st.composite
+def _square_matrices(draw):
+    """An n x n Fraction matrix, n = 1..4; a repeated row makes some singular."""
+    n = draw(st.integers(1, 4))
+    entry = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        rows[-1] = [draw(st.integers(-2, 2)) * e for e in rows[0]]
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(_square_matrices())
+def test_det_matches_sympy(rows):
+    n = len(rows)
+    expected = sympy.Matrix([[sympy.Rational(e.numerator, e.denominator) for e in row]
+                             for row in rows]).det()
+    assert PAdicMatrix(rows).det() == Fraction(int(expected.p), int(expected.q))
+    ints = [[e.numerator for e in row] for row in rows]
+    flat = tuple(e for row in ints for e in row)
+    assert flat_det(flat, n) == sympy.Matrix(ints).det()
 
 
 def test_coset_membership():

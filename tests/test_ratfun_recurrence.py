@@ -144,6 +144,14 @@ def test_equal_rational_functions_hash_equal(num, den, f, num2, den2):
             assert hash(x) == hash(y)
 
 
+@settings(max_examples=40, deadline=None)
+@given(_polys, _nonzero_polys, st.integers(-4, 4), st.integers(-4, 4))
+def test_canonical_form_ignores_monomial_shifts(num, den, i, j):
+    # num T^i / den T^j is num T^(i-j) / den, whatever the shifts
+    shifted = RationalFunctionT(num.shift(i), den.shift(j), 3)
+    assert shifted.serialize() == RationalFunctionT(num.shift(i - j), den, 3).serialize()
+
+
 def test_constant_hashes_like_the_scalar_it_equals():
     for c in (1, 0, Fraction(-2, 3), root_of_unity(3, 2, 4), root_of_unity(3, 2, 4) * 0):
         r = RationalFunctionT.const(c, 3)

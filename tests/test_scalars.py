@@ -64,6 +64,11 @@ def test_sqrt_q_squares_to_p(p):
     assert abs(embed_complex(r, 30) - mpmath.sqrt(p)) < mpmath.mpf(10) ** -12
 
 
+def test_sqrt_q_cache_is_bounded():
+    maxsize = sqrt_q.cache_info().maxsize
+    assert maxsize is not None and maxsize > 0
+
+
 def test_sqrt_q_power_half_integers():
     assert sqrt_q_power(2, 4) == 4
     assert sqrt_q_power(2, -2) == Fraction(1, 2)

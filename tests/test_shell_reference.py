@@ -16,9 +16,9 @@ import pytest
 
 from gjzeta import integrate
 from gjzeta.errors import BudgetExceeded
-from gjzeta.integrate import (IntegrationConfig, _int_det, _mod_int, _shell_generic,
-                              _shell_hermite, _shell_n1)
-from gjzeta.padic import INFINITE, PAdicContext, PAdicMatrix, psi_value, valuation
+from gjzeta.integrate import IntegrationConfig, _shell_generic, _shell_hermite, _shell_n1
+from gjzeta.padic import (INFINITE, PAdicContext, PAdicMatrix, flat_det, mod_int,
+                          psi_value, valuation)
 from gjzeta.scalars import as_scalar, root_of_unity
 from gjzeta.zeta import MultiplicativeCharacter
 
@@ -149,7 +149,7 @@ def shell_generic_reference(ctx, k, center, level, modulation, config, unit_char
         return as_scalar(0, p)
     pm = Fraction(p) ** m
     Lp = level + m
-    A = tuple(_mod_int(e * pm, p ** max(Lp, 0)) for row in center.entries for e in row)
+    A = tuple(mod_int(e * pm, p ** max(Lp, 0)) for row in center.entries for e in row)
     C = tuple(e / pm for row in modulation.entries for e in row)
     cv = min((valuation(c, p) for c in C if c != 0), default=INFINITE)
     mpsi = 0 if cv is INFINITE else max(0, -int(cv))
@@ -164,7 +164,7 @@ def shell_generic_reference(ctx, k, center, level, modulation, config, unit_char
         if visited > config.hard_budget:
             raise BudgetExceeded("refinement exceeded %d cells" % config.hard_budget,
                                  shell=k, truncation=m, cells=visited)
-        det = _int_det(a, n)
+        det = flat_det(a, n)
         dv, d = j, det  # a zero det only says "v >= j"
         if det != 0:
             dv = 0
