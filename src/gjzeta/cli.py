@@ -204,15 +204,14 @@ def cmd_gamma(args):
     chi = parse_character(args.p, args.char)
     cfg = build_config(args)
     phis = parse_phi_list(args.n, ctx, args.phis)
-    ok, gamma, warnings = phi_independence_check(phis, chi, cfg)
-    cells = sum(z.stats.get("cells", 0)
-                for z in (gamma.num, gamma.den))
+    stats = {}
+    ok, gamma, warnings = phi_independence_check(phis, chi, cfg, stats)
     return ({"p": args.p, "n": args.n, "char": args.char, "phis": args.phis},
             {"gamma": gamma.value.serialize(),
              "num": gamma.num.value.serialize(),
              "den": gamma.den.value.serialize(),
              "warnings": warnings},
-            "PASS" if ok else "FAIL", cells,
+            "PASS" if ok else "FAIL", stats.get("cells", 0),
             {"k_range_den": list(gamma.den.k_range),
              "k_range_num": list(gamma.num.k_range)})
 

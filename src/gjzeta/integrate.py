@@ -72,8 +72,10 @@ def term_shell_integral(ctx: PAdicContext, k: int, center: PAdicMatrix,
     if n == 1:
         return _shell_n1(ctx, k, center, level, modulation, unit_char, stats)
     c = modulation.entries[0][0]
-    if (not config.force_enumeration and modulation == PAdicMatrix.scalar(n, c)
-            and center.in_coset(PAdicMatrix.zero(n), level, ctx.p)):
+    if (not config.force_enumeration
+            and all(e == (c if i == j else 0)
+                    for i, row in enumerate(modulation.entries) for j, e in enumerate(row))
+            and center.min_valuation(ctx.p) >= level):
         return _shell_hermite(ctx, n, k, level, c, unit_char, stats)
     return _shell_generic(ctx, k, center, level, modulation, config, unit_char, stats)
 

@@ -153,6 +153,8 @@ class CyclotomicNumber:
         return self.inverse() * other
 
     def __pow__(self, e: int):
+        if self.m == 0:  # a rational: Fraction ** e, which rejects 0 ** -e too
+            return CyclotomicNumber(self.p, 0, [self.coeffs[0] ** e])
         return _power(self, e, one(self.p))
 
     def _galois(self, a: int) -> "CyclotomicNumber":
@@ -319,8 +321,7 @@ def sqrt_q_power(p: int, e: int):
     """Exact p^(e/2) for an integer e (i.e. sqrt(p)^e)."""
     if e % 2 == 0:
         return as_scalar(Fraction(p) ** (e // 2), p)
-    root = sqrt_q(p)
-    return root ** e if e >= 0 else (1 / root) ** (-e)
+    return sqrt_q(p) * Fraction(p) ** ((e - 1) // 2)
 
 
 class QuadExt:

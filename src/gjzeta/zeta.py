@@ -38,9 +38,17 @@ class MultiplicativeCharacter:
         if any(map(scalar_is_zero, [self.value_at_p, *self.table.values()])):
             raise ValueError("a character takes no zero value")
         pc = p ** conductor_exp
-        units = [u for u in range(pc) if pc == 1 or u % p != 0]
+        units = [u for u in range(pc) if u % p]
         if conductor_exp and sorted(self.table) != sorted(units):
             raise ValueError("table must cover all units mod p^%d" % conductor_exp)
+        t, span, gens = self.table, {1}, []
+        for g in units:  # chi(u g) = chi(u) chi(g) for every u and g in gens suffices
+            if g not in span:
+                gens.append(g)
+                span = {s * pow(g, k, pc) % pc for s in span for k in range(pc)}
+        if conductor_exp and (t[1] != 1 or any(t[u * g % pc] != t[u] * t[g]
+                                               for u in units for g in gens)):
+            raise ValueError("table is not a character of the units mod p^%d" % conductor_exp)
 
     # -- constructors --------------------------------------------------
 
@@ -189,19 +197,25 @@ def dual_gamma_factor(phi, chi: MultiplicativeCharacter,
 
 
 def phi_independence_check(phis, chi: MultiplicativeCharacter,
-                           config: IntegrationConfig | None = None):
+                           config: IntegrationConfig | None = None, stats=None):
     """gamma factors from several Phi must coincide.
 
     Returns (all_equal, gamma, warnings); Phi with identically vanishing
-    Z are skipped as degenerate.  AllDegenerate if none survives.
+    Z are skipped as degenerate.  AllDegenerate if none survives.  The
+    cells of every nondegenerate Phi's zeta integrals are added to stats.
     """
     gammas = []
     warnings = []
     for phi in phis:
         try:
-            gammas.append(gamma_factor(phi, chi, config))
+            g = gamma_factor(phi, chi, config)
         except ZeroDenominator:
             warnings.append("degenerate Phi %s skipped" % phi_fingerprint(phi))
+            continue
+        gammas.append(g)
+        if stats is not None:
+            stats["cells"] = (stats.get("cells", 0) + g.num.stats.get("cells", 0)
+                              + g.den.stats.get("cells", 0))
     if not gammas:
         raise AllDegenerate("every Phi produced a vanishing zeta integral")
     if len(gammas) == 1:

@@ -60,6 +60,16 @@ def test_verify_bk_pass(capsys):
     assert rep["windows"]["k_range"]
 
 
+@pytest.mark.parametrize("argv, cells", [
+    (["gamma", "--p", "2", "--n", "1"], 3 * 14),  # three Phi, 14 cells each
+    (["gamma", "--p", "3", "--n", "2"], 361),  # every Phi, not the first one's 90
+    (["verify-bk", "--p", "3", "--n", "2", "--phis", "unit_ball"], 79210)])  # one action
+def test_cells_count_the_work_of_the_run(argv, cells, capsys):
+    code, rep = run_json(argv, capsys)
+    assert code == 0 and rep["verdict"] == "PASS"
+    assert rep["cells_enumerated"] == cells
+
+
 def test_verify_inverse_pass(capsys):
     code, rep = run_json(["verify-inverse", "--p", "2", "--n", "1",
                           "--alpha2", "1"], capsys)
@@ -196,6 +206,9 @@ def test_invalid_inputs_exit_3(tmp_path, capsys):
     argvs = [gamma + ["--char", char] for char in
              ("unramified:0", '{"conductor_exp": 1, "table": {"1": "0", "2": "1"}}',
               '{"table": [1, 2]}', str(char_list))]
+    # a table with chi(1) = 2 is no character; it used to exit 0
+    argvs.append(gamma + ["--char", '{"conductor_exp": 1, "table": {"1": "2", "2": "1"}}',
+                          "--phis", "shifted_ball(1,1),shifted_ball(1,2)"])
     for i, doc in enumerate(("[]", '{"n": 1, "p": 3, "terms": [1]}')):
         phi = tmp_path / ("phi%d.json" % i)
         phi.write_text(doc)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from gjzeta import distributions
 from gjzeta.distributions import (DIRECT, INVERSE, TwistedDistribution,
                                   closed_form_inverse, cstar_gamma, det_twist,
                                   gj_delta, spectral_action, tilde,
@@ -73,6 +74,31 @@ def test_bk_identity_report_n1():
     assert rep["verdict"] == "PASS"
     assert rep["windows"]["k_range"]
     assert rep["cells_enumerated"] > 0
+
+
+def test_bk_identity_evaluates_the_spectral_action_once(monkeypatch):
+    # the action does not depend on x: three sample points, one evaluation
+    calls = []
+    real = distributions.spectral_action
+    monkeypatch.setattr(distributions, "spectral_action",
+                        lambda *args: calls.append(args) or real(*args))
+    p = 3
+    chi = MultiplicativeCharacter.unramified(p, root_of_unity(p, 1, 1))
+    xs = [PAdicMatrix([[1]]), PAdicMatrix([[p]]), PAdicMatrix([[Fraction(1, p)]])]
+    rep = verify_bk_identity(chi, 1, [SchwartzBruhatFn.unit_ball(1, PAdicContext(p))], xs)
+    assert rep["verdict"] == "PASS" and rep["parameters"]["x_count"] == 3
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("bad, error", [(PAdicMatrix([[0]]), Singular),
+                                        (PAdicMatrix.identity(2), ValueError)])
+@pytest.mark.parametrize("where", [1, 2])
+def test_bk_identity_checks_every_sample_point(bad, error, where):
+    chi = MultiplicativeCharacter.trivial(2)
+    xs = [PAdicMatrix([[1]]), PAdicMatrix([[2]]), PAdicMatrix([[Fraction(1, 2)]])]
+    xs[where] = bad
+    with pytest.raises(error):
+        verify_bk_identity(chi, 1, [SchwartzBruhatFn.unit_ball(1, PAdicContext(2))], xs)
 
 
 @pytest.mark.parametrize("p", [2, 3])

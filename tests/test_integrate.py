@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from gjzeta import integrate
 from gjzeta.errors import BudgetExceeded, NoStabilization
 from gjzeta.integrate import (IntegrationConfig, stabilized_shell_integral,
                               term_shell_integral)
@@ -91,6 +92,23 @@ def test_nonscalar_modulation_uses_generic_path():
     # compare against an explicit enumeration with the same integrand
     ref = shell(p, 2, 0, modulation=b, force_enumeration=True)
     assert scalar_is_zero(val - ref)
+
+
+@pytest.mark.parametrize("center, modulation, route", [
+    (PAdicMatrix([[2, 0], [4, 2]]), PAdicMatrix.scalar(2, Fraction(1, 2)), "hermite"),
+    (PAdicMatrix.zero(2), PAdicMatrix.scalar(2, Fraction(1, 2)), "hermite"),
+    (PAdicMatrix([[2, 0], [1, 2]]), PAdicMatrix.scalar(2, Fraction(1, 2)), "generic"),
+    (PAdicMatrix.zero(2), PAdicMatrix([[Fraction(1, 2), 0], [0, 1]]), "generic"),
+    (PAdicMatrix.zero(2), PAdicMatrix([[1, 1], [0, 1]]), "generic")])
+def test_hermite_route_needs_scalar_modulation_and_center_in_the_lattice(
+        center, modulation, route, monkeypatch):
+    # at level 1: the center must lie in 2 M_2(Z_2), the modulation must be c * Id
+    taken = []
+    for name in ("hermite", "generic"):
+        monkeypatch.setattr(integrate, "_shell_" + name,
+                            lambda *args, name=name: taken.append(name) or 0)
+    shell(2, 2, 2, center=center, level=1, modulation=modulation)
+    assert taken == [route]
 
 
 def test_hard_budget_raises():

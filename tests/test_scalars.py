@@ -8,8 +8,8 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
-from gjzeta.scalars import (CyclotomicNumber, QuadExt, as_scalar,
-                            embed_complex, root_of_unity, root_of_unity_sum,
+from gjzeta.scalars import (CyclotomicNumber, QuadExt, _power, as_scalar,
+                            embed_complex, one, root_of_unity, root_of_unity_sum,
                             scalar_conjugate, scalar_is_zero, sqrt_q, sqrt_q_power)
 
 
@@ -74,6 +74,36 @@ def test_sqrt_q_power_half_integers():
     assert sqrt_q_power(2, -2) == Fraction(1, 2)
     assert sqrt_q_power(3, 3) * sqrt_q_power(3, -3) == 1
     assert sqrt_q_power(3, 1) * sqrt_q_power(3, 1) == 3
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_sqrt_q_power_is_the_repeated_product(p):
+    # cyclotomic roots (p = 2, 1 mod 4) and QuadExt roots (p = 3 mod 4)
+    root = sqrt_q(p)
+    for base, sign in ((root, 1), (root.inverse(), -1)):
+        x = as_scalar(1, p)
+        for e in range(10):
+            got = sqrt_q_power(p, sign * e)
+            assert got == x and hash(got) == hash(x)
+            if e % 2:  # an even power is a rational, kept as one
+                assert repr(got) == repr(x)
+            x = x * base
+
+
+def test_rational_power_matches_square_and_multiply():
+    rng = random.Random(5)
+    for p in (2, 3, 5):
+        xs = [as_scalar(Fraction(rng.randint(-9, 9), rng.randint(1, 9)), p)
+              for _ in range(12)] + [as_scalar(0, p)]
+        for x in xs:
+            for e in range(-6, 7):
+                if x.is_zero() and e < 0:
+                    with pytest.raises(ZeroDivisionError):
+                        x ** e
+                    continue
+                got, want = x ** e, _power(x, e, one(p))
+                assert got.m == 0 and got == want
+                assert repr(got) == repr(want) and hash(got) == hash(want)
 
 
 def test_quadext_is_a_field():

@@ -42,6 +42,11 @@ def test_character_table_validation():
         MultiplicativeCharacter(2, 2, {1: 1})  # missing unit 3
     with pytest.raises(ValueError):
         MultiplicativeCharacter.from_generators(5, 1, {4: -1})  # <4> is not all units
+    # tables that cover the units but are not characters
+    for p, table in ((3, {1: 2, 2: 1}),  # chi(1) = 2
+                     (5, {1: 1, 2: 1, 3: -1, 4: -1})):  # chi(2)^2 = 1, chi(4) = -1
+        with pytest.raises(ValueError, match="not a character"):
+            MultiplicativeCharacter(p, 1, table)
 
 
 def test_value_at_minus_one():
