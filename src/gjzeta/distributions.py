@@ -9,7 +9,7 @@ T = q^(-s/2), computed by regularized shell sums:
     DIRECT  (alpha, eps):  sum_k I_k(eps, chi^-1) chi^-1(p)^k q^(-k alpha) T^(-2k)
     INVERSE (alpha, eps):  sum_k J_k(eps, chi)    chi(p)^k    q^(-k alpha) T^(+2k)
 
-with I_k, J_k the stabilized unit-part shell integrals of psi(tr(eps g)).
+with I_k, J_k the unit-part shell integrals of psi(tr(eps g)), each exact at one truncation.
 In INVERSE mode the substitution h = g^(-1) (d^x g inversion-invariant)
 carries the |det|^alpha weight along with the kernel variable; this is the
 unique reading under which the convolution-inverse pair multiplies to 1 on
@@ -129,13 +129,9 @@ def spectral_action(d: TwistedDistribution, chi: MultiplicativeCharacter,
     r_max = config.r_max or n
     k_high = 2 * r_max + config.confirm + K_EXTRA
 
-    def entry(k):
-        # shell k is only reachable from truncation p^-m M with nm >= -k
-        m0 = max(config.m_start, (-k + n - 1) // n) if k < 0 else config.m_start
-        return stabilized_shell_integral(ctx, n, k, eps_mod,
-                                         replace(config, m_start=m0), kchi, stats)
-
-    results = parallel_map(entry, range(k_low, k_high + 1))
+    results = parallel_map(
+        lambda k: stabilized_shell_integral(ctx, n, k, eps_mod, config, kchi, stats),
+        range(k_low, k_high + 1))
     seq = [val * kchi.value_at_p ** k * sqrt_q_power(p, -k * d.alpha2)
            for k, (val, _) in enumerate(results, start=k_low)]
     # certify the dead zone below the window

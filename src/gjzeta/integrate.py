@@ -34,9 +34,7 @@ from .ratfun import LaurentPoly, RationalFunctionT
 from .recurrence import detect_recurrence
 from .scalars import as_scalar, root_of_unity_sum, scalar_is_zero
 
-# a stabilized integral needs M_CONFIRM consecutive equal truncations; a shell
-# series takes K_EXTRA shells beyond the 2 r_max + confirm that rationalize reads
-M_CONFIRM = 2
+# a shell series takes K_EXTRA shells beyond the 2 r_max + confirm that rationalize reads
 K_EXTRA = 2
 
 
@@ -44,7 +42,7 @@ K_EXTRA = 2
 class IntegrationConfig:
     """Truncation, certification, and budget knobs.
 
-    m_start/m_max: truncation-ball growth for non-compact distribution integrals.
+    m_start/m_max: least and greatest truncation p^(-m) M_n(Z_p) of a kernel shell.
     r_max/confirm: recurrence order bound and confirmation window for
     rationalization (r_max defaults to n at the call site).
     hard_budget: max refinement cells per integral.
@@ -290,26 +288,28 @@ def schwartz_shell_integral(phi, k: int, config: IntegrationConfig,
 def stabilized_shell_integral(ctx: PAdicContext, n: int, k: int,
                               modulation: PAdicMatrix, config: IntegrationConfig,
                               unit_char=None, stats=None):
-    """int_{v(det g)=k} psi(tr(modulation g)) chi(det g / p^k) d^x g.
+    """int_{v(det g)=k} psi(tr(eps g)) chi(det g / p^k) d^x g, modulation eps Id
+    with eps a unit, as (value, m): one evaluation on p^(-m) M_n(Z_p) at
+    m = max(m_start, m*), where m* is a proven exact truncation point.
 
-    The domain is not compact; truncate to p^(-m) M_n(Z_p) and grow m until
-    M_CONFIRM consecutive truncations agree exactly.  Returns (value, m).
+    n = 1: the shell p^k Z_p^x is compact and inside p^(-m) Z_p once m >= -k,
+    so m* = max(0, -k).  n >= 2: _shell_hermite at level -m has mc = m, and
+    L = m once m >= c' = max(1, cu).  Then G(w p^t), w = eps, is 0 for t < m - c' and
+    p^(m-c') g(min(t - m + c', c')) otherwise, with g free of m (the Ramanujan
+    sums (-1, p - 1) for cu = 0; for cu > 0 the summand sees x mod p^cu only).
+    With a_j = m - c' + b_j the sum runs over b_1 + ... + b_n = k + n c', and the
+    powers p^(-m n(n-1)/2) of vol(B_0(p^m)), p^((m-c') n(n-1)/2) of the weights,
+    p^(n(m-c')) of the Gauss sums and p^(-n(m-1)) of phi(p^m)^(-n) cancel in m.
+    So m* = max(1, cu, ceil(-k/n)), which also reaches the shell.  A truncated
+    integral does not depend on its evaluation path: force_enumeration uses m*.
     """
-    center = PAdicMatrix.zero(n)
-    prev = None
-    agree = 0
-    for m in range(config.m_start, config.m_max + 1):
-        val = term_shell_integral(ctx, k, center, -m, modulation, config,
-                                  unit_char, stats)
-        if prev is not None and scalar_is_zero(val - prev):
-            agree += 1
-            if agree >= M_CONFIRM:
-                return val, m
-        else:
-            agree = 0
-        prev = val
-    raise NoStabilization("shell %d did not stabilize by truncation m = %d"
-                          % (k, config.m_max))
+    cu = unit_char.conductor_exp if unit_char else 0
+    m = max(config.m_start, max(0, -k) if n == 1 else max(1, cu, -(k // n)))
+    if m > config.m_max:
+        raise NoStabilization("shell %d did not stabilize by truncation m = %d"
+                              % (k, config.m_max))
+    return term_shell_integral(ctx, k, PAdicMatrix.zero(n), -m, modulation, config,
+                               unit_char, stats), m
 
 
 # -- rationalization ----------------------------------------------------

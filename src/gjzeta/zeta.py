@@ -116,10 +116,11 @@ class MultiplicativeCharacter:
         return self.value_at_p ** v * self.unit_value(ures)
 
     def inverse(self) -> "MultiplicativeCharacter":
-        return MultiplicativeCharacter(
-            self.p, self.conductor_exp,
-            {u: v.inverse() for u, v in self.table.items()},
-            self.value_at_p.inverse())
+        """chi^(-1)(u) = chi(u^(-1) mod p^c): a permuted table, one scalar inverse."""
+        pc = self.p ** self.conductor_exp
+        return MultiplicativeCharacter(self.p, self.conductor_exp,
+                                       {u: self.table[pow(u, -1, pc)] for u in self.table},
+                                       self.value_at_p.inverse())
 
     def value_at_minus_one(self):
         return self.unit_value(-1)

@@ -63,7 +63,7 @@ def test_verify_bk_pass(capsys):
 @pytest.mark.parametrize("argv, cells", [
     (["gamma", "--p", "2", "--n", "1"], 3 * 14),  # three Phi, 14 cells each
     (["gamma", "--p", "3", "--n", "2"], 361),  # every Phi, not the first one's 90
-    (["verify-bk", "--p", "3", "--n", "2", "--phis", "unit_ball"], 79210)])  # one action
+    (["verify-bk", "--p", "3", "--n", "2", "--phis", "unit_ball"], 531)])  # one action
 def test_cells_count_the_work_of_the_run(argv, cells, capsys):
     code, rep = run_json(argv, capsys)
     assert code == 0 and rep["verdict"] == "PASS"

@@ -146,5 +146,7 @@ def test_windows_cover_every_spectral_action_call(order):
     chis = [MultiplicativeCharacter.trivial(3), MultiplicativeCharacter.quadratic_ramified(3)]
     rep = verify_inverse_weak(tilde(cstar_gamma(1)), chis[::order])
     assert rep["verdict"] == "PASS"
-    assert rep["windows"] == {"k_range": [-4, 7], "m_range": [2, 6]}
-    assert rep["cells_enumerated"] == 828
+    # one evaluation per shell, at m* = max(0, -k): 2 * 3^(max(1, -k) - 1) units each,
+    # twice per chi (the action and its inverse), over k in [-3, 7] and [-4, 7]
+    assert rep["windows"] == {"k_range": [-4, 7], "m_range": [0, 4]}
+    assert rep["cells_enumerated"] == 2 * 42 + 2 * 96

@@ -131,7 +131,8 @@ def test_stabilized_integral_n1():
 
 def test_no_stabilization_raises():
     ctx = PAdicContext(2)
-    # truncations m = 0, 1 agree at most once, short of M_CONFIRM = 2
+    # shell k = -2 lies in p^(-m) Z_p only from m* = 2 on, beyond m_max = 1
     cfg = IntegrationConfig(m_max=1)
     with pytest.raises(NoStabilization):
-        stabilized_shell_integral(ctx, 1, 0, PAdicMatrix([[1]]), cfg)
+        stabilized_shell_integral(ctx, 1, -2, PAdicMatrix([[1]]), cfg)
+    assert stabilized_shell_integral(ctx, 1, -1, PAdicMatrix([[1]]), cfg)[1] == 1

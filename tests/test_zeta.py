@@ -37,6 +37,22 @@ def test_character_evaluation_and_inverse():
     assert psi.inverse().char_eval(3) * psi.char_eval(3) == 1
 
 
+@pytest.mark.parametrize("p, gen", [(2, None), (3, None), (5, None), (7, None),
+                                    (7, 3), (13, 2)])
+def test_character_inverse_permutes_the_table(p, gen):
+    # the quadratic chi, or the conductor-2 chi with chi(gen) = zeta_p
+    z = root_of_unity(p, 1, 1)
+    chi = (MultiplicativeCharacter.from_generators(p, 2, {gen: z}, z) if gen
+           else MultiplicativeCharacter.quadratic_ramified(p, z))
+    inv = chi.inverse()
+    ref = MultiplicativeCharacter(p, chi.conductor_exp,
+                                  {u: v.inverse() for u, v in chi.table.items()},
+                                  chi.value_at_p.inverse())
+    assert inv.table == ref.table and inv.value_at_p == ref.value_at_p
+    assert repr(inv) == repr(ref)
+    assert [repr(inv.table[u]) for u in ref.table] == [repr(v) for v in ref.table.values()]
+
+
 def test_character_table_validation():
     with pytest.raises(ValueError):
         MultiplicativeCharacter(2, 2, {1: 1})  # missing unit 3
