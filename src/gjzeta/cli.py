@@ -17,6 +17,7 @@ import sys
 import time
 from contextlib import nullcontext
 from fractions import Fraction
+from functools import lru_cache
 
 from . import __version__
 from .archimedean import (S_GRID, RealCharacter, RealSchwartzFn, gamma_oracle,
@@ -349,21 +350,21 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True, choices=(1, 2, 3))
     sp.add_argument("--phis", default="unit_ball,scaled_ball(1),shifted_ball(1,1)",
                     help="comma-separated Phi list (independence is re-verified)")
-    sp.set_defaults(fn=cmd_gamma)
+    sp.set_defaults(fn="cmd_gamma")
 
     sp = sub.add_parser("verify-fe",
                         help="Phi-independence of the functional-equation ratio")
     common(sp)
     sp.add_argument("--n", type=int, required=True, choices=(1, 2, 3))
     sp.add_argument("--phis", default="unit_ball,scaled_ball(1)")
-    sp.set_defaults(fn=cmd_gamma)
+    sp.set_defaults(fn="cmd_gamma")
 
     sp = sub.add_parser("verify-bk",
                         help="generating-distribution spectral identity")
     common(sp)
     sp.add_argument("--n", type=int, required=True, choices=(1, 2, 3))
     sp.add_argument("--phis", default="unit_ball,scaled_ball(1)")
-    sp.set_defaults(fn=cmd_verify_bk)
+    sp.set_defaults(fn="cmd_verify_bk")
 
     sp = sub.add_parser("verify-inverse",
                         help="weak convolution-inverse identity")
@@ -372,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha2", type=int,
                     help="2*alpha for D = (alpha, -1, INVERSE); default: "
                          "the sign-flipped normalizing distribution")
-    sp.set_defaults(fn=cmd_verify_inverse)
+    sp.set_defaults(fn="cmd_verify_inverse")
 
     sp = sub.add_parser("verify-relation",
                         help="closed-form tuple identity linking the "
@@ -380,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, padic=False)
     sp.add_argument("--n", type=int, required=True,
                     help="check all sizes 1..n")
-    sp.set_defaults(fn=cmd_verify_relation)
+    sp.set_defaults(fn="cmd_verify_relation")
 
     sp = sub.add_parser("fourier-selftest",
                         help="double-transform and Plancherel sweep on "
@@ -389,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--count", type=int, default=200,
                     help="functions per (n, p) case (default 200)")
     sp.add_argument("--seed", type=int, default=20260824)
-    sp.set_defaults(fn=cmd_fourier_selftest)
+    sp.set_defaults(fn="cmd_fourier_selftest")
 
     sp = sub.add_parser("arch-gamma",
                         help="real-place gamma sweep against the Gamma oracle")
@@ -399,19 +400,21 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--s", help="comma-separated complex s grid")
     sp.add_argument("--tol", type=float, default=1e-6)
     sp.add_argument("--format", choices=("json", "csv"), default="json")
-    sp.set_defaults(fn=cmd_arch_gamma)
+    sp.set_defaults(fn="cmd_arch_gamma")
     return top
 
 
+_parser = lru_cache(maxsize=1)(build_parser)  # once per process; handlers by name
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_INVALID if exc.code not in (0, None) else 0
     t0 = time.time()
     try:
-        parameters, results, verdict, cells, windows = args.fn(args)
+        parameters, results, verdict, cells, windows = globals()[args.fn](args)
     except (InvalidSpec, ValueError) as exc:
         print("invalid input: %s" % exc, file=sys.stderr)
         return EXIT_INVALID

@@ -96,7 +96,12 @@ def _phase_sum(p, m, hist, chi_table):
 
 
 def _shell_n1(ctx, k, center, level, modulation, unit_char, stats):
-    """Units r mod p^j, x = p^k r, counted by (r mod p^cu, psi exponent)."""
+    """Units r mod p^j, x = p^k r, counted by (r mod p^cu, psi exponent).
+
+    0 when m - 1 >= max(1, cu, level - k), m the psi level: with r = r0 + p^(m-1) y
+    the unit, chi(r mod p^cu) and coset v(r - a/p^k) >= level - k tests see r0 only,
+    and sum_y zeta_{p^m}^(w r) = zeta_{p^m}^(w r0) sum_{y mod p} zeta_p^(w y) = 0, w a unit.
+    """
     p = ctx.p
     cu, chi_table = (unit_char.conductor_exp, unit_char.table) if unit_char else (0, {})
     a = center.entries[0][0]
@@ -104,6 +109,9 @@ def _shell_n1(ctx, k, center, level, modulation, unit_char, stats):
     vb = valuation(b, p)
     m = 0 if vb is INFINITE else max(0, -(k + vb))
     j = max(1, cu, level - k, m)
+    _bump(stats, "cells", p ** j - p ** (j - 1))
+    if m > max(1, cu, level - k):
+        return as_scalar(0, p)
     pk = Fraction(p) ** k
     M = p ** m
     w = mod_int(b * pk * M, M)  # psi(b p^k r) = zeta_{p^m}^(w r)
@@ -111,7 +119,6 @@ def _shell_n1(ctx, k, center, level, modulation, unit_char, stats):
     for r in range(p ** j):
         if r % p and valuation(pk * r - a, p) >= level:
             hist[r % p ** cu][w * r % M] += 1
-    _bump(stats, "cells", p ** j - p ** (j - 1))
     return _phase_sum(p, m, hist, chi_table) * Fraction(1, p ** j)
 
 

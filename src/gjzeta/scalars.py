@@ -104,8 +104,8 @@ class CyclotomicNumber:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return zero(self.p)  # canonical level 0, so == and hash agree
-            f = Fraction(other)
-            return CyclotomicNumber(self.p, self.m, [c * f for c in self.coeffs])
+            f = Fraction(other)  # most coefficients of a high-level phase are 0
+            return CyclotomicNumber(self.p, self.m, [c * f if c else c for c in self.coeffs])
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
@@ -143,8 +143,7 @@ class CyclotomicNumber:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return CyclotomicNumber(self.p, self.m, [c / f for c in self.coeffs])
+            return self * (1 / Fraction(other))  # raises ZeroDivisionError at 0
         if isinstance(other, CyclotomicNumber):
             return self * other.inverse()
         return NotImplemented

@@ -101,7 +101,7 @@ class SchwartzBruhatFn:
         for t in self.terms:
             vol = Fraction(p) ** (-t.level * n2)
             phase = psi_value(trace_pairing(t.modulation, t.center), self.ctx)
-            out.append(SchwartzTerm(t.coeff * phase * vol,
+            out.append(SchwartzTerm(t.coeff * vol * phase,  # coeff has fewer entries
                                     -t.modulation, -t.level, t.center))
         return SchwartzBruhatFn(self.n, self.ctx, out)
 
@@ -132,15 +132,25 @@ class SchwartzBruhatFn:
                 # int_{a + p^k M} psi(tr(b x)) dx vanishes unless p^k b is integral
                 if b.min_valuation(p) + k < 0:
                     continue
-                val = s.coeff * t_coeff_bar \
-                    * psi_value(trace_pairing(b, a), self.ctx) * Fraction(p) ** (-k * n2)
+                val = s.coeff * t_coeff_bar * Fraction(p) ** (-k * n2) \
+                    * psi_value(trace_pairing(b, a), self.ctx)
                 total = total + val
         return total
 
     def fn_equal(self, other: "SchwartzBruhatFn") -> bool:
-        """Exact function equality via positivity of the L^2 norm of the difference."""
-        diff = self - other
-        return scalar_is_zero(diff.inner_product(diff))
+        """Exact function equality via positivity of the L^2 norm of the difference.
+
+        Terms of self - other sharing (center, level, modulation) are multiples
+        of one function, so merging them keeps the function; if all cancel it is
+        0.  For f^^ against reflect(f) they do: psi(tr(ba)) psi(-tr(ab)) = 1.
+        """
+        merged = {}
+        for t in (self - other).terms:
+            key = (t.center, t.level, t.modulation)
+            merged[key] = merged[key] + t.coeff if key in merged else t.coeff
+        diff = SchwartzBruhatFn(self.n, self.ctx, [SchwartzTerm(c, *key)
+                                                   for key, c in merged.items()])
+        return not diff.terms or scalar_is_zero(diff.inner_product(diff))
 
     # -- serialization -------------------------------------------------
 

@@ -5,14 +5,15 @@ import os
 import subprocess
 import sys
 import threading
+from fractions import Fraction
 
 import pytest
 
 from gjzeta import cli
 from gjzeta.cli import build_config, build_parser, main
 from gjzeta.errors import BudgetExceeded, NearZeroDenominator
-from gjzeta.padic import PAdicContext
-from gjzeta.schwartz import SchwartzBruhatFn
+from gjzeta.padic import PAdicContext, psi_value
+from gjzeta.schwartz import SchwartzBruhatFn, SchwartzTerm
 
 TATE_GAMMA_P2 = {"base_q": 2, "den": {"0": "1", "2": "-2"},
                  "num": {"2": "-2", "4": "2"}}
@@ -251,6 +252,47 @@ def test_inconclusive_report_names_budget_shell(monkeypatch, capsys):
     assert rep["results"] == {"error": "BudgetExceeded",
                               "message": "refinement exceeded 5 cells",
                               "shell": 3, "truncation": 1, "cells": 6}
+
+
+def test_handler_patched_after_a_run_takes_effect(monkeypatch, capsys):
+    # main builds its parser once per process, but looks each handler up
+    # by name when it runs, so a later monkeypatch still takes effect
+    code, rep = run_json(["verify-relation", "--n", "1"], capsys)
+    assert code == 0 and rep["verdict"] == "PASS"
+
+    def failing(args):
+        return {"n_max": args.n}, {"patched": True}, "FAIL", 0, None
+    monkeypatch.setattr(cli, "cmd_verify_relation", failing)
+    code, rep = run_json(["verify-relation", "--n", "1"], capsys)
+    assert code == 1 and rep["results"] == {"patched": True}
+
+
+def test_consecutive_runs_write_their_own_reports(tmp_path):
+    # the shared parser must carry nothing from one run into the next
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    assert main(["verify-relation", "--n", "2", "--out", str(first)]) == 0
+    assert main(["fourier-selftest", "--count", "1", "--seed", "5",
+                 "--out", str(second)]) == 0
+    a, b = json.loads(first.read_text()), json.loads(second.read_text())
+    assert a["command"] == "verify-relation" and a["parameters"] == {"n_max": 2}
+    assert [r["n"] for r in a["results"]] == [1, 2]
+    assert b["command"] == "fourier-selftest"
+    assert b["parameters"] == {"count_per_case": 1, "seed": 5}
+    assert b["results"] == {"functions_checked": 4, "failures": []}
+
+
+def test_fourier_selftest_catches_a_wrong_phase(monkeypatch, capsys):
+    # psi(tr a) in place of psi(tr(b a)): f^^ keeps the terms of reflect(f)
+    # with other coefficients, which fn_equal must still tell apart
+    def wrong_phase(self):
+        p, n2 = self.ctx.p, self.n * self.n
+        return SchwartzBruhatFn(self.n, self.ctx, [SchwartzTerm(
+            t.coeff * Fraction(p) ** (-t.level * n2) * psi_value(t.center.trace(), self.ctx),
+            -t.modulation, -t.level, t.center) for t in self.terms])
+    monkeypatch.setattr(SchwartzBruhatFn, "fourier", wrong_phase)
+    code, rep = run_json(["fourier-selftest", "--count", "3"], capsys)
+    assert code == 1 and rep["verdict"] == "FAIL"
+    assert "double transform = reflect" in {f["law"] for f in rep["results"]["failures"]}
 
 
 def test_failure_exit_1(capsys):

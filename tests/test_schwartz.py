@@ -3,12 +3,13 @@
 import json
 import random
 from fractions import Fraction
+from itertools import product
 
 from hypothesis import given, settings, strategies as st
 
 from gjzeta.padic import PAdicContext, PAdicMatrix, psi_value, trace_pairing
 from gjzeta.cli import random_schwartz
-from gjzeta.schwartz import SchwartzBruhatFn
+from gjzeta.schwartz import SchwartzBruhatFn, SchwartzTerm
 from gjzeta.scalars import (as_scalar, root_of_unity, scalar_conjugate,
                             scalar_is_zero)
 
@@ -162,3 +163,51 @@ def test_inner_product_equals_reference(pair):
     for x, y in ((f, g), (f.fourier(), g.fourier()), (f - g, f - g)):
         got, want = x.inner_product(y), inner_product_reference(x, y)
         assert got == want and repr(got) == repr(want)
+
+
+# -- fn_equal against the L^2 norm of the unmerged difference ----------------
+
+def _rewrite(draw, f):
+    """f in another representation (same function), or with one coefficient
+    changed (another function).  Returns (g, whether f and g are equal)."""
+    p, n = f.ctx.p, f.n
+    terms = list(f.terms)
+    i = draw(st.integers(0, len(terms) - 1))
+    t = terms[i]
+    kinds = ["shift", "split_coeff", "change_coeff"]
+    if p ** (n * n) <= 16:  # the split has p^(n^2) pieces; keep the norm cheap
+        kinds.append("split_ball")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "shift":  # a + p^level M is the same coset
+        shift = PAdicMatrix([[draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(n)])
+        new = [SchwartzTerm(t.coeff, t.center - shift.scale(Fraction(p) ** t.level),
+                            t.level, t.modulation)]
+    elif kind == "split_coeff":  # c = c1 + (c - c1) over two identical terms
+        c1 = root_of_unity(p, 1, draw(st.integers(0, p - 1))) * draw(st.integers(-2, 2))
+        new = [SchwartzTerm(c1, t.center, t.level, t.modulation),
+               SchwartzTerm(t.coeff - c1, t.center, t.level, t.modulation)]
+    elif kind == "split_ball":  # a + p^k M is the union of its p^(n^2) level-(k+1) balls
+        pk = Fraction(p) ** t.level
+        digits = (PAdicMatrix([d[r * n:(r + 1) * n] for r in range(n)])
+                  for d in product(range(p), repeat=n * n))
+        new = [SchwartzTerm(t.coeff, t.center - e.scale(pk), t.level + 1, t.modulation)
+               for e in digits]
+    else:
+        delta = root_of_unity(p, 1, draw(st.integers(0, p - 1))) * draw(
+            st.sampled_from([-1, 1, Fraction(1, 2)]))
+        new = [SchwartzTerm(t.coeff + delta, t.center, t.level, t.modulation)]
+    return SchwartzBruhatFn(n, f.ctx, terms[:i] + new + terms[i + 1:]), kind != "change_coeff"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_fn_equal_matches_norm_reference(data):
+    f, g = data.draw(_schwartz_pairs())
+    if not f.terms:
+        f = f + SchwartzBruhatFn.unit_ball(f.n, f.ctx)
+    h, same = _rewrite(data.draw, f)
+    for x, y, want in ((f, h, same), (h, f, same), (f, g, None), (f.fourier(), h.fourier(), same)):
+        d = x - y
+        reference = scalar_is_zero(inner_product_reference(d, d))
+        assert x.fn_equal(y) == reference
+        assert want is None or reference == want

@@ -229,6 +229,29 @@ def test_n1_matches_reference(p, level):
                     _same(got, want, got_stats, want_stats)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_n1_deep_shells_match_reference(p):
+    # a psi level m > max(1, cu, level - k) makes the sum vanish: _shell_n1
+    # returns 0 without enumerating, and must still count the reference's cells
+    ctx = PAdicContext(p)
+    vanishing = 0
+    for chi in _characters(p):
+        cu = chi.conductor_exp if chi else 0
+        for level in (-8, 0, 1):
+            for b in (Fraction(1), Fraction(p + 2, p ** 2)):
+                for k in range(-cu - 4, 0):
+                    m = -(k + valuation(b, p))
+                    if p ** max(1, cu, level - k, m) > 300:
+                        continue
+                    vanishing += m > max(1, cu, level - k)
+                    center, mod = PAdicMatrix([[Fraction(p - 1, p)]]), PAdicMatrix([[b]])
+                    got_stats, want_stats = {}, {}
+                    got = _shell_n1(ctx, k, center, level, mod, chi, got_stats)
+                    want = shell_n1_reference(ctx, k, center, level, mod, chi, want_stats)
+                    _same(got, want, got_stats, want_stats)
+    assert vanishing
+
+
 @pytest.mark.parametrize("p", [2, 3])
 @pytest.mark.parametrize("c_exp", [0, 1, 2])
 @pytest.mark.parametrize("level", [-1, 0, 1])
