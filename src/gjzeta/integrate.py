@@ -12,8 +12,9 @@ Three evaluation paths:
   * generic: recursive residue-cell refinement with an exact resolution
     rule, bounded by a hard cell budget.
 The n = 1 and generic paths count cells in python integers by (det unit
-residue, psi exponent) and reduce once per shell (_phase_sum); the generic
-one visits every cell and is the independent check of the other two.
+residue, psi exponent) and reduce once per shell (_phase_sum).  The generic
+one counts every cell, bins the children of a last split from a census of
+their residues, and is the independent check of the other two.
 """
 
 from __future__ import annotations
@@ -207,6 +208,21 @@ def _shell_generic(ctx, k, center, level, modulation, config, unit_char, stats):
     j > k'.  Otherwise split into p^(n^2) children at level j+1.  Resolved
     cells are counted by (j, det unit residue, psi exponent) and each level
     j is reduced once (_phase_sum).
+
+    Last splits are binned without visiting their children.  Let
+    R = k' + max(1, cu) and let (a, j) split with j >= max(1, mpsi - 1, R - 1),
+    so j >= k' and j + 1 >= max(mpsi, k' + cu).  A child c = a + p^j t then
+    ends at level j + 1: if v(det c) = k' <= j it is resolved, since j + 1
+    certifies psi and the unit residue; otherwise v(det c) != k' and it is
+    dropped, or v(det c) >= j + 1 > k' and it is dead.  So its fate and bin
+    are read from det c mod p^R and the psi exponent tr(C a) + p^j tr(C t).
+    det is multilinear in the columns, so det c = det a + p^j tr(adj(a) t)
+    mod p^(2j), and R <= j + 1 <= 2j: det c mod p^R depends on t, det a mod
+    p^R and a mod p^(R-j) only.  The census of the p^(n^2) children, counts
+    by (unit residue, psi offset p^j tr(C t)), is built once per key
+    (j, det a mod p^R, a mod p^(R-j)) from one representative and added at
+    a's own psi exponent.  The children are still counted as cells, and the
+    budget trips exactly when the per-child loop would, at budget + 1.
     """
     p = ctx.p
     n = center.n
@@ -235,6 +251,10 @@ def _shell_generic(ctx, k, center, level, modulation, config, unit_char, stats):
     budget = config.hard_budget
     visited = 0
     hists = {}  # j -> [det residue][psi exponent] cell count
+    R = kp + max(1, cu)
+    j_last = max(1, mpsi - 1, R - 1)
+    pR, pk, children = p ** R, p ** kp, p ** n2
+    census = {}  # (j, det a mod p^R, a mod p^(R-j)) -> ((unit residue, psi offset), count)s
     stack = [(A, max(Lp, 0))]
     while stack:
         a, j = stack.pop()
@@ -261,7 +281,31 @@ def _shell_generic(ctx, k, center, level, modulation, config, unit_char, stats):
                 continue
         elif kp < j:
             continue
-        stack.extend((tuple(map(add, a, off)), j + 1) for off in _offsets(n2, p, j))
+        if j < j_last:
+            stack.extend((tuple(map(add, a, off)), j + 1) for off in _offsets(n2, p, j))
+            continue
+        visited += children
+        if visited > budget:
+            raise BudgetExceeded("refinement exceeded %d cells" % budget,
+                                 shell=k, truncation=m, cells=budget + 1)
+        pa = p ** max(0, R - j)
+        key = (j, det % pR, tuple(x % pa for x in a))
+        bins = census.get(key)
+        if bins is None:
+            counts = {}
+            for off in _offsets(n2, p, j):
+                dc = flat_det(tuple(map(add, a, off)), n)
+                if dc % pk == 0 and dc // pk % p:
+                    b = (dc // pk % pcu, sum(map(mul, Cint, off)) % P)
+                    counts[b] = counts.get(b, 0) + 1
+            bins = census[key] = tuple(counts.items())
+        if bins:
+            if j + 1 not in hists:
+                hists[j + 1] = [[0] * P for _ in range(pcu)]
+            hist = hists[j + 1]
+            e0 = sum(map(mul, Cint, a))
+            for (u, e), c in bins:
+                hist[u][(e0 + e) % P] += c
     _bump(stats, "cells", visited)
     total = as_scalar(0, p)
     for j, hist in hists.items():

@@ -13,6 +13,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gjzeta import integrate
 from gjzeta.errors import BudgetExceeded
@@ -389,6 +390,96 @@ def test_generic_budget_matches_reference():
 @pytest.mark.parametrize("k, volume", [(0, Fraction(21, 64)), (1, Fraction(147, 64))])
 def test_generic_n3_unit_ball_matches_reference(k, volume):
     assert _generic_same(2, k, PAdicMatrix.zero(3), 0, PAdicMatrix.zero(3), None) == volume
+
+
+# -- last splits binned from a census of their children -----------------
+
+@pytest.mark.parametrize("p, k", [(2, 1), (2, 2), (3, 1)])
+def test_generic_last_split_at_kprime_matches_reference(p, k):
+    # zero modulation, trivial or quadratic chi: a cell with v(det) >= k'
+    # at j = k' >= 1 makes the last split (p = 2's quadratic chi, cu = 2, at j = k' + 1)
+    chars = _characters(p)
+    for chi in (chars[0], chars[3]):
+        for mod in (PAdicMatrix.zero(2), PAdicMatrix.scalar(2, 1)):
+            _generic_same(p, k, PAdicMatrix.zero(2), 0, mod, chi)
+
+
+def test_generic_last_split_past_kprime_from_the_psi_level():
+    # center Id at level 1: det is a unit, k' = 0, but psi needs j = 3, so
+    # the 81 splits at j = 2 are the last
+    chars = _characters(3)
+    mod = PAdicMatrix([[0, Fraction(1, 27)], [Fraction(1, 9), 0]])
+    for chi in (chars[0], chars[3]):
+        _generic_same(3, 0, PAdicMatrix.scalar(2, 1), 1, mod, chi)
+
+
+def test_generic_last_split_past_kprime_from_the_conductor():
+    # chi of conductor exponent 2 needs j = k' + 2: the last split is at k' + 1
+    chi = _characters(3)[4]
+    for center, level in ((PAdicMatrix.zero(2), 0), (PAdicMatrix.scalar(2, 1), 1)):
+        for mod in (PAdicMatrix.zero(2), PAdicMatrix([[Fraction(1, 3), 0], [1, 0]])):
+            _generic_same(3, 0, center, level, mod, chi)
+
+
+def test_generic_n3_last_split_matches_reference():
+    mod = PAdicMatrix([[0, Fraction(1, 4), 0], [0, 0, Fraction(1, 2)], [Fraction(1, 2), 0, 1]])
+    for chi in (None, _characters(2)[3]):
+        _generic_same(2, 0, PAdicMatrix.scalar(3, 1), 1, mod, chi)
+
+
+def test_generic_budget_inside_a_last_split_matches_reference():
+    # k' = 0 with the conductor-2 chi: the root and its 81 children, then each
+    # of the 48 children with a unit det splits last into 81 cells (3,970 in
+    # all); each budget below lands strictly inside one of those splits
+    chi = _characters(3)[4]
+    for budget in range(100, 3970, 397):
+        assert _generic_same(3, 0, PAdicMatrix.zero(2), 0, PAdicMatrix.zero(2), chi,
+                             budget=budget) is None
+
+
+def test_generic_last_splits_read_few_determinants(monkeypatch):
+    # the p = 3, k' = 2 cross-check shell: 76,545 of its 79,300 cells are
+    # children of last splits, counted from one census per key
+    calls = []
+    flat_det_ = integrate.flat_det
+
+    def counted(a, n):
+        calls.append(n)
+        return flat_det_(a, n)
+
+    monkeypatch.setattr(integrate, "flat_det", counted)
+    stats = {}
+    value = _shell_generic(PAdicContext(3), 2, PAdicMatrix.zero(2), 0, PAdicMatrix.scalar(2, 1),
+                           IntegrationConfig(), None, stats)
+    assert value == Fraction(208, 27) and stats == {"cells": 79300}
+    assert len(calls) < 79300 // 5
+
+
+@st.composite
+def _generic_cosets(draw):
+    p = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 2))
+
+    def matrix(low):
+        entry = st.builds(lambda a, e: Fraction(a) * Fraction(p) ** e,
+                          st.integers(-4, 4), st.integers(low, 1))
+        return PAdicMatrix([[draw(entry) for _ in range(n)] for _ in range(n)])
+    center = draw(st.sampled_from([PAdicMatrix.zero(n), PAdicMatrix.scalar(n, 1), None]))
+    if center is None:
+        center = matrix(draw(st.integers(-1, 0)))
+    modulation = draw(st.sampled_from([PAdicMatrix.zero(n), None]))
+    if modulation is None:
+        modulation = matrix(draw(st.integers(-3, 0)))
+    return (p, draw(st.integers(-1, 2)), center, draw(st.integers(-1, 1)), modulation,
+            draw(st.sampled_from(_characters(p))),
+            draw(st.one_of(st.just(2 * 10 ** 4), st.integers(20, 2 * 10 ** 4))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_generic_cosets())
+def test_generic_matches_reference_on_random_cosets(case):
+    p, k, center, level, modulation, chi, budget = case
+    _generic_same(p, k, center, level, modulation, chi, budget=budget)
 
 
 # -- the Hermite path at n = 1 and n = 3 --------------------------------
