@@ -10,6 +10,7 @@ limits — an engineering limit, never a refutation), 3 = invalid input.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import json
 import os
@@ -82,6 +83,14 @@ def parse_character(p: int, source: str) -> MultiplicativeCharacter:
         raise InvalidSpec("bad character description: %s" % exc)
 
 
+def _rational(text) -> Fraction:
+    """Fraction(text), with a zero denominator reported as invalid input."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise InvalidSpec("zero denominator in %r" % (text,)) from None
+
+
 def _parse_scalar_spec(p: int, v):
     if isinstance(v, dict):
         if "root" not in v:
@@ -93,8 +102,8 @@ def _parse_scalar_spec(p: int, v):
         if v.startswith("root:"):
             m, a = v.split(":", 1)[1].split("/")
             return root_of_unity(p, int(m), int(a))
-        return Fraction(v)
-    return Fraction(v)
+        return _rational(v)
+    return _rational(v)
 
 
 def parse_phi(n: int, ctx: PAdicContext, name: str) -> SchwartzBruhatFn:
@@ -104,7 +113,7 @@ def parse_phi(n: int, ctx: PAdicContext, name: str) -> SchwartzBruhatFn:
         try:
             with open(name[1:]) as fh:
                 phi = SchwartzBruhatFn.from_json(fh.read())
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+        except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
             raise InvalidSpec("cannot load Phi from %r: %s" % (name[1:], exc))
         if phi.n != n or phi.ctx.p != ctx.p:
             raise InvalidSpec("Phi file %r has wrong n or p" % name[1:])
@@ -117,7 +126,7 @@ def parse_phi(n: int, ctx: PAdicContext, name: str) -> SchwartzBruhatFn:
         parts = name[13:-1].split(",")
         if len(parts) != 2:
             raise InvalidSpec("shifted_ball takes two arguments: a, k")
-        return SchwartzBruhatFn.shifted_ball(n, ctx, Fraction(parts[0]), int(parts[1]))
+        return SchwartzBruhatFn.shifted_ball(n, ctx, _rational(parts[0]), int(parts[1]))
     raise InvalidSpec("unknown Phi %r (use unit_ball, scaled_ball(k), "
                       "shifted_ball(a,k), or @file.json)" % name)
 
@@ -186,8 +195,13 @@ def make_report(command: str, parameters: dict, results, verdict: str,
 
 def emit(report, args) -> None:
     """Write the report to --out or stdout: the arch-gamma table under
-    --format csv, JSON otherwise (an INCONCLUSIVE report has no rows)."""
-    with open(args.out, "w") if args.out else nullcontext(sys.stdout) as fh:
+    --format csv, JSON otherwise (an INCONCLUSIVE report has no rows).
+    An --out that cannot be opened is InvalidSpec."""
+    try:
+        out = open(args.out, "w") if args.out else nullcontext(sys.stdout)
+    except OSError as exc:
+        raise InvalidSpec("cannot write --out %r: %s" % (args.out, exc.strerror))
+    with out as fh:
         if getattr(args, "format", None) == "csv" and report["verdict"] != "INCONCLUSIVE":
             csv.writer(fh).writerows(
                 [ARCH_COLUMNS] + [["%.12g" % row[c] for c in ARCH_COLUMNS]
@@ -305,8 +319,12 @@ def cmd_fourier_selftest(args):
 
 
 def cmd_arch_gamma(args):
-    chi = RealCharacter(args.delta, Fraction(args.tau))
+    if not 0 <= args.tol < float("inf"):
+        raise InvalidSpec("tol must be finite and >= 0, got %r" % args.tol)
+    chi = RealCharacter(args.delta, _rational(args.tau))
     grid = [complex(x) for x in (args.s.split(",") if args.s is not None else S_GRID)]
+    if not all(map(cmath.isfinite, grid)):
+        raise InvalidSpec("every s must be finite, got %s" % args.s)
     phi = RealSchwartzFn.hermite_multiple([1, 1])
     rows = []
     for s in grid:
@@ -314,11 +332,12 @@ def cmd_arch_gamma(args):
         oracle = gamma_oracle(chi, s)
         rows.append(dict(zip(ARCH_COLUMNS, (s.real, s.imag, val.real, val.imag,
                                             oracle.real, oracle.imag, abs(val - oracle)))))
-    worst = max(0.0, *(row["abs_err"] for row in rows))
+    errs = [row["abs_err"] for row in rows]
+    worst = float("nan") if any(map(cmath.isnan, errs)) else max(0.0, *errs)
     return ({"delta": args.delta, "tau": str(args.tau), "tol": args.tol,
              "s_grid": [str(s) for s in grid]},
             {"rows": rows, "max_abs_err": worst},
-            "PASS" if worst < args.tol else "FAIL", 0, None)
+            "PASS" if all(e < args.tol for e in errs) else "FAIL", 0, None)
 
 
 # -- argument plumbing ---------------------------------------------------
@@ -407,6 +426,11 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = lru_cache(maxsize=1)(build_parser)  # once per process; handlers by name
 
 
+def _invalid(exc) -> int:
+    print("invalid input: %s" % exc, file=sys.stderr)
+    return EXIT_INVALID
+
+
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
@@ -416,8 +440,7 @@ def main(argv=None) -> int:
     try:
         parameters, results, verdict, cells, windows = globals()[args.fn](args)
     except (InvalidSpec, ValueError) as exc:
-        print("invalid input: %s" % exc, file=sys.stderr)
-        return EXIT_INVALID
+        return _invalid(exc)
     except EngineError as exc:
         print("INCONCLUSIVE: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         where = {f: getattr(exc, f) for f in ("shell", "truncation", "cells")
@@ -426,8 +449,11 @@ def main(argv=None) -> int:
                       if k not in ("fn", "command", "out")}
         results = {"error": type(exc).__name__, "message": str(exc)} | where
         verdict, cells, windows = "INCONCLUSIVE", None, None
-    emit(make_report(args.command, parameters, results, verdict,
-                     time.time() - t0, cells, windows), args)
+    try:
+        emit(make_report(args.command, parameters, results, verdict,
+                         time.time() - t0, cells, windows), args)
+    except InvalidSpec as exc:
+        return _invalid(exc)
     return {"PASS": EXIT_PASS, "FAIL": EXIT_FAIL}.get(verdict, EXIT_INCONCLUSIVE)
 
 

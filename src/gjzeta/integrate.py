@@ -26,8 +26,6 @@ from itertools import product
 from math import prod
 from operator import add, mul
 
-# read only by perfbench/tracer.py (kernels.* metrics); ROADMAP item 1 deletes it
-from ._kernels import gl2_histogram
 from .errors import BudgetExceeded, NoStabilization
 from .padic import (INFINITE, PAdicContext, PAdicMatrix, flat_det, mod_int,
                     valuation)
@@ -123,14 +121,13 @@ def _shell_n1(ctx, k, center, level, modulation, unit_char, stats):
     return _phase_sum(p, m, hist, chi_table) * Fraction(1, p ** j)
 
 
-# read only by perfbench/tracer.py (kernels.* metrics); ROADMAP item 1 deletes it
-@lru_cache(maxsize=32)
-def _gl2_hist_cached(p, J, m1, cu):
-    # at most 10^7 bins; the int64 counts, and their sums, stay below p^(4J)
-    if p ** (2 * m1 + cu) > 10 ** 7 or p ** (4 * J) >= 2 ** 63:
-        raise BudgetExceeded("histogram of p^%d bins at level %d exceeds the kernel budget"
-                             % (2 * m1 + cu, J))
-    return gl2_histogram(p, J, m1, cu)
+# wrapped by perfbench/tracer.py (kernels.gl2_histogram), never called; ROADMAP item 1 deletes it
+def gl2_histogram(*args):
+    raise NotImplementedError("the engine has no count kernel")
+
+
+# perfbench/tracer.py reads its cache_info() (always 0/0); ROADMAP item 1 deletes it
+_gl2_hist_cached = lru_cache(maxsize=1)(gl2_histogram)
 
 
 def _shell_hermite(ctx, n, k, level, c, unit_char, stats):

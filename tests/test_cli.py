@@ -1,6 +1,7 @@
 """CLI contract: golden runs, exit codes, report shape, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -219,6 +220,52 @@ def test_invalid_inputs_exit_3(tmp_path, capsys):
         assert "invalid input" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("site", ["phi", "char", "table", "phi-file", "tau"])
+def test_zero_denominator_exits_3(site, tmp_path, capsys):
+    # each of these was an uncaught ZeroDivisionError, exit 1
+    phi = tmp_path / "phi.json"
+    phi.write_text(json.dumps({"n": 1, "p": 3, "terms": [
+        {"coeff": {"level": 0, "coeffs": ["1"]}, "center": [["1/0"]],
+         "level": 0, "modulation": [["0"]]}]}))
+    gamma = ["gamma", "--p", "3", "--n", "1"]
+    argv = {"phi": gamma + ["--phis", "shifted_ball(1/0,1)"],
+            "char": gamma + ["--char", "unramified:1/0"],
+            "table": gamma + ["--char", '{"conductor_exp": 1, "table": {"1": "1", "2": "1/0"}}'],
+            "phi-file": gamma + ["--phis", "@%s" % phi],
+            "tau": ["arch-gamma", "--tau", "1/0"]}[site]
+    assert main(argv) == 3
+    assert "invalid input" in capsys.readouterr().err
+
+
+def test_unwritable_out_exits_3(tmp_path, capsys):
+    # the report path's directory does not exist: once a traceback, exit 1
+    out = tmp_path / "missing" / "r.json"
+    assert main(["verify-relation", "--n", "1", "--out", str(out)]) == 3
+    assert "invalid input" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--s", "nan,0.3"], ["--s", "0.3,inf"],
+                                   ["--s", "nanj"], ["--tol", "nan"],
+                                   ["--tol", "inf"], ["--tol=-1e-6"]],
+                         ids=["s=nan", "s=inf", "s=nanj", "tol=nan", "tol=inf", "tol<0"])
+def test_arch_gamma_unchecked_grid_or_tolerance_exits_3(flags, capsys):
+    # --s nan,0.3 and --tol inf used to PASS without checking a value
+    assert main(["arch-gamma"] + flags) == 3
+    assert "invalid input" in capsys.readouterr().err
+
+
+def test_arch_gamma_nan_row_fails(monkeypatch, capsys):
+    # max(0.0, nan, ...) dropped a NaN row from max_abs_err and the verdict
+    monkeypatch.setattr(cli, "gamma_oracle",
+                        lambda chi, s: complex("nan") if s == 0.3 else complex(0))
+    monkeypatch.setattr(cli, "gamma_real", lambda chi, s, phi: complex(0))
+    code, rep = run_json(["arch-gamma", "--s", "0.3,0.4"], capsys)
+    assert code == 1 and rep["verdict"] == "FAIL"
+    assert math.isnan(rep["results"]["max_abs_err"])
+    assert run(["arch-gamma", "--s", "0.4,0.5"], capsys)[0] == 0
+
+
 def test_engine_error_maps_to_inconclusive(capsys):
     # an impossible truncation window forces NoStabilization
     code = main(["verify-bk", "--p", "2", "--n", "1", "--char", "trivial",
@@ -373,12 +420,23 @@ assert "scipy.integrate" in sys.modules
 """
 
 
-def test_scipy_is_loaded_only_by_the_real_place(tmp_path):
+def _fresh_python(code, *args):
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", SCIPY_PROBE,
-         str(tmp_path / "inverse.json"), str(tmp_path / "arch.json")],
-        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
-        timeout=120)
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_scipy_is_loaded_only_by_the_real_place(tmp_path):
+    proc = _fresh_python(SCIPY_PROBE, str(tmp_path / "inverse.json"),
+                         str(tmp_path / "arch.json"))
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_imports_neither_numpy_nor_scipy():
+    proc = _fresh_python(
+        "import sys, gjzeta.cli\n"
+        "print(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'}))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
