@@ -72,13 +72,9 @@ def parse_character(p: int, source: str) -> MultiplicativeCharacter:
     try:
         c = int(data.get("conductor_exp", 0))
         vp = _parse_scalar_spec(p, data.get("value_at_p", 1))
-        if "generators" in data:
-            gens = {int(g): _parse_scalar_spec(p, v)
-                    for g, v in data["generators"].items()}
-            return MultiplicativeCharacter.from_generators(p, c, gens, vp)
-        table = {int(u): _parse_scalar_spec(p, v)
-                 for u, v in data.get("table", {}).items()}
-        return MultiplicativeCharacter(p, c, table, vp)
+        table = data.get("generators", data.get("table", {}))
+        return MultiplicativeCharacter(
+            p, c, {int(u): _parse_scalar_spec(p, v, c) for u, v in table.items()}, vp)
     except (KeyError, ValueError, TypeError) as exc:
         raise InvalidSpec("bad character description: %s" % exc)
 
@@ -91,19 +87,21 @@ def _rational(text) -> Fraction:
         raise InvalidSpec("zero denominator in %r" % (text,)) from None
 
 
-def _parse_scalar_spec(p: int, v):
+def _parse_scalar_spec(p: int, v, max_level=None):
+    """A rational, or zeta_{p^m}^a from {"root": [m, a]} or "root:m/a".  A unit
+    value of a character mod p^c has m <= c: a larger m is refused before the
+    p^m coefficient vector is built."""
     if isinstance(v, dict):
         if "root" not in v:
             raise InvalidSpec("scalar dict needs a 'root': [m, a] entry")
         m, a = v["root"]
-        return root_of_unity(p, int(m), int(a))
-    if isinstance(v, str):
-        v = v.strip()
-        if v.startswith("root:"):
-            m, a = v.split(":", 1)[1].split("/")
-            return root_of_unity(p, int(m), int(a))
+    elif isinstance(v, str) and v.strip().startswith("root:"):
+        m, a = v.strip()[5:].split("/")
+    else:
         return _rational(v)
-    return _rational(v)
+    if max_level is not None and int(m) > max_level:
+        raise InvalidSpec("root level %s exceeds the conductor exponent %d" % (m, max_level))
+    return root_of_unity(p, int(m), int(a))
 
 
 def parse_phi(n: int, ctx: PAdicContext, name: str) -> SchwartzBruhatFn:
@@ -323,8 +321,9 @@ def cmd_arch_gamma(args):
         raise InvalidSpec("tol must be finite and >= 0, got %r" % args.tol)
     chi = RealCharacter(args.delta, _rational(args.tau))
     grid = [complex(x) for x in (args.s.split(",") if args.s is not None else S_GRID)]
-    if not all(map(cmath.isfinite, grid)):
-        raise InvalidSpec("every s must be finite, got %s" % args.s)
+    if not all(cmath.isfinite(s) and 0 < s.real < 1 for s in grid):
+        raise InvalidSpec("every s must be finite with 0 < Re s < 1, where Z(Phi, s) "
+                          "and Z(Phi^, 1 - s) converge; got %s" % args.s)
     phi = RealSchwartzFn.hermite_multiple([1, 1])
     rows = []
     for s in grid:

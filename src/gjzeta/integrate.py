@@ -11,10 +11,11 @@ Three evaluation paths:
   * any n, zero-centered coset with scalar modulation: sums of Gauss-sum products;
   * generic: recursive residue-cell refinement with an exact resolution
     rule, bounded by a hard cell budget.
-The n = 1 and generic paths count cells in python integers by (det unit
-residue, psi exponent) and reduce once per shell (_phase_sum).  The generic
-one counts every cell, bins the children of a last split from a census of
-their residues, and is the independent check of the other two.
+The n = 1 and generic paths add the sign of chi(u) = sign * zeta_{p^c}^a into
+one integer histogram per shell at the phase e p^(T-m) + a p^(T-c) of
+psi * chi, T = max(m, c), reduced by one root_of_unity_sum.  The generic one
+counts every cell, bins the children of a last split from a census of their
+residues, and is the independent check of the other two.
 """
 
 from __future__ import annotations
@@ -44,7 +45,8 @@ class IntegrationConfig:
     m_start/m_max: least and greatest truncation p^(-m) M_n(Z_p) of a kernel shell.
     r_max/confirm: recurrence order bound and confirmation window for
     rationalization (r_max defaults to n at the call site).
-    hard_budget: max refinement cells per integral.
+    hard_budget: max refinement cells counted per integral, the census-binned children
+    of last splits included, though those are never built.
     """
     m_start: int = 0
     m_max: int = 8
@@ -83,26 +85,17 @@ def _bump(stats, key, amount=1):
         stats[key] = stats.get(key, 0) + amount
 
 
-# -- n = 1 and Hermite: integer phase histograms ------------------------
-
-def _phase_sum(p, m, hist, chi_table):
-    """sum over det residues u of chi(u) * sum_e hist[u][e] zeta_{p^m}^e."""
-    total = as_scalar(0, p)
-    for u, row in enumerate(hist):
-        if any(row):
-            total = total + root_of_unity_sum(p, m, row) * chi_table.get(u, 1)
-    return total
-
+# -- n = 1 and Hermite: Gauss sums from a signed phase histogram ----------
 
 def _shell_n1(ctx, k, center, level, modulation, unit_char, stats):
-    """Units r mod p^j, x = p^k r, counted by (r mod p^cu, psi exponent).
+    """Units r mod p^j, x = p^k r, each adding its chi sign at its phase of psi * chi.
 
     0 when m - 1 >= max(1, cu, level - k), m the psi level: with r = r0 + p^(m-1) y
     the unit, chi(r mod p^cu) and coset v(r - a/p^k) >= level - k tests see r0 only,
     and sum_y zeta_{p^m}^(w r) = zeta_{p^m}^(w r0) sum_{y mod p} zeta_p^(w y) = 0, w a unit.
     """
     p = ctx.p
-    cu, chi_table = (unit_char.conductor_exp, unit_char.table) if unit_char else (0, {})
+    cu, phases = (unit_char.conductor_exp, unit_char.phases) if unit_char else (0, {0: (1, 0)})
     a = center.entries[0][0]
     b = modulation.entries[0][0]
     vb = valuation(b, p)
@@ -111,14 +104,15 @@ def _shell_n1(ctx, k, center, level, modulation, unit_char, stats):
     _bump(stats, "cells", p ** j - p ** (j - 1))
     if m > max(1, cu, level - k):
         return as_scalar(0, p)
-    pk = Fraction(p) ** k
-    M = p ** m
-    w = mod_int(b * pk * M, M)  # psi(b p^k r) = zeta_{p^m}^(w r)
-    hist = [[0] * M for _ in range(p ** cu)]
+    pk, T = Fraction(p) ** k, max(m, cu)
+    PT, pcu, shift = p ** T, p ** cu, p ** (T - cu)
+    w = mod_int(b * pk * p ** m, p ** m) * p ** (T - m)  # psi(b p^k r) = zeta_{p^T}^(w r)
+    hist = [0] * PT
     for r in range(p ** j):
         if r % p and valuation(pk * r - a, p) >= level:
-            hist[r % p ** cu][w * r % M] += 1
-    return _phase_sum(p, m, hist, chi_table) * Fraction(1, p ** j)
+            s, e = phases[r % pcu]
+            hist[(w * r + e * shift) % PT] += s
+    return root_of_unity_sum(p, T, hist) * Fraction(1, p ** j)
 
 
 # wrapped by perfbench/tracer.py (kernels.gl2_histogram), never called; ROADMAP item 1 deletes it
@@ -203,8 +197,8 @@ def _shell_generic(ctx, k, center, level, modulation, config, unit_char, stats):
     once j also certifies the psi phase and the det unit residue.  If
     v(det a) >= j every point has v(det) >= j, so the cell is dead once
     j > k'.  Otherwise split into p^(n^2) children at level j+1.  Resolved
-    cells are counted by (j, det unit residue, psi exponent) and each level
-    j is reduced once (_phase_sum).
+    cells add their chi sign at (j, phase of psi * chi) and each level j is
+    reduced once.
 
     Last splits are binned without visiting their children.  Let
     R = k' + max(1, cu) and let (a, j) split with j >= max(1, mpsi - 1, R - 1),
@@ -215,8 +209,8 @@ def _shell_generic(ctx, k, center, level, modulation, config, unit_char, stats):
     are read from det c mod p^R and the psi exponent tr(C a) + p^j tr(C t).
     det is multilinear in the columns, so det c = det a + p^j tr(adj(a) t)
     mod p^(2j), and R <= j + 1 <= 2j: det c mod p^R depends on t, det a mod
-    p^R and a mod p^(R-j) only.  The census of the p^(n^2) children, counts
-    by (unit residue, psi offset p^j tr(C t)), is built once per key
+    p^R and a mod p^(R-j) only.  The census of the p^(n^2) children, signed
+    counts by phase offset (p^j tr(C t) plus the chi phase), is built once per key
     (j, det a mod p^R, a mod p^(R-j)) from one representative and added at
     a's own psi exponent.  The children are still counted as cells, and the
     budget trips exactly when the per-child loop would, at budget + 1.
@@ -224,7 +218,7 @@ def _shell_generic(ctx, k, center, level, modulation, config, unit_char, stats):
     p = ctx.p
     n = center.n
     n2 = n * n
-    cu = unit_char.conductor_exp if unit_char else 0
+    cu, phases = (unit_char.conductor_exp, unit_char.phases) if unit_char else (0, {0: (1, 0)})
     mv = center.min_valuation(p)
     m = max(0, -level, 0 if mv is INFINITE else -min(0, int(mv)))
     kp = k + n * m
@@ -238,20 +232,20 @@ def _shell_generic(ctx, k, center, level, modulation, config, unit_char, stats):
     C = tuple(e / pm for row in modulation.entries for e in row)
     cv = min((valuation(c, p) for c in C if c != 0), default=INFINITE)
     mpsi = 0 if cv is INFINITE else max(0, -int(cv))
-    P = p ** mpsi
-    # psi(tr(C a)) = zeta_P^(sum(Cint * a)) for an integral flat cell a
-    Cint = tuple(mod_int(C[l * n + i] * P, P) for i in range(n) for l in range(n))
-    pcu = p ** cu
-    chi_table = ({u: unit_char.unit_value(u) for u in range(pcu) if pcu == 1 or u % p}
-                 if unit_char else {})
+    P, T = p ** mpsi, max(mpsi, cu)
+    PT, pcu = p ** T, p ** cu
+    # psi(tr(C a)) = zeta_{p^T}^(sum(Cint * a)) for an integral flat cell a
+    Cint = tuple(mod_int(C[l * n + i] * P, P) * p ** (T - mpsi)
+                 for i in range(n) for l in range(n))
+    chi = {u: (s, e * p ** (T - cu)) for u, (s, e) in phases.items()}  # at level T
     prefactor = Fraction(p) ** (n * k + m * n2)
     budget = config.hard_budget
     visited = 0
-    hists = {}  # j -> [det residue][psi exponent] cell count
+    hists = {}  # j -> signed cell count per phase of psi * chi at level T
     R = kp + max(1, cu)
     j_last = max(1, mpsi - 1, R - 1)
     pR, pk, children = p ** R, p ** kp, p ** n2
-    census = {}  # (j, det a mod p^R, a mod p^(R-j)) -> ((unit residue, psi offset), count)s
+    census = {}  # (j, det a mod p^R, a mod p^(R-j)) -> (phase offset, signed count)s
     stack = [(A, max(Lp, 0))]
     while stack:
         a, j = stack.pop()
@@ -273,8 +267,9 @@ def _shell_generic(ctx, k, center, level, modulation, config, unit_char, stats):
                 continue
             if j >= mpsi and j >= dv + cu:
                 if j not in hists:
-                    hists[j] = [[0] * P for _ in range(pcu)]
-                hists[j][d % pcu][sum(map(mul, Cint, a)) % P] += 1
+                    hists[j] = [0] * PT
+                s, e = chi[d % pcu]
+                hists[j][(sum(map(mul, Cint, a)) + e) % PT] += s
                 continue
         elif kp < j:
             continue
@@ -293,20 +288,21 @@ def _shell_generic(ctx, k, center, level, modulation, config, unit_char, stats):
             for off in _offsets(n2, p, j):
                 dc = flat_det(tuple(map(add, a, off)), n)
                 if dc % pk == 0 and dc // pk % p:
-                    b = (dc // pk % pcu, sum(map(mul, Cint, off)) % P)
-                    counts[b] = counts.get(b, 0) + 1
+                    s, e = chi[dc // pk % pcu]
+                    b = (sum(map(mul, Cint, off)) + e) % PT
+                    counts[b] = counts.get(b, 0) + s
             bins = census[key] = tuple(counts.items())
         if bins:
             if j + 1 not in hists:
-                hists[j + 1] = [[0] * P for _ in range(pcu)]
+                hists[j + 1] = [0] * PT
             hist = hists[j + 1]
             e0 = sum(map(mul, Cint, a))
-            for (u, e), c in bins:
-                hist[u][(e0 + e) % P] += c
+            for e, c in bins:
+                hist[(e0 + e) % PT] += c
     _bump(stats, "cells", visited)
     total = as_scalar(0, p)
     for j, hist in hists.items():
-        total = total + _phase_sum(p, mpsi, hist, chi_table) * Fraction(1, p ** (j * n2))
+        total = total + root_of_unity_sum(p, T, hist) * Fraction(1, p ** (j * n2))
     return total * prefactor
 
 

@@ -10,6 +10,7 @@ in T^(-2) from fresh shell integrals of the Fourier transform.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -19,36 +20,39 @@ from .integrate import (K_EXTRA, IntegrationConfig, rationalize,
                         schwartz_shell_integral)
 from .padic import mod_int, valuation
 from .ratfun import RationalFunctionT
-from .scalars import as_scalar, scalar_is_zero
+from .scalars import CyclotomicNumber, as_scalar, root_of_unity, scalar_is_zero
 
 
 class MultiplicativeCharacter:
-    """Character of Q_p^x: a unit-group table mod p^c plus the value at p.
+    """Character of Q_p^x: integer phases on the units mod p^c, and chi(p).
 
-    The table carries chi on (Z/p^c)^x in full; c = 0 means unramified.
-    Values must lie in the engine's scalar tower (p-power roots of unity
-    and rationals), which covers every character needed at p = 2, 3.
+    chi(u) = sign * zeta_{p^c}^a for (sign, a) = phases[u mod p^c] (u = 0 is the
+    one class when c = 0).  At p = 2 with c >= 1, -1 is zeta^(2^(c-1)) and every
+    sign is 1, so equal values have equal phases.  The input table gives scalars
+    on all units or on generators of them; value_at_p is any nonzero scalar.
     """
 
     def __init__(self, p: int, conductor_exp: int, table, value_at_p=1):
-        self.p = p
-        self.conductor_exp = conductor_exp
-        self.table = {int(u): as_scalar(v, p) for u, v in table.items()}
-        self.value_at_p = as_scalar(value_at_p, p)
-        if any(map(scalar_is_zero, [self.value_at_p, *self.table.values()])):
-            raise ValueError("a character takes no zero value")
         pc = p ** conductor_exp
-        units = [u for u in range(pc) if u % p]
-        if conductor_exp and sorted(self.table) != sorted(units):
-            raise ValueError("table must cover all units mod p^%d" % conductor_exp)
-        t, span, gens = self.table, {1}, []
-        for g in units:  # chi(u g) = chi(u) chi(g) for every u and g in gens suffices
-            if g not in span:
-                gens.append(g)
-                span = {s * pow(g, k, pc) % pc for s in span for k in range(pc)}
-        if conductor_exp and (t[1] != 1 or any(t[u * g % pc] != t[u] * t[g]
-                                               for u in units for g in gens)):
-            raise ValueError("table is not a character of the units mod p^%d" % conductor_exp)
+        given = {int(u) % pc: _phase(p, conductor_exp, v) for u, v in table.items()}
+        # chi(1) = 1 and chi(u g) = chi(u) chi(g) for reached u, given g: a homomorphism
+        phases, frontier = {1 % pc: (1, 0)}, [1 % pc]
+        while frontier:
+            u = frontier.pop()
+            s, a = phases[u]
+            for g, (sg, ag) in given.items():
+                w, v = u * g % pc, (s * sg, (a + ag) % pc)
+                if w not in phases:
+                    frontier.append(w)
+                if phases.setdefault(w, v) != v:
+                    raise ValueError("table is not a character of the units mod p^%d"
+                                     % conductor_exp)
+        if sorted(phases) != [u for u in range(pc) if u % p or pc == 1]:
+            raise ValueError("table must generate the units mod p^%d" % conductor_exp)
+        self.p, self.conductor_exp, self.phases = p, conductor_exp, phases
+        self.value_at_p = as_scalar(value_at_p, p)
+        if scalar_is_zero(self.value_at_p):
+            raise ValueError("a character takes no zero value")
 
     # -- constructors --------------------------------------------------
 
@@ -72,28 +76,8 @@ class MultiplicativeCharacter:
     @staticmethod
     def from_generators(p: int, conductor_exp: int, gen_values,
                         value_at_p=1) -> "MultiplicativeCharacter":
-        """Build the full table from values on generators of (Z/p^c)^x.
-
-        gen_values: {generator residue: scalar value}; the generated
-        subgroup must be the whole unit group.
-        """
-        pc = p ** conductor_exp
-        if conductor_exp == 0:
-            return MultiplicativeCharacter(p, 0, {}, value_at_p)
-        table = {1: as_scalar(1, p)}
-        frontier = [1]
-        gens = {int(g) % pc: as_scalar(v, p) for g, v in gen_values.items()}
-        while frontier:
-            u = frontier.pop()
-            for g, val in gens.items():
-                w = (u * g) % pc
-                if w not in table:
-                    table[w] = table[u] * val
-                    frontier.append(w)
-        n_units = pc - pc // p
-        if len(table) != n_units:
-            raise ValueError("generators span only %d of %d units" % (len(table), n_units))
-        return MultiplicativeCharacter(p, conductor_exp, table, value_at_p)
+        """chi from its values on generators of (Z/p^c)^x: {residue: scalar}."""
+        return MultiplicativeCharacter(p, conductor_exp, gen_values, value_at_p)
 
     # -- evaluation ----------------------------------------------------
 
@@ -101,10 +85,14 @@ class MultiplicativeCharacter:
     def is_ramified(self) -> bool:
         return self.conductor_exp > 0
 
+    @property
+    def table(self) -> dict:
+        """chi on the units mod p^c as scalars ({} when c = 0)."""
+        return {u: self.unit_value(u) for u in self.phases if u % self.p}
+
     def unit_value(self, u: int):
-        if self.conductor_exp == 0:
-            return as_scalar(1, self.p)
-        return self.table[u % self.p ** self.conductor_exp]
+        s, a = self.phases[u % self.p ** self.conductor_exp]
+        return root_of_unity(self.p, self.conductor_exp, a) * s
 
     def char_eval(self, x):
         """chi(x) for a nonzero rational x."""
@@ -116,11 +104,11 @@ class MultiplicativeCharacter:
         return self.value_at_p ** v * self.unit_value(ures)
 
     def inverse(self) -> "MultiplicativeCharacter":
-        """chi^(-1)(u) = chi(u^(-1) mod p^c): a permuted table, one scalar inverse."""
-        pc = self.p ** self.conductor_exp
-        return MultiplicativeCharacter(self.p, self.conductor_exp,
-                                       {u: self.table[pow(u, -1, pc)] for u in self.table},
-                                       self.value_at_p.inverse())
+        """chi^(-1): negated phases and one scalar inverse, of chi(p)."""
+        inv, M = copy.copy(self), self.p ** self.conductor_exp
+        inv.phases = {u: (s, -a % M) for u, (s, a) in self.phases.items()}
+        inv.value_at_p = self.value_at_p.inverse()
+        return inv
 
     def value_at_minus_one(self):
         return self.unit_value(-1)
@@ -128,6 +116,23 @@ class MultiplicativeCharacter:
     def __repr__(self):
         return "MultiplicativeCharacter(p=%d, c=%d, chi(p)=%r)" % (
             self.p, self.conductor_exp, self.value_at_p)
+
+
+def _phase(p: int, c: int, value):
+    """(sign, a) with value = sign * zeta_{p^c}^a.  In the power basis of its least
+    level m, zeta^a is e_a for a < phi(p^m) and -(e_r + e_(r + p^(m-1)) + ...) for
+    a = phi(p^m) + r, so the first nonzero coefficient names a."""
+    v = as_scalar(value, p)
+    if isinstance(v, CyclotomicNumber) and (v.m == 0 or v.p == p) and v.m <= c:
+        j, x = next(((j, x) for j, x in enumerate(v.coeffs) if x), (0, 0))
+        for s, a in ((x, j), (-x, j + len(v.coeffs))):
+            if s in (1, -1) and root_of_unity(p, v.m, a) * int(s) == v:
+                a *= p ** (c - v.m)
+                if p == 2 and c and s < 0:  # -1 = zeta_{2^c}^(2^(c-1))
+                    return 1, (a + 2 ** (c - 1)) % 2 ** c
+                return int(s), a % p ** c
+    raise ValueError("%r is not a root of unity of level <= %d, so not a character value"
+                     % (value, c))
 
 
 def phi_fingerprint(phi) -> str:

@@ -177,7 +177,11 @@ def test_phi_from_json_file(tmp_path, capsys):
     # 2 generates (Z/3)^x, so chi(2) = -1 is the Legendre symbol mod 3
     ('{"conductor_exp": 1, "generators": {"2": -1}}', "quadratic"),
     ('{"conductor_exp": 0, "value_at_p": {"root": [1, 1]}}', "unramified:root:1/1"),
-], ids=["generators", "root"])
+    # chi(2) = zeta_3 on a primitive root mod 9, and the full table it generates
+    ('{"conductor_exp": 2, "table": {"1": 1, "2": {"root": [1, 1]}, "4": {"root": [1, 2]},'
+     ' "8": 1, "7": {"root": [1, 1]}, "5": {"root": [1, 2]}}}',
+     '{"conductor_exp": 2, "generators": {"2": {"root": [1, 1]}}}'),
+], ids=["generators", "root", "table"])
 def test_character_spec_forms_agree(char, same_as, capsys):
     argv = ["gamma", "--p", "3", "--n", "1",
             "--phis", "shifted_ball(1,1),shifted_ball(1,2)", "--char"]
@@ -247,12 +251,28 @@ def test_unwritable_out_exits_3(tmp_path, capsys):
 
 @pytest.mark.parametrize("flags", [["--s", "nan,0.3"], ["--s", "0.3,inf"],
                                    ["--s", "nanj"], ["--tol", "nan"],
-                                   ["--tol", "inf"], ["--tol=-1e-6"]],
-                         ids=["s=nan", "s=inf", "s=nanj", "tol=nan", "tol=inf", "tol<0"])
+                                   ["--tol", "inf"], ["--tol=-1e-6"],
+                                   ["--s=-0.5"], ["--s", "1.5"], ["--s", "40"],
+                                   ["--s", "300"], ["--s", "0"], ["--s", "0.3,1+2j"]],
+                         ids=["s=nan", "s=inf", "s=nanj", "tol=nan", "tol=inf", "tol<0",
+                              "s=-0.5", "s=1.5", "s=40", "s=300", "s=0", "s=1+2j"])
 def test_arch_gamma_unchecked_grid_or_tolerance_exits_3(flags, capsys):
-    # --s nan,0.3 and --tol inf used to PASS without checking a value
+    # --s nan,0.3 and --tol inf used to PASS without checking a value.  Outside
+    # 0 < Re s < 1, where Z(Phi, s) and Z(Phi^, 1 - s) both converge, s = -0.5,
+    # 1.5, 40 and 300 ended in an OverflowError traceback with exit 1
     assert main(["arch-gamma"] + flags) == 3
     assert "invalid input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("char", [
+    '{"conductor_exp": 1, "generators": {"2": {"root": [25, 1]}}}',
+    '{"conductor_exp": 1, "table": {"1": 1, "2": "root:25/1"}}',
+], ids=["generators", "table"])
+def test_root_above_the_conductor_exits_3(char, capsys):
+    # no value of a character mod p^c lies at level m > c; zeta_{3^25} was built
+    # as a 3^25-entry vector first, a MemoryError with exit 1
+    assert main(["verify-inverse", "--p", "3", "--n", "1", "--char", char]) == 3
+    assert "exceeds the conductor exponent 1" in capsys.readouterr().err
 
 
 def test_arch_gamma_nan_row_fails(monkeypatch, capsys):

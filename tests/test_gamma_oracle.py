@@ -95,3 +95,15 @@ def test_oracle_closed_forms():
     want = RationalFunctionT(LaurentPoly({6: g * g * g * 27}),
                              LaurentPoly.const(as_scalar(1, 3)), 3)
     assert gj_gamma(quadratic, 3) == want
+
+
+@pytest.mark.parametrize("p, gen", [(5, 2), (7, 3)])
+@pytest.mark.parametrize("n", [1, 2])
+def test_gamma_conductor_two(n, p, gen):
+    # chi(gen) = zeta_p on a primitive root mod p^2: order p, primitive mod p^2.
+    # At n = 2 the shifted balls go through the generic refinement.
+    chi = MultiplicativeCharacter.from_generators(p, 2, {gen: root_of_unity(p, 1, 1)})
+    want = gj_gamma(chi, n)
+    for k in (2, 3):
+        phi = SchwartzBruhatFn.shifted_ball(n, PAdicContext(p), 1, k)
+        assert gamma_factor(phi, chi).value == want

@@ -4,12 +4,13 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gjzeta.errors import ZeroArgument, ZeroDenominator
 from gjzeta.integrate import IntegrationConfig
 from gjzeta.padic import PAdicContext
 from gjzeta.ratfun import LaurentPoly, RationalFunctionT
-from gjzeta.scalars import as_scalar, embed_complex, root_of_unity
+from gjzeta.scalars import as_scalar, embed_complex, root_of_unity, sqrt_q
 from gjzeta.schwartz import SchwartzBruhatFn
 from gjzeta.zeta import (MultiplicativeCharacter, dual_gamma_factor,
                          gamma_factor, phi_independence_check, zeta_integral)
@@ -63,6 +64,55 @@ def test_character_table_validation():
                      (5, {1: 1, 2: 1, 3: -1, 4: -1})):  # chi(2)^2 = 1, chi(4) = -1
         with pytest.raises(ValueError, match="not a character"):
             MultiplicativeCharacter(p, 1, table)
+    # values that are no root of unity of level <= c: sqrt(3) (a QuadExt), zeta_9 mod 3
+    for value in (sqrt_q(3), root_of_unity(3, 2, 1)):
+        with pytest.raises(ValueError, match="not a character"):
+            MultiplicativeCharacter(3, 1, {2: value})
+
+
+def _cyclotomic_reference(p, c, sign, a):
+    """Generator values of a character of (Z/p^c)^x and its cyclotomic table,
+    built by multiplying them: <-1> x <5> at p = 2, cyclic on a primitive root else.
+    p = 2 goes up to c = 4, where chi(5) = i and -1 = chi(-1) = chi(5)^2 meet."""
+    pc = p ** c
+    if p == 2:
+        k = max(c - 2, 0)
+        s, z = (sign if c >= 2 else 1), root_of_unity(2, k, a)
+        return ({pc - 1: s, 5 % pc: z},
+                {(-1) ** e * 5 ** i % pc: z ** i * s ** e for e in (0, 1) for i in range(2 ** k)})
+    g = {3: 2, 5: 2, 7: 3}[p]  # a primitive root mod p^2, hence mod every p^c
+    z = root_of_unity(p, c - 1, a) * sign
+    return {g: z}, {pow(g, i, pc): z ** i for i in range((p - 1) * p ** (c - 1))}
+
+
+@settings(max_examples=60, deadline=None)
+@given(pc=st.sampled_from([(2, c) for c in (1, 2, 3, 4)]
+                          + [(p, c) for p in (3, 5, 7) for c in (1, 2, 3)]),
+       sign=st.sampled_from([1, -1]), a=st.integers(0, 10 ** 6), v=st.integers(-2, 2),
+       i=st.integers(0, 10 ** 6), j=st.integers(0, 10 ** 6),
+       vp=st.sampled_from([Fraction(1, 2), -1, (2, 1)]))
+@example(pc=(2, 2), sign=-1, a=0, v=1, i=1, j=0, vp=-1)  # the character mod 4
+@example(pc=(2, 3), sign=-1, a=1, v=0, i=2, j=3, vp=1)  # chi(-1) = chi(5) = -1
+@example(pc=(2, 4), sign=-1, a=1, v=0, i=3, j=1, vp=1)  # chi(5) = i: -1 reached two ways
+def test_phase_characters_match_a_cyclotomic_reference(pc, sign, a, v, i, j, vp):
+    (p, c), pc = pc, pc[0] ** pc[1]
+    gens, ref = _cyclotomic_reference(p, c, sign, a)
+    vp = root_of_unity(p, *vp) if isinstance(vp, tuple) else vp
+    chi = MultiplicativeCharacter.from_generators(p, c, gens, vp)
+    inv = chi.inverse()
+    assert sorted(ref) == [u for u in range(pc) if u % p]
+    for u, want in ref.items():
+        assert repr(chi.unit_value(u)) == repr(want)
+        assert inv.unit_value(u) * want == 1
+    assert chi.value_at_minus_one() == ref[pc - 1]
+    # the full table gives the same phases as the generators
+    assert MultiplicativeCharacter(p, c, ref, vp).phases == chi.phases
+    units = sorted(ref)
+    u1, u2 = units[i % len(units)], units[j % len(units)]
+    x = Fraction(p) ** v * u1 / u2
+    want = as_scalar(vp, p) ** v * ref[u1 * pow(u2, -1, pc) % pc]
+    assert chi.char_eval(x) == want
+    assert inv.char_eval(x) * want == 1
 
 
 def test_value_at_minus_one():
