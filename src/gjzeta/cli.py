@@ -30,7 +30,7 @@ from .errors import EngineError
 from .integrate import IntegrationConfig
 from .padic import PAdicContext, PAdicMatrix
 from .scalars import root_of_unity, scalar_is_zero
-from .schwartz import SchwartzBruhatFn
+from .schwartz import SchwartzBruhatFn, SchwartzTerm
 from .zeta import MultiplicativeCharacter, phi_independence_check
 
 EXIT_PASS, EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_INVALID = 0, 1, 2, 3
@@ -87,10 +87,14 @@ def _rational(text) -> Fraction:
         raise InvalidSpec("zero denominator in %r" % (text,)) from None
 
 
+# a root zeta_{p^m} is built as a length-p^m vector; a larger p^m is refused
+MAX_ROOT_ORDER = 2 ** 12
+
+
 def _parse_scalar_spec(p: int, v, max_level=None):
     """A rational, or zeta_{p^m}^a from {"root": [m, a]} or "root:m/a".  A unit
-    value of a character mod p^c has m <= c: a larger m is refused before the
-    p^m coefficient vector is built."""
+    value of a character mod p^c has m <= c, and any root has p^m <= MAX_ROOT_ORDER:
+    a larger m is refused before the p^m coefficient vector is built."""
     if isinstance(v, dict):
         if "root" not in v:
             raise InvalidSpec("scalar dict needs a 'root': [m, a] entry")
@@ -99,9 +103,12 @@ def _parse_scalar_spec(p: int, v, max_level=None):
         m, a = v.strip()[5:].split("/")
     else:
         return _rational(v)
-    if max_level is not None and int(m) > max_level:
+    m = int(m)
+    if max_level is not None and m > max_level:
         raise InvalidSpec("root level %s exceeds the conductor exponent %d" % (m, max_level))
-    return root_of_unity(p, int(m), int(a))
+    if p ** min(m, 13) > MAX_ROOT_ORDER:  # p^13 >= 2^13 > MAX_ROOT_ORDER
+        raise InvalidSpec("root order %d^%d exceeds %d" % (p, m, MAX_ROOT_ORDER))
+    return root_of_unity(p, m, int(a))
 
 
 def parse_phi(n: int, ctx: PAdicContext, name: str) -> SchwartzBruhatFn:
@@ -275,7 +282,7 @@ def random_schwartz(n: int, ctx: PAdicContext, rng, terms: int = 3,
                     max_level: int = 3) -> SchwartzBruhatFn:
     """Deterministic pseudo-random test function, levels within |k| <= max_level."""
     p = ctx.p
-    out = SchwartzBruhatFn(n, ctx, [])
+    out = []
     for _ in range(rng.randint(1, terms)):
         level = rng.randint(-max_level, max_level)
         denom = p ** rng.randint(0, 2)
@@ -285,9 +292,8 @@ def random_schwartz(n: int, ctx: PAdicContext, rng, terms: int = 3,
                                    for _ in range(n)] for _ in range(n)])
         coeff = root_of_unity(p, 1, rng.randint(0, p - 1)) * Fraction(
             rng.randint(-3, 3), rng.randint(1, 3))
-        out = out + SchwartzBruhatFn.indicator(n, ctx, center, level,
-                                               modulation, coeff)
-    return out
+        out.append(SchwartzTerm(coeff, center, level, modulation))
+    return SchwartzBruhatFn(n, ctx, out)
 
 
 def cmd_fourier_selftest(args):

@@ -108,8 +108,9 @@ def _shell_n1(ctx, k, center, level, modulation, unit_char, stats):
     PT, pcu, shift = p ** T, p ** cu, p ** (T - cu)
     w = mod_int(b * pk * p ** m, p ** m) * p ** (T - m)  # psi(b p^k r) = zeta_{p^T}^(w r)
     hist = [0] * PT
+    whole = k >= level and valuation(a, p) >= level  # every p^k r lies in the coset
     for r in range(p ** j):
-        if r % p and valuation(pk * r - a, p) >= level:
+        if r % p and (whole or valuation(pk * r - a, p) >= level):
             s, e = phases[r % pcu]
             hist[(w * r + e * shift) % PT] += s
     return root_of_unity_sum(p, T, hist) * Fraction(1, p ** j)

@@ -48,19 +48,21 @@ class PAdicContext:
             raise ValueError("p must be prime")
 
 
-def psi_value(x, ctx: PAdicContext) -> CyclotomicNumber:
-    """psi(x) = zeta_{p^m}^a where a/p^m is the p-fractional part of x."""
+def psi_exponent(x, ctx: PAdicContext) -> tuple[int, int]:
+    """(m, a) with psi(x) = zeta_{p^m}^a: a/p^m is the p-fractional part of x."""
     if type(x) is not Fraction:
         x = Fraction(x)
     p = ctx.p
-    if x == 0:
-        return root_of_unity(p, 0, 0)
     m = int_valuation(x.denominator, p)
     if m == 0:
-        return root_of_unity(p, 0, 0)
-    u = x.denominator // p ** m
-    a = x.numerator * pow(u, -1, p ** m) % p ** m
-    return root_of_unity(p, m, a)
+        return 0, 0
+    pm = p ** m
+    return m, x.numerator * pow(x.denominator // pm, -1, pm) % pm
+
+
+def psi_value(x, ctx: PAdicContext) -> CyclotomicNumber:
+    """psi(x) as a root of unity in canonical form."""
+    return root_of_unity(ctx.p, *psi_exponent(x, ctx))
 
 
 def mod_int(x, modulus: int) -> int:
@@ -91,7 +93,7 @@ def flat_det(a, n: int):
 class PAdicMatrix:
     """n x n matrix with exact rational entries."""
 
-    __slots__ = ("n", "entries")
+    __slots__ = ("n", "entries", "_hash")
 
     def __init__(self, entries):
         rows = [tuple([e if type(e) is Fraction else Fraction(e) for e in row])
@@ -100,6 +102,14 @@ class PAdicMatrix:
         if any(len(r) != self.n for r in rows):
             raise ValueError("matrix must be square")
         self.entries = tuple(rows)
+        self._hash = None
+
+    @staticmethod
+    def _of(rows) -> "PAdicMatrix":
+        """Trusted constructor: rows is a square tuple of tuples of Fractions."""
+        out = object.__new__(PAdicMatrix)
+        out.n, out.entries, out._hash = len(rows), rows, None
+        return out
 
     @staticmethod
     def identity(n: int) -> "PAdicMatrix":
@@ -131,11 +141,11 @@ class PAdicMatrix:
                             for i in range(n)])
 
     def __sub__(self, other: "PAdicMatrix") -> "PAdicMatrix":
-        return PAdicMatrix([[x - y for x, y in zip(r1, r2)]
-                            for r1, r2 in zip(self.entries, other.entries)])
+        return PAdicMatrix._of(tuple([tuple([x - y for x, y in zip(r1, r2)])
+                                      for r1, r2 in zip(self.entries, other.entries)]))
 
     def __neg__(self) -> "PAdicMatrix":
-        return PAdicMatrix([[-e for e in row] for row in self.entries])
+        return PAdicMatrix._of(tuple([tuple([-e for e in row]) for row in self.entries]))
 
     def scale(self, c) -> "PAdicMatrix":
         c = Fraction(c)
@@ -156,8 +166,10 @@ class PAdicMatrix:
             return NotImplemented
         return self.entries == other.entries
 
-    def __hash__(self):
-        return hash(self.entries)
+    def __hash__(self):  # fn_equal keys its merge on (center, level, modulation)
+        if self._hash is None:
+            self._hash = hash(self.entries)
+        return self._hash
 
     def __repr__(self):
         return "PAdicMatrix(%s)" % (

@@ -125,6 +125,18 @@ class CyclotomicNumber:
 
     __rmul__ = __mul__
 
+    def times_root(self, m: int, a: int) -> "CyclotomicNumber":
+        """self * zeta_{p^m}^a: each coefficient moves to its shifted exponent
+        at level max(m, self.m), and one _reduce follows."""
+        top = max(m, self.m)
+        order = self.p ** top
+        step, shift = self.p ** (top - self.m), a * self.p ** (top - m)
+        vec = [Fraction(0)] * order
+        for j, c in enumerate(self.coeffs):
+            if c:
+                vec[(j * step + shift) % order] = c
+        return _reduce(self.p, top, vec)
+
     def inverse(self) -> "CyclotomicNumber":
         """cofactor / N, with N the norm of x to Q (see the module docstring).
 

@@ -1,10 +1,12 @@
 """Schwartz-Bruhat functions on M_n(Q_p): modulated coset indicators.
 
-A term represents x -> coeff * psi(tr(b x)) * 1[x in a + p^k M_n(Z_p)].
-The class is closed under the matrix Fourier transform
-Phi^(x) = int Phi(y) psi(tr(xy)) dy, which maps a term to a single term:
-translations become modulations and vice versa, and a level-k indicator
-picks up the factor q^(-k n^2).
+A term represents x -> coeff * psi(tr(b x)) * 1[x in a + p^k M_n(Z_p)], with
+coeff a CyclotomicNumber.  The class is closed under the matrix Fourier
+transform Phi^(x) = int Phi(y) psi(tr(xy)) dy, which maps a term to a single
+term: translations become modulations and vice versa, and a level-k indicator
+picks up the factor q^(-k n^2).  A psi value zeta_{p^m}^a is kept as its
+integer exponent (m, a) and applied by shifting exponents; an inner product
+adds every term pair into one exponent vector and reduces it once.
 """
 
 from __future__ import annotations
@@ -12,9 +14,8 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .padic import PAdicContext, PAdicMatrix, psi_value, trace_pairing
-from .scalars import (CyclotomicNumber, as_scalar, root_of_unity_sum, scalar_conjugate,
-                      scalar_is_zero)
+from .padic import PAdicContext, PAdicMatrix, psi_exponent, trace_pairing
+from .scalars import as_scalar, root_of_unity_sum, scalar_conjugate, scalar_is_zero
 
 
 class SchwartzTerm:
@@ -69,9 +70,12 @@ class SchwartzBruhatFn:
 
     # -- linear structure ----------------------------------------------
 
-    def __add__(self, other: "SchwartzBruhatFn") -> "SchwartzBruhatFn":
+    def _check_space(self, other: "SchwartzBruhatFn"):
         if self.n != other.n or self.ctx.p != other.ctx.p:
             raise ValueError("mixed sizes or contexts")
+
+    def __add__(self, other: "SchwartzBruhatFn") -> "SchwartzBruhatFn":
+        self._check_space(other)
         return SchwartzBruhatFn(self.n, self.ctx, self.terms + other.terms)
 
     def scale(self, c) -> "SchwartzBruhatFn":
@@ -100,8 +104,8 @@ class SchwartzBruhatFn:
         out = []
         for t in self.terms:
             vol = Fraction(p) ** (-t.level * n2)
-            phase = psi_value(trace_pairing(t.modulation, t.center), self.ctx)
-            out.append(SchwartzTerm(t.coeff * vol * phase,  # coeff has fewer entries
+            phase = psi_exponent(trace_pairing(t.modulation, t.center), self.ctx)
+            out.append(SchwartzTerm((t.coeff * vol).times_root(*phase),
                                     -t.modulation, -t.level, t.center))
         return SchwartzBruhatFn(self.n, self.ctx, out)
 
@@ -111,13 +115,16 @@ class SchwartzBruhatFn:
                                  for t in self.terms])
 
     def inner_product(self, other: "SchwartzBruhatFn"):
-        """Exact <f, g> = int f(x) conj(g(x)) dx by pairwise closed forms."""
-        if self.n != other.n or self.ctx.p != other.ctx.p:
-            raise ValueError("mixed sizes or contexts")
+        """Exact <f, g> = int f(x) conj(g(x)) dx by pairwise closed forms.
+
+        A surviving pair adds s.coeff * conj(t.coeff) * p^(-k n^2) * zeta_{p^m}^a;
+        every pair goes into one exponent vector at the highest level seen,
+        which is reduced once."""
+        self._check_space(other)
         p = self.ctx.p
         n2 = self.n * self.n
-        total = as_scalar(0, p)
         other_terms = [(t, scalar_conjugate(t.coeff)) for t in other.terms]
+        pairs = []
         for s in self.terms:
             for t, t_coeff_bar in other_terms:
                 # coset intersection
@@ -132,10 +139,21 @@ class SchwartzBruhatFn:
                 # int_{a + p^k M} psi(tr(b x)) dx vanishes unless p^k b is integral
                 if b.min_valuation(p) + k < 0:
                     continue
-                val = s.coeff * t_coeff_bar * Fraction(p) ** (-k * n2) \
-                    * psi_value(trace_pairing(b, a), self.ctx)
-                total = total + val
-        return total
+                pairs.append((s.coeff, t_coeff_bar, Fraction(p) ** (-k * n2),
+                              *psi_exponent(trace_pairing(b, a), self.ctx)))
+        top = max([0] + [max(x.m, y.m, m) for x, y, _, m, _ in pairs])
+        order = p ** top
+        vec = [Fraction(0)] * order
+        for x, y, vol, m, a in pairs:
+            sx, sy, shift = p ** (top - x.m), p ** (top - y.m), a * p ** (top - m)
+            ys = [(j * sy, c) for j, c in enumerate(y.coeffs) if c]
+            for i, c in enumerate(x.coeffs):
+                if c:
+                    c *= vol
+                    e = i * sx + shift
+                    for f, d in ys:
+                        vec[(e + f) % order] += c * d
+        return root_of_unity_sum(p, top, vec)
 
     def fn_equal(self, other: "SchwartzBruhatFn") -> bool:
         """Exact function equality via positivity of the L^2 norm of the difference.
@@ -144,10 +162,11 @@ class SchwartzBruhatFn:
         of one function, so merging them keeps the function; if all cancel it is
         0.  For f^^ against reflect(f) they do: psi(tr(ba)) psi(-tr(ab)) = 1.
         """
+        self._check_space(other)
         merged = {}
-        for t in (self - other).terms:
+        for t, c in [(t, t.coeff) for t in self.terms] + [(t, -t.coeff) for t in other.terms]:
             key = (t.center, t.level, t.modulation)
-            merged[key] = merged[key] + t.coeff if key in merged else t.coeff
+            merged[key] = merged[key] + c if key in merged else c
         diff = SchwartzBruhatFn(self.n, self.ctx, [SchwartzTerm(c, *key)
                                                    for key, c in merged.items()])
         return not diff.terms or scalar_is_zero(diff.inner_product(diff))
@@ -163,11 +182,8 @@ class SchwartzBruhatFn:
 
         terms = []
         for t in self.terms:
-            c = t.coeff
-            if not isinstance(c, CyclotomicNumber):
-                c = as_scalar(c, self.ctx.p)
             terms.append({
-                "coeff": {"level": c.m, "coeffs": [frac(x) for x in c.coeffs]},
+                "coeff": {"level": t.coeff.m, "coeffs": [frac(x) for x in t.coeff.coeffs]},
                 "center": mat(t.center),
                 "level": t.level,
                 "modulation": mat(t.modulation),

@@ -275,6 +275,25 @@ def test_root_above_the_conductor_exits_3(char, capsys):
     assert "exceeds the conductor exponent 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("char", [
+    "unramified:root:25/1",
+    '{"conductor_exp": 0, "value_at_p": {"root": [25, 1]}}',
+], ids=["unramified", "json"])
+def test_oversized_value_at_p_root_exits_3(char, capsys):
+    # chi(p) has no conductor to bound its level; zeta_{3^25} was built as a
+    # 3^25-entry vector first, a MemoryError with exit 1
+    assert main(["gamma", "--p", "3", "--n", "1", "--char", char]) == 3
+    assert "exceeds %d" % cli.MAX_ROOT_ORDER in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p, m", [(2, 12), (3, 7), (5, 5), (13, 3)])
+def test_root_order_ceiling(p, m):
+    # the largest level with p^m <= MAX_ROOT_ORDER is built; one more is refused
+    assert cli._parse_scalar_spec(p, "root:%d/1" % m).m == m
+    with pytest.raises(cli.InvalidSpec):
+        cli._parse_scalar_spec(p, "root:%d/1" % (m + 1))
+
+
 def test_arch_gamma_nan_row_fails(monkeypatch, capsys):
     # max(0.0, nan, ...) dropped a NaN row from max_abs_err and the verdict
     monkeypatch.setattr(cli, "gamma_oracle",

@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 import sympy
 
-from gjzeta.padic import (INFINITE, PAdicContext, PAdicMatrix, flat_det, psi_value,
-                          trace_pairing, valuation)
-from gjzeta.scalars import scalar_is_zero
+from gjzeta.padic import (INFINITE, PAdicContext, PAdicMatrix, flat_det, psi_exponent,
+                          psi_value, trace_pairing, valuation)
+from gjzeta.scalars import root_of_unity, scalar_is_zero
 
 
 def test_valuation():
@@ -40,6 +40,21 @@ def test_psi_additivity():
         for y in (Fraction(1, 9), Fraction(4, 3)):
             assert scalar_is_zero(psi_value(x + y, ctx)
                                   - psi_value(x, ctx) * psi_value(y, ctx))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.integers(-60, 60), st.integers(0, 4),
+       st.sampled_from([1, 7, 11]))
+def test_psi_exponent_is_the_fractional_part(p, num, e, unit):
+    # psi(x) = zeta_{p^m}^a with a / p^m = x mod Z_p and a a unit mod p (or m = 0)
+    ctx = PAdicContext(p)
+    x = Fraction(num, p ** e * unit)
+    m, a = psi_exponent(x, ctx)
+    assert valuation(x - Fraction(a, p ** m), p) >= 0
+    assert (m, a) == (0, 0) or (m > 0 and 0 < a < p ** m and a % p)
+    assert psi_exponent(x + 5, ctx) == (m, a)
+    got, want = psi_value(x, ctx), root_of_unity(p, m, a)
+    assert got == want and repr(got) == repr(want)
 
 
 def test_matrix_det():

@@ -236,3 +236,21 @@ def test_conjugate_is_a_multiplicative_involution(pair):
     x, y = pair
     assert x.conjugate().conjugate() == x
     assert (x * y).conjugate() == x.conjugate() * y.conjugate()
+
+
+@st.composite
+def _root_multiples(draw):
+    """x in Q(zeta_{p^j}), j <= 3, with a full vector of coefficients, and (m, a)."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    j = draw(st.integers(0, 3))
+    phi = 1 if j == 0 else (p - 1) * p ** (j - 1)
+    x = root_of_unity_sum(p, j, draw(st.lists(_coeffs, min_size=phi, max_size=phi)))
+    return x, draw(st.integers(0, 4)), draw(st.integers(-200, 200))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_root_multiples())
+def test_times_root_is_the_product_with_the_root(case):
+    x, m, a = case
+    got, want = x.times_root(m, a), x * root_of_unity(x.p, m, a)
+    assert got == want and repr(got) == repr(want) and hash(got) == hash(want)

@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from gjzeta.padic import PAdicContext, PAdicMatrix, psi_value, trace_pairing
 from gjzeta.cli import random_schwartz
 from gjzeta.schwartz import SchwartzBruhatFn, SchwartzTerm
-from gjzeta.scalars import (as_scalar, root_of_unity, scalar_conjugate,
-                            scalar_is_zero)
+from gjzeta.scalars import (as_scalar, root_of_unity, root_of_unity_sum,
+                            scalar_conjugate, scalar_is_zero)
 
 
 def test_unit_ball_is_self_dual():
@@ -88,10 +88,15 @@ def test_det_valuation_bound():
 
 # -- Fourier laws (hypothesis) ----------------------------------------------
 
+_coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
 @st.composite
-def _schwartz_fn(draw, n, ctx):
+def _schwartz_fn(draw, n, ctx, general=False):
     """The shapes of cli.random_schwartz: 1..3 modulated coset indicators,
-    levels in [-3, 3], centres and modulations in p^(-2) Z entrywise."""
+    levels in [-3, 3], centres and modulations in p^(-2) Z entrywise.  With
+    general, a coefficient is any element of Q(zeta_{p^j}), j <= 2, not a
+    multiple of one root of unity."""
     p = ctx.p
     out = SchwartzBruhatFn(n, ctx, [])
     for _ in range(draw(st.integers(1, 3))):
@@ -101,18 +106,25 @@ def _schwartz_fn(draw, n, ctx):
         center, modulation = (
             PAdicMatrix([[draw(entries) for _ in range(n)] for _ in range(n)])
             for _ in range(2))
-        coeff = root_of_unity(p, 1, draw(st.integers(0, p - 1))) * Fraction(
-            draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+        if general:
+            j = draw(st.integers(0, 2))
+            phi = 1 if j == 0 else (p - 1) * p ** (j - 1)
+            coeff = root_of_unity_sum(p, j, draw(st.lists(_coeffs, min_size=phi,
+                                                          max_size=phi)))
+        else:
+            coeff = root_of_unity(p, 1, draw(st.integers(0, p - 1))) * Fraction(
+                draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
         out = out + SchwartzBruhatFn.indicator(n, ctx, center, level,
                                                modulation, coeff)
     return out
 
 
 @st.composite
-def _schwartz_pairs(draw):
-    n, p = draw(st.sampled_from([(1, 2), (1, 3), (2, 2), (2, 3)]))
+def _schwartz_pairs(draw, general=False):
+    cases = [(1, 2), (1, 3), (2, 2), (2, 3)] + general * [(1, 5), (2, 5)]
+    n, p = draw(st.sampled_from(cases))
     ctx = PAdicContext(p)
-    return draw(_schwartz_fn(n, ctx)), draw(_schwartz_fn(n, ctx))
+    return draw(_schwartz_fn(n, ctx, general)), draw(_schwartz_fn(n, ctx, general))
 
 
 def inner_product_reference(f, g):
@@ -156,9 +168,11 @@ def test_inner_product_is_hermitian(pair):
     assert f.inner_product(g) == scalar_conjugate(g.inner_product(f))
 
 
-@settings(max_examples=40, deadline=None)
-@given(_schwartz_pairs())
+@settings(max_examples=60, deadline=None)
+@given(_schwartz_pairs(general=True))
 def test_inner_product_equals_reference(pair):
+    # general coefficients at mixed levels: the one exponent vector adds products
+    # whose coefficient and psi levels differ
     f, g = pair
     for x, y in ((f, g), (f.fourier(), g.fourier()), (f - g, f - g)):
         got, want = x.inner_product(y), inner_product_reference(x, y)

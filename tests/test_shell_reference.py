@@ -231,6 +231,29 @@ def test_n1_matches_reference(p, level):
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
+def test_n1_whole_coset_shells_match_reference(p):
+    # with k >= level and v(a) >= level every x = p^k r lies in a + p^level Z_p,
+    # and _shell_n1 skips the coset test; k < level or v(a) < level must keep it
+    ctx = PAdicContext(p)
+    guarded = unguarded = 0
+    for chi in _characters(p):
+        for a in (Fraction(0), Fraction(p ** 2), Fraction(p), Fraction(1), Fraction(1, p)):
+            for level in (-1, 0, 1, 2):
+                for k in (-1, 0, 1, 2, 3):
+                    whole = k >= level and valuation(a, p) >= level
+                    guarded += whole
+                    unguarded += not whole
+                    for b in (Fraction(0), Fraction(1, p), Fraction(3)):
+                        center, mod = PAdicMatrix([[a]]), PAdicMatrix([[b]])
+                        got_stats, want_stats = {}, {}
+                        got = _shell_n1(ctx, k, center, level, mod, chi, got_stats)
+                        want = shell_n1_reference(ctx, k, center, level, mod, chi,
+                                                  want_stats)
+                        _same(got, want, got_stats, want_stats)
+    assert guarded and unguarded
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
 def test_n1_deep_shells_match_reference(p):
     # a psi level m > max(1, cu, level - k) makes the sum vanish: _shell_n1
     # returns 0 without enumerating, and must still count the reference's cells
