@@ -71,6 +71,9 @@ def parse_character(p: int, source: str) -> MultiplicativeCharacter:
                           "are objects")
     try:
         c = int(data.get("conductor_exp", 0))
+        if c < 0 or p ** min(c, 13) > MAX_ROOT_ORDER:  # checked before any residue is listed
+            raise InvalidSpec("conductor exponent %d outside 0 <= c, %d^c <= %d"
+                              % (c, p, MAX_ROOT_ORDER))
         vp = _parse_scalar_spec(p, data.get("value_at_p", 1))
         table = data.get("generators", data.get("table", {}))
         return MultiplicativeCharacter(
@@ -87,7 +90,8 @@ def _rational(text) -> Fraction:
         raise InvalidSpec("zero denominator in %r" % (text,)) from None
 
 
-# a root zeta_{p^m} is built as a length-p^m vector; a larger p^m is refused
+# a root zeta_{p^m} is built as a length-p^m vector, and a character mod p^c lists its
+# p^c residues; a larger p^m or p^c is refused
 MAX_ROOT_ORDER = 2 ** 12
 
 

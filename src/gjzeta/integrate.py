@@ -42,13 +42,14 @@ K_EXTRA = 2
 class IntegrationConfig:
     """Truncation, certification, and budget knobs.
 
-    m_start/m_max: least and greatest truncation p^(-m) M_n(Z_p) of a kernel shell.
+    m_max: greatest truncation p^(-m) M_n(Z_p) of a kernel shell.
     r_max/confirm: recurrence order bound and confirmation window for
     rationalization (r_max defaults to n at the call site).
     hard_budget: max refinement cells counted per integral, the census-binned children
     of last splits included, though those are never built.
     """
-    m_start: int = 0
+    # not a field; read by perfbench/tracer.py (_count_truncations) and tests/test_truncation.py
+    m_start = 0
     m_max: int = 8
     r_max: int = 0
     confirm: int = 3
@@ -139,10 +140,10 @@ def _shell_hermite(ctx, n, k, level, c, unit_char, stats):
     so the u_j-integrals split into G(b) = sum_{x in (Z/p^L)^x} chi(x) zeta_{p^mc}^(b x):
       shell = vol(B_0(p^mc)) / phi(p^L)^n
               * sum_{a_1+...+a_n=k'} p^(sum_j (j-1) a_j) prod_j G(w p^(a_j)).
-    G(w p^a) depends on min(a, mc) only.  For unramified chi it is the Ramanujan sum:
-    phi(p^mc) at a >= mc, -p^(mc-1) at a = mc - 1, else 0.  For ramified chi it is 0
-    when mc - a > cu: with x = x0 + p^(mc-a-1) y, chi(x) and the unit test see x0
-    alone, and sum_y zeta_p^(w y) = 0.
+    G(w p^t), t = min(a, mc), sees chi, the psi level l = mc - t and w mod p^l only: its
+    summand is a function of x mod p^max(l, cu), so G / phi(p^L) = g(l, w) / phi(p^c1) by
+    _gauss_sum when l <= c1 = max(1, cu).  G = 0 when l > c1: with x = x0 + p^(l-1) y,
+    chi(x) and the unit test see x0 alone, and sum_y zeta_p^(w y) = 0.
     """
     p = ctx.p
     cu = unit_char.conductor_exp if unit_char else 0
@@ -151,13 +152,10 @@ def _shell_hermite(ctx, n, k, level, c, unit_char, stats):
         return as_scalar(0, p)
     cH = Fraction(c) * Fraction(p) ** level
     mc = max(0, -valuation(cH, p))
-    M1, MU, PL = p ** mc, p ** cu, p ** max(mc, cu)
-    if cu:  # p^L times the n = 1 integral of chi(x) psi(cH p^t x) over Z_p^x
-        G = [0 if mc - t > cu else PL * _shell_n1(ctx, 0, PAdicMatrix([[0]]), 0,
-             PAdicMatrix([[cH * p ** t]]), unit_char, None) for t in range(mc + 1)]
-    else:
-        G = [M1 - M1 // p if t == mc else -(M1 // p) if t == mc - 1 else 0
-             for t in range(mc + 1)]
+    M1, MU, c1, chi = p ** mc, p ** cu, max(1, cu), unit_char if cu else None
+    w = cH.numerator * pow(cH.denominator // M1, -1, M1) % M1  # psi(cH x) = zeta_{p^mc}^(w x)
+    G = [0 if mc - t > c1 else _gauss_sum(p, chi, mc - t, w % p ** (mc - t))
+         for t in range(mc + 1)]
     if n == 2:  # legacy count, pending ROADMAP item 6: M1 per det residue for each of
         D = min(kp + 1, mc)  # the sum_{d <= k'} (1 + max(0, M1 - p^d)) g21 the b-sum leaves
         _bump(stats, "cells",
@@ -168,10 +166,19 @@ def _shell_hermite(ctx, n, k, level, c, unit_char, stats):
     # vol(B_0(p^mc)) is (1 - 1/p)^n p^(-mc n(n-1)/2), and prod_{i<=n} (1 - p^-i) at mc = 0
     vol = (Fraction((p - 1) ** n, p ** (n + mc * n * (n - 1) // 2)) if mc else
            Fraction(prod(p ** i - 1 for i in range(1, n + 1)), p ** (n * (n + 1) // 2)))
-    return as_scalar(total * (vol / (PL - PL // p) ** n), p)
+    return as_scalar(total * (vol / (p ** c1 - p ** (c1 - 1)) ** n), p)
 
 
 _shell_n2_hermite = _shell_hermite  # name kept because perfbench/tracer.py wraps it
+
+
+@lru_cache(maxsize=1024)
+def _gauss_sum(p, unit_char, l, w):
+    """g(l, w) = sum_{x in (Z/p^c1)^x} chi(x) zeta_{p^l}^(w x), c1 = max(1, cu) >= l: p^c1
+    times the n = 1 integral over Z_p^x, an int when rational.  unit_char is None if cu = 0."""
+    g = _shell_n1(PAdicContext(p), 0, PAdicMatrix([[0]]), 0, PAdicMatrix([[Fraction(w, p ** l)]]),
+                  unit_char, None) * p ** max(1, unit_char.conductor_exp if unit_char else 0)
+    return int(g.coeffs[0]) if g.m == 0 else g
 
 
 @lru_cache(maxsize=256)
@@ -334,22 +341,21 @@ def stabilized_shell_integral(ctx: PAdicContext, n: int, k: int,
                               modulation: PAdicMatrix, config: IntegrationConfig,
                               unit_char=None, stats=None):
     """int_{v(det g)=k} psi(tr(eps g)) chi(det g / p^k) d^x g, modulation eps Id
-    with eps a unit, as (value, m): one evaluation on p^(-m) M_n(Z_p) at
-    m = max(m_start, m*), where m* is a proven exact truncation point.
+    with eps a unit, as (value, m): one evaluation on p^(-m) M_n(Z_p) at the
+    proven exact truncation point m = m*.
 
     n = 1: the shell p^k Z_p^x is compact and inside p^(-m) Z_p once m >= -k,
-    so m* = max(0, -k).  n >= 2: _shell_hermite at level -m has mc = m, and
-    L = m once m >= c' = max(1, cu).  Then G(w p^t), w = eps, is 0 for t < m - c' and
-    p^(m-c') g(min(t - m + c', c')) otherwise, with g free of m (the Ramanujan
-    sums (-1, p - 1) for cu = 0; for cu > 0 the summand sees x mod p^cu only).
-    With a_j = m - c' + b_j the sum runs over b_1 + ... + b_n = k + n c', and the
-    powers p^(-m n(n-1)/2) of vol(B_0(p^m)), p^((m-c') n(n-1)/2) of the weights,
-    p^(n(m-c')) of the Gauss sums and p^(-n(m-1)) of phi(p^m)^(-n) cancel in m.
-    So m* = max(1, cu, ceil(-k/n)), which also reaches the shell.  A truncated
-    integral does not depend on its evaluation path: force_enumeration uses m*.
+    so m* = max(0, -k).  n >= 2: _shell_hermite at level -m has mc = m, and with
+    c' = max(1, cu) it reads each G(w p^t) / phi(p^L) as g(m - t, w) / phi(p^c'), w = eps,
+    from the same _gauss_sum g at every m.  G is 0 for t < m - c', so let m >= c' and
+    a_j = m - c' + b_j: the sum runs over b_1 + ... + b_n = k + n c' with Gauss sums
+    g(c' - min(b_j, c'), w) free of m, and the powers p^(-m n(n-1)/2) of vol(B_0(p^m))
+    and p^((m-c') n(n-1)/2) of the weights cancel in m.  So m* = max(1, cu, ceil(-k/n)),
+    which also reaches the shell.  A truncated integral does not depend on its
+    evaluation path: force_enumeration uses m*.
     """
     cu = unit_char.conductor_exp if unit_char else 0
-    m = max(config.m_start, max(0, -k) if n == 1 else max(1, cu, -(k // n)))
+    m = max(0, -k) if n == 1 else max(1, cu, -(k // n))
     if m > config.m_max:
         raise NoStabilization("shell %d did not stabilize by truncation m = %d"
                               % (k, config.m_max))

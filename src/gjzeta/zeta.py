@@ -33,6 +33,8 @@ class MultiplicativeCharacter:
     """
 
     def __init__(self, p: int, conductor_exp: int, table, value_at_p=1):
+        if conductor_exp < 0:
+            raise ValueError("conductor exponent %d is negative" % conductor_exp)
         pc = p ** conductor_exp
         given = {int(u) % pc: _phase(p, conductor_exp, v) for u, v in table.items()}
         # chi(1) = 1 and chi(u g) = chi(u) chi(g) for reached u, given g: a homomorphism

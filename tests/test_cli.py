@@ -15,6 +15,7 @@ from gjzeta.cli import build_config, build_parser, main
 from gjzeta.errors import BudgetExceeded, NearZeroDenominator
 from gjzeta.padic import PAdicContext, psi_value
 from gjzeta.schwartz import SchwartzBruhatFn, SchwartzTerm
+from gjzeta.zeta import MultiplicativeCharacter
 
 TATE_GAMMA_P2 = {"base_q": 2, "den": {"0": "1", "2": "-2"},
                  "num": {"2": "-2", "4": "2"}}
@@ -284,6 +285,38 @@ def test_oversized_value_at_p_root_exits_3(char, capsys):
     # 3^25-entry vector first, a MemoryError with exit 1
     assert main(["gamma", "--p", "3", "--n", "1", "--char", char]) == 3
     assert "exceeds %d" % cli.MAX_ROOT_ORDER in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("char", [
+    '{"conductor_exp": 30, "generators": {}}',
+    '{"conductor_exp": 30, "table": {}}',
+    '{"conductor_exp": 8, "generators": {"2": -1}}',
+    '{"conductor_exp": -1, "generators": {}}',
+], ids=["generators", "table", "3^8", "negative"])
+def test_conductor_exponent_out_of_range_exits_3(char, capsys):
+    # a character mod p^c lists its p^c residues: c = 30 ended in a MemoryError
+    # traceback with exit 1, and c = -1 exited 3 only through a float exponent
+    assert main(["gamma", "--p", "3", "--n", "1", "--char", char]) == 3
+    assert "conductor exponent" in capsys.readouterr().err
+
+
+def test_conductor_exponent_ceiling():
+    # 3^7 <= MAX_ROOT_ORDER < 3^8, and no character has a negative exponent
+    chi = cli.parse_character(3, '{"conductor_exp": 7, "generators": {"2": -1}}')
+    assert chi.conductor_exp == 7 and len(chi.phases) == 2 * 3 ** 6
+    with pytest.raises(ValueError, match="negative"):
+        MultiplicativeCharacter(3, -1, {})
+
+
+def test_imprimitive_table_gives_the_same_results(capsys):
+    # the quadratic chi written as a table mod 7^2: cu = 2 moves the windows and
+    # the cell count, not the results
+    argv = ["verify-inverse", "--p", "7", "--n", "2", "--char"]
+    code, rep = run_json(argv + ['{"conductor_exp": 2, "generators": {"3": -1}}'], capsys)
+    assert code == 0 and rep["verdict"] == "PASS"
+    code, ref = run_json(argv + ["quadratic"], capsys)
+    assert code == 0 and rep["results"] == ref["results"]
+    assert rep["windows"] != ref["windows"]
 
 
 @pytest.mark.parametrize("p, m", [(2, 12), (3, 7), (5, 5), (13, 3)])

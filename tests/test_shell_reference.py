@@ -538,8 +538,9 @@ def test_hermite_n3_matches_generic(p, chi_index, c, k, level):
 
 
 def test_ramified_gauss_sums_stay_at_the_conductor(monkeypatch):
-    # G(w p^t) vanishes once mc - t > cu, so no n = 1 enumeration runs at a
-    # psi level above max(1, cu)
+    # G(w p^t) vanishes once mc - t > max(1, cu), so _gauss_sum runs no n = 1
+    # enumeration at a psi level above it; its cache is cleared so that each runs
+    integrate._gauss_sum.cache_clear()
     levels = []
     shell_n1 = integrate._shell_n1
 
@@ -554,3 +555,59 @@ def test_ramified_gauss_sums_stay_at_the_conductor(monkeypatch):
         for kp in range(4):
             _shell_hermite(ctx, 2, kp, 0, Fraction(1, 11 ** mc), chi, {})
     assert levels and max(levels) <= max(1, chi.conductor_exp)
+    assert integrate._gauss_sum.cache_info().misses == len(levels)
+
+
+@st.composite
+def _random_characters(draw):
+    """A character mod p^c, c <= 3, with a sign and a p-power root drawn on
+    generators of the units mod p^c (2 for odd p; -1 and 5 for p = 2).  Its
+    true conductor is often below c: an imprimitive table."""
+    p, c = draw(st.sampled_from([2, 3, 5])), draw(st.integers(0, 3))
+    sign, gens = st.sampled_from([1, -1]), {}
+    if p == 2 and c >= 2:
+        gens[2 ** c - 1] = draw(sign)
+    if p == 2 and c >= 3:
+        gens[5] = root_of_unity(2, c, 4 * draw(st.integers(0, 2 ** (c - 2) - 1)))
+    if p > 2 and c:
+        gens[2] = draw(sign) * root_of_unity(p, c, p * draw(st.integers(0, p ** (c - 1) - 1)))
+    return MultiplicativeCharacter.from_generators(p, c, gens)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_random_characters())
+def test_gauss_sum_cache_matches_a_fresh_enumeration(chi):
+    # g(l, w) as _shell_hermite asks for it (chi keyed as None when cu = 0) is p^c1
+    # times the n = 1 enumeration, and an int exactly when it is rational
+    p, cu = chi.p, chi.conductor_exp
+    c1 = max(1, cu)
+    ctx, zero = PAdicContext(p), PAdicMatrix([[0]])
+    for l in range(c1 + 1):
+        for w in [w for w in range(p ** l) if w % p] if l else [0]:
+            got = integrate._gauss_sum(p, chi if cu else None, l, w)
+            want = p ** c1 * _shell_n1(ctx, 0, zero, 0, PAdicMatrix([[Fraction(w, p ** l)]]),
+                                       chi, None)
+            assert got == want and isinstance(got, int) == (want.m == 0)
+        # and the definition, sum_{x in (Z/p^c1)^x} chi(x) zeta_{p^l}^(w x), at w = 1
+        assert integrate._gauss_sum(p, chi if cu else None, l, 1 % p ** l) == sum(
+            chi.unit_value(x) * root_of_unity(p, l, x) for x in range(p ** c1) if x % p)
+
+
+def test_gauss_sum_cache_does_not_grow_with_unramified_characters():
+    # an unramified chi is 1 on units, so every one shares the key None: a key on
+    # the character instance would add entries for each character and each inverse
+    ctx = PAdicContext(3)
+    shells = [(n, k, 0, Fraction(1, 3 ** mc)) for n in (2, 3) for k in range(3)
+              for mc in range(4)]
+
+    def run(chars):
+        for chi in chars:
+            for n, k, level, c in shells:
+                _shell_hermite(ctx, n, k, level, c, chi, None)
+    integrate._gauss_sum.cache_clear()
+    run([None])
+    size = integrate._gauss_sum.cache_info().currsize
+    chars = [MultiplicativeCharacter.unramified(3, v) for v in (1, 2, Fraction(1, 3), -5)]
+    run(chars + [chi.inverse() for chi in chars])
+    info = integrate._gauss_sum.cache_info()
+    assert 0 < size == info.currsize and info.maxsize is not None
