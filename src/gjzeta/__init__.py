@@ -1,8 +1,6 @@
 """Exact Godement-Jacquet zeta integrals and gamma factors on GL_n(Q_p),
 with a numeric real-place companion and a batch verification CLI."""
 
-from .archimedean import (RealCharacter, RealSchwartzFn, fourier_real,
-                          gamma_oracle, gamma_real, zeta_real)
 from .distributions import (DIRECT, INVERSE, TwistedDistribution,
                             closed_form_inverse, cstar_gamma, det_twist,
                             gj_delta, spectral_action, tilde,
@@ -23,3 +21,11 @@ from .zeta import (GammaResult, MultiplicativeCharacter, ZetaResult,
                    zeta_integral)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):  # the real place loads mpmath, so its names load on first use
+    if name in ("RealCharacter", "RealSchwartzFn", "fourier_real", "gamma_oracle",
+                "gamma_real", "zeta_real"):
+        from . import archimedean
+        return getattr(archimedean, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

@@ -21,8 +21,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import __version__
-from .archimedean import (S_GRID, RealCharacter, RealSchwartzFn, gamma_oracle,
-                          gamma_real)
 from .distributions import (INVERSE, TwistedDistribution, cstar_gamma, tilde,
                             verify_bk_identity, verify_inverse_weak,
                             verify_relation)
@@ -327,6 +325,9 @@ def cmd_fourier_selftest(args):
 
 
 def cmd_arch_gamma(args):
+    # looked up per call: mpmath loads only here, and a rebound gamma_real is seen
+    from .archimedean import (S_GRID, RealCharacter, RealSchwartzFn, gamma_oracle,
+                              gamma_real)
     if not 0 <= args.tol < float("inf"):
         raise InvalidSpec("tol must be finite and >= 0, got %r" % args.tol)
     chi = RealCharacter(args.delta, _rational(args.tau))

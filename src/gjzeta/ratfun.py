@@ -215,31 +215,6 @@ class RationalFunctionT:
     def is_monomial(self) -> bool:
         return len(self.num.coeffs) == 1 and len(self.den.coeffs) == 1
 
-    def series_coefficients(self, k0: int, count: int, step: int = 1):
-        """Expand as sum_{k>=k0} a_k T^(step*k); returns a_k for count terms.
-
-        Requires den to have a nonzero constant term in the variable T^step.
-        """
-        den = {e // step: c for e, c in self.den.coeffs.items()}
-        num = {e // step: c for e, c in self.num.coeffs.items()}
-        if any(e % step for e in self.den.coeffs) or any(e % step for e in self.num.coeffs):
-            raise ValueError("not a function of T^%d" % step)
-        d0 = den.get(0)
-        if d0 is None or scalar_is_zero(d0):
-            raise ValueError("denominator not invertible as a power series")
-        inv0 = scalar_inverse(d0)
-        out = []
-        cache = {}
-        for k in range(k0, k0 + count):
-            acc = num.get(k, 0)
-            for j, c in den.items():
-                if j != 0 and (k - j) in cache:
-                    acc = acc - c * cache[k - j]
-            val = acc * inv0
-            cache[k] = val
-            out.append(val)
-        return out
-
     def serialize(self):
         def ser(poly):
             return {str(e): repr(c) for e, c in sorted(poly.coeffs.items())}

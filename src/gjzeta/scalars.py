@@ -17,8 +17,6 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import mul
 
-import mpmath
-
 
 def _euler_phi_prime_power(p: int, m: int) -> int:
     return 1 if m == 0 else (p - 1) * p ** (m - 1)
@@ -211,6 +209,7 @@ class CyclotomicNumber:
 
     def embed(self, digits: int = 20):
         """Numeric value under zeta_{p^m} -> exp(2*pi*i/p^m) as an mpmath mpc."""
+        import mpmath  # numeric checks only: exact runs never load mpmath
         with mpmath.workdps(digits + 10):
             if self.m == 0:
                 return mpmath.mpc(mpmath.mpf(self.coeffs[0].numerator)
@@ -288,6 +287,7 @@ def root_of_unity_sum(p: int, m: int, counts) -> CyclotomicNumber:
 
 
 def embed_complex(z, digits: int = 20):
+    import mpmath
     if isinstance(z, (int, Fraction)):
         return mpmath.mpc(Fraction(z).numerator) / Fraction(z).denominator
     return z.embed(digits)
@@ -424,6 +424,7 @@ class QuadExt:
         return "(%r) + (%r)*sqrt(%d)" % (self.a, self.b, self.p)
 
     def embed(self, digits: int = 20):
+        import mpmath
         with mpmath.workdps(digits + 10):
             return self.a.embed(digits) + self.b.embed(digits) * mpmath.sqrt(self.p)
 

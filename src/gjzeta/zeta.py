@@ -23,6 +23,23 @@ from .ratfun import RationalFunctionT
 from .scalars import CyclotomicNumber, as_scalar, root_of_unity, scalar_is_zero
 
 
+class UnitCharacter:
+    """chi on the units mod p^c as a value, without chi(p): equal phase tables
+    compare and hash equal, so a cache keyed on one serves every equal character."""
+
+    __slots__ = ("conductor_exp", "phases", "_key")
+
+    def __init__(self, conductor_exp: int, phases: dict):
+        self.conductor_exp, self.phases = conductor_exp, phases
+        self._key = (conductor_exp, frozenset(phases.items()))
+
+    def __eq__(self, other):
+        return isinstance(other, UnitCharacter) and self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
+
+
 class MultiplicativeCharacter:
     """Character of Q_p^x: integer phases on the units mod p^c, and chi(p).
 
@@ -51,10 +68,18 @@ class MultiplicativeCharacter:
                                      % conductor_exp)
         if sorted(phases) != [u for u in range(pc) if u % p or pc == 1]:
             raise ValueError("table must generate the units mod p^%d" % conductor_exp)
-        self.p, self.conductor_exp, self.phases = p, conductor_exp, phases
+        self.p, self.unit = p, UnitCharacter(conductor_exp, phases)
         self.value_at_p = as_scalar(value_at_p, p)
         if scalar_is_zero(self.value_at_p):
             raise ValueError("a character takes no zero value")
+
+    @property
+    def conductor_exp(self) -> int:
+        return self.unit.conductor_exp
+
+    @property
+    def phases(self) -> dict:
+        return self.unit.phases
 
     # -- constructors --------------------------------------------------
 
@@ -75,22 +100,11 @@ class MultiplicativeCharacter:
         table = {u: 1 if pow(u, (p - 1) // 2, p) == 1 else -1 for u in range(1, p)}
         return MultiplicativeCharacter(p, 1, table, value_at_p)
 
-    @staticmethod
-    def from_generators(p: int, conductor_exp: int, gen_values,
-                        value_at_p=1) -> "MultiplicativeCharacter":
-        """chi from its values on generators of (Z/p^c)^x: {residue: scalar}."""
-        return MultiplicativeCharacter(p, conductor_exp, gen_values, value_at_p)
-
     # -- evaluation ----------------------------------------------------
 
     @property
     def is_ramified(self) -> bool:
         return self.conductor_exp > 0
-
-    @property
-    def table(self) -> dict:
-        """chi on the units mod p^c as scalars ({} when c = 0)."""
-        return {u: self.unit_value(u) for u in self.phases if u % self.p}
 
     def unit_value(self, u: int):
         s, a = self.phases[u % self.p ** self.conductor_exp]
@@ -108,7 +122,8 @@ class MultiplicativeCharacter:
     def inverse(self) -> "MultiplicativeCharacter":
         """chi^(-1): negated phases and one scalar inverse, of chi(p)."""
         inv, M = copy.copy(self), self.p ** self.conductor_exp
-        inv.phases = {u: (s, -a % M) for u, (s, a) in self.phases.items()}
+        inv.unit = UnitCharacter(self.conductor_exp,
+                                 {u: (s, -a % M) for u, (s, a) in self.phases.items()})
         inv.value_at_p = self.value_at_p.inverse()
         return inv
 

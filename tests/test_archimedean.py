@@ -19,6 +19,15 @@ TRIV = RealCharacter()
 SGN = RealCharacter(1)
 
 
+def test_package_serves_real_place_names_lazily():
+    # gjzeta loads archimedean, and with it mpmath, only when one of its names is read
+    import gjzeta
+    from gjzeta import RealCharacter as character, gamma_real as gamma, zeta_real as zeta
+    assert (zeta, gamma, character) == (zeta_real, gamma_real, RealCharacter)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        gjzeta.no_such_name
+
+
 def test_gaussian_self_dual():
     assert fourier_real(GAUSS) == GAUSS
 

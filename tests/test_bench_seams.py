@@ -8,7 +8,7 @@ import json
 import sys
 from pathlib import Path
 
-from gjzeta import cli
+from gjzeta import archimedean, cli  # noqa: F401
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -19,7 +19,8 @@ def _engine_globals():
             for attr, value in vars(mod).items()}
 
 
-def test_tracer_wraps_and_restores_engine_seams(monkeypatch, tmp_path):
+def _traced_run(monkeypatch, tmp_path, argv):
+    """The tracer's metrics for one CLI run; uninstall must restore every engine global."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from tracer import Tracer
 
@@ -35,10 +36,22 @@ def test_tracer_wraps_and_restores_engine_seams(monkeypatch, tmp_path):
         raise
     try:
         out = tmp_path / "report.json"
-        assert cli.main(["verify-inverse", "--p", "2", "--n", "2", "--out", str(out)]) == 0
+        assert cli.main(argv + ["--out", str(out)]) == 0
     finally:
         tracer.uninstall()
     assert json.loads(out.read_text())["verdict"] == "PASS"
     after = _engine_globals()
     assert [key for key, value in before.items() if after.get(key) is not value] == []
-    assert tracer.metrics(1)["integrate.shell.hermite.calls"] > 0
+    return tracer.metrics(1)
+
+
+def test_tracer_wraps_and_restores_engine_seams(monkeypatch, tmp_path):
+    metrics = _traced_run(monkeypatch, tmp_path, ["verify-inverse", "--p", "2", "--n", "2"])
+    assert metrics["integrate.shell.hermite.calls"] > 0
+
+
+def test_tracer_sees_the_real_place_at_call_time(monkeypatch, tmp_path):
+    # cmd_arch_gamma reads gamma_real from archimedean per call, so it runs the
+    # wrapper; archimedean is imported above, so its globals are checked too
+    metrics = _traced_run(monkeypatch, tmp_path, ["arch-gamma", "--s", "0.5"])
+    assert metrics["archimedean.gamma_real.calls"] > 0

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from gjzeta import cli
+from gjzeta import archimedean, cli, integrate
 from gjzeta.cli import build_config, build_parser, main
 from gjzeta.errors import BudgetExceeded, NearZeroDenominator
 from gjzeta.padic import PAdicContext, psi_value
@@ -142,7 +142,7 @@ def test_arch_gamma_csv(capsys):
 def test_arch_gamma_csv_inconclusive_writes_json(monkeypatch, capsys):
     def near_zero(chi, s, phi):
         raise NearZeroDenominator("Z(Phi, s, chi) too close to zero at s=%s" % s)
-    monkeypatch.setattr(cli, "gamma_real", near_zero)
+    monkeypatch.setattr(archimedean, "gamma_real", near_zero)
     code, rep = run_json(["arch-gamma", "--format", "csv"], capsys)
     assert code == 2 and rep["verdict"] == "INCONCLUSIVE"
     assert rep["results"]["error"] == "NearZeroDenominator"
@@ -308,6 +308,20 @@ def test_conductor_exponent_ceiling():
         MultiplicativeCharacter(3, -1, {})
 
 
+def test_equal_characters_share_gauss_sums(capsys):
+    # _gauss_sum keys chi on its phases, not on the instance that each run parses
+    argv = ["verify-inverse", "--p", "7", "--n", "2",
+            "--char", '{"conductor_exp":3,"generators":{"3":{"root":[2,1]}}}']
+    reports = []
+    for _ in range(2):
+        misses = integrate._gauss_sum.cache_info().misses
+        code, rep = run_json(argv, capsys)
+        assert code == 0 and rep.pop("elapsed_seconds") >= 0
+        reports.append(rep)
+    assert integrate._gauss_sum.cache_info().misses == misses
+    assert reports[0] == reports[1]
+
+
 def test_imprimitive_table_gives_the_same_results(capsys):
     # the quadratic chi written as a table mod 7^2: cu = 2 moves the windows and
     # the cell count, not the results
@@ -329,9 +343,9 @@ def test_root_order_ceiling(p, m):
 
 def test_arch_gamma_nan_row_fails(monkeypatch, capsys):
     # max(0.0, nan, ...) dropped a NaN row from max_abs_err and the verdict
-    monkeypatch.setattr(cli, "gamma_oracle",
+    monkeypatch.setattr(archimedean, "gamma_oracle",
                         lambda chi, s: complex("nan") if s == 0.3 else complex(0))
-    monkeypatch.setattr(cli, "gamma_real", lambda chi, s, phi: complex(0))
+    monkeypatch.setattr(archimedean, "gamma_real", lambda chi, s, phi: complex(0))
     code, rep = run_json(["arch-gamma", "--s", "0.3,0.4"], capsys)
     assert code == 1 and rep["verdict"] == "FAIL"
     assert math.isnan(rep["results"]["max_abs_err"])
@@ -480,7 +494,7 @@ def test_out_of_range_engine_flags_exit_3(flags, env, monkeypatch, capsys):
 # must not load scipy; arch-gamma loads scipy.integrate when it integrates.
 SCIPY_PROBE = """
 import sys
-from gjzeta import cli
+from gjzeta import archimedean, cli, integrate
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
@@ -512,3 +526,26 @@ def test_cli_imports_neither_numpy_nor_scipy():
         "print(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'}))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+REAL_PLACE_MODULES = ("sorted(m for m in sys.modules"
+                      " if m.split('.')[0] == 'mpmath' or m == 'gjzeta.archimedean')")
+
+
+@pytest.mark.parametrize("module", ["gjzeta", "gjzeta.cli"])
+def test_padic_imports_load_no_real_place(module):
+    # mpmath and gjzeta.archimedean load only when the real place is used
+    proc = _fresh_python("import sys, %s\nprint(%s)" % (module, REAL_PLACE_MODULES))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_only_arch_gamma_loads_the_real_place(tmp_path):
+    proc = _fresh_python(
+        "import sys\nfrom gjzeta import cli\n"
+        "for argv in (['verify-inverse', '--p', '3', '--n', '2'], ['arch-gamma', '--s', '0.5']):\n"
+        "    assert cli.main(argv + ['--out', sys.argv[1]]) == 0\n"
+        "    print(%s)" % REAL_PLACE_MODULES, str(tmp_path / "report.json"))
+    assert proc.returncode == 0, proc.stderr
+    padic, real = proc.stdout.splitlines()
+    assert padic == "[]" and "'gjzeta.archimedean'" in real and "'mpmath'" in real

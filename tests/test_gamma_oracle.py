@@ -102,7 +102,7 @@ def test_oracle_closed_forms():
 def test_gamma_conductor_two(n, p, gen):
     # chi(gen) = zeta_p on a primitive root mod p^2: order p, primitive mod p^2.
     # At n = 2 the shifted balls go through the generic refinement.
-    chi = MultiplicativeCharacter.from_generators(p, 2, {gen: root_of_unity(p, 1, 1)})
+    chi = MultiplicativeCharacter(p, 2, {gen: root_of_unity(p, 1, 1)})
     want = gj_gamma(chi, n)
     for k in (2, 3):
         phi = SchwartzBruhatFn.shifted_ball(n, PAdicContext(p), 1, k)

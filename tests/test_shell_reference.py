@@ -193,13 +193,13 @@ def shell_generic_reference(ctx, k, center, level, modulation, config, unit_char
 def _characters(p):
     """Trivial (None and explicit), unramified, quadratic, and one character
     whose values are not rational."""
-    zeta = {2: MultiplicativeCharacter.from_generators(
+    zeta = {2: MultiplicativeCharacter(
                 2, 4, {15: -1, 5: root_of_unity(2, 2, 1)}),
-            3: MultiplicativeCharacter.from_generators(
+            3: MultiplicativeCharacter(
                 3, 2, {2: -root_of_unity(3, 1, 1)}),
-            5: MultiplicativeCharacter.from_generators(
+            5: MultiplicativeCharacter(
                 5, 2, {2: root_of_unity(5, 1, 1)}),
-            7: MultiplicativeCharacter.from_generators(
+            7: MultiplicativeCharacter(
                 7, 2, {3: root_of_unity(7, 1, 1)})}[p]
     return [None, MultiplicativeCharacter.trivial(p),
             MultiplicativeCharacter.unramified(p, Fraction(1, p)),
@@ -571,25 +571,25 @@ def _random_characters(draw):
         gens[5] = root_of_unity(2, c, 4 * draw(st.integers(0, 2 ** (c - 2) - 1)))
     if p > 2 and c:
         gens[2] = draw(sign) * root_of_unity(p, c, p * draw(st.integers(0, p ** (c - 1) - 1)))
-    return MultiplicativeCharacter.from_generators(p, c, gens)
+    return MultiplicativeCharacter(p, c, gens)
 
 
 @settings(max_examples=30, deadline=None)
 @given(_random_characters())
 def test_gauss_sum_cache_matches_a_fresh_enumeration(chi):
-    # g(l, w) as _shell_hermite asks for it (chi keyed as None when cu = 0) is p^c1
+    # g(l, w) as _shell_hermite asks for it (chi's unit part, None when cu = 0) is p^c1
     # times the n = 1 enumeration, and an int exactly when it is rational
     p, cu = chi.p, chi.conductor_exp
     c1 = max(1, cu)
     ctx, zero = PAdicContext(p), PAdicMatrix([[0]])
     for l in range(c1 + 1):
         for w in [w for w in range(p ** l) if w % p] if l else [0]:
-            got = integrate._gauss_sum(p, chi if cu else None, l, w)
+            got = integrate._gauss_sum(p, chi.unit if cu else None, l, w)
             want = p ** c1 * _shell_n1(ctx, 0, zero, 0, PAdicMatrix([[Fraction(w, p ** l)]]),
                                        chi, None)
             assert got == want and isinstance(got, int) == (want.m == 0)
         # and the definition, sum_{x in (Z/p^c1)^x} chi(x) zeta_{p^l}^(w x), at w = 1
-        assert integrate._gauss_sum(p, chi if cu else None, l, 1 % p ** l) == sum(
+        assert integrate._gauss_sum(p, chi.unit if cu else None, l, 1 % p ** l) == sum(
             chi.unit_value(x) * root_of_unity(p, l, x) for x in range(p ** c1) if x % p)
 
 

@@ -38,7 +38,7 @@ def agreement_loop(ctx, n, k, modulation, config, chi):
 
 def conductor2(p):
     """chi of conductor exponent 2 with chi(3) = zeta_p (3 generates (Z/p^2)^x)."""
-    return MultiplicativeCharacter.from_generators(p, 2, {3: root_of_unity(p, 1, 1)})
+    return MultiplicativeCharacter(p, 2, {3: root_of_unity(p, 1, 1)})
 
 
 def imprimitive(p):

@@ -25,6 +25,11 @@ def tate_gamma_target(p):
 
 # -- characters ----------------------------------------------------------
 
+def unit_table(chi):
+    """chi on the units mod p^c as scalars ({} when c = 0)."""
+    return {u: chi.unit_value(u) for u in chi.phases if u % chi.p}
+
+
 def test_character_evaluation_and_inverse():
     chi = MultiplicativeCharacter.quadratic_ramified(2)
     assert chi.char_eval(3) == -1
@@ -43,22 +48,23 @@ def test_character_evaluation_and_inverse():
 def test_character_inverse_permutes_the_table(p, gen):
     # the quadratic chi, or the conductor-2 chi with chi(gen) = zeta_p
     z = root_of_unity(p, 1, 1)
-    chi = (MultiplicativeCharacter.from_generators(p, 2, {gen: z}, z) if gen
+    chi = (MultiplicativeCharacter(p, 2, {gen: z}, z) if gen
            else MultiplicativeCharacter.quadratic_ramified(p, z))
     inv = chi.inverse()
     ref = MultiplicativeCharacter(p, chi.conductor_exp,
-                                  {u: v.inverse() for u, v in chi.table.items()},
+                                  {u: v.inverse() for u, v in unit_table(chi).items()},
                                   chi.value_at_p.inverse())
-    assert inv.table == ref.table and inv.value_at_p == ref.value_at_p
+    inv_table, ref_table = unit_table(inv), unit_table(ref)
+    assert inv_table == ref_table and inv.value_at_p == ref.value_at_p
     assert repr(inv) == repr(ref)
-    assert [repr(inv.table[u]) for u in ref.table] == [repr(v) for v in ref.table.values()]
+    assert [repr(inv_table[u]) for u in ref_table] == [repr(v) for v in ref_table.values()]
 
 
 def test_character_table_validation():
     with pytest.raises(ValueError):
         MultiplicativeCharacter(2, 2, {1: 1})  # missing unit 3
     with pytest.raises(ValueError):
-        MultiplicativeCharacter.from_generators(5, 1, {4: -1})  # <4> is not all units
+        MultiplicativeCharacter(5, 1, {4: -1})  # <4> is not all units
     # tables that cover the units but are not characters
     for p, table in ((3, {1: 2, 2: 1}),  # chi(1) = 2
                      (5, {1: 1, 2: 1, 3: -1, 4: -1})):  # chi(2)^2 = 1, chi(4) = -1
@@ -98,15 +104,19 @@ def test_phase_characters_match_a_cyclotomic_reference(pc, sign, a, v, i, j, vp)
     (p, c), pc = pc, pc[0] ** pc[1]
     gens, ref = _cyclotomic_reference(p, c, sign, a)
     vp = root_of_unity(p, *vp) if isinstance(vp, tuple) else vp
-    chi = MultiplicativeCharacter.from_generators(p, c, gens, vp)
+    chi = MultiplicativeCharacter(p, c, gens, vp)
     inv = chi.inverse()
     assert sorted(ref) == [u for u in range(pc) if u % p]
     for u, want in ref.items():
         assert repr(chi.unit_value(u)) == repr(want)
         assert inv.unit_value(u) * want == 1
     assert chi.value_at_minus_one() == ref[pc - 1]
-    # the full table gives the same phases as the generators
-    assert MultiplicativeCharacter(p, c, ref, vp).phases == chi.phases
+    # the full table gives the same phases as the generators, and an equal unit part
+    full = MultiplicativeCharacter(p, c, ref, 1)
+    assert full.phases == chi.phases
+    assert full.unit == chi.unit and hash(full.unit) == hash(chi.unit)
+    assert inv.inverse().unit == chi.unit and (inv.unit == chi.unit) == (
+        inv.phases == chi.phases)
     units = sorted(ref)
     u1, u2 = units[i % len(units)], units[j % len(units)]
     x = Fraction(p) ** v * u1 / u2
