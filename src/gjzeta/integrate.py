@@ -26,6 +26,7 @@ from functools import lru_cache
 from itertools import product
 from math import prod
 from operator import add, mul
+from types import SimpleNamespace
 
 from .errors import BudgetExceeded, NoStabilization
 from .padic import (INFINITE, PAdicContext, PAdicMatrix, flat_det, mod_int,
@@ -152,7 +153,7 @@ def _shell_hermite(ctx, n, k, level, c, unit_char, stats):
         return as_scalar(0, p)
     cH = Fraction(c) * Fraction(p) ** level
     mc = max(0, -valuation(cH, p))
-    M1, MU, c1, chi = p ** mc, p ** cu, max(1, cu), unit_char.unit if cu else None
+    M1, MU, c1, chi = p ** mc, p ** cu, max(1, cu), unit_char.unit_key if cu else None
     w = cH.numerator * pow(cH.denominator // M1, -1, M1) % M1  # psi(cH x) = zeta_{p^mc}^(w x)
     G = [0 if mc - t > c1 else _gauss_sum(p, chi, mc - t, w % p ** (mc - t))
          for t in range(mc + 1)]
@@ -173,12 +174,13 @@ _shell_n2_hermite = _shell_hermite  # name kept because perfbench/tracer.py wrap
 
 
 @lru_cache(maxsize=1024)
-def _gauss_sum(p, unit_char, l, w):
+def _gauss_sum(p, unit_key, l, w):
     """g(l, w) = sum_{x in (Z/p^c1)^x} chi(x) zeta_{p^l}^(w x), c1 = max(1, cu) >= l: p^c1
-    times the n = 1 integral over Z_p^x, an int when rational.  unit_char is chi's
-    UnitCharacter, a value, so equal characters share entries; None if cu = 0."""
+    times the n = 1 integral over Z_p^x, an int when rational.  unit_key is chi's
+    (cu, frozenset of phases), so equal characters share entries; None if cu = 0."""
+    chi = unit_key and SimpleNamespace(conductor_exp=unit_key[0], phases=dict(unit_key[1]))
     g = _shell_n1(PAdicContext(p), 0, PAdicMatrix([[0]]), 0, PAdicMatrix([[Fraction(w, p ** l)]]),
-                  unit_char, None) * p ** max(1, unit_char.conductor_exp if unit_char else 0)
+                  chi, None) * p ** max(1, unit_key[0] if unit_key else 0)
     return int(g.coeffs[0]) if g.m == 0 else g
 
 

@@ -23,23 +23,6 @@ from .ratfun import RationalFunctionT
 from .scalars import CyclotomicNumber, as_scalar, root_of_unity, scalar_is_zero
 
 
-class UnitCharacter:
-    """chi on the units mod p^c as a value, without chi(p): equal phase tables
-    compare and hash equal, so a cache keyed on one serves every equal character."""
-
-    __slots__ = ("conductor_exp", "phases", "_key")
-
-    def __init__(self, conductor_exp: int, phases: dict):
-        self.conductor_exp, self.phases = conductor_exp, phases
-        self._key = (conductor_exp, frozenset(phases.items()))
-
-    def __eq__(self, other):
-        return isinstance(other, UnitCharacter) and self._key == other._key
-
-    def __hash__(self):
-        return hash(self._key)
-
-
 class MultiplicativeCharacter:
     """Character of Q_p^x: integer phases on the units mod p^c, and chi(p).
 
@@ -68,18 +51,11 @@ class MultiplicativeCharacter:
                                      % conductor_exp)
         if sorted(phases) != [u for u in range(pc) if u % p or pc == 1]:
             raise ValueError("table must generate the units mod p^%d" % conductor_exp)
-        self.p, self.unit = p, UnitCharacter(conductor_exp, phases)
+        self.p, self.conductor_exp, self.phases = p, conductor_exp, phases
+        self.unit_key = (conductor_exp, frozenset(phases.items()))  # _gauss_sum's key
         self.value_at_p = as_scalar(value_at_p, p)
         if scalar_is_zero(self.value_at_p):
             raise ValueError("a character takes no zero value")
-
-    @property
-    def conductor_exp(self) -> int:
-        return self.unit.conductor_exp
-
-    @property
-    def phases(self) -> dict:
-        return self.unit.phases
 
     # -- constructors --------------------------------------------------
 
@@ -122,8 +98,8 @@ class MultiplicativeCharacter:
     def inverse(self) -> "MultiplicativeCharacter":
         """chi^(-1): negated phases and one scalar inverse, of chi(p)."""
         inv, M = copy.copy(self), self.p ** self.conductor_exp
-        inv.unit = UnitCharacter(self.conductor_exp,
-                                 {u: (s, -a % M) for u, (s, a) in self.phases.items()})
+        inv.phases = {u: (s, -a % M) for u, (s, a) in self.phases.items()}
+        inv.unit_key = (self.conductor_exp, frozenset(inv.phases.items()))
         inv.value_at_p = self.value_at_p.inverse()
         return inv
 

@@ -492,9 +492,10 @@ def test_out_of_range_engine_flags_exit_3(flags, env, monkeypatch, capsys):
 
 # A fresh interpreter: which modules a CLI run loads.  The p-adic commands
 # must not load scipy; arch-gamma loads scipy.integrate when it integrates.
+# cli loads archimedean lazily, so the probe imports it to check that it loads no scipy.
 SCIPY_PROBE = """
 import sys
-from gjzeta import archimedean, cli, integrate
+from gjzeta import archimedean, cli
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")

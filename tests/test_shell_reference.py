@@ -577,19 +577,19 @@ def _random_characters(draw):
 @settings(max_examples=30, deadline=None)
 @given(_random_characters())
 def test_gauss_sum_cache_matches_a_fresh_enumeration(chi):
-    # g(l, w) as _shell_hermite asks for it (chi's unit part, None when cu = 0) is p^c1
+    # g(l, w) as _shell_hermite asks for it (chi's unit key, None when cu = 0) is p^c1
     # times the n = 1 enumeration, and an int exactly when it is rational
     p, cu = chi.p, chi.conductor_exp
     c1 = max(1, cu)
     ctx, zero = PAdicContext(p), PAdicMatrix([[0]])
     for l in range(c1 + 1):
         for w in [w for w in range(p ** l) if w % p] if l else [0]:
-            got = integrate._gauss_sum(p, chi.unit if cu else None, l, w)
+            got = integrate._gauss_sum(p, chi.unit_key if cu else None, l, w)
             want = p ** c1 * _shell_n1(ctx, 0, zero, 0, PAdicMatrix([[Fraction(w, p ** l)]]),
                                        chi, None)
             assert got == want and isinstance(got, int) == (want.m == 0)
         # and the definition, sum_{x in (Z/p^c1)^x} chi(x) zeta_{p^l}^(w x), at w = 1
-        assert integrate._gauss_sum(p, chi.unit if cu else None, l, 1 % p ** l) == sum(
+        assert integrate._gauss_sum(p, chi.unit_key if cu else None, l, 1 % p ** l) == sum(
             chi.unit_value(x) * root_of_unity(p, l, x) for x in range(p ** c1) if x % p)
 
 

@@ -111,11 +111,11 @@ def test_phase_characters_match_a_cyclotomic_reference(pc, sign, a, v, i, j, vp)
         assert repr(chi.unit_value(u)) == repr(want)
         assert inv.unit_value(u) * want == 1
     assert chi.value_at_minus_one() == ref[pc - 1]
-    # the full table gives the same phases as the generators, and an equal unit part
+    # the full table gives the same phases as the generators, and an equal unit key
     full = MultiplicativeCharacter(p, c, ref, 1)
     assert full.phases == chi.phases
-    assert full.unit == chi.unit and hash(full.unit) == hash(chi.unit)
-    assert inv.inverse().unit == chi.unit and (inv.unit == chi.unit) == (
+    assert full.unit_key == chi.unit_key and hash(full.unit_key) == hash(chi.unit_key)
+    assert inv.inverse().unit_key == chi.unit_key and (inv.unit_key == chi.unit_key) == (
         inv.phases == chi.phases)
     units = sorted(ref)
     u1, u2 = units[i % len(units)], units[j % len(units)]
