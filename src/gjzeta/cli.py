@@ -92,6 +92,8 @@ def _rational(text) -> Fraction:
 # p^c residues; a larger p^m or p^c is refused
 MAX_ROOT_ORDER = 2 ** 12
 
+N_CHOICES = range(1, 9)  # the GL_n sizes of gamma, verify-fe, verify-bk and verify-inverse
+
 
 def _parse_scalar_spec(p: int, v, max_level=None):
     """A rational, or zeta_{p^m}^a from {"root": [m, a]} or "root:m/a".  A unit
@@ -364,6 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", help="write the report here instead of stdout")
         if padic:
             sp.add_argument("--p", type=int, required=True, help="residue prime")
+            sp.add_argument("--n", type=int, required=True, choices=N_CHOICES)
             sp.add_argument("--char", default="trivial",
                             help="trivial | unramified:VALUE | quadratic | "
                                  "inline JSON | file path (default: trivial)")
@@ -376,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("gamma", help="gamma factor as an exact rational function in T")
     common(sp)
-    sp.add_argument("--n", type=int, required=True, choices=(1, 2, 3))
     sp.add_argument("--phis", default="unit_ball,scaled_ball(1),shifted_ball(1,1)",
                     help="comma-separated Phi list (independence is re-verified)")
     sp.set_defaults(fn="cmd_gamma")
@@ -384,21 +386,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify-fe",
                         help="Phi-independence of the functional-equation ratio")
     common(sp)
-    sp.add_argument("--n", type=int, required=True, choices=(1, 2, 3))
     sp.add_argument("--phis", default="unit_ball,scaled_ball(1)")
     sp.set_defaults(fn="cmd_gamma")
 
     sp = sub.add_parser("verify-bk",
                         help="generating-distribution spectral identity")
     common(sp)
-    sp.add_argument("--n", type=int, required=True, choices=(1, 2, 3))
     sp.add_argument("--phis", default="unit_ball,scaled_ball(1)")
     sp.set_defaults(fn="cmd_verify_bk")
 
     sp = sub.add_parser("verify-inverse",
                         help="weak convolution-inverse identity")
     common(sp)
-    sp.add_argument("--n", type=int, required=True, choices=(1, 2, 3))
     sp.add_argument("--alpha2", type=int,
                     help="2*alpha for D = (alpha, -1, INVERSE); default: "
                          "the sign-flipped normalizing distribution")

@@ -8,7 +8,7 @@ distribution kernels alike.
 
 Three evaluation paths:
   * n = 1: direct unit enumeration at the certified constancy level;
-  * any n, zero-centered coset with scalar modulation: sums of Gauss-sum products;
+  * any n, zero-centered coset with scalar modulation: closed forms in Gauss sums;
   * generic: recursive residue-cell refinement with an exact resolution
     rule, bounded by a hard cell budget.
 The n = 1 and generic paths add the sign of chi(u) = sign * zeta_{p^c}^a into
@@ -33,7 +33,7 @@ from .padic import (INFINITE, PAdicContext, PAdicMatrix, flat_det, mod_int,
                     valuation)
 from .ratfun import LaurentPoly, RationalFunctionT
 from .recurrence import detect_recurrence
-from .scalars import as_scalar, root_of_unity_sum, scalar_is_zero
+from .scalars import as_scalar, root_of_unity_sum
 
 # a shell series takes K_EXTRA shells beyond the 2 r_max + confirm that rationalize reads
 K_EXTRA = 2
@@ -128,7 +128,7 @@ _gl2_hist_cached = lru_cache(maxsize=1)(gl2_histogram)
 
 
 def _shell_hermite(ctx, n, k, level, c, unit_char, stats):
-    """Zero-centered coset p^level M_n, modulation c * Id, any n.
+    """Zero-centered coset p^level M_n, modulation c * Id, any n, in closed form.
 
     g = p^level H leaves v(det H) = k' = k - n*level and psi(cH tr H), with
     cH = c p^level = w / p^mc (w a unit).  Write H = kappa b, kappa in GL_n(Z_p),
@@ -137,37 +137,49 @@ def _shell_hermite(ctx, n, k, level, c, unit_char, stats):
     b_ij (i < j) runs over Z_p in psi(cH kappa_ji b_ij), whose integral is 1 if
     kappa_ji = 0 mod p^mc and 0 otherwise: only kappa in B_0(p^mc) survive.  There
     (kappa_11, ..., kappa_nn, det) mod (p^mc, ..., p^mc, p^cu) is a homomorphism
-    with the image of (x_1, ..., x_n, x_1...x_n) on units mod p^L, L = max(mc, cu),
-    so the u_j-integrals split into G(b) = sum_{x in (Z/p^L)^x} chi(x) zeta_{p^mc}^(b x):
-      shell = vol(B_0(p^mc)) / phi(p^L)^n
-              * sum_{a_1+...+a_n=k'} p^(sum_j (j-1) a_j) prod_j G(w p^(a_j)).
-    G(w p^t), t = min(a, mc), sees chi, the psi level l = mc - t and w mod p^l only: its
-    summand is a function of x mod p^max(l, cu), so G / phi(p^L) = g(l, w) / phi(p^c1) by
-    _gauss_sum when l <= c1 = max(1, cu).  G = 0 when l > c1: with x = x0 + p^(l-1) y,
-    chi(x) and the unit test see x0 alone, and sum_y zeta_p^(w y) = 0.
+    with the image of (x_1, ..., x_n, x_1...x_n) on units, so the u_j-integrals split:
+      shell = vol * sum_{a_1+...+a_n=k'} p^(sum_j (j-1) a_j) prod_j gamma(min(a_j, mc)),
+    vol = vol(B_0(p^mc)) = (1 - 1/p)^n p^(-mc n(n-1)/2) (prod_{i<=n} (1 - p^-i) at mc = 0),
+    gamma(t) = G(w p^t) / phi(p^c1), G(b) = sum_{x in (Z/p^c1)^x} chi(x) zeta_{p^mc}^(b x),
+    c1 = max(1, cu).  With l = mc - t, G = 0 for l > f, the true conductor (x = x0 +
+    p^(l-1) y: chi(x) sees x0 alone, sum_y zeta_p^(w y) = 0), and for l < f (x -> x u,
+    u = 1 mod p^l with chi(u) != 1).
+      * f = 0, mc = 0: gamma = 1, and the sum is the Gaussian binomial
+        [k'+n-1 choose n-1]_p, so shell = (p^n - 1) p^(-n(n+1)/2) prod_{i<n} (p^(k'+i) - 1).
+      * f = 0, mc >= 1: gamma(mc) = 1, gamma(mc - 1) = -1/(p - 1) (Ramanujan sums)
+        and 0 below.  Factor j of the generating function in x^(a_j) is
+        p^((j-1)(mc-1)) x^(mc-1) (p^j x - 1) / ((p - 1)(1 - p^(j-1) x)), and the
+        product telescopes to (-1)^n (1 - p^n x) / (1 - x).  With K = k' - n(mc - 1),
+        shell = (-1)^n p^(-n(n+1)/2) * (0 if K < 0, 1 if K = 0, 1 - p^n if K > 0).
+      * f >= 1: only a_j = t0 = mc - f survives, so shell = 0 unless t0 >= 0 and
+        k' = n t0, and then (p-1)^n p^(-n - f n(n-1)/2) (g / phi(p^c1))^n with
+        g = _gauss_sum(chi, f, w mod p^f).
     """
     p = ctx.p
-    cu = unit_char.conductor_exp if unit_char else 0
+    cu, f = (unit_char.conductor_exp, unit_char.conductor) if unit_char else (0, 0)
     kp = k - n * level
     if kp < 0:
         return as_scalar(0, p)
     cH = Fraction(c) * Fraction(p) ** level
     mc = max(0, -valuation(cH, p))
-    M1, MU, c1, chi = p ** mc, p ** cu, max(1, cu), unit_char.unit_key if cu else None
-    w = cH.numerator * pow(cH.denominator // M1, -1, M1) % M1  # psi(cH x) = zeta_{p^mc}^(w x)
-    G = [0 if mc - t > c1 else _gauss_sum(p, chi, mc - t, w % p ** (mc - t))
-         for t in range(mc + 1)]
+    M1, MU = p ** mc, p ** cu
     if n == 2:  # legacy count, pending ROADMAP item 6: M1 per det residue for each of
         D = min(kp + 1, mc)  # the sum_{d <= k'} (1 + max(0, M1 - p^d)) g21 the b-sum leaves
         _bump(stats, "cells",
               M1 * (MU - MU // p) * (kp + 1 + D * M1 - (p ** D - 1) // (p - 1)))
-    live = tuple(t for t in range(mc + 1) if not scalar_is_zero(G[t]))
-    total = sum(prod(G[t] for t in key) * weight
-                for key, weight in _hermite_weights(p, n, kp, mc, live))
-    # vol(B_0(p^mc)) is (1 - 1/p)^n p^(-mc n(n-1)/2), and prod_{i<=n} (1 - p^-i) at mc = 0
-    vol = (Fraction((p - 1) ** n, p ** (n + mc * n * (n - 1) // 2)) if mc else
-           Fraction(prod(p ** i - 1 for i in range(1, n + 1)), p ** (n * (n + 1) // 2)))
-    return as_scalar(total * (vol / (p ** c1 - p ** (c1 - 1)) ** n), p)
+    if f:
+        if mc < f or kp != n * (mc - f):
+            return as_scalar(0, p)
+        w = cH.numerator * pow(cH.denominator // M1, -1, M1) % M1  # psi(cH x) = zeta_{p^mc}^(w x)
+        g = _gauss_sum(p, unit_char.unit_key, f, w % p ** f)
+        return as_scalar(g ** n * Fraction((p - 1) ** n, p ** (n + f * n * (n - 1) // 2)
+                                           * (MU - MU // p) ** n), p)
+    if mc == 0:
+        return as_scalar(Fraction((p ** n - 1) * prod(p ** (kp + i) - 1 for i in range(1, n)),
+                                  p ** (n * (n + 1) // 2)), p)
+    K = kp - n * (mc - 1)
+    return as_scalar(Fraction((-1) ** n * (0 if K < 0 else 1 if K == 0 else 1 - p ** n),
+                              p ** (n * (n + 1) // 2)), p)
 
 
 _shell_n2_hermite = _shell_hermite  # name kept because perfbench/tracer.py wraps it
@@ -177,25 +189,11 @@ _shell_n2_hermite = _shell_hermite  # name kept because perfbench/tracer.py wrap
 def _gauss_sum(p, unit_key, l, w):
     """g(l, w) = sum_{x in (Z/p^c1)^x} chi(x) zeta_{p^l}^(w x), c1 = max(1, cu) >= l: p^c1
     times the n = 1 integral over Z_p^x, an int when rational.  unit_key is chi's
-    (cu, frozenset of phases), so equal characters share entries; None if cu = 0."""
-    chi = unit_key and SimpleNamespace(conductor_exp=unit_key[0], phases=dict(unit_key[1]))
+    (cu, frozenset of phases), so equal characters share entries."""
+    chi = SimpleNamespace(conductor_exp=unit_key[0], phases=dict(unit_key[1]))
     g = _shell_n1(PAdicContext(p), 0, PAdicMatrix([[0]]), 0, PAdicMatrix([[Fraction(w, p ** l)]]),
-                  chi, None) * p ** max(1, unit_key[0] if unit_key else 0)
+                  chi, None) * p ** max(1, unit_key[0])
     return int(g.coeffs[0]) if g.m == 0 else g
-
-
-@lru_cache(maxsize=256)
-def _hermite_weights(p, n, kp, mc, live):
-    """Sum of p^(sum_j (j-1) a_j) over a_1 + ... + a_n = k' per live (min(a_j, mc))_j."""
-    parts = [a for a in range(kp + 1) if min(a, mc) in live]
-    weights = {}
-    for head in product(parts, repeat=n - 1):
-        last = kp - sum(head)
-        if last >= 0 and min(last, mc) in live:
-            a = head + (last,)
-            key = tuple(min(x, mc) for x in a)
-            weights[key] = weights.get(key, 0) + p ** sum(j * x for j, x in enumerate(a))
-    return tuple(weights.items())
 
 
 # -- generic recursive refinement ---------------------------------------
@@ -285,6 +283,9 @@ def _shell_generic(ctx, k, center, level, modulation, config, unit_char, stats):
         elif kp < j:
             continue
         if j < j_last:
+            if visited + len(stack) + children > budget:  # each pushed cell is counted
+                raise BudgetExceeded("refinement exceeded %d cells" % budget,
+                                     shell=k, truncation=m, cells=budget + 1)
             stack.extend((tuple(map(add, a, off)), j + 1) for off in _offsets(n2, p, j))
             continue
         visited += children
@@ -348,14 +349,11 @@ def stabilized_shell_integral(ctx: PAdicContext, n: int, k: int,
     proven exact truncation point m = m*.
 
     n = 1: the shell p^k Z_p^x is compact and inside p^(-m) Z_p once m >= -k,
-    so m* = max(0, -k).  n >= 2: _shell_hermite at level -m has mc = m, and with
-    c' = max(1, cu) it reads each G(w p^t) / phi(p^L) as g(m - t, w) / phi(p^c'), w = eps,
-    from the same _gauss_sum g at every m.  G is 0 for t < m - c', so let m >= c' and
-    a_j = m - c' + b_j: the sum runs over b_1 + ... + b_n = k + n c' with Gauss sums
-    g(c' - min(b_j, c'), w) free of m, and the powers p^(-m n(n-1)/2) of vol(B_0(p^m))
-    and p^((m-c') n(n-1)/2) of the weights cancel in m.  So m* = max(1, cu, ceil(-k/n)),
-    which also reaches the shell.  A truncated integral does not depend on its
-    evaluation path: force_enumeration uses m*.
+    so m* = max(0, -k).  n >= 2: _shell_hermite at level -m has mc = m, k' = k + n m
+    and w = eps, and for m >= max(1, cu) its closed forms are free of m: f = 0 reads
+    K = k' - n(m - 1) = k + n only, and f >= 1 is nonzero only at k' = n(m - f), i.e.
+    k = -n f, with a value free of m.  So m* = max(1, cu, ceil(-k/n)), which also reaches
+    the shell.  A truncated integral does not depend on its path: force_enumeration uses m*.
     """
     cu = unit_char.conductor_exp if unit_char else 0
     m = max(0, -k) if n == 1 else max(1, cu, -(k // n))

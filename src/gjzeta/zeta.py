@@ -52,6 +52,9 @@ class MultiplicativeCharacter:
         if sorted(phases) != [u for u in range(pc) if u % p or pc == 1]:
             raise ValueError("table must generate the units mod p^%d" % conductor_exp)
         self.p, self.conductor_exp, self.phases = p, conductor_exp, phases
+        # the true conductor: least f with chi = 1 on the units = 1 mod p^f (0: 1 on units)
+        self.conductor = next(f for f in range(conductor_exp + 1) if all(
+            v == (1, 0) for u, v in phases.items() if u % p ** f == 1 % p ** f))
         self.unit_key = (conductor_exp, frozenset(phases.items()))  # _gauss_sum's key
         self.value_at_p = as_scalar(value_at_p, p)
         if scalar_is_zero(self.value_at_p):

@@ -387,6 +387,26 @@ def test_inconclusive_report_names_budget_shell(monkeypatch, capsys):
                               "shell": 3, "truncation": 1, "cells": 6}
 
 
+def test_wide_split_over_budget_exits_2(tmp_path, monkeypatch, capsys):
+    # n = 3, p = 7: the root's 7^9 child offsets were built before the budget was
+    # checked, and the run ended in a MemoryError with exit 1; the guard refuses them
+    offsets = integrate._offsets
+
+    def guarded(n2, p, j):
+        assert p ** n2 <= 10 ** 7, "child offsets built past the budget"
+        return offsets(n2, p, j)
+    monkeypatch.setattr(integrate, "_offsets", guarded)
+    zero = [["0"] * 3] * 3
+    phi = tmp_path / "phi.json"
+    phi.write_text(json.dumps({"n": 3, "p": 7, "terms": [{
+        "coeff": {"level": 0, "coeffs": ["1"]}, "center": zero, "level": 0,
+        "modulation": [["0", "1/49", "0"], ["1/7", "0", "0"], ["0", "0", "0"]]}]}))
+    code, rep = run_json(["gamma", "--p", "7", "--n", "3", "--phis", "@%s" % phi], capsys)
+    assert code == 2 and rep["verdict"] == "INCONCLUSIVE"
+    assert rep["results"]["error"] == "BudgetExceeded"
+    assert rep["results"]["cells"] == 10 ** 7 + 1
+
+
 def test_handler_patched_after_a_run_takes_effect(monkeypatch, capsys):
     # main builds its parser once per process, but looks each handler up
     # by name when it runs, so a later monkeypatch still takes effect

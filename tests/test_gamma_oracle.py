@@ -54,9 +54,9 @@ def gj_gamma(chi, n):
 
 def _phis(n, p, kind):
     ctx = PAdicContext(p)
-    if kind != "quadratic":
+    if kind != "quadratic":  # a shifted ball takes the generic path: p^(n^2) children a cell
         return [SchwartzBruhatFn.unit_ball(n, ctx), SchwartzBruhatFn.scaled_ball(n, ctx, 1),
-                SchwartzBruhatFn.shifted_ball(n, ctx, 1, 1)]
+                SchwartzBruhatFn.shifted_ball(n, ctx, 1, 1)][:2 if n > 3 else 3]
     k = 2 if p == 2 else 1  # the shifted ball must see the conductor
     return [SchwartzBruhatFn.shifted_ball(n, ctx, 1, k),
             SchwartzBruhatFn.shifted_ball(n, ctx, 1, k + 1)]
@@ -71,9 +71,10 @@ def _character(p, kind):
     return MultiplicativeCharacter.unramified(p, value_at_p)
 
 
-@pytest.mark.parametrize("kind", ["trivial", "chi(p)=1/p", "chi(p)=-1", "quadratic"])
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n, p, kind", [
+    (n, p, kind) for n in range(1, 7) for p in (2, 3, 5, 7)
+    for kind in ("trivial", "chi(p)=1/p", "chi(p)=-1", "quadratic")
+    if n <= 3 or kind != "quadratic"])
 def test_gamma_is_product_of_tate_gammas(n, p, kind):
     chi = _character(p, kind)
     want = gj_gamma(chi, n)

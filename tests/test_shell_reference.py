@@ -10,6 +10,7 @@ Results must agree exactly, including for characters with non-rational values.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import prod
 
 import numpy as np
 import pytest
@@ -478,6 +479,30 @@ def test_generic_last_splits_read_few_determinants(monkeypatch):
     assert len(calls) < 79300 // 5
 
 
+def _guard_offsets(monkeypatch, budget):
+    """Fail, without building them, on a request for more children than the budget."""
+    offsets = integrate._offsets
+
+    def guarded(n2, p, j):
+        assert p ** n2 <= budget, "built %d^%d children under a budget of %d" % (p, n2, budget)
+        return offsets(n2, p, j)
+    monkeypatch.setattr(integrate, "_offsets", guarded)
+
+
+# n = 3, p = 7: the root splits into 7^9 children one level above its last split
+_WIDE_SPLIT = PAdicMatrix([[0, Fraction(1, 49), 0], [Fraction(1, 7), 0, 0], [0, 0, 0]])
+
+
+@pytest.mark.parametrize("budget", [1, 1000, 10 ** 7])
+def test_generic_budget_checked_before_a_split_is_built(monkeypatch, budget):
+    # the 7^9 child offsets were built before the budget saw them: a MemoryError
+    _guard_offsets(monkeypatch, budget)
+    with pytest.raises(BudgetExceeded) as exc:
+        _shell_generic(PAdicContext(7), 0, PAdicMatrix.zero(3), 0, _WIDE_SPLIT,
+                       IntegrationConfig(hard_budget=budget), None, {})
+    assert (exc.value.shell, exc.value.truncation, exc.value.cells) == (0, 0, budget + 1)
+
+
 @st.composite
 def _generic_cosets(draw):
     p = draw(st.sampled_from([2, 3]))
@@ -577,37 +602,93 @@ def _random_characters(draw):
 @settings(max_examples=30, deadline=None)
 @given(_random_characters())
 def test_gauss_sum_cache_matches_a_fresh_enumeration(chi):
-    # g(l, w) as _shell_hermite asks for it (chi's unit key, None when cu = 0) is p^c1
-    # times the n = 1 enumeration, and an int exactly when it is rational
+    # g(l, w) on chi's unit key is p^c1 times the n = 1 enumeration, and an int
+    # exactly when it is rational
     p, cu = chi.p, chi.conductor_exp
     c1 = max(1, cu)
     ctx, zero = PAdicContext(p), PAdicMatrix([[0]])
     for l in range(c1 + 1):
         for w in [w for w in range(p ** l) if w % p] if l else [0]:
-            got = integrate._gauss_sum(p, chi.unit_key if cu else None, l, w)
+            got = integrate._gauss_sum(p, chi.unit_key, l, w)
             want = p ** c1 * _shell_n1(ctx, 0, zero, 0, PAdicMatrix([[Fraction(w, p ** l)]]),
                                        chi, None)
             assert got == want and isinstance(got, int) == (want.m == 0)
         # and the definition, sum_{x in (Z/p^c1)^x} chi(x) zeta_{p^l}^(w x), at w = 1
-        assert integrate._gauss_sum(p, chi.unit_key if cu else None, l, 1 % p ** l) == sum(
+        assert integrate._gauss_sum(p, chi.unit_key, l, 1 % p ** l) == sum(
             chi.unit_value(x) * root_of_unity(p, l, x) for x in range(p ** c1) if x % p)
 
 
 def test_gauss_sum_cache_does_not_grow_with_unramified_characters():
-    # an unramified chi is 1 on units, so every one shares the key None: a key on
-    # the character instance would add entries for each character and each inverse
+    # a chi that is 1 on units has its closed forms without a Gauss sum: unramified
+    # characters and their inverses add no entry and no miss, however many there are
     ctx = PAdicContext(3)
     shells = [(n, k, 0, Fraction(1, 3 ** mc)) for n in (2, 3) for k in range(3)
               for mc in range(4)]
-
-    def run(chars):
-        for chi in chars:
-            for n, k, level, c in shells:
-                _shell_hermite(ctx, n, k, level, c, chi, None)
-    integrate._gauss_sum.cache_clear()
-    run([None])
-    size = integrate._gauss_sum.cache_info().currsize
     chars = [MultiplicativeCharacter.unramified(3, v) for v in (1, 2, Fraction(1, 3), -5)]
-    run(chars + [chi.inverse() for chi in chars])
+    integrate._gauss_sum.cache_clear()
+    for chi in [None] + chars + [chi.inverse() for chi in chars]:
+        for n, k, level, c in shells:
+            _shell_hermite(ctx, n, k, level, c, chi, None)
     info = integrate._gauss_sum.cache_info()
-    assert 0 < size == info.currsize and info.maxsize is not None
+    assert info.currsize == info.misses == 0 and info.maxsize is not None
+
+
+# -- the Hermite closed forms against the composition sum they replace ----
+
+def shell_hermite_reference(ctx, n, k, level, c, unit_char):
+    """vol(B_0(p^mc)) sum_{a_1+...+a_n=k'} p^(sum_j (j-1) a_j) prod_j gamma(min(a_j, mc)),
+    with gamma(t) = int_{Z_p^x} chi(x) psi(cH p^t x) dx / (1 - 1/p) from a fresh _shell_n1
+    enumeration: the sum over compositions that _shell_hermite puts in closed form."""
+    p = ctx.p
+    kp = k - n * level
+    if kp < 0:
+        return as_scalar(0, p)
+    cH = Fraction(c) * Fraction(p) ** level
+    vc = valuation(cH, p)
+    mc = 0 if vc is INFINITE else max(0, -int(vc))
+    zero = PAdicMatrix([[0]])
+    gamma = [_shell_n1(ctx, 0, zero, 0, PAdicMatrix([[cH * p ** t]]), unit_char, None)
+             * Fraction(p, p - 1) for t in range(mc + 1)]
+    total = as_scalar(0, p)
+    for head in product(range(kp + 1), repeat=n - 1):
+        a = head + (kp - sum(head),)
+        if a[-1] >= 0:
+            term = as_scalar(p ** sum(j * x for j, x in enumerate(a)), p)
+            for x in a:
+                term = term * gamma[min(x, mc)]
+            total = total + term
+    vol = (Fraction((p - 1) ** n, p ** (n + mc * n * (n - 1) // 2)) if mc else
+           Fraction(prod(p ** i - 1 for i in range(1, n + 1)), p ** (n * (n + 1) // 2)))
+    return total * vol
+
+
+def _closed_form_characters(p):
+    """Every kind the closed forms tell apart: trivial (None and explicit), unramified
+    with a rational and a root-of-unity chi(p), quadratic, true conductor 2 (4 at
+    p = 2) and 3, the quadratic written one level up (f < c), and 1 on units mod p^2."""
+    chars = _characters(p)
+    quadratic = chars[3]
+    c = quadratic.conductor_exp + 1
+    gen = {2: 5, 3: 2, 5: 2}[p]
+    f3 = (MultiplicativeCharacter(2, 3, {5: -1, 7: 1}) if p == 2 else
+          MultiplicativeCharacter(p, 3, {gen: root_of_unity(p, 2, 1)}))
+    return chars + [
+        MultiplicativeCharacter.unramified(p, root_of_unity(p, 1, 1)), f3,
+        MultiplicativeCharacter(p, c, {u: quadratic.unit_value(u) for u in range(p ** c) if u % p}),
+        MultiplicativeCharacter(p, 2, {u: 1 for u in range(p ** 2) if u % p})]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_hermite_closed_forms_match_the_composition_sum(n, p):
+    ctx = PAdicContext(p)
+    chars = _closed_form_characters(p)
+    assert sorted({chi.conductor for chi in chars[1:]}) == ([0, 1, 2, 3] if p > 2 else [0, 2, 3, 4])
+    for chi in chars + [chars[-3].inverse()]:
+        for c in (Fraction(0), Fraction(1), Fraction(1, p), Fraction(p + 2, p ** 3)):
+            for level in (-1, 0, 1):
+                for kp in sorted({-1, 0, 1, 2, n, 2 * n} if n < 4 else {-1, 0, 1, n}):
+                    k = kp + n * level
+                    got = _shell_hermite(ctx, n, k, level, c, chi, None)
+                    want = shell_hermite_reference(ctx, n, k, level, c, chi)
+                    assert got == want and repr(got) == repr(want)

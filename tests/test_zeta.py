@@ -60,6 +60,22 @@ def test_character_inverse_permutes_the_table(p, gen):
     assert [repr(inv_table[u]) for u in ref_table] == [repr(v) for v in ref_table.values()]
 
 
+def test_true_conductor():
+    # the least f with chi = 1 on the units = 1 mod p^f, below the table's c when imprimitive
+    units = [u for u in range(1, 49) if u % 7]
+    quadratic = MultiplicativeCharacter.quadratic_ramified(7)
+    cases = [(MultiplicativeCharacter(7, 2, {3: root_of_unity(7, 1, 1)}), 2, 2),
+             (quadratic, 1, 1), (MultiplicativeCharacter.quadratic_ramified(2), 2, 2),
+             (MultiplicativeCharacter(7, 2, {u: quadratic.unit_value(u) for u in units}), 2, 1),
+             (MultiplicativeCharacter(7, 2, {u: 1 for u in units}), 2, 0),
+             (MultiplicativeCharacter(2, 3, {5: -1, 7: 1}), 3, 3),
+             (MultiplicativeCharacter(2, 3, {5: 1, 7: -1}), 3, 2),
+             (MultiplicativeCharacter.unramified(7, Fraction(1, 7)), 0, 0)]
+    for chi, c, f in cases:
+        assert (chi.conductor_exp, chi.conductor) == (c, f)
+        assert chi.inverse().conductor == f
+
+
 def test_character_table_validation():
     with pytest.raises(ValueError):
         MultiplicativeCharacter(2, 2, {1: 1})  # missing unit 3
