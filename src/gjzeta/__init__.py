@@ -8,7 +8,7 @@ from .distributions import (DIRECT, INVERSE, TwistedDistribution,
                             verify_relation)
 from .errors import (AllDegenerate, BudgetExceeded, EngineError,
                      InfiniteLowerSupport, NearZeroDenominator, NoRecurrence,
-                     NoStabilization, Singular, ToleranceNotMet, ZeroArgument,
+                     NoStabilization, Singular, ToleranceNotMet,
                      ZeroDenominator)
 from .integrate import IntegrationConfig, rationalize, schwartz_shell_integral
 from .padic import PAdicContext, PAdicMatrix, psi_value, valuation

@@ -33,10 +33,6 @@ class Singular(EngineError):
     pass
 
 
-class ZeroArgument(EngineError):
-    pass
-
-
 class ZeroDenominator(EngineError):
     pass
 

@@ -33,7 +33,7 @@ from .padic import (INFINITE, PAdicContext, PAdicMatrix, flat_det, mod_int,
                     valuation)
 from .ratfun import LaurentPoly, RationalFunctionT
 from .recurrence import detect_recurrence
-from .scalars import as_scalar, root_of_unity_sum
+from .scalars import QuadExt, as_scalar, root_of_unity_sum
 
 # a shell series takes K_EXTRA shells beyond the 2 r_max + confirm that rationalize reads
 K_EXTRA = 2
@@ -387,3 +387,21 @@ def rationalize(seq, k0: int, weight: int, q: int, r_max: int,
             e = e - rec.coeffs[i - 1] * seq[s + jj - i]
         tail = tail + LaurentPoly({weight * (k0 + s + jj): e})
     return RationalFunctionT(head * den + tail, den, q)
+
+
+def rationalize_twisted(seq, factor, k0: int, weight: int, q: int, r_max: int,
+                        confirm: int) -> RationalFunctionT:
+    """rationalize of the entries seq[i] * factor(k0 + i), for a twist with
+    factor(j + k) = factor(j) factor(k).
+
+    The untwisted entries are rationalized, in their own field, and the result is
+    twisted once (RationalFunctionT.twisted): the twist is a ring automorphism, so
+    Berlekamp-Massey finds the same order and start and the canonical form carries
+    over.  A QuadExt factor (sqrt(q) to an odd power, p = 3 mod 4) still twists each
+    entry: a QuadExt value keeps the form its arithmetic gave it, "(1) + (0)*sqrt(3)"
+    or "1", and reports show that form, so only this path keeps them byte-identical.
+    """
+    if isinstance(factor(1), QuadExt):
+        seq = [x * factor(k) for k, x in enumerate(seq, start=k0)]
+        return rationalize(seq, k0, weight, q, r_max, confirm)
+    return rationalize(seq, k0, weight, q, r_max, confirm).twisted(factor, weight)

@@ -212,6 +212,23 @@ class RationalFunctionT:
             return hash(self.num.coeffs.get(0, 0))
         return hash((self.q, self.num, self.den))
 
+    def twisted(self, factor, w: int) -> "RationalFunctionT":
+        """The image under T^(w k) -> factor(k) T^(w k), for a function of T^w.
+
+        With factor(0) = 1 and factor(j + k) = factor(j) factor(k) this is a ring
+        automorphism that fixes every T^0 coefficient: it keeps num and den coprime
+        and the denominator's trailing 1, so the result is canonical as built,
+        with no gcd and no normalization.
+        """
+        def twist(poly):
+            out = LaurentPoly()
+            out.coeffs = {e: c * factor(e // w) if e else c for e, c in poly.coeffs.items()}
+            return out
+
+        out = object.__new__(RationalFunctionT)
+        out.num, out.den, out.q = twist(self.num), twist(self.den), self.q
+        return out
+
     def is_monomial(self) -> bool:
         return len(self.num.coeffs) == 1 and len(self.den.coeffs) == 1
 

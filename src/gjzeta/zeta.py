@@ -5,20 +5,22 @@ shell by shell; each shell entry is an exact scalar and the shell series is
 an exact rational function in T = q^(-s/2) (weight T^2 per unit of det
 valuation).  The gamma factor is the ratio of the dual integral
 Z(Phi^, n - s, chi^(-1)) to Z(Phi, s, chi), with the dual series expanded
-in T^(-2) from fresh shell integrals of the Fourier transform.
+in T^(-2) from fresh shell integrals of the Fourier transform.  The untwisted
+shell series is rationalized and chi(p)^k (times q^(-nk) on the dual side) is
+applied once, to the rational function (integrate.rationalize_twisted); with a
+cyclotomic chi(p) this twist never meets the formal sqrt(q) that
+distributions.spectral_action keeps on the twist-each-entry path.
 """
 
 from __future__ import annotations
 
 import copy
-import hashlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import AllDegenerate, ZeroArgument, ZeroDenominator
-from .integrate import (K_EXTRA, IntegrationConfig, rationalize,
+from .errors import AllDegenerate, ZeroDenominator
+from .integrate import (K_EXTRA, IntegrationConfig, rationalize_twisted,
                         schwartz_shell_integral)
-from .padic import mod_int, valuation
 from .ratfun import RationalFunctionT
 from .scalars import CyclotomicNumber, as_scalar, root_of_unity, scalar_is_zero
 
@@ -89,15 +91,6 @@ class MultiplicativeCharacter:
         s, a = self.phases[u % self.p ** self.conductor_exp]
         return root_of_unity(self.p, self.conductor_exp, a) * s
 
-    def char_eval(self, x):
-        """chi(x) for a nonzero rational x."""
-        x = Fraction(x)
-        if x == 0:
-            raise ZeroArgument("character evaluated at 0")
-        v = int(valuation(x, self.p))
-        ures = mod_int(x / Fraction(self.p) ** v, self.p ** self.conductor_exp)
-        return self.value_at_p ** v * self.unit_value(ures)
-
     def inverse(self) -> "MultiplicativeCharacter":
         """chi^(-1): negated phases and one scalar inverse, of chi(p)."""
         inv, M = copy.copy(self), self.p ** self.conductor_exp
@@ -132,6 +125,7 @@ def _phase(p: int, c: int, value):
 
 
 def phi_fingerprint(phi) -> str:
+    import hashlib  # only a degenerate Phi's warning needs it: CLI start-up skips it
     return hashlib.sha256(phi.to_json().encode()).hexdigest()[:16]
 
 
@@ -158,15 +152,15 @@ def zeta_integral(phi, chi: MultiplicativeCharacter,
     k_min = phi.det_valuation_bound()
     count = 2 * r_max + config.confirm + K_EXTRA
     stats = {}
-    seq = []
-    for k in range(k_min, k_min + count):
-        entry = schwartz_shell_integral(phi, k, config, chi, stats)
-        entry = entry * chi.value_at_p ** k
-        if dual_weight:
-            entry = entry * Fraction(p) ** (-n * k)
-        seq.append(entry)
+    seq = [schwartz_shell_integral(phi, k, config, chi, stats)
+           for k in range(k_min, k_min + count)]
+
+    def factor(k):
+        c = chi.value_at_p ** k
+        return c * Fraction(p) ** (-n * k) if dual_weight else c
+
     weight = -2 if dual_weight else 2
-    value = rationalize(seq, k_min, weight, p, r_max, config.confirm)
+    value = rationalize_twisted(seq, factor, k_min, weight, p, r_max, config.confirm)
     return ZetaResult(value=value, k_range=(k_min, k_min + count - 1), stats=stats)
 
 

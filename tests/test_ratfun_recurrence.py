@@ -173,6 +173,24 @@ def test_canonical_form_ignores_monomial_shifts(num, den, i, j):
     assert shifted.serialize() == RationalFunctionT(num.shift(i - j), den, 3).serialize()
 
 
+@pytest.mark.parametrize("w", [1, 2, -2])
+@settings(max_examples=40, deadline=None)
+@given(_polys, _nonzero_polys, _scalars.filter(lambda c: not scalar_is_zero(c)))
+def test_twist_keeps_the_canonical_form(w, num, den, c):
+    # a function of T^w, twisted by T^(w k) -> c^k T^(w k)
+    def stretch(f):
+        return LaurentPoly({e * abs(w): x for e, x in f.coeffs.items()})
+
+    def twist(f, c):
+        return LaurentPoly({e: x * c ** (e // w) for e, x in f.coeffs.items()})
+
+    r = RationalFunctionT(stretch(num), stretch(den), 3)
+    twisted = r.twisted(lambda k: c ** k, w)
+    assert twisted.serialize() == RationalFunctionT(twist(r.num, c), twist(r.den, c),
+                                                    3).serialize()
+    assert twisted.twisted(lambda k: c ** -k, w).serialize() == r.serialize()
+
+
 def test_constant_hashes_like_the_scalar_it_equals():
     for c in (1, 0, Fraction(-2, 3), root_of_unity(3, 2, 4), root_of_unity(3, 2, 4) * 0):
         r = RationalFunctionT.const(c, 3)
