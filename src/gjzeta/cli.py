@@ -383,16 +383,18 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated Phi list (independence is re-verified)")
     sp.set_defaults(fn="cmd_gamma")
 
+    ramified_phis = ("comma-separated Phi list; the default is degenerate for a ramified "
+                     "--char, so give e.g. 'shifted_ball(1,1),shifted_ball(1,2)'")
     sp = sub.add_parser("verify-fe",
                         help="Phi-independence of the functional-equation ratio")
     common(sp)
-    sp.add_argument("--phis", default="unit_ball,scaled_ball(1)")
+    sp.add_argument("--phis", default="unit_ball,scaled_ball(1)", help=ramified_phis)
     sp.set_defaults(fn="cmd_gamma")
 
     sp = sub.add_parser("verify-bk",
                         help="generating-distribution spectral identity")
     common(sp)
-    sp.add_argument("--phis", default="unit_ball,scaled_ball(1)")
+    sp.add_argument("--phis", default="unit_ball,scaled_ball(1)", help=ramified_phis)
     sp.set_defaults(fn="cmd_verify_bk")
 
     sp = sub.add_parser("verify-inverse",

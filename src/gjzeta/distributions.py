@@ -174,7 +174,8 @@ def _report(claim, parameters, verdict, lhs, rhs, stats):
 def verify_bk_identity(chi: MultiplicativeCharacter, n: int, phi_list,
                        x_list, config: IntegrationConfig | None = None) -> dict:
     """spectral_action(gj_delta(n), chi, x) must equal gamma_factor(chi, Phi) for
-    every sample point x and every Phi; it does not depend on x, so it runs once."""
+    every sample point x and every Phi; it does not depend on x, so it runs once.
+    The cells of both sides are counted."""
     if not (phi_list and x_list):
         raise ValueError("the identity needs at least one Phi and one sample point")
     for x in x_list:
@@ -182,15 +183,16 @@ def verify_bk_identity(chi: MultiplicativeCharacter, n: int, phi_list,
     config = config or IntegrationConfig()
     stats = {}
     spectral = spectral_action(gj_delta(n), chi, x_list[0], config, stats)
-    gammas = [gamma_factor(phi, chi, config).value for phi in phi_list]
-    ok = all(ratfun_equal(g, spectral) for g in gammas)
+    gammas = [gamma_factor(phi, chi, config) for phi in phi_list]
+    stats["cells"] = stats.get("cells", 0) + sum(g.cells for g in gammas)
+    ok = all(ratfun_equal(g.value, spectral) for g in gammas)
     return _report(
         "Braverman-Kazhdan generating identity",
         {"n": n, "p": chi.p, "conductor_exp": chi.conductor_exp,
          "x_count": len(x_list), "phi_count": len(phi_list)},
         "PASS" if ok else "FAIL",
         spectral.serialize(),
-        gammas[0].serialize(),
+        gammas[0].value.serialize(),
         stats)
 
 

@@ -6,16 +6,17 @@ has the shape psi(tr(B g)) * chi(unit part of det g) restricted to a coset
 of p^L M_n(Z_p), which covers Schwartz-Bruhat terms and the truncated
 distribution kernels alike.
 
-Three evaluation paths:
-  * n = 1: direct unit enumeration at the certified constancy level;
-  * any n, zero-centered coset with scalar modulation: closed forms in Gauss sums;
-  * generic: recursive residue-cell refinement with an exact resolution
-    rule, bounded by a hard cell budget.
-The n = 1 and generic paths add the sign of chi(u) = sign * zeta_{p^c}^a into
-one integer histogram per shell at the phase e p^(T-m) + a p^(T-c) of
-psi * chi, T = max(m, c), reduced by one root_of_unity_sum.  The generic one
-counts every cell, bins the children of a last split from a census of their
-residues, and is the independent check of the other two.
+Two evaluation paths, the same for every n:
+  * zero-centered coset with scalar modulation: closed forms in Gauss sums,
+    which visit and count no cell;
+  * every other coset, and every coset under force_enumeration: recursive
+    residue-cell refinement with an exact resolution rule, bounded by a hard
+    cell budget.
+The refinement adds the sign of chi(u) = sign * zeta_{p^c}^a into one integer
+histogram per level at the phase e p^(T-m) + a p^(T-c) of psi * chi,
+T = max(m, c), reduced by one root_of_unity_sum.  It counts every cell, bins
+the children of a last split from a census of their residues, and is the
+independent check of the closed forms.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from functools import lru_cache
 from itertools import product
 from math import prod
 from operator import add, mul
-from types import SimpleNamespace
 
 from .errors import BudgetExceeded, NoStabilization
 from .padic import (INFINITE, PAdicContext, PAdicMatrix, flat_det, mod_int,
@@ -48,6 +48,8 @@ class IntegrationConfig:
     rationalization (r_max defaults to n at the call site).
     hard_budget: max refinement cells counted per integral, the census-binned children
     of last splits included, though those are never built.
+    force_enumeration: send every shell, at every n, to the refinement, the
+    independent check of the closed forms.
     """
     # not a field; read by perfbench/tracer.py (_count_truncations) and tests/test_truncation.py
     m_start = 0
@@ -69,15 +71,12 @@ def term_shell_integral(ctx: PAdicContext, k: int, center: PAdicMatrix,
                         config: IntegrationConfig, unit_char=None, stats=None):
     """int over {v(det g) = k} cap (center + p^level M) of
     psi(tr(modulation g)) chi(det g / p^k) d^x g."""
-    n = center.n
-    if n == 1:
-        return _shell_n1(ctx, k, center, level, modulation, unit_char, stats)
     c = modulation.entries[0][0]
     if (not config.force_enumeration
             and all(e == (c if i == j else 0)
                     for i, row in enumerate(modulation.entries) for j, e in enumerate(row))
             and center.min_valuation(ctx.p) >= level):
-        return _shell_hermite(ctx, n, k, level, c, unit_char, stats)
+        return _shell_hermite(ctx, center.n, k, level, c, unit_char)
     return _shell_generic(ctx, k, center, level, modulation, config, unit_char, stats)
 
 
@@ -87,35 +86,18 @@ def _bump(stats, key, amount=1):
         stats[key] = stats.get(key, 0) + amount
 
 
-# -- n = 1 and Hermite: Gauss sums from a signed phase histogram ----------
+# -- closed forms: zero-centered cosets with scalar modulation -----------
 
-def _shell_n1(ctx, k, center, level, modulation, unit_char, stats):
-    """Units r mod p^j, x = p^k r, each adding its chi sign at its phase of psi * chi.
-
-    0 when m - 1 >= max(1, cu, level - k), m the psi level: with r = r0 + p^(m-1) y
-    the unit, chi(r mod p^cu) and coset v(r - a/p^k) >= level - k tests see r0 only,
-    and sum_y zeta_{p^m}^(w r) = zeta_{p^m}^(w r0) sum_{y mod p} zeta_p^(w y) = 0, w a unit.
-    """
-    p = ctx.p
-    cu, phases = (unit_char.conductor_exp, unit_char.phases) if unit_char else (0, {0: (1, 0)})
-    a = center.entries[0][0]
-    b = modulation.entries[0][0]
-    vb = valuation(b, p)
-    m = 0 if vb is INFINITE else max(0, -(k + vb))
-    j = max(1, cu, level - k, m)
-    _bump(stats, "cells", p ** j - p ** (j - 1))
-    if m > max(1, cu, level - k):
-        return as_scalar(0, p)
-    pk, T = Fraction(p) ** k, max(m, cu)
-    PT, pcu, shift = p ** T, p ** cu, p ** (T - cu)
-    w = mod_int(b * pk * p ** m, p ** m) * p ** (T - m)  # psi(b p^k r) = zeta_{p^T}^(w r)
-    hist = [0] * PT
-    whole = k >= level and valuation(a, p) >= level  # every p^k r lies in the coset
-    for r in range(p ** j):
-        if r % p and (whole or valuation(pk * r - a, p) >= level):
-            s, e = phases[r % pcu]
-            hist[(w * r + e * shift) % PT] += s
-    return root_of_unity_sum(p, T, hist) * Fraction(1, p ** j)
+# name kept because perfbench/tracer.py wraps it
+def _shell_n1(p, b, unit_char):
+    """g = int_{Z_p^x} chi(x) psi(b x) dx for cu >= 1 and a psi level -v(b) <= cu: the
+    units r mod p^cu, each adding its chi sign at its phase of psi * chi, over p^cu."""
+    M = p ** unit_char.conductor_exp
+    w = mod_int(b * M, M)  # psi(b r) = zeta_{p^cu}^(w r)
+    hist = [0] * M
+    for r, (s, e) in unit_char.phases.items():
+        hist[(w * r + e) % M] += s
+    return root_of_unity_sum(p, unit_char.conductor_exp, hist) * Fraction(1, M)
 
 
 # wrapped by perfbench/tracer.py (kernels.gl2_histogram), never called; ROADMAP item 1 deletes it
@@ -127,7 +109,7 @@ def gl2_histogram(*args):
 _gl2_hist_cached = lru_cache(maxsize=1)(gl2_histogram)
 
 
-def _shell_hermite(ctx, n, k, level, c, unit_char, stats):
+def _shell_hermite(ctx, n, k, level, c, unit_char):
     """Zero-centered coset p^level M_n, modulation c * Id, any n, in closed form.
 
     g = p^level H leaves v(det H) = k' = k - n*level and psi(cH tr H), with
@@ -140,8 +122,8 @@ def _shell_hermite(ctx, n, k, level, c, unit_char, stats):
     with the image of (x_1, ..., x_n, x_1...x_n) on units, so the u_j-integrals split:
       shell = vol * sum_{a_1+...+a_n=k'} p^(sum_j (j-1) a_j) prod_j gamma(min(a_j, mc)),
     vol = vol(B_0(p^mc)) = (1 - 1/p)^n p^(-mc n(n-1)/2) (prod_{i<=n} (1 - p^-i) at mc = 0),
-    gamma(t) = G(w p^t) / phi(p^c1), G(b) = sum_{x in (Z/p^c1)^x} chi(x) zeta_{p^mc}^(b x),
-    c1 = max(1, cu).  With l = mc - t, G = 0 for l > f, the true conductor (x = x0 +
+    gamma(t) = int_{Z_p^x} chi(x) psi(cH p^t x) dx / (1 - 1/p).  Its psi level is
+    l = mc - t, and gamma = 0 for l > max(1, f), f the true conductor (x = x0 +
     p^(l-1) y: chi(x) sees x0 alone, sum_y zeta_p^(w y) = 0), and for l < f (x -> x u,
     u = 1 mod p^l with chi(u) != 1).
       * f = 0, mc = 0: gamma = 1, and the sum is the Gaussian binomial
@@ -152,28 +134,20 @@ def _shell_hermite(ctx, n, k, level, c, unit_char, stats):
         product telescopes to (-1)^n (1 - p^n x) / (1 - x).  With K = k' - n(mc - 1),
         shell = (-1)^n p^(-n(n+1)/2) * (0 if K < 0, 1 if K = 0, 1 - p^n if K > 0).
       * f >= 1: only a_j = t0 = mc - f survives, so shell = 0 unless t0 >= 0 and
-        k' = n t0, and then (p-1)^n p^(-n - f n(n-1)/2) (g / phi(p^c1))^n with
-        g = _gauss_sum(chi, f, w mod p^f).
+        k' = n t0, and then g^n p^(-f n(n-1)/2) with g = _shell_n1(p, cH p^t0, chi).
     """
     p = ctx.p
-    cu, f = (unit_char.conductor_exp, unit_char.conductor) if unit_char else (0, 0)
+    f = unit_char.conductor if unit_char else 0
     kp = k - n * level
     if kp < 0:
         return as_scalar(0, p)
     cH = Fraction(c) * Fraction(p) ** level
     mc = max(0, -valuation(cH, p))
-    M1, MU = p ** mc, p ** cu
-    if n == 2:  # legacy count, pending ROADMAP item 6: M1 per det residue for each of
-        D = min(kp + 1, mc)  # the sum_{d <= k'} (1 + max(0, M1 - p^d)) g21 the b-sum leaves
-        _bump(stats, "cells",
-              M1 * (MU - MU // p) * (kp + 1 + D * M1 - (p ** D - 1) // (p - 1)))
     if f:
         if mc < f or kp != n * (mc - f):
             return as_scalar(0, p)
-        w = cH.numerator * pow(cH.denominator // M1, -1, M1) % M1  # psi(cH x) = zeta_{p^mc}^(w x)
-        g = _gauss_sum(p, unit_char.unit_key, f, w % p ** f)
-        return as_scalar(g ** n * Fraction((p - 1) ** n, p ** (n + f * n * (n - 1) // 2)
-                                           * (MU - MU // p) ** n), p)
+        return _shell_n1(p, cH * p ** (mc - f), unit_char) ** n * Fraction(
+            1, p ** (f * n * (n - 1) // 2))
     if mc == 0:
         return as_scalar(Fraction((p ** n - 1) * prod(p ** (kp + i) - 1 for i in range(1, n)),
                                   p ** (n * (n + 1) // 2)), p)
@@ -183,17 +157,6 @@ def _shell_hermite(ctx, n, k, level, c, unit_char, stats):
 
 
 _shell_n2_hermite = _shell_hermite  # name kept because perfbench/tracer.py wraps it
-
-
-@lru_cache(maxsize=1024)
-def _gauss_sum(p, unit_key, l, w):
-    """g(l, w) = sum_{x in (Z/p^c1)^x} chi(x) zeta_{p^l}^(w x), c1 = max(1, cu) >= l: p^c1
-    times the n = 1 integral over Z_p^x, an int when rational.  unit_key is chi's
-    (cu, frozenset of phases), so equal characters share entries."""
-    chi = SimpleNamespace(conductor_exp=unit_key[0], phases=dict(unit_key[1]))
-    g = _shell_n1(PAdicContext(p), 0, PAdicMatrix([[0]]), 0, PAdicMatrix([[Fraction(w, p ** l)]]),
-                  chi, None) * p ** max(1, unit_key[0])
-    return int(g.coeffs[0]) if g.m == 0 else g
 
 
 # -- generic recursive refinement ---------------------------------------

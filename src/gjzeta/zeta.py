@@ -57,7 +57,6 @@ class MultiplicativeCharacter:
         # the true conductor: least f with chi = 1 on the units = 1 mod p^f (0: 1 on units)
         self.conductor = next(f for f in range(conductor_exp + 1) if all(
             v == (1, 0) for u, v in phases.items() if u % p ** f == 1 % p ** f))
-        self.unit_key = (conductor_exp, frozenset(phases.items()))  # _gauss_sum's key
         self.value_at_p = as_scalar(value_at_p, p)
         if scalar_is_zero(self.value_at_p):
             raise ValueError("a character takes no zero value")
@@ -95,7 +94,6 @@ class MultiplicativeCharacter:
         """chi^(-1): negated phases and one scalar inverse, of chi(p)."""
         inv, M = copy.copy(self), self.p ** self.conductor_exp
         inv.phases = {u: (s, -a % M) for u, (s, a) in self.phases.items()}
-        inv.unit_key = (self.conductor_exp, frozenset(inv.phases.items()))
         inv.value_at_p = self.value_at_p.inverse()
         return inv
 
@@ -170,6 +168,11 @@ class GammaResult:
     num: ZetaResult
     den: ZetaResult
 
+    @property
+    def cells(self) -> int:
+        """Refinement cells of both zeta integrals."""
+        return self.num.stats.get("cells", 0) + self.den.stats.get("cells", 0)
+
 
 def gamma_factor(phi, chi: MultiplicativeCharacter,
                  config: IntegrationConfig | None = None) -> GammaResult:
@@ -210,8 +213,7 @@ def phi_independence_check(phis, chi: MultiplicativeCharacter,
             continue
         gammas.append(g)
         if stats is not None:
-            stats["cells"] = (stats.get("cells", 0) + g.num.stats.get("cells", 0)
-                              + g.den.stats.get("cells", 0))
+            stats["cells"] = stats.get("cells", 0) + g.cells
     if not gammas:
         raise AllDegenerate("every Phi produced a vanishing zeta integral")
     if len(gammas) == 1:

@@ -73,7 +73,8 @@ def test_bk_identity_report_n1():
     rep = verify_bk_identity(chi, 1, phis, xs)
     assert rep["verdict"] == "PASS"
     assert rep["windows"]["k_range"]
-    assert rep["cells_enumerated"] > 0
+    # the action's shells are closed forms: the cells are the shifted ball's refinement
+    assert rep["cells_enumerated"] == 7
 
 
 def test_bk_identity_evaluates_the_spectral_action_once(monkeypatch):
@@ -146,7 +147,7 @@ def test_windows_cover_every_spectral_action_call(order):
     chis = [MultiplicativeCharacter.trivial(3), MultiplicativeCharacter.quadratic_ramified(3)]
     rep = verify_inverse_weak(tilde(cstar_gamma(1)), chis[::order])
     assert rep["verdict"] == "PASS"
-    # one evaluation per shell, at m* = max(0, -k): 2 * 3^(max(1, -k) - 1) units each,
-    # twice per chi (the action and its inverse), over k in [-3, 7] and [-4, 7]
+    # one evaluation per shell, at m* = max(0, -k), twice per chi (the action and
+    # its inverse), over k in [-3, 7] and [-4, 7]; each is a closed form, with no cell
     assert rep["windows"] == {"k_range": [-4, 7], "m_range": [0, 4]}
-    assert rep["cells_enumerated"] == 2 * 42 + 2 * 96
+    assert rep["cells_enumerated"] == 0

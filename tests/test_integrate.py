@@ -111,6 +111,17 @@ def test_hermite_route_needs_scalar_modulation_and_center_in_the_lattice(
     assert taken == [route]
 
 
+@pytest.mark.parametrize("force, route", [(False, "hermite"), (True, "generic")])
+def test_n1_routes_like_every_n(force, route, monkeypatch):
+    # n = 1 has no path of its own: force_enumeration sends the shell to the refinement
+    taken = []
+    for name in ("hermite", "generic"):
+        monkeypatch.setattr(integrate, "_shell_" + name,
+                            lambda *args, name=name: taken.append(name) or 0)
+    shell(3, 1, 0, level=-1, modulation=PAdicMatrix([[1]]), force_enumeration=force)
+    assert taken == [route]
+
+
 def test_hard_budget_raises():
     with pytest.raises(BudgetExceeded):
         shell(2, 2, 4, modulation=PAdicMatrix([[0, 1], [Fraction(1, 4), 0]]),

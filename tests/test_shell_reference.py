@@ -1,4 +1,4 @@
-"""The three shell paths against scalar-accumulating references.
+"""The shell paths against scalar-accumulating references.
 
 The references below add one exact cyclotomic value per cell, sum the
 Hermite off-diagonal entry as a geometric ratio (with an inverse) and bin the
@@ -14,11 +14,12 @@ from math import prod
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gjzeta import integrate
 from gjzeta.errors import BudgetExceeded
-from gjzeta.integrate import IntegrationConfig, _shell_generic, _shell_hermite, _shell_n1
+from gjzeta.integrate import (IntegrationConfig, _shell_generic, _shell_hermite, _shell_n1,
+                              term_shell_integral)
 from gjzeta.padic import (INFINITE, PAdicContext, PAdicMatrix, flat_det, mod_int,
                           psi_value, valuation)
 from gjzeta.scalars import as_scalar, root_of_unity
@@ -207,10 +208,19 @@ def _characters(p):
             MultiplicativeCharacter.quadratic_ramified(p), zeta]
 
 
-def _same(got, want, got_stats, want_stats):
+def _same(got, want, got_stats=None, want_stats=None):
     assert got == want and hash(got) == hash(want)
     assert repr(got) == repr(want)
     assert got_stats == want_stats
+
+
+def _n1_same(ctx, k, center, level, mod, chi, forced=True):
+    """term_shell_integral at n = 1, on its own route and (if forced) forced to the
+    refinement, against the unit enumeration."""
+    want = shell_n1_reference(ctx, k, center, level, mod, chi, {})
+    for force in (False, True)[:1 + forced]:
+        config = IntegrationConfig(force_enumeration=force)
+        _same(term_shell_integral(ctx, k, center, level, mod, config, chi), want)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -223,41 +233,29 @@ def test_n1_matches_reference(p, level):
         for a in centers:
             for b in modulations:
                 for k in range(-1, 3):
-                    center = PAdicMatrix([[a]])
-                    mod = PAdicMatrix([[b]])
-                    got_stats, want_stats = {}, {}
-                    got = _shell_n1(ctx, k, center, level, mod, chi, got_stats)
-                    want = shell_n1_reference(ctx, k, center, level, mod, chi, want_stats)
-                    _same(got, want, got_stats, want_stats)
+                    _n1_same(ctx, k, PAdicMatrix([[a]]), level, PAdicMatrix([[b]]), chi)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_n1_whole_coset_shells_match_reference(p):
-    # with k >= level and v(a) >= level every x = p^k r lies in a + p^level Z_p,
-    # and _shell_n1 skips the coset test; k < level or v(a) < level must keep it
+    # v(a) >= level makes a + p^level Z_p the zero-centered coset of the closed
+    # forms, and v(a) < level leaves it to the refinement; k < level or k >= level
     ctx = PAdicContext(p)
-    guarded = unguarded = 0
+    closed = refined = 0
     for chi in _characters(p):
         for a in (Fraction(0), Fraction(p ** 2), Fraction(p), Fraction(1), Fraction(1, p)):
             for level in (-1, 0, 1, 2):
+                closed += valuation(a, p) >= level
+                refined += valuation(a, p) < level
                 for k in (-1, 0, 1, 2, 3):
-                    whole = k >= level and valuation(a, p) >= level
-                    guarded += whole
-                    unguarded += not whole
                     for b in (Fraction(0), Fraction(1, p), Fraction(3)):
-                        center, mod = PAdicMatrix([[a]]), PAdicMatrix([[b]])
-                        got_stats, want_stats = {}, {}
-                        got = _shell_n1(ctx, k, center, level, mod, chi, got_stats)
-                        want = shell_n1_reference(ctx, k, center, level, mod, chi,
-                                                  want_stats)
-                        _same(got, want, got_stats, want_stats)
-    assert guarded and unguarded
+                        _n1_same(ctx, k, PAdicMatrix([[a]]), level, PAdicMatrix([[b]]), chi)
+    assert closed and refined
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_n1_deep_shells_match_reference(p):
-    # a psi level m > max(1, cu, level - k) makes the sum vanish: _shell_n1
-    # returns 0 without enumerating, and must still count the reference's cells
+    # a psi level m > max(1, cu, level - k) makes the sum vanish
     ctx = PAdicContext(p)
     vanishing = 0
     for chi in _characters(p):
@@ -269,11 +267,11 @@ def test_n1_deep_shells_match_reference(p):
                     if p ** max(1, cu, level - k, m) > 300:
                         continue
                     vanishing += m > max(1, cu, level - k)
-                    center, mod = PAdicMatrix([[Fraction(p - 1, p)]]), PAdicMatrix([[b]])
-                    got_stats, want_stats = {}, {}
-                    got = _shell_n1(ctx, k, center, level, mod, chi, got_stats)
-                    want = shell_n1_reference(ctx, k, center, level, mod, chi, want_stats)
-                    _same(got, want, got_stats, want_stats)
+                    # the refinement reduces a dense histogram of p^(-level - v(b))
+                    # phases, which takes seconds past 10^5
+                    _n1_same(ctx, k, PAdicMatrix([[Fraction(p - 1, p)]]), level,
+                             PAdicMatrix([[b]]), chi,
+                             forced=p ** (-level - valuation(b, p)) <= 10 ** 5)
     assert vanishing
 
 
@@ -286,20 +284,16 @@ def test_hermite_matches_reference(p, c_exp, level):
     for chi in _characters(p):
         for kp in range(-1, 3):
             k = kp + 2 * level
-            got_stats, want_stats = {}, {}
-            got = _shell_hermite(ctx, 2, k, level, c, chi, got_stats)
-            want = shell_n2_hermite_reference(ctx, k, level, c, chi, want_stats)
-            _same(got, want, got_stats.get("cells", 0), want_stats.get("cells", 0))
+            got = _shell_hermite(ctx, 2, k, level, c, chi)
+            _same(got, shell_n2_hermite_reference(ctx, k, level, c, chi, {}))
 
 
 def test_hermite_zero_modulation_matches_reference():
     ctx = PAdicContext(3)
     chi = _characters(3)[-1]
     for k in range(0, 4):
-        got_stats, want_stats = {}, {}
-        got = _shell_hermite(ctx, 2, k, 0, Fraction(0), chi, got_stats)
-        want = shell_n2_hermite_reference(ctx, k, 0, Fraction(0), chi, want_stats)
-        _same(got, want, got_stats.get("cells", 0), want_stats.get("cells", 0))
+        got = _shell_hermite(ctx, 2, k, 0, Fraction(0), chi)
+        _same(got, shell_n2_hermite_reference(ctx, k, 0, Fraction(0), chi, {}))
 
 
 
@@ -307,10 +301,8 @@ def test_hermite_p5_matches_reference():
     ctx = PAdicContext(5)
     for chi in _characters(5):
         for k in range(-1, 3):
-            got_stats, want_stats = {}, {}
-            got = _shell_hermite(ctx, 2, k, 0, Fraction(1, 5), chi, got_stats)
-            want = shell_n2_hermite_reference(ctx, k, 0, Fraction(1, 5), chi, want_stats)
-            _same(got, want, got_stats.get("cells", 0), want_stats.get("cells", 0))
+            got = _shell_hermite(ctx, 2, k, 0, Fraction(1, 5), chi)
+            _same(got, shell_n2_hermite_reference(ctx, k, 0, Fraction(1, 5), chi, {}))
 
 
 # (c, level) with mc = max(0, -v(c) - level) <= 2: the reference adds one
@@ -327,10 +319,8 @@ def test_hermite_p5_p7_matches_reference(p, c, level):
     for chi in _characters(p):
         for kp in range(-1, 3):
             k = kp + 2 * level
-            got_stats, want_stats = {}, {}
-            got = _shell_hermite(ctx, 2, k, level, c, chi, got_stats)
-            want = shell_n2_hermite_reference(ctx, k, level, c, chi, want_stats)
-            _same(got, want, got_stats.get("cells", 0), want_stats.get("cells", 0))
+            got = _shell_hermite(ctx, 2, k, level, c, chi)
+            _same(got, shell_n2_hermite_reference(ctx, k, level, c, chi, {}))
 
 
 def test_hermite_never_builds_the_count_kernel(monkeypatch):
@@ -345,7 +335,7 @@ def test_hermite_never_builds_the_count_kernel(monkeypatch):
                 for level in (-1, 0, 1):
                     for kp in range(-1, 4):
                         _shell_hermite(ctx, 2, kp + 2 * level, level,
-                                       Fraction(1, p ** c_exp), chi, {})
+                                       Fraction(1, p ** c_exp), chi)
 
 
 def _generic_characters(p):
@@ -540,9 +530,7 @@ def test_hermite_n1_matches_n1_path(p):
         for c in (Fraction(0), Fraction(1), Fraction(1, p), Fraction(p + 2, p ** 3)):
             for level in (-1, 0, 1):
                 for k in range(-2, 4):
-                    want = _shell_n1(ctx, k, zero, level, PAdicMatrix([[c]]), chi, None)
-                    got = _shell_hermite(ctx, 1, k, level, c, chi, None)
-                    assert got == want and hash(got) == hash(want)
+                    _n1_same(ctx, k, zero, level, PAdicMatrix([[c]]), chi)
 
 
 # (p, character index in _characters, c, k, level): k' = k - 3*level <= 1,
@@ -558,29 +546,30 @@ def test_hermite_n3_matches_generic(p, chi_index, c, k, level):
     chi = _characters(p)[chi_index]
     want = _shell_generic(ctx, k, PAdicMatrix.zero(3), level, PAdicMatrix.scalar(3, c),
                           IntegrationConfig(), chi, {})
-    got = _shell_hermite(ctx, 3, k, level, c, chi, {})
+    got = _shell_hermite(ctx, 3, k, level, c, chi)
     assert got == want and hash(got) == hash(want)
 
 
 def test_ramified_gauss_sums_stay_at_the_conductor(monkeypatch):
-    # G(w p^t) vanishes once mc - t > max(1, cu), so _gauss_sum runs no n = 1
-    # enumeration at a psi level above it; its cache is cleared so that each runs
-    integrate._gauss_sum.cache_clear()
+    # G(w p^t) vanishes off psi level f, so _shell_n1 only ever sums at the true
+    # conductor, also for the quadratic chi written mod 11^2 (f = 1 < cu = 2)
     levels = []
     shell_n1 = integrate._shell_n1
 
-    def spy(ctx, k, center, level, modulation, unit_char, stats):
-        levels.append(-valuation(modulation.entries[0][0], ctx.p))
-        return shell_n1(ctx, k, center, level, modulation, unit_char, stats)
+    def spy(p, b, unit_char):
+        levels.append(-valuation(b, p))
+        return shell_n1(p, b, unit_char)
 
     monkeypatch.setattr(integrate, "_shell_n1", spy)
     ctx = PAdicContext(11)
     chi = MultiplicativeCharacter.quadratic_ramified(11)
-    for mc in range(5):
-        for kp in range(4):
-            _shell_hermite(ctx, 2, kp, 0, Fraction(1, 11 ** mc), chi, {})
-    assert levels and max(levels) <= max(1, chi.conductor_exp)
-    assert integrate._gauss_sum.cache_info().misses == len(levels)
+    written = MultiplicativeCharacter(11, 2, {2: -1})
+    for unit_char in (chi, written):
+        for mc in range(5):
+            for kp in range(4):
+                _shell_hermite(ctx, 2, kp, 0, Fraction(1, 11 ** mc), unit_char)
+    # each character has its nonzero shells at (mc, k') = (1, 0) and (2, 2)
+    assert len(levels) == 4 and set(levels) == {1}
 
 
 @st.composite
@@ -602,42 +591,38 @@ def _random_characters(draw):
 @settings(max_examples=30, deadline=None)
 @given(_random_characters())
 def test_gauss_sum_cache_matches_a_fresh_enumeration(chi):
-    # g(l, w) on chi's unit key is p^c1 times the n = 1 enumeration, and an int
-    # exactly when it is rational
+    # g = int_{Z_p^x} chi(x) psi(b x) dx at every psi level l <= cu
     p, cu = chi.p, chi.conductor_exp
-    c1 = max(1, cu)
+    assume(cu >= 1)
     ctx, zero = PAdicContext(p), PAdicMatrix([[0]])
-    for l in range(c1 + 1):
-        for w in [w for w in range(p ** l) if w % p] if l else [0]:
-            got = integrate._gauss_sum(p, chi.unit_key, l, w)
-            want = p ** c1 * _shell_n1(ctx, 0, zero, 0, PAdicMatrix([[Fraction(w, p ** l)]]),
-                                       chi, None)
-            assert got == want and isinstance(got, int) == (want.m == 0)
-        # and the definition, sum_{x in (Z/p^c1)^x} chi(x) zeta_{p^l}^(w x), at w = 1
-        assert integrate._gauss_sum(p, chi.unit_key, l, 1 % p ** l) == sum(
-            chi.unit_value(x) * root_of_unity(p, l, x) for x in range(p ** c1) if x % p)
-
-
-def test_gauss_sum_cache_does_not_grow_with_unramified_characters():
-    # a chi that is 1 on units has its closed forms without a Gauss sum: unramified
-    # characters and their inverses add no entry and no miss, however many there are
-    ctx = PAdicContext(3)
-    shells = [(n, k, 0, Fraction(1, 3 ** mc)) for n in (2, 3) for k in range(3)
-              for mc in range(4)]
-    chars = [MultiplicativeCharacter.unramified(3, v) for v in (1, 2, Fraction(1, 3), -5)]
-    integrate._gauss_sum.cache_clear()
-    for chi in [None] + chars + [chi.inverse() for chi in chars]:
-        for n, k, level, c in shells:
-            _shell_hermite(ctx, n, k, level, c, chi, None)
-    info = integrate._gauss_sum.cache_info()
-    assert info.currsize == info.misses == 0 and info.maxsize is not None
+    for l in range(cu + 1):
+        for w in sorted({1, 2, p + 1, -1 % p ** l} if l else {0}):
+            b = Fraction(w, p ** l)
+            _same(_shell_n1(p, b, chi),
+                  shell_n1_reference(ctx, 0, zero, 0, PAdicMatrix([[b]]), chi, {}))
+        # and the definition, p^-cu sum_{x in (Z/p^cu)^x} chi(x) zeta_{p^l}^x, at w = 1
+        assert p ** cu * _shell_n1(p, Fraction(1, p ** l), chi) == sum(
+            chi.unit_value(x) * root_of_unity(p, l, x) for x in range(p ** cu) if x % p)
 
 
 # -- the Hermite closed forms against the composition sum they replace ----
 
+_UNIT_INTEGRALS = {}
+
+
+def _unit_integral(p, b, unit_char):
+    """int_{Z_p^x} chi(x) psi(b x) dx by the unit enumeration, kept per (b, chi's phases)."""
+    key = (p, b) + ((unit_char.conductor_exp, frozenset(unit_char.phases.items()))
+                    if unit_char else ())
+    if key not in _UNIT_INTEGRALS:
+        _UNIT_INTEGRALS[key] = shell_n1_reference(
+            PAdicContext(p), 0, PAdicMatrix([[0]]), 0, PAdicMatrix([[b]]), unit_char, {})
+    return _UNIT_INTEGRALS[key]
+
+
 def shell_hermite_reference(ctx, n, k, level, c, unit_char):
     """vol(B_0(p^mc)) sum_{a_1+...+a_n=k'} p^(sum_j (j-1) a_j) prod_j gamma(min(a_j, mc)),
-    with gamma(t) = int_{Z_p^x} chi(x) psi(cH p^t x) dx / (1 - 1/p) from a fresh _shell_n1
+    with gamma(t) = int_{Z_p^x} chi(x) psi(cH p^t x) dx / (1 - 1/p) from the unit
     enumeration: the sum over compositions that _shell_hermite puts in closed form."""
     p = ctx.p
     kp = k - n * level
@@ -646,9 +631,8 @@ def shell_hermite_reference(ctx, n, k, level, c, unit_char):
     cH = Fraction(c) * Fraction(p) ** level
     vc = valuation(cH, p)
     mc = 0 if vc is INFINITE else max(0, -int(vc))
-    zero = PAdicMatrix([[0]])
-    gamma = [_shell_n1(ctx, 0, zero, 0, PAdicMatrix([[cH * p ** t]]), unit_char, None)
-             * Fraction(p, p - 1) for t in range(mc + 1)]
+    gamma = [_unit_integral(p, cH * p ** t, unit_char) * Fraction(p, p - 1)
+             for t in range(mc + 1)]
     total = as_scalar(0, p)
     for head in product(range(kp + 1), repeat=n - 1):
         a = head + (kp - sum(head),)
@@ -689,6 +673,6 @@ def test_hermite_closed_forms_match_the_composition_sum(n, p):
             for level in (-1, 0, 1):
                 for kp in sorted({-1, 0, 1, 2, n, 2 * n} if n < 4 else {-1, 0, 1, n}):
                     k = kp + n * level
-                    got = _shell_hermite(ctx, n, k, level, c, chi, None)
+                    got = _shell_hermite(ctx, n, k, level, c, chi)
                     want = shell_hermite_reference(ctx, n, k, level, c, chi)
                     assert got == want and repr(got) == repr(want)
