@@ -17,7 +17,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 import mpmath
@@ -179,11 +179,10 @@ def fourier_real(phi: RealSchwartzFn) -> RealSchwartzFn:
     return RealSchwartzFn(out)
 
 
-@dataclass(frozen=True)
-class RealCharacter:
+class RealCharacter(namedtuple("RealCharacter", "sign_exponent imaginary_twist",
+                               defaults=(0, Fraction(0)))):
     """sign(x)^delta * |x|^(i tau) on R^x."""
-    sign_exponent: int = 0
-    imaginary_twist: Fraction = Fraction(0)
+    __slots__ = ()
 
     def inverse(self) -> "RealCharacter":
         return RealCharacter(self.sign_exponent, -self.imaginary_twist)

@@ -26,7 +26,7 @@ rho(sigma) * rho~(n - sigma) = 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import InfiniteLowerSupport, Singular
@@ -41,13 +41,9 @@ DIRECT = "direct"
 INVERSE = "inverse"
 
 
-@dataclass(frozen=True)
-class TwistedDistribution:
+class TwistedDistribution(namedtuple("TwistedDistribution", "n alpha2 epsilon mode")):
     """|det g|^alpha psi(tr(epsilon g^kappa)) d^x g; alpha2 stores 2*alpha."""
-    n: int
-    alpha2: int
-    epsilon: int
-    mode: str
+    __slots__ = ()
 
     @property
     def alpha(self) -> Fraction:
@@ -70,7 +66,7 @@ def cstar_gamma(n: int) -> TwistedDistribution:
 
 def tilde(d: TwistedDistribution) -> TwistedDistribution:
     """u(g) d^x g -> u(-g) d^x g: flips the sign inside the trace."""
-    return replace(d, epsilon=-d.epsilon)
+    return d._replace(epsilon=-d.epsilon)
 
 
 def closed_form_inverse(d: TwistedDistribution) -> TwistedDistribution:
@@ -82,7 +78,7 @@ def closed_form_inverse(d: TwistedDistribution) -> TwistedDistribution:
 
 def det_twist(d: TwistedDistribution, beta2: int) -> TwistedDistribution:
     """Multiply by |det|^beta (beta2 = 2*beta): alpha -> alpha + beta."""
-    return replace(d, alpha2=d.alpha2 + beta2)
+    return d._replace(alpha2=d.alpha2 + beta2)
 
 
 def verify_relation(n: int) -> dict:

@@ -21,7 +21,6 @@ independent check of the closed forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -39,7 +38,6 @@ from .scalars import QuadExt, as_scalar, root_of_unity_sum
 K_EXTRA = 2
 
 
-@dataclass
 class IntegrationConfig:
     """Truncation, certification, and budget knobs.
 
@@ -51,13 +49,13 @@ class IntegrationConfig:
     force_enumeration: send every shell, at every n, to the refinement, the
     independent check of the closed forms.
     """
-    # not a field; read by perfbench/tracer.py (_count_truncations) and tests/test_truncation.py
+    # a constant; read by perfbench/tracer.py (_count_truncations) and tests/test_truncation.py
     m_start = 0
-    m_max: int = 8
-    r_max: int = 0
-    confirm: int = 3
-    hard_budget: int = 10 ** 7
-    force_enumeration: bool = False
+
+    def __init__(self, *, m_max=8, r_max=0, confirm=3, hard_budget=10 ** 7,
+                 force_enumeration=False):
+        self.m_max, self.r_max, self.confirm = m_max, r_max, confirm
+        self.hard_budget, self.force_enumeration = hard_budget, force_enumeration
 
 
 # name and signature kept because perfbench/tracer.py wraps it
@@ -90,10 +88,10 @@ def _bump(stats, key, amount=1):
 
 # name kept because perfbench/tracer.py wraps it
 def _shell_n1(p, b, unit_char):
-    """g = int_{Z_p^x} chi(x) psi(b x) dx for cu >= 1 and a psi level -v(b) <= cu: the
-    units r mod p^cu, each adding its chi sign at its phase of psi * chi, over p^cu."""
+    """g = int_{Z_p^x} chi(x) psi(b x) dx for f >= 1 and a psi level -v(b) <= f: the
+    units r mod p^f, each adding its chi sign at its phase of psi * chi, over p^f."""
     M = p ** unit_char.conductor_exp
-    w = mod_int(b * M, M)  # psi(b r) = zeta_{p^cu}^(w r)
+    w = mod_int(b * M, M)  # psi(b r) = zeta_{p^f}^(w r)
     hist = [0] * M
     for r, (s, e) in unit_char.phases.items():
         hist[(w * r + e) % M] += s
@@ -118,12 +116,12 @@ def _shell_hermite(ctx, n, k, level, c, unit_char):
     (1 - 1/p)^n, d_r b = prod_{i<j} db_ij prod_j p^((j-1) a_j) d^x t_j.  Each
     b_ij (i < j) runs over Z_p in psi(cH kappa_ji b_ij), whose integral is 1 if
     kappa_ji = 0 mod p^mc and 0 otherwise: only kappa in B_0(p^mc) survive.  There
-    (kappa_11, ..., kappa_nn, det) mod (p^mc, ..., p^mc, p^cu) is a homomorphism
+    (kappa_11, ..., kappa_nn, det) mod (p^mc, ..., p^mc, p^f) is a homomorphism
     with the image of (x_1, ..., x_n, x_1...x_n) on units, so the u_j-integrals split:
       shell = vol * sum_{a_1+...+a_n=k'} p^(sum_j (j-1) a_j) prod_j gamma(min(a_j, mc)),
     vol = vol(B_0(p^mc)) = (1 - 1/p)^n p^(-mc n(n-1)/2) (prod_{i<=n} (1 - p^-i) at mc = 0),
     gamma(t) = int_{Z_p^x} chi(x) psi(cH p^t x) dx / (1 - 1/p).  Its psi level is
-    l = mc - t, and gamma = 0 for l > max(1, f), f the true conductor (x = x0 +
+    l = mc - t, and gamma = 0 for l > max(1, f), f = conductor_exp (x = x0 +
     p^(l-1) y: chi(x) sees x0 alone, sum_y zeta_p^(w y) = 0), and for l < f (x -> x u,
     u = 1 mod p^l with chi(u) != 1).
       * f = 0, mc = 0: gamma = 1, and the sum is the Gaussian binomial
@@ -137,7 +135,7 @@ def _shell_hermite(ctx, n, k, level, c, unit_char):
         k' = n t0, and then g^n p^(-f n(n-1)/2) with g = _shell_n1(p, cH p^t0, chi).
     """
     p = ctx.p
-    f = unit_char.conductor if unit_char else 0
+    f = unit_char.conductor_exp if unit_char else 0
     kp = k - n * level
     if kp < 0:
         return as_scalar(0, p)
@@ -313,13 +311,13 @@ def stabilized_shell_integral(ctx: PAdicContext, n: int, k: int,
 
     n = 1: the shell p^k Z_p^x is compact and inside p^(-m) Z_p once m >= -k,
     so m* = max(0, -k).  n >= 2: _shell_hermite at level -m has mc = m, k' = k + n m
-    and w = eps, and for m >= max(1, cu) its closed forms are free of m: f = 0 reads
+    and w = eps, and for m >= max(1, f) its closed forms are free of m: f = 0 reads
     K = k' - n(m - 1) = k + n only, and f >= 1 is nonzero only at k' = n(m - f), i.e.
-    k = -n f, with a value free of m.  So m* = max(1, cu, ceil(-k/n)), which also reaches
+    k = -n f, with a value free of m.  So m* = max(1, f, ceil(-k/n)), which also reaches
     the shell.  A truncated integral does not depend on its path: force_enumeration uses m*.
     """
-    cu = unit_char.conductor_exp if unit_char else 0
-    m = max(0, -k) if n == 1 else max(1, cu, -(k // n))
+    f = unit_char.conductor_exp if unit_char else 0
+    m = max(0, -k) if n == 1 else max(1, f, -(k // n))
     if m > config.m_max:
         raise NoStabilization("shell %d did not stabilize by truncation m = %d"
                               % (k, config.m_max))
@@ -336,18 +334,16 @@ def rationalize(seq, k0: int, weight: int, q: int, r_max: int,
     seq[i] is the coefficient of T^(weight*(k0+i)); the tail must satisfy a
     linear recurrence of order <= r_max, certified on `confirm` extra terms.
     """
-    rec = detect_recurrence(seq, r_max, confirm)
-    s = rec.start
-    r = rec.order
+    coeffs, s = detect_recurrence(seq, r_max, confirm)
     head = LaurentPoly({weight * (k0 + i): seq[i] for i in range(s)})
     den = LaurentPoly.const(1)
-    for i, ci in enumerate(rec.coeffs, start=1):
+    for i, ci in enumerate(coeffs, start=1):
         den = den - LaurentPoly({weight * i: ci})
     tail = LaurentPoly()
-    for jj in range(r):
+    for jj in range(len(coeffs)):
         e = seq[s + jj]
         for i in range(1, jj + 1):
-            e = e - rec.coeffs[i - 1] * seq[s + jj - i]
+            e = e - coeffs[i - 1] * seq[s + jj - i]
         tail = tail + LaurentPoly({weight * (k0 + s + jj): e})
     return RationalFunctionT(head * den + tail, den, q)
 

@@ -7,7 +7,6 @@ factorizations with no precision bookkeeping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalars import CyclotomicNumber, root_of_unity
@@ -34,18 +33,18 @@ def valuation(x, p: int):
     return int_valuation(x.numerator, p) - int_valuation(x.denominator, p)
 
 
-@dataclass(frozen=True)
 class PAdicContext:
     """Prime p (the residue cardinality q = p) and the fixed psi convention.
 
     psi has conductor Z_p: trivial on Z_p, nontrivial on p^(-1) Z_p.  With
     this choice 1_{M_n(Z_p)} is self-dual and vol(M_n(Z_p)) = 1.
     """
-    p: int
+    __slots__ = ("p",)
 
-    def __post_init__(self):
-        if self.p < 2 or any(self.p % d == 0 for d in range(2, int(self.p ** 0.5) + 1)):
+    def __init__(self, p: int):
+        if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
             raise ValueError("p must be prime")
+        self.p = p
 
 
 def psi_exponent(x, ctx: PAdicContext) -> tuple[int, int]:

@@ -6,7 +6,6 @@ module recovers them exactly and certifies them on a confirmation window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NoRecurrence
@@ -45,20 +44,15 @@ def berlekamp_massey(seq):
     return [-cj for cj in c[1:L + 1]]
 
 
-@dataclass
-class Recurrence:
-    """Tail recurrence e_k = sum_i coeffs[i-1] * e_{k-i} valid for k >= start."""
-    order: int
-    coeffs: list
-    start: int
-
-    def predict(self, entries, k):
-        return sum((self.coeffs[i - 1] * entries[k - i] for i in range(1, self.order + 1)),
-                   start=Fraction(0))
+def _predict(coeffs, seq, k):
+    """sum_i coeffs[i-1] * seq[k-i], the recurrence's value at index k."""
+    return sum((c * seq[k - i] for i, c in enumerate(coeffs, start=1)), start=Fraction(0))
 
 
 def detect_recurrence(seq, r_max: int, confirm: int):
-    """Minimal-order recurrence of the tail of seq, exact.
+    """Minimal-order recurrence of the tail of seq, exact, as (coeffs, start):
+    seq[k] = sum_i coeffs[i-1] * seq[k-i] for every k >= start, so its order
+    is len(coeffs).  The start is pushed as far left as the recurrence holds.
 
     Fits on the window preceding the last `confirm` entries and verifies the
     prediction on those entries.  Raises NoRecurrence if no recurrence of
@@ -67,26 +61,17 @@ def detect_recurrence(seq, r_max: int, confirm: int):
     if len(seq) < 2 * r_max + confirm:
         raise ValueError("need at least 2*r_max + confirm terms")
     if all(scalar_is_zero(s) for s in seq[-(r_max + confirm):]):
-        return Recurrence(order=0, coeffs=[], start=len(seq) - (r_max + confirm))
+        return [], len(seq) - (r_max + confirm)
     fit = seq[len(seq) - (2 * r_max + confirm):len(seq) - confirm]
     coeffs = berlekamp_massey(fit)
-    if len(coeffs) > r_max:
-        raise NoRecurrence("minimal order %d exceeds r_max=%d" % (len(coeffs), r_max))
     order = len(coeffs)
-    rec = Recurrence(order=order, coeffs=coeffs, start=len(seq) - (2 * r_max + confirm) + order)
-    # confirm window
+    if order > r_max:
+        raise NoRecurrence("minimal order %d exceeds r_max=%d" % (order, r_max))
     for k in range(len(seq) - confirm, len(seq)):
-        pred = rec.predict(seq, k)
-        if not scalar_is_zero(pred - seq[k]):
+        if not scalar_is_zero(_predict(coeffs, seq, k) - seq[k]):
             raise NoRecurrence("confirm window mismatch at index %d" % k)
     # extend validity as far left as it holds, to shorten the literal head
-    start = rec.start
-    while start - 1 >= order:
-        k = start - 1
-        pred = rec.predict(seq, k)
-        if scalar_is_zero(pred - seq[k]):
-            start = k
-        else:
-            break
-    rec.start = start
-    return rec
+    start = len(seq) - (2 * r_max + confirm) + order
+    while start > order and scalar_is_zero(_predict(coeffs, seq, start - 1) - seq[start - 1]):
+        start -= 1
+    return coeffs, start

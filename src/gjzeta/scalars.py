@@ -319,12 +319,8 @@ def sqrt_q(p: int):
     if p == 2:
         return root_of_unity(2, 3, 1) - root_of_unity(2, 3, 3)
     if p % 4 == 1:
-        total = zero(p)
-        for a in range(1, p):
-            ls = pow(a, (p - 1) // 2, p)
-            sign = 1 if ls == 1 else -1
-            total = total + root_of_unity(p, 1, a) * sign
-        return total
+        return root_of_unity_sum(p, 1, [0] + [1 if pow(a, (p - 1) // 2, p) == 1 else -1
+                                              for a in range(1, p)])
     return QuadExt(zero(p), one(p), p)
 
 

@@ -15,7 +15,7 @@ distributions.spectral_action keeps on the twist-each-entry path.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import AllDegenerate, ZeroDenominator
@@ -28,7 +28,8 @@ from .scalars import CyclotomicNumber, as_scalar, root_of_unity, scalar_is_zero
 class MultiplicativeCharacter:
     """Character of Q_p^x: integer phases on the units mod p^c, and chi(p).
 
-    chi(u) = sign * zeta_{p^c}^a for (sign, a) = phases[u mod p^c] (u = 0 is the
+    c = conductor_exp is the true conductor, whatever level c' >= c the table is written
+    at.  chi(u) = sign * zeta_{p^c}^a for (sign, a) = phases[u mod p^c] (u = 0 is the
     one class when c = 0).  At p = 2 with c >= 1, -1 is zeta^(2^(c-1)) and every
     sign is 1, so equal values have equal phases.  The input table gives scalars
     on all units or on generators of them; value_at_p is any nonzero scalar.
@@ -53,10 +54,12 @@ class MultiplicativeCharacter:
                                      % conductor_exp)
         if sorted(phases) != [u for u in range(pc) if u % p or pc == 1]:
             raise ValueError("table must generate the units mod p^%d" % conductor_exp)
-        self.p, self.conductor_exp, self.phases = p, conductor_exp, phases
-        # the true conductor: least f with chi = 1 on the units = 1 mod p^f (0: 1 on units)
-        self.conductor = next(f for f in range(conductor_exp + 1) if all(
+        # the true conductor: least f with chi = 1 on the units = 1 mod p^f (0: 1 on units).
+        # Each value is +-(a p^(f-1)-th root), so p^(c-f) | a, at p = 2 too (-1 = zeta^(2^(c-1)))
+        f = next(f for f in range(conductor_exp + 1) if all(
             v == (1, 0) for u, v in phases.items() if u % p ** f == 1 % p ** f))
+        self.p, self.conductor_exp, self.phases = p, f, {
+            u % p ** f: (s, a // p ** (conductor_exp - f)) for u, (s, a) in phases.items()}
         self.value_at_p = as_scalar(value_at_p, p)
         if scalar_is_zero(self.value_at_p):
             raise ValueError("a character takes no zero value")
@@ -127,11 +130,8 @@ def phi_fingerprint(phi) -> str:
     return hashlib.sha256(phi.to_json().encode()).hexdigest()[:16]
 
 
-@dataclass
-class ZetaResult:
-    value: RationalFunctionT
-    k_range: tuple
-    stats: dict = field(default_factory=dict)
+# value: RationalFunctionT; k_range: (first, last) shell; stats: the cells counted
+ZetaResult = namedtuple("ZetaResult", "value k_range stats")
 
 
 def zeta_integral(phi, chi: MultiplicativeCharacter,
@@ -162,11 +162,8 @@ def zeta_integral(phi, chi: MultiplicativeCharacter,
     return ZetaResult(value=value, k_range=(k_min, k_min + count - 1), stats=stats)
 
 
-@dataclass
-class GammaResult:
-    value: RationalFunctionT
-    num: ZetaResult
-    den: ZetaResult
+class GammaResult(namedtuple("GammaResult", "value num den")):  # num.value / den.value
+    __slots__ = ()
 
     @property
     def cells(self) -> int:

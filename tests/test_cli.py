@@ -316,22 +316,25 @@ def test_conductor_exponent_out_of_range_exits_3(char, capsys):
 
 
 def test_conductor_exponent_ceiling():
-    # 3^7 <= MAX_ROOT_ORDER < 3^8, and no character has a negative exponent
-    chi = cli.parse_character(3, '{"conductor_exp": 7, "generators": {"2": -1}}')
+    # 3^7 <= MAX_ROOT_ORDER < 3^8, and no character has a negative exponent; chi(2) =
+    # zeta_{3^7}^3 has order 3^6, so this table is primitive and keeps every phase
+    chi = cli.parse_character(3, '{"conductor_exp": 7, "generators": {"2": {"root": [7, 3]}}}')
     assert chi.conductor_exp == 7 and len(chi.phases) == 2 * 3 ** 6
     with pytest.raises(ValueError, match="negative"):
         MultiplicativeCharacter(3, -1, {})
 
 
 def test_imprimitive_table_gives_the_same_results(capsys):
-    # the quadratic chi written as a table mod 7^2: cu = 2 moves the windows, not
-    # the results
+    # the quadratic chi written as a table mod 7^2 and mod 7^3 is kept at its true
+    # conductor 1: the same windows and the same results
     argv = ["verify-inverse", "--p", "7", "--n", "2", "--char"]
-    code, rep = run_json(argv + ['{"conductor_exp": 2, "generators": {"3": -1}}'], capsys)
-    assert code == 0 and rep["verdict"] == "PASS"
     code, ref = run_json(argv + ["quadratic"], capsys)
-    assert code == 0 and rep["results"] == ref["results"]
-    assert rep["windows"] != ref["windows"]
+    assert code == 0 and ref["verdict"] == "PASS"
+    for c in (2, 3):
+        code, rep = run_json(argv + ['{"conductor_exp": %d, "generators": {"3": -1}}' % c],
+                             capsys)
+        assert code == 0 and rep["verdict"] == "PASS"
+        assert (rep["results"], rep["windows"]) == (ref["results"], ref["windows"])
 
 
 @pytest.mark.parametrize("p, m", [(2, 12), (3, 7), (5, 5), (13, 3)])
@@ -542,10 +545,11 @@ def test_scipy_is_loaded_only_by_the_real_place(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_cli_imports_neither_numpy_nor_scipy():
+def test_cli_imports_no_numpy_scipy_dataclasses_or_inspect():
     proc = _fresh_python(
         "import sys, gjzeta.cli\n"
-        "print(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'}))")
+        "print(sorted({m.split('.')[0] for m in sys.modules}"
+        " & {'numpy', 'scipy', 'dataclasses', 'inspect'}))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 

@@ -64,6 +64,16 @@ def test_sqrt_q_squares_to_p(p):
     assert abs(embed_complex(r, 30) - mpmath.sqrt(p)) < mpmath.mpf(10) ** -12
 
 
+@pytest.mark.parametrize("p", [5, 13, 17, 29, 37, 41, 101])
+def test_sqrt_q_is_the_term_by_term_gauss_sum(p):
+    # the reference adds the p - 1 signed roots (a|p) zeta_p^a one at a time
+    gauss = as_scalar(0, p)
+    for a in range(1, p):
+        gauss = gauss + root_of_unity(p, 1, a) * (1 if pow(a, (p - 1) // 2, p) == 1 else -1)
+    r = sqrt_q(p)
+    assert r == gauss and repr(r) == repr(gauss) and hash(r) == hash(gauss)
+
+
 def test_sqrt_q_cache_is_bounded():
     maxsize = sqrt_q.cache_info().maxsize
     assert maxsize is not None and maxsize > 0

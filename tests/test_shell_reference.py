@@ -649,7 +649,7 @@ def shell_hermite_reference(ctx, n, k, level, c, unit_char):
 def _closed_form_characters(p):
     """Every kind the closed forms tell apart: trivial (None and explicit), unramified
     with a rational and a root-of-unity chi(p), quadratic, true conductor 2 (4 at
-    p = 2) and 3, the quadratic written one level up (f < c), and 1 on units mod p^2."""
+    p = 2) and 3, the quadratic written one level up (kept at its f), and 1 on units mod p^2."""
     chars = _characters(p)
     quadratic = chars[3]
     c = quadratic.conductor_exp + 1
@@ -667,7 +667,8 @@ def _closed_form_characters(p):
 def test_hermite_closed_forms_match_the_composition_sum(n, p):
     ctx = PAdicContext(p)
     chars = _closed_form_characters(p)
-    assert sorted({chi.conductor for chi in chars[1:]}) == ([0, 1, 2, 3] if p > 2 else [0, 2, 3, 4])
+    assert sorted({chi.conductor_exp for chi in chars[1:]}) == (
+        [0, 1, 2, 3] if p > 2 else [0, 2, 3, 4])
     for chi in chars + [chars[-3].inverse()]:
         for c in (Fraction(0), Fraction(1), Fraction(1, p), Fraction(p + 2, p ** 3)):
             for level in (-1, 0, 1):

@@ -7,6 +7,8 @@ that reaches the shell until two consecutive truncations agree with the one
 before them.  The proven value must equal the loop's, at an m no larger.
 """
 
+import copy
+
 import pytest
 
 from gjzeta import integrate
@@ -105,3 +107,31 @@ def test_each_call_evaluates_one_truncation(n, k, force, monkeypatch):
     _, m = stabilized_shell_integral(PAdicContext(2), n, k, PAdicMatrix.scalar(n, 1), config,
                                      MultiplicativeCharacter.quadratic_ramified(2))
     assert calls == [-m]
+
+
+def as_written(chi, c):
+    """chi with its table lifted to the units mod p^c, c above its true conductor f:
+    the table as an imprimitive character is written, for the refinement to read."""
+    p, f = chi.p, chi.conductor_exp
+    written = copy.copy(chi)
+    written.conductor_exp = c
+    written.phases = {u: (s, a * p ** (c - f)) for u in range(p ** c) if u % p
+                      for s, a in [chi.phases[u % p ** f]]}
+    return written
+
+
+@pytest.mark.parametrize("k", [-4, -3, -2, -1, 0])
+def test_imprimitive_table_truncates_at_its_true_conductor(k):
+    # the quadratic chi tabled mod 3^2 (c = 2) keeps f = 1, so n = 2 shells stop at
+    # m* = max(1, f, ceil(-k/2)): one below max(1, c, ...) for k >= -2, where shell
+    # -2 = -n f is the nonzero one.  The value matches the refinement of the table as
+    # written mod 3^2, at m* and, where its budget allows (k <= -2), at c's truncation
+    ctx, n, chi = PAdicContext(3), 2, imprimitive(3)
+    assert chi.conductor_exp == 1
+    mod = PAdicMatrix.scalar(n, 1)
+    val, m = stabilized_shell_integral(ctx, n, k, mod, IntegrationConfig(), chi)
+    assert m == max(1, -(k // n))
+    forced, written = IntegrationConfig(force_enumeration=True), as_written(chi, 2)
+    for mm in {m, max(m, 2)} if k <= -2 else {m}:
+        ref = term_shell_integral(ctx, k, PAdicMatrix.zero(n), -mm, mod, forced, written)
+        assert scalar_is_zero(val - ref), (k, mm)

@@ -67,7 +67,9 @@ def test_character_inverse_permutes_the_table(p, gen):
 
 
 def test_true_conductor():
-    # the least f with chi = 1 on the units = 1 mod p^f, below the table's c when imprimitive
+    # (chi, written c, f): conductor_exp is the least f with chi = 1 on the units = 1
+    # mod p^f, also for a table written at c > f (imprimitive), whose phases are then
+    # kept mod p^f
     units = [u for u in range(1, 49) if u % 7]
     quadratic = MultiplicativeCharacter.quadratic_ramified(7)
     cases = [(MultiplicativeCharacter(7, 2, {3: root_of_unity(7, 1, 1)}), 2, 2),
@@ -77,9 +79,9 @@ def test_true_conductor():
              (MultiplicativeCharacter(2, 3, {5: -1, 7: 1}), 3, 3),
              (MultiplicativeCharacter(2, 3, {5: 1, 7: -1}), 3, 2),
              (MultiplicativeCharacter.unramified(7, Fraction(1, 7)), 0, 0)]
-    for chi, c, f in cases:
-        assert (chi.conductor_exp, chi.conductor) == (c, f)
-        assert chi.inverse().conductor == f
+    for chi, _, f in cases:
+        assert chi.conductor_exp == chi.inverse().conductor_exp == f
+        assert len(chi.phases) == ((chi.p - 1) * chi.p ** (f - 1) if f else 1)
 
 
 def test_character_table_validation():
