@@ -3,8 +3,8 @@
 Each subcommand validates its inputs, runs the engine and returns the report
 body; `main` alone times the run, writes the machine-readable Report (JSON;
 CSV for arch-gamma) and maps its verdict to an exit code.  Exit codes:
-0 = all PASS, 1 = any FAIL, 2 = INCONCLUSIVE (stabilization or budget
-limits — an engineering limit, never a refutation), 3 = invalid input.
+0 = all PASS, 1 = any FAIL, 2 = INCONCLUSIVE (an engine limit such as the
+cell budget or the recurrence bound — never a refutation), 3 = invalid input.
 """
 
 from __future__ import annotations
@@ -159,7 +159,7 @@ def parse_phi_list(n: int, ctx: PAdicContext, spec: str):
 
 # smallest allowed value of each engine flag (r_max = 0 means the default n);
 # --threads is range-checked but not stored: evaluation is serial
-FLAG_MINIMUM = {"m_max": 0, "r_max": 0, "confirm": 1, "hard_budget": 1, "threads": 1}
+FLAG_MINIMUM = {"r_max": 0, "confirm": 1, "hard_budget": 1, "threads": 1}
 
 
 def build_config(args) -> IntegrationConfig:
@@ -370,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--char", default="trivial",
                             help="trivial | unramified:VALUE | quadratic | "
                                  "inline JSON | file path (default: trivial)")
-            sp.add_argument("--m-max", dest="m_max", type=int)
             sp.add_argument("--r-max", dest="r_max", type=int)
             sp.add_argument("--confirm", type=int)
             sp.add_argument("--hard-budget", dest="hard_budget", type=int)

@@ -13,10 +13,9 @@ with I_k, J_k the unit-part shell integrals of psi(tr(eps g)), each exact at one
 The series sum_k I_k T^(-2k) (or J_k T^(2k)) is rationalized untwisted, so
 Berlekamp-Massey and the gcd run over the field of the shells (Q for trivial
 and unramified chi), and chi^(+-1)(p)^k q^(-k alpha) is applied once, to the
-finished rational function (integrate.rationalize_twisted).  When sqrt(q) is
-a formal QuadExt (p = 3 mod 4 and odd 2 alpha) the entries are still twisted
-one by one: a QuadExt coefficient prints as "1" or "(1) + (0)*sqrt(3)"
-depending on its arithmetic path, and reports print it.
+finished rational function (RationalFunctionT.twisted).  That holds when
+sqrt(q) is a formal QuadExt (p = 3 mod 4 and odd 2 alpha) too: the shells stay
+in Q or Q(zeta_{p^f}), and only the twisted coefficients carry sqrt(q).
 In INVERSE mode the substitution h = g^(-1) (d^x g inversion-invariant)
 carries the |det|^alpha weight along with the kernel variable; this is the
 unique reading under which the convolution-inverse pair multiplies to 1 on
@@ -30,8 +29,8 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import InfiniteLowerSupport, Singular
-from .integrate import (K_EXTRA, IntegrationConfig, parallel_map,
-                        rationalize_twisted, stabilized_shell_integral)
+from .integrate import (K_EXTRA, IntegrationConfig, parallel_map, rationalize,
+                        stabilized_shell_integral)
 from .padic import PAdicContext, PAdicMatrix
 from .ratfun import RationalFunctionT, ratfun_equal
 from .scalars import scalar_is_zero, sqrt_q_power
@@ -141,9 +140,8 @@ def spectral_action(d: TwistedDistribution, chi: MultiplicativeCharacter,
         raise InfiniteLowerSupport(
             "kernel shells still nonzero at the lower window edge k=%d" % k_low)
     weight = -2 if d.mode == DIRECT else 2
-    value = rationalize_twisted(
-        seq, lambda k: kchi.value_at_p ** k * sqrt_q_power(p, -k * d.alpha2),
-        k_low, weight, p, r_max, config.confirm)
+    value = rationalize(seq, k_low, weight, p, r_max, config.confirm).twisted(
+        lambda k: kchi.value_at_p ** k * sqrt_q_power(p, -k * d.alpha2), weight)
     # the windows cover every call that shares these stats
     ms = [m for _, m in results]
     for key, lo, hi in (("m_range", min(ms), max(ms)), ("k_range", k_low, k_high)):

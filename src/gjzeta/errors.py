@@ -17,10 +17,6 @@ class BudgetExceeded(EngineError):
         self.cells = cells
 
 
-class NoStabilization(EngineError):
-    pass
-
-
 class NoRecurrence(EngineError):
     pass
 

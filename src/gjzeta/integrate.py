@@ -27,21 +27,20 @@ from itertools import product
 from math import prod
 from operator import add, mul
 
-from .errors import BudgetExceeded, NoStabilization
+from .errors import BudgetExceeded
 from .padic import (INFINITE, PAdicContext, PAdicMatrix, flat_det, mod_int,
                     valuation)
 from .ratfun import LaurentPoly, RationalFunctionT
 from .recurrence import detect_recurrence
-from .scalars import QuadExt, as_scalar, root_of_unity_sum
+from .scalars import as_scalar, root_of_unity_sum
 
 # a shell series takes K_EXTRA shells beyond the 2 r_max + confirm that rationalize reads
 K_EXTRA = 2
 
 
 class IntegrationConfig:
-    """Truncation, certification, and budget knobs.
+    """Certification and budget knobs; a kernel shell's truncation is proven, not set.
 
-    m_max: greatest truncation p^(-m) M_n(Z_p) of a kernel shell.
     r_max/confirm: recurrence order bound and confirmation window for
     rationalization (r_max defaults to n at the call site).
     hard_budget: max refinement cells counted per integral, the census-binned children
@@ -52,9 +51,8 @@ class IntegrationConfig:
     # a constant; read by perfbench/tracer.py (_count_truncations) and tests/test_truncation.py
     m_start = 0
 
-    def __init__(self, *, m_max=8, r_max=0, confirm=3, hard_budget=10 ** 7,
-                 force_enumeration=False):
-        self.m_max, self.r_max, self.confirm = m_max, r_max, confirm
+    def __init__(self, *, r_max=0, confirm=3, hard_budget=10 ** 7, force_enumeration=False):
+        self.r_max, self.confirm = r_max, confirm
         self.hard_budget, self.force_enumeration = hard_budget, force_enumeration
 
 
@@ -315,24 +313,25 @@ def stabilized_shell_integral(ctx: PAdicContext, n: int, k: int,
     K = k' - n(m - 1) = k + n only, and f >= 1 is nonzero only at k' = n(m - f), i.e.
     k = -n f, with a value free of m.  So m* = max(1, f, ceil(-k/n)), which also reaches
     the shell.  A truncated integral does not depend on its path: force_enumeration uses m*.
+    No cap: the spectral window k >= -(n(f + 1) + 2) keeps m* <= f + 3.
     """
     f = unit_char.conductor_exp if unit_char else 0
     m = max(0, -k) if n == 1 else max(1, f, -(k // n))
-    if m > config.m_max:
-        raise NoStabilization("shell %d did not stabilize by truncation m = %d"
-                              % (k, config.m_max))
     return term_shell_integral(ctx, k, PAdicMatrix.zero(n), -m, modulation, config,
                                unit_char, stats), m
 
 
 # -- rationalization ----------------------------------------------------
 
+# name and signature kept because perfbench/tracer.py wraps it
 def rationalize(seq, k0: int, weight: int, q: int, r_max: int,
                 confirm: int) -> RationalFunctionT:
     """Exact rational function from shell entries.
 
     seq[i] is the coefficient of T^(weight*(k0+i)); the tail must satisfy a
     linear recurrence of order <= r_max, certified on `confirm` extra terms.
+    Callers pass untwisted shells, so Berlekamp-Massey runs in their own field,
+    and twist the result once (RationalFunctionT.twisted, a ring automorphism).
     """
     coeffs, s = detect_recurrence(seq, r_max, confirm)
     head = LaurentPoly({weight * (k0 + i): seq[i] for i in range(s)})
@@ -347,20 +346,3 @@ def rationalize(seq, k0: int, weight: int, q: int, r_max: int,
         tail = tail + LaurentPoly({weight * (k0 + s + jj): e})
     return RationalFunctionT(head * den + tail, den, q)
 
-
-def rationalize_twisted(seq, factor, k0: int, weight: int, q: int, r_max: int,
-                        confirm: int) -> RationalFunctionT:
-    """rationalize of the entries seq[i] * factor(k0 + i), for a twist with
-    factor(j + k) = factor(j) factor(k).
-
-    The untwisted entries are rationalized, in their own field, and the result is
-    twisted once (RationalFunctionT.twisted): the twist is a ring automorphism, so
-    Berlekamp-Massey finds the same order and start and the canonical form carries
-    over.  A QuadExt factor (sqrt(q) to an odd power, p = 3 mod 4) still twists each
-    entry: a QuadExt value keeps the form its arithmetic gave it, "(1) + (0)*sqrt(3)"
-    or "1", and reports show that form, so only this path keeps them byte-identical.
-    """
-    if isinstance(factor(1), QuadExt):
-        seq = [x * factor(k) for k, x in enumerate(seq, start=k0)]
-        return rationalize(seq, k0, weight, q, r_max, confirm)
-    return rationalize(seq, k0, weight, q, r_max, confirm).twisted(factor, weight)

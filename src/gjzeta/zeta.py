@@ -7,21 +7,17 @@ valuation).  The gamma factor is the ratio of the dual integral
 Z(Phi^, n - s, chi^(-1)) to Z(Phi, s, chi), with the dual series expanded
 in T^(-2) from fresh shell integrals of the Fourier transform.  The untwisted
 shell series is rationalized and chi(p)^k (times q^(-nk) on the dual side) is
-applied once, to the rational function (integrate.rationalize_twisted); with a
-cyclotomic chi(p) this twist never meets the formal sqrt(q) that
-distributions.spectral_action keeps on the twist-each-entry path.
+applied once, to the rational function (RationalFunctionT.twisted), as in
+distributions.spectral_action.
 """
 
 from __future__ import annotations
 
-import copy
 from collections import namedtuple
 from fractions import Fraction
 
 from .errors import AllDegenerate, ZeroDenominator
-from .integrate import (K_EXTRA, IntegrationConfig, rationalize_twisted,
-                        schwartz_shell_integral)
-from .ratfun import RationalFunctionT
+from .integrate import K_EXTRA, IntegrationConfig, rationalize, schwartz_shell_integral
 from .scalars import CyclotomicNumber, as_scalar, root_of_unity, scalar_is_zero
 
 
@@ -95,7 +91,8 @@ class MultiplicativeCharacter:
 
     def inverse(self) -> "MultiplicativeCharacter":
         """chi^(-1): negated phases and one scalar inverse, of chi(p)."""
-        inv, M = copy.copy(self), self.p ** self.conductor_exp
+        inv, M = object.__new__(MultiplicativeCharacter), self.p ** self.conductor_exp
+        inv.p, inv.conductor_exp = self.p, self.conductor_exp
         inv.phases = {u: (s, -a % M) for u, (s, a) in self.phases.items()}
         inv.value_at_p = self.value_at_p.inverse()
         return inv
@@ -158,7 +155,7 @@ def zeta_integral(phi, chi: MultiplicativeCharacter,
         return c * Fraction(p) ** (-n * k) if dual_weight else c
 
     weight = -2 if dual_weight else 2
-    value = rationalize_twisted(seq, factor, k_min, weight, p, r_max, config.confirm)
+    value = rationalize(seq, k_min, weight, p, r_max, config.confirm).twisted(factor, weight)
     return ZetaResult(value=value, k_range=(k_min, k_min + count - 1), stats=stats)
 
 

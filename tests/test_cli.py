@@ -324,6 +324,21 @@ def test_conductor_exponent_ceiling():
         MultiplicativeCharacter(3, -1, {})
 
 
+HIGH_CONDUCTOR_RUNS = [
+    ("2", "1", '{"conductor_exp":6,"generators":{"5":{"root":[4,1]},"63":1}}'),
+    ("2", "2", '{"conductor_exp":12,"generators":{"5":{"root":[10,1]},"4095":1}}'),
+    ("3", "1", '{"conductor_exp":7,"generators":{"2":{"root":[7,3]}}}')]
+
+
+@pytest.mark.parametrize("p, n, char", HIGH_CONDUCTOR_RUNS, ids=["p2-c6", "p2-c12", "p3-c7"])
+def test_high_conductor_runs_pass(p, n, char, capsys):
+    # m* = max(1, f, ceil(-k/n)) exceeds 8 on these shells; a cap at m = 8 made each run
+    # exit 2 with NoStabilization, though a closed-form shell costs the same at any m
+    code, rep = run_json(["verify-inverse", "--p", p, "--n", n, "--char", char], capsys)
+    assert code == 0 and rep["verdict"] == "PASS"
+    assert max(rep["windows"]["m_range"]) > 8
+
+
 def test_imprimitive_table_gives_the_same_results(capsys):
     # the quadratic chi written as a table mod 7^2 and mod 7^3 is kept at its true
     # conductor 1: the same windows and the same results
@@ -356,17 +371,20 @@ def test_arch_gamma_nan_row_fails(monkeypatch, capsys):
     assert run(["arch-gamma", "--s", "0.4,0.5"], capsys)[0] == 0
 
 
+# the generic refinement of shifted_ball(3,2) needs 576 cells; a budget of 1 trips it
+BUDGET_TRIP = ["verify-bk", "--p", "3", "--n", "2", "--phis", "shifted_ball(3,2)",
+               "--hard-budget", "1"]
+
+
 def test_engine_error_maps_to_inconclusive(capsys):
-    # an impossible truncation window forces NoStabilization
-    code = main(["verify-bk", "--p", "2", "--n", "1", "--char", "trivial",
-                 "--phis", "unit_ball", "--m-max", "0"])
-    assert code == 2
+    assert main(BUDGET_TRIP) == 2
+    assert "INCONCLUSIVE: BudgetExceeded" in capsys.readouterr().err
+    assert main(BUDGET_TRIP[:-2]) == 0
 
 
 @pytest.mark.parametrize("argv, error", [
     (["verify-bk", "--p", "3", "--n", "1", "--char", "quadratic"], "ZeroDenominator"),
-    (["verify-bk", "--p", "2", "--n", "1", "--phis", "unit_ball", "--m-max", "0"],
-     "NoStabilization")])
+    (BUDGET_TRIP, "BudgetExceeded")])
 def test_inconclusive_writes_report(argv, error, tmp_path, capsys):
     # a stale report from an earlier run must not survive an INCONCLUSIVE one
     out = tmp_path / "report.json"
@@ -498,12 +516,11 @@ def test_hard_budget_precedence(monkeypatch):
 @pytest.mark.parametrize("flags, env", [
     (["--confirm", "-1"], None),
     (["--confirm", "0"], None),
-    (["--m-max", "-1"], None),
     (["--r-max", "-1"], None),
     (["--hard-budget", "0"], None),
     (["--threads", "0"], None),
     ([], "-5"),
-], ids=["confirm=-1", "confirm=0", "m-max=-1", "r-max=-1", "hard-budget=0",
+], ids=["confirm=-1", "confirm=0", "r-max=-1", "hard-budget=0",
         "threads=0", "env-hard-budget=-5"])
 def test_out_of_range_engine_flags_exit_3(flags, env, monkeypatch, capsys):
     # before validation these crashed (exit 1), passed on zero confirmed
@@ -545,11 +562,11 @@ def test_scipy_is_loaded_only_by_the_real_place(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_cli_imports_no_numpy_scipy_dataclasses_or_inspect():
+def test_cli_imports_no_numpy_scipy_dataclasses_inspect_or_copy():
     proc = _fresh_python(
         "import sys, gjzeta.cli\n"
         "print(sorted({m.split('.')[0] for m in sys.modules}"
-        " & {'numpy', 'scipy', 'dataclasses', 'inspect'}))")
+        " & {'numpy', 'scipy', 'dataclasses', 'inspect', 'copy'}))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 

@@ -13,11 +13,11 @@ from fractions import Fraction
 import pytest
 
 from gjzeta import integrate
-from gjzeta.errors import BudgetExceeded, NoStabilization
+from gjzeta.errors import BudgetExceeded
 from gjzeta.integrate import (IntegrationConfig, stabilized_shell_integral,
                               term_shell_integral)
 from gjzeta.padic import PAdicContext, PAdicMatrix
-from gjzeta.scalars import scalar_is_zero
+from gjzeta.scalars import root_of_unity, scalar_is_zero
 from gjzeta.zeta import MultiplicativeCharacter
 
 
@@ -140,10 +140,14 @@ def test_stabilized_integral_n1():
     assert scalar_is_zero(val)
 
 
-def test_no_stabilization_raises():
+def test_high_conductor_shell_needs_no_truncation_cap():
+    # chi(5) = zeta_{2^8} has true conductor 2^10, so shell k = -10 = -n f is the nonzero
+    # one and m* = max(0, -k) = 10, past the old default cap m_max = 8
     ctx = PAdicContext(2)
-    # shell k = -2 lies in p^(-m) Z_p only from m* = 2 on, beyond m_max = 1
-    cfg = IntegrationConfig(m_max=1)
-    with pytest.raises(NoStabilization):
-        stabilized_shell_integral(ctx, 1, -2, PAdicMatrix([[1]]), cfg)
-    assert stabilized_shell_integral(ctx, 1, -1, PAdicMatrix([[1]]), cfg)[1] == 1
+    chi = MultiplicativeCharacter(2, 10, {5: root_of_unity(2, 8, 1), 1023: 1})
+    mod = PAdicMatrix([[1]])
+    val, m = stabilized_shell_integral(ctx, 1, -10, mod, IntegrationConfig(), chi)
+    assert m == 10 and not scalar_is_zero(val)
+    ref = term_shell_integral(ctx, -10, PAdicMatrix.zero(1), -10, mod,
+                              IntegrationConfig(force_enumeration=True), chi)
+    assert scalar_is_zero(val - ref)

@@ -20,13 +20,14 @@ from gjzeta.scalars import root_of_unity, scalar_is_zero
 from gjzeta.zeta import MultiplicativeCharacter
 
 AGREEMENTS = 2
+M_SCAN = 8  # the loop's last truncation
 
 
 def agreement_loop(ctx, n, k, modulation, config, chi):
     """(value, m) where truncations m - 2, m - 1 and m first agree."""
     center = PAdicMatrix.zero(n)
     prev, agree = None, 0
-    for m in range(max(config.m_start, -(k // n)), config.m_max + 1):
+    for m in range(max(config.m_start, -(k // n)), M_SCAN + 1):
         val = term_shell_integral(ctx, k, center, -m, modulation, config, chi)
         if prev is not None and scalar_is_zero(val - prev):
             agree += 1
@@ -35,7 +36,7 @@ def agreement_loop(ctx, n, k, modulation, config, chi):
         else:
             agree = 0
         prev = val
-    raise AssertionError("shell %d: no agreement by m = %d" % (k, config.m_max))
+    raise AssertionError("shell %d: no agreement by m = %d" % (k, M_SCAN))
 
 
 def conductor2(p):

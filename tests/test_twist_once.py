@@ -1,7 +1,11 @@
 """Rationalizing untwisted shell series and twisting the result once.
 
 The references below twist every shell entry before Berlekamp-Massey, as the
-engine once did.  The engine's values must serialize byte for byte the same.
+engine once did.  The engine's values must equal them coefficient by coefficient,
+and serialize byte for byte the same wherever the twist is cyclotomic.  A formal
+sqrt(q) (p = 3 mod 4, odd 2 alpha) keeps the form its arithmetic gave it: a
+coefficient twisted per entry may print "(1) + (0)*sqrt(3)" where the engine's
+prints "1", with the same value.
 """
 
 import json
@@ -57,17 +61,27 @@ def zeta_integral_twisted_entries(phi, chi, dual_weight=False):
     return rationalize(seq, k_min, -2 if dual_weight else 2, p, n, config.confirm)
 
 
+def assert_same_value(got, want, where):
+    """Equal coefficients on the same exponents, in numerator and denominator."""
+    assert got == want, where
+    for a, b in ((got.num, want.num), (got.den, want.den)):
+        assert a.coeffs.keys() == b.coeffs.keys() and a == b, where
+
+
 @pytest.mark.parametrize("p", PRIMES)
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_spectral_action_serializes_as_with_twisted_entries(p, n):
     x = PAdicMatrix.identity(n)
     for name, chi in characters(p).items():
         for alpha2 in range(1, 6):
+            cyclotomic = p % 4 != 3 or alpha2 % 2 == 0
             for mode in (DIRECT, INVERSE):
                 d = TwistedDistribution(n, alpha2, +1, mode)
                 got = spectral_action(d, chi, x)
                 want = spectral_action_twisted_entries(d, chi)
-                assert got.serialize() == want.serialize(), (name, alpha2, mode)
+                assert_same_value(got, want, (name, alpha2, mode))
+                if cyclotomic:
+                    assert got.serialize() == want.serialize(), (name, alpha2, mode)
             # the products verify_inverse_weak reports
             d = TwistedDistribution(n, alpha2, +1, INVERSE)
             inv = closed_form_inverse(d)
@@ -96,7 +110,8 @@ def test_zeta_integral_serializes_as_with_twisted_entries(p, n):
 
 
 def test_quadext_product_keeps_its_formal_form(tmp_path):
-    # sqrt(3) is a formal QuadExt: these entries are still twisted one by one
+    # sqrt(3) is a formal QuadExt, and the product of the two twisted actions
+    # keeps the form its arithmetic gives it
     out = tmp_path / "r.json"
     assert main(["verify-inverse", "--p", "3", "--n", "1", "--alpha2", "1",
                  "--char", "quadratic", "--out", str(out)]) == 0
