@@ -35,12 +35,29 @@ class CyclotomicNumber:
     def __init__(self, p: int, m: int, coeffs):
         self.p = p
         self.m = m
-        # callers mostly pass Fractions already; wrapping those again is the
-        # dominant cost of every add, mul and reduce
+        # the checked entry for outside values (JSON, the CLI, integer
+        # histograms); the tower's own results go through _of
         self.coeffs = tuple([c if type(c) is Fraction else Fraction(c) for c in coeffs])
         if len(self.coeffs) != _euler_phi_prime_power(p, m):
             raise ValueError("coefficient vector has wrong length for level")
         self._hash = None
+
+    @staticmethod
+    def _of(p: int, m: int, coeffs: tuple) -> "CyclotomicNumber":
+        """Trusted constructor for the tower's own results: coeffs is already
+        a tuple of phi(p^m) Fractions in canonical form, so nothing is
+        checked or copied."""
+        z = object.__new__(CyclotomicNumber)
+        z.p, z.m, z.coeffs, z._hash = p, m, coeffs, None
+        return z
+
+    def _rational(self, other):
+        """other's value (an int or Fraction) when self and other are both
+        rational, else None: the level-0 path of + - * ==."""
+        t = type(other)
+        if t is CyclotomicNumber:
+            return None if self.m or other.m else other.coeffs[0]
+        return None if self.m or not (t is int or t is Fraction) else other
 
     # -- canonicalization ---------------------------------------------
 
@@ -56,7 +73,7 @@ class CyclotomicNumber:
         return CyclotomicNumber(self.p, m, vec)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -77,6 +94,9 @@ class CyclotomicNumber:
         return self._lift(m), other._lift(m)
 
     def __add__(self, other):
+        r = self._rational(other)
+        if r is not None:  # keeps self.p, as _pair's coercion does
+            return self._of(self.p, 0, (self.coeffs[0] + r,))
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
@@ -86,9 +106,12 @@ class CyclotomicNumber:
     __radd__ = __add__
 
     def __neg__(self):
-        return CyclotomicNumber(self.p, self.m, [-c for c in self.coeffs])
+        return self._of(self.p, self.m, tuple([-c for c in self.coeffs]))
 
     def __sub__(self, other):
+        r = self._rational(other)
+        if r is not None:
+            return self._of(self.p, 0, (self.coeffs[0] - r,))
         if isinstance(other, CyclotomicNumber):
             return self.__add__(-other)
         if isinstance(other, (int, Fraction)):
@@ -99,16 +122,17 @@ class CyclotomicNumber:
         return (-self).__add__(other)
 
     def __mul__(self, other):
+        r = self._rational(other)
+        if r is not None:
+            return self._of(self.p, 0, (self.coeffs[0] * r,))
         if isinstance(other, (int, Fraction)):
             if not other:
                 return zero(self.p)  # canonical level 0, so == and hash agree
             f = Fraction(other)  # most coefficients of a high-level phase are 0
-            return CyclotomicNumber(self.p, self.m, [c * f if c else c for c in self.coeffs])
+            return self._of(self.p, self.m, tuple([c * f if c else c for c in self.coeffs]))
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
-        if a.m == 0:
-            return CyclotomicNumber(a.p, 0, [a.coeffs[0] * b.coeffs[0]])
         order = a.p ** a.m
         vec = [Fraction(0)] * order
         nz_b = [(j, c) for j, c in enumerate(b.coeffs) if c]
@@ -143,6 +167,8 @@ class CyclotomicNumber:
         """
         if self.is_zero():
             raise ZeroDivisionError("cyclotomic division by zero")
+        if not self.m:
+            return self._of(self.p, 0, (1 / self.coeffs[0],))
         p = self.p
         norm, cofactor = _normalize_level(self), 1
         while norm.m:
@@ -163,7 +189,7 @@ class CyclotomicNumber:
 
     def __pow__(self, e: int):
         if self.m == 0:  # a rational: Fraction ** e, which rejects 0 ** -e too
-            return CyclotomicNumber(self.p, 0, [self.coeffs[0] ** e])
+            return self._of(self.p, 0, (self.coeffs[0] ** e,))
         return _power(self, e, one(self.p))
 
     def _galois(self, a: int) -> "CyclotomicNumber":
@@ -184,6 +210,9 @@ class CyclotomicNumber:
     # -- comparison / misc --------------------------------------------
 
     def __eq__(self, other):
+        r = self._rational(other)
+        if r is not None:
+            return self.coeffs[0] == r
         if isinstance(other, (int, Fraction)):
             return self.m == 0 and self.coeffs[0] == other
         if not isinstance(other, CyclotomicNumber):
@@ -242,13 +271,13 @@ def _normalize_level(z: CyclotomicNumber) -> CyclotomicNumber:
     """Drop to the minimal level p^m containing z."""
     while z.m > 0:
         if z.m == 1:
-            if any(c for c in z.coeffs[1:]):
+            if any(z.coeffs[1:]):
                 break
-            z = CyclotomicNumber(z.p, 0, [z.coeffs[0]])
+            z = CyclotomicNumber._of(z.p, 0, z.coeffs[:1])
             continue
-        if any(c for j, c in enumerate(z.coeffs) if j % z.p):
+        if any(any(z.coeffs[j::z.p]) for j in range(1, z.p)):
             break
-        z = CyclotomicNumber(z.p, z.m - 1, [z.coeffs[j] for j in range(0, len(z.coeffs), z.p)])
+        z = CyclotomicNumber._of(z.p, z.m - 1, z.coeffs[::z.p])
     return z
 
 
@@ -294,17 +323,17 @@ def embed_complex(z, digits: int = 20):
 
 
 def one(p: int = 2) -> CyclotomicNumber:
-    return CyclotomicNumber(p, 0, [Fraction(1)])
+    return CyclotomicNumber._of(p, 0, (Fraction(1),))
 
 
 def zero(p: int = 2) -> CyclotomicNumber:
-    return CyclotomicNumber(p, 0, [Fraction(0)])
+    return CyclotomicNumber._of(p, 0, (Fraction(0),))
 
 
 def as_scalar(x, p: int = 2):
     if isinstance(x, (CyclotomicNumber, QuadExt)):
         return x
-    return CyclotomicNumber(p, 0, [Fraction(x)])
+    return CyclotomicNumber._of(p, 0, (x if type(x) is Fraction else Fraction(x),))
 
 
 @lru_cache(maxsize=64)

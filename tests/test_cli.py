@@ -397,6 +397,16 @@ def test_inconclusive_writes_report(argv, error, tmp_path, capsys):
     assert rep["parameters"]["p"] == int(argv[2]) and rep["cells_enumerated"] is None
 
 
+def test_quadratic_bk_default_phis_report_is_pinned(capsys):
+    # for a ramified chi the unit ball's zeta integral vanishes identically:
+    # the zero test on its rational coefficients decides this exit-2 report
+    code, rep = run_json(["verify-bk", "--p", "3", "--n", "2", "--char", "quadratic"], capsys)
+    assert code == 2 and rep["verdict"] == "INCONCLUSIVE"
+    assert rep["results"] == {"error": "ZeroDenominator",
+                              "message": "Z(Phi, s, chi) vanishes identically for this Phi"}
+    assert rep["cells_enumerated"] is None and rep["windows"] == {}
+
+
 def test_inconclusive_report_names_budget_shell(monkeypatch, capsys):
     def over_budget(args):
         raise BudgetExceeded("refinement exceeded 5 cells", shell=3, truncation=1, cells=6)

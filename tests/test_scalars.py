@@ -1,5 +1,6 @@
 """Exact scalar tower: cyclotomic arithmetic, sqrt(q), embeddings."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -8,9 +9,10 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
-from gjzeta.scalars import (CyclotomicNumber, QuadExt, _power, as_scalar,
+from gjzeta.scalars import (CyclotomicNumber, QuadExt, _normalize_level, _power, as_scalar,
                             embed_complex, one, root_of_unity, root_of_unity_sum,
-                            scalar_conjugate, scalar_is_zero, sqrt_q, sqrt_q_power)
+                            scalar_conjugate, scalar_inverse, scalar_is_zero, sqrt_q,
+                            sqrt_q_power)
 
 
 def test_zeta_order_and_power_relations():
@@ -264,3 +266,102 @@ def test_times_root_is_the_product_with_the_root(case):
     x, m, a = case
     got, want = x.times_root(m, a), x * root_of_unity(x.p, m, a)
     assert got == want and repr(got) == repr(want) and hash(got) == hash(want)
+
+
+# -- rationals: the level-0 path against the vector path --------------------
+
+@st.composite
+def _rationals(draw, kinds=("int", "fraction", 2, 3)):
+    """A plain int, a Fraction (0 and negatives included) or a level-0
+    element at p = 2 or p = 3."""
+    kind = draw(st.sampled_from(kinds))
+    value = draw(_coeffs)
+    if kind == "int":
+        return value.numerator
+    if kind == "fraction":
+        return value
+    return CyclotomicNumber(kind, 0, [value])
+
+
+def _lifted(u, v):
+    """u and v at level 1, so that u (op) v takes the vector path.  An element
+    moves first to the prime the result keeps: the left operand's, or the
+    right one's when the left is a plain int or Fraction."""
+    home = u.p if isinstance(u, CyclotomicNumber) else v.p
+    return tuple(CyclotomicNumber(home, 0, w.coeffs)._lift(1)
+                 if isinstance(w, CyclotomicNumber) else w for w in (u, v))
+
+
+def _outcome(f, *args):
+    try:
+        return ("ok", f(*args))
+    except ZeroDivisionError as exc:
+        return ("raise", str(exc))
+
+
+def _assert_canonical(z):
+    assert type(z.coeffs) is tuple and all(type(c) is Fraction for c in z.coeffs)
+    assert len(z.coeffs) == (1 if z.m == 0 else (z.p - 1) * z.p ** (z.m - 1))
+
+
+def _assert_same(got, want):
+    assert got[0] == want[0]
+    if got[0] == "raise":
+        assert got[1] == want[1]
+        return
+    a, b = got[1], want[1]
+    if isinstance(b, CyclotomicNumber):
+        b = _normalize_level(b)  # -x and x * rational keep the lifted level
+        _assert_canonical(a)
+        assert (a.p, a.m, a.coeffs) == (b.p, b.m, b.coeffs)
+        assert hash(a) == hash(b) and repr(a) == repr(b)
+    else:
+        assert type(a) is type(b) and a == b
+
+
+BINARY_OPS = [operator.add, operator.sub, operator.mul, operator.truediv]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rationals(kinds=(2, 3)), _rationals())
+def test_rational_path_matches_vector_path(x, y):
+    for u, v in ((x, y), (y, x)):
+        for op in BINARY_OPS:
+            _assert_same(_outcome(op, u, v), _outcome(op, *_lifted(u, v)))
+    lx, ly = _lifted(x, y)
+    value = x.coeffs[0]
+    yvalue = y.coeffs[0] if isinstance(y, CyclotomicNumber) else Fraction(y)
+    assert (x == y) is (y == x) is (value == yvalue) is (lx - ly).is_zero()
+    assert hash(x) == hash(value) and repr(x) == str(value)
+    _assert_same(_outcome(lambda: -x), _outcome(lambda: -lx))
+    _assert_same(_outcome(x.inverse), _outcome(lx.inverse))
+    _assert_same(_outcome(scalar_inverse, x), _outcome(scalar_inverse, lx))
+    assert scalar_is_zero(x) is scalar_is_zero(lx) is (value == 0)
+    assert x.is_zero() is (value == 0)
+    assert as_scalar(x, 5) is x
+    if not isinstance(y, CyclotomicNumber):
+        _assert_same(("ok", as_scalar(y, x.p)), ("ok", CyclotomicNumber(x.p, 0, [y])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rationals(), st.sampled_from([(2, 2), (3, 2)]),
+       st.lists(st.tuples(st.integers(0, 8), _coeffs), min_size=1, max_size=4))
+def test_rational_with_level_two_element_matches_vector_path(r, level, terms):
+    z = _element(*level, terms)
+    assume(z.m == 2)
+    # a plain int or Fraction keeps its own branch (x / 0 raises Fraction's error)
+    lr = CyclotomicNumber(z.p, 0, r.coeffs)._lift(2) if isinstance(r, CyclotomicNumber) else r
+    for op in BINARY_OPS:
+        _assert_same(_outcome(op, z, r), _outcome(op, z, lr))
+        _assert_same(_outcome(op, r, z), _outcome(op, lr, z))
+    assert (z == r) is (z == lr) is (z - lr).is_zero()
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_zero_rational_inverse_names_the_cyclotomic_division(p):
+    for zero_ in (as_scalar(0, p), as_scalar(Fraction(0), p), CyclotomicNumber(p, 0, [0])):
+        for divide in (lambda: zero_.inverse(), lambda: 1 / zero_,
+                       lambda: as_scalar(Fraction(3, 4), p) / zero_,
+                       lambda: Fraction(3, 4) / zero_, lambda: scalar_inverse(zero_)):
+            with pytest.raises(ZeroDivisionError, match="^cyclotomic division by zero$"):
+                divide()
