@@ -12,11 +12,12 @@ Two evaluation paths, the same for every n:
   * every other coset, and every coset under force_enumeration: recursive
     residue-cell refinement with an exact resolution rule, bounded by a hard
     cell budget.
-The refinement adds the sign of chi(u) = sign * zeta_{p^c}^a into one integer
-histogram per level at the phase e p^(T-m) + a p^(T-c) of psi * chi,
-T = max(m, c), reduced by one root_of_unity_sum.  It counts every cell, bins
-the children of a last split from a census of their residues, and is the
-independent check of the closed forms.
+The refinement adds the sign of chi(u) = sign * zeta_{p^c}^a into one sparse
+{phase: count} histogram per level at the phase e p^(T-m) + a p^(T-c) of
+psi * chi, T = max(m, c), reduced by one root_of_unity_sum at the least level
+holding its phases.  It counts every cell, bins the children of a last split
+by counting their digits over two linear forms, and is the independent check
+of the closed forms.
 """
 
 from __future__ import annotations
@@ -24,12 +25,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import prod
+from math import gcd, prod
 from operator import add, mul
 
 from .errors import BudgetExceeded
-from .padic import (INFINITE, PAdicContext, PAdicMatrix, flat_det, mod_int,
-                    valuation)
+from .padic import (INFINITE, PAdicContext, PAdicMatrix, flat_det, int_valuation,
+                    mod_int, valuation)
 from .ratfun import LaurentPoly, RationalFunctionT
 from .recurrence import detect_recurrence
 from .scalars import as_scalar, root_of_unity_sum
@@ -165,23 +166,30 @@ def _shell_generic(ctx, k, center, level, modulation, config, unit_char, stats):
     once j also certifies the psi phase and the det unit residue.  If
     v(det a) >= j every point has v(det) >= j, so the cell is dead once
     j > k'.  Otherwise split into p^(n^2) children at level j+1.  Resolved
-    cells add their chi sign at (j, phase of psi * chi) and each level j is
-    reduced once.
+    cells add their chi sign at phase b of psi * chi in level j's {b: count}
+    dict, reduced once at level T - s, where p^s divides every phase.
 
     Last splits are binned without visiting their children.  Let
     R = k' + max(1, cu) and let (a, j) split with j >= max(1, mpsi - 1, R - 1),
-    so j >= k' and j + 1 >= max(mpsi, k' + cu).  A child c = a + p^j t then
-    ends at level j + 1: if v(det c) = k' <= j it is resolved, since j + 1
-    certifies psi and the unit residue; otherwise v(det c) != k' and it is
-    dropped, or v(det c) >= j + 1 > k' and it is dead.  So its fate and bin
-    are read from det c mod p^R and the psi exponent tr(C a) + p^j tr(C t).
-    det is multilinear in the columns, so det c = det a + p^j tr(adj(a) t)
-    mod p^(2j), and R <= j + 1 <= 2j: det c mod p^R depends on t, det a mod
-    p^R and a mod p^(R-j) only.  The census of the p^(n^2) children, signed
-    counts by phase offset (p^j tr(C t) plus the chi phase), is built once per key
-    (j, det a mod p^R, a mod p^(R-j)) from one representative and added at
-    a's own psi exponent.  The children are still counted as cells, and the
-    budget trips exactly when the per-child loop would, at budget + 1.
+    so j >= k', j + 1 >= max(mpsi, k' + cu), R - j <= 1 and T - j <= 1 (as
+    cu <= R - k').  A child c = a + p^j t, t a digit vector, then ends at
+    level j + 1: if v(det c) = k' <= j it is resolved, since j + 1 certifies
+    psi and the unit residue; otherwise v(det c) != k' and it is dropped, or
+    v(det c) >= j + 1 > k' and it is dead.  So its fate and bin are read from
+    det c mod p^R and the psi exponent sum Cint_l a_l + p^j M(t), M(t) =
+    sum Cint_l t_l.
+    det is affine in each entry: det(a + x e_l) = det a + x L_l with the
+    cofactor L_l = det(a + e_l) - det a, and every other term of det c has a
+    factor p^(2j).  So det c = det a + p^j L(t) mod p^(2j), L(t) = sum L_l t_l,
+    and R <= j + 1 <= 2j: det c mod p^R depends on L(t) mod p^(R-j), and
+    p^j M(t) mod p^T on M(t) mod p^(T-j), each a residue mod 1 or p.  The
+    census counts the p^(n^2) vectors t by that pair one coordinate at a time
+    (O(n^2 p^3)), reads each pair's fate, chi sign and bin as its children
+    would, and keeps the signed counts by phase offset.  L mod p^(R-j) depends
+    on a mod p^(R-j) only, so it is built once per key (j, det a mod p^R,
+    a mod p^(R-j)) and added at a's own psi exponent.  The children are still
+    counted as cells, and the budget trips exactly when the per-child loop
+    would, at budget + 1.
     """
     p = ctx.p
     n = center.n
@@ -234,10 +242,10 @@ def _shell_generic(ctx, k, center, level, modulation, config, unit_char, stats):
             if dv != kp:
                 continue
             if j >= mpsi and j >= dv + cu:
-                if j not in hists:
-                    hists[j] = [0] * PT
+                hist = hists.setdefault(j, {})
                 s, e = chi[d % pcu]
-                hists[j][(sum(map(mul, Cint, a)) + e) % PT] += s
+                b = (sum(map(mul, Cint, a)) + e) % PT
+                hist[b] = hist.get(b, 0) + s
                 continue
         elif kp < j:
             continue
@@ -255,25 +263,39 @@ def _shell_generic(ctx, k, center, level, modulation, config, unit_char, stats):
         key = (j, det % pR, tuple(x % pa for x in a))
         bins = census.get(key)
         if bins is None:
+            pj, pM = p ** j, p ** max(0, T - j)
+            ways = {(0, 0): 1}  # (L(t) mod pa, M(t) mod pM) -> number of digit vectors t
+            for l in range(n2):
+                cof = 0 if pa == 1 else (flat_det(a[:l] + (a[l] + 1,) + a[l + 1:], n) - det) % pa
+                step = {}
+                for (x, y), w in ways.items():
+                    for t in range(p):
+                        xy = ((x + t * cof) % pa, (y + t * Cint[l]) % pM)
+                        step[xy] = step.get(xy, 0) + w
+                ways = step
             counts = {}
-            for off in _offsets(n2, p, j):
-                dc = flat_det(tuple(map(add, a, off)), n)
+            for (x, y), w in ways.items():
+                dc = (det + pj * x) % pR
                 if dc % pk == 0 and dc // pk % p:
                     s, e = chi[dc // pk % pcu]
-                    b = (sum(map(mul, Cint, off)) + e) % PT
-                    counts[b] = counts.get(b, 0) + s
+                    b = (pj * y + e) % PT
+                    counts[b] = counts.get(b, 0) + s * w
             bins = census[key] = tuple(counts.items())
         if bins:
-            if j + 1 not in hists:
-                hists[j + 1] = [0] * PT
-            hist = hists[j + 1]
+            hist = hists.setdefault(j + 1, {})
             e0 = sum(map(mul, Cint, a))
             for e, c in bins:
-                hist[(e0 + e) % PT] += c
+                b = (e0 + e) % PT
+                hist[b] = hist.get(b, 0) + c
     _bump(stats, "cells", visited)
     total = as_scalar(0, p)
     for j, hist in hists.items():
-        total = total + root_of_unity_sum(p, T, hist) * Fraction(1, p ** (j * n2))
+        g = gcd(PT, *hist)  # p^s divides every phase: reduce at level T - s
+        vec = [0] * (PT // g)
+        for e, c in hist.items():
+            vec[e // g] += c
+        total = total + root_of_unity_sum(p, T - int_valuation(g, p), vec) * Fraction(
+            1, p ** (j * n2))
     return total * prefactor
 
 

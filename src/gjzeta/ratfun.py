@@ -91,17 +91,15 @@ def _poly_divmod(a: LaurentPoly, b: LaurentPoly):
     """Division with remainder for ordinary (non-negative-degree) polys."""
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    q = LaurentPoly()
+    q = {}  # each step lowers deg r, so every quotient degree is new
     r = a
     db = b.degree()
-    lb = b.leading()
+    inv = scalar_inverse(b.leading())
     while not r.is_zero() and r.degree() >= db:
         e = r.degree() - db
-        c = r.leading() * scalar_inverse(lb)
-        mono = LaurentPoly.monomial(c, e)
-        q = q + mono
-        r = r - mono * b
-    return q, r
+        q[e] = r.leading() * inv
+        r = r - LaurentPoly.monomial(q[e], e) * b
+    return LaurentPoly(q), r
 
 
 def _poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:

@@ -10,7 +10,8 @@ Results must agree exactly, including for characters with non-rational values.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import prod
+from math import isqrt, prod
+from operator import mul
 
 import numpy as np
 import pytest
@@ -20,9 +21,9 @@ from gjzeta import integrate
 from gjzeta.errors import BudgetExceeded
 from gjzeta.integrate import (IntegrationConfig, _shell_generic, _shell_hermite, _shell_n1,
                               term_shell_integral)
-from gjzeta.padic import (INFINITE, PAdicContext, PAdicMatrix, flat_det, mod_int,
-                          psi_value, valuation)
-from gjzeta.scalars import as_scalar, root_of_unity
+from gjzeta.padic import (INFINITE, PAdicContext, PAdicMatrix, flat_det, int_valuation,
+                          mod_int, psi_value, valuation)
+from gjzeta.scalars import as_scalar, root_of_unity, root_of_unity_sum
 from gjzeta.zeta import MultiplicativeCharacter
 
 
@@ -214,11 +215,11 @@ def _same(got, want, got_stats=None, want_stats=None):
     assert got_stats == want_stats
 
 
-def _n1_same(ctx, k, center, level, mod, chi, forced=True):
-    """term_shell_integral at n = 1, on its own route and (if forced) forced to the
+def _n1_same(ctx, k, center, level, mod, chi):
+    """term_shell_integral at n = 1, on its own route and forced to the
     refinement, against the unit enumeration."""
     want = shell_n1_reference(ctx, k, center, level, mod, chi, {})
-    for force in (False, True)[:1 + forced]:
+    for force in (False, True):
         config = IntegrationConfig(force_enumeration=force)
         _same(term_shell_integral(ctx, k, center, level, mod, config, chi), want)
 
@@ -267,11 +268,8 @@ def test_n1_deep_shells_match_reference(p):
                     if p ** max(1, cu, level - k, m) > 300:
                         continue
                     vanishing += m > max(1, cu, level - k)
-                    # the refinement reduces a dense histogram of p^(-level - v(b))
-                    # phases, which takes seconds past 10^5
                     _n1_same(ctx, k, PAdicMatrix([[Fraction(p - 1, p)]]), level,
-                             PAdicMatrix([[b]]), chi,
-                             forced=p ** (-level - valuation(b, p)) <= 10 ** 5)
+                             PAdicMatrix([[b]]), chi)
     assert vanishing
 
 
@@ -466,7 +464,66 @@ def test_generic_last_splits_read_few_determinants(monkeypatch):
     value = _shell_generic(PAdicContext(3), 2, PAdicMatrix.zero(2), 0, PAdicMatrix.scalar(2, 1),
                            IntegrationConfig(), None, stats)
     assert value == Fraction(208, 27) and stats == {"cells": 79300}
-    assert len(calls) < 79300 // 5
+    assert len(calls) < 79300 // 20  # n^2 cofactors per census key, not p^(n^2) children
+
+
+def last_split_by_children(p, k, a, j, C, chi):
+    """The shell of the one cell (a, j) when it splits last, one determinant per
+    child: a child with v(det) = k adds chi's sign at its psi * chi phase."""
+    n2 = len(a)
+    n = isqrt(n2)
+    cu, phases = (chi.conductor_exp, chi.phases) if chi else (0, {0: (1, 0)})
+    mpsi = max([0] + [-valuation(c, p) for c in C if c])
+    T = max(mpsi, cu)
+    # psi(tr(C g)) = zeta_{p^T}^(sum w_q g_q), the flat g_q = g[l][i] paired with C[i][l]
+    w = [mod_int(C[q % n * n + q // n] * p ** mpsi, p ** mpsi) * p ** (T - mpsi)
+         for q in range(n2)]
+    hist = [0] * p ** T
+    for t in product(range(p), repeat=n2):
+        child = tuple(x + p ** j * y for x, y in zip(a, t))
+        d = flat_det(child, n)
+        if d == 0 or int_valuation(d, p) != k:
+            continue
+        s, e = phases[d // p ** k % p ** cu]
+        hist[(sum(map(mul, w, child)) + e * p ** (T - cu)) % p ** T] += s
+    return root_of_unity_sum(p, T, hist) * Fraction(p) ** (n * k) / p ** ((j + 1) * n2)
+
+
+@st.composite
+def _last_split_cells(draw):
+    p, n = draw(st.sampled_from([(p, n) for p in (2, 3, 5) for n in (1, 2, 3)
+                                 if p ** (n * n) <= 3 ** 9]))
+    j = draw(st.integers(1, 2))
+    a = tuple(draw(st.integers(0, p ** j - 1)) for _ in range(n * n))
+    entry = st.builds(lambda x, e: Fraction(x, p ** e), st.integers(-4, 4), st.integers(0, j + 1))
+    if draw(st.booleans()):  # scalar
+        c = draw(entry)
+        C = tuple(c if i % (n + 1) == 0 else 0 for i in range(n * n))
+    else:
+        C = tuple(draw(entry) for _ in range(n * n))
+    chi = draw(st.sampled_from([c for c in _characters(p) if c is None or c.conductor_exp <= 2]))
+    return p, n, j, a, C, chi
+
+
+@settings(max_examples=40, deadline=None)
+@given(_last_split_cells())
+def test_last_split_linear_count_matches_the_children(case):
+    # the root cell (a, j) at level j: k is the one shell it can feed, and it
+    # must split last (j >= max(1, mpsi - 1, R - 1), R = k + max(1, cu))
+    p, n, j, a, C, chi = case
+    cu = chi.conductor_exp if chi else 0
+    mpsi = max([0] + [-valuation(c, p) for c in C if c])
+    d = flat_det(a, n)
+    v = int_valuation(d, p) if d and int_valuation(d, p) < j else j
+    assume(not (v < j and j >= mpsi and j >= v + cu))  # resolved at the root
+    assume(j >= max(1, mpsi - 1, v + max(1, cu) - 1))
+    center, modulation = (PAdicMatrix([list(flat[i * n:(i + 1) * n]) for i in range(n)])
+                          for flat in (a, C))
+    stats = {}
+    got = _shell_generic(PAdicContext(p), v, center, j, modulation, IntegrationConfig(), chi,
+                         stats)
+    _same(got, last_split_by_children(p, v, a, j, C, chi))
+    assert stats == {"cells": 1 + p ** (n * n)}
 
 
 def _guard_offsets(monkeypatch, budget):
