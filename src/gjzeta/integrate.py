@@ -72,7 +72,7 @@ def term_shell_integral(ctx: PAdicContext, k: int, center: PAdicMatrix,
     if (not config.force_enumeration
             and all(e == (c if i == j else 0)
                     for i, row in enumerate(modulation.entries) for j, e in enumerate(row))
-            and center.min_valuation(ctx.p) >= level):
+            and center.in_level(level, ctx.p)):
         return _shell_hermite(ctx, center.n, k, level, c, unit_char)
     return _shell_generic(ctx, k, center, level, modulation, config, unit_char, stats)
 

@@ -33,6 +33,14 @@ def valuation(x, p: int):
     return int_valuation(x.numerator, p) - int_valuation(x.denominator, p)
 
 
+def in_level(x, level: int, p: int) -> bool:
+    """x in p^level Z_p, for an int or reduced Fraction x, by one modulus: p^level
+    divides the numerator (level > 0), or p^(1 - level) not the denominator."""
+    if level > 0:
+        return x.numerator % p ** level == 0
+    return x.denominator % p ** (1 - level) != 0
+
+
 class PAdicContext:
     """Prime p (the residue cardinality q = p) and the fixed psi convention.
 
@@ -144,7 +152,8 @@ class PAdicMatrix:
                                       for r1, r2 in zip(self.entries, other.entries)]))
 
     def __neg__(self) -> "PAdicMatrix":
-        return PAdicMatrix._of(tuple([tuple([-e for e in row]) for row in self.entries]))
+        return PAdicMatrix._of(tuple([tuple([-e if e else e for e in row])
+                                      for row in self.entries]))
 
     def scale(self, c) -> "PAdicMatrix":
         c = Fraction(c)
@@ -155,9 +164,13 @@ class PAdicMatrix:
         vals = [valuation(e, p) for row in self.entries for e in row]
         return min(vals)
 
+    def in_level(self, level: int, p: int) -> bool:
+        """self in p^level M_n(Z_p)?"""
+        return all(in_level(x, level, p) for row in self.entries for x in row)
+
     def in_coset(self, center: "PAdicMatrix", level: int, p: int) -> bool:
         """self in center + p^level M_n(Z_p)?  Stops at the first entry below."""
-        return all(valuation(x - y, p) >= level
+        return all(in_level(x - y, level, p)
                    for r1, r2 in zip(self.entries, center.entries) for x, y in zip(r1, r2))
 
     def __eq__(self, other):
@@ -176,6 +189,15 @@ class PAdicMatrix:
 
 
 def trace_pairing(b: PAdicMatrix, x: PAdicMatrix) -> Fraction:
-    """tr(b x) as an exact rational."""
-    n = b.n
-    return sum(b.entries[i][k] * x.entries[k][i] for i in range(n) for k in range(n))
+    """tr(b x) as an exact rational: the integer numerators of the nonzero
+    products over one running denominator, normalized once at the end."""
+    num, den = 0, 1
+    for i, row in enumerate(b.entries):
+        for u, xrow in zip(row, x.entries):
+            v = xrow[i]
+            if u and v:
+                d = u.denominator * v.denominator
+                if den % d:
+                    num, den = num * d, den * d
+                num += u.numerator * v.numerator * (den // d)
+    return Fraction(num, den)

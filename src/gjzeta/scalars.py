@@ -106,7 +106,7 @@ class CyclotomicNumber:
     __radd__ = __add__
 
     def __neg__(self):
-        return self._of(self.p, self.m, tuple([-c for c in self.coeffs]))
+        return self._of(self.p, self.m, tuple([-c if c else c for c in self.coeffs]))
 
     def __sub__(self, other):
         r = self._rational(other)
@@ -128,8 +128,8 @@ class CyclotomicNumber:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return zero(self.p)  # canonical level 0, so == and hash agree
-            f = Fraction(other)  # most coefficients of a high-level phase are 0
-            return self._of(self.p, self.m, tuple([c * f if c else c for c in self.coeffs]))
+            # most coefficients of a high-level phase are 0
+            return self._of(self.p, self.m, tuple([c * other if c else c for c in self.coeffs]))
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
@@ -149,7 +149,9 @@ class CyclotomicNumber:
 
     def times_root(self, m: int, a: int) -> "CyclotomicNumber":
         """self * zeta_{p^m}^a: each coefficient moves to its shifted exponent
-        at level max(m, self.m), and one _reduce follows."""
+        at level max(m, self.m), and one _reduce follows.  zeta_1 = 1 costs nothing."""
+        if not m:
+            return self
         top = max(m, self.m)
         order = self.p ** top
         step, shift = self.p ** (top - self.m), a * self.p ** (top - m)
@@ -300,12 +302,14 @@ def root_of_unity(p: int, m: int, a: int) -> CyclotomicNumber:
     """zeta_{p^m}^a in canonical form."""
     if m < 0:
         raise ValueError("level must be >= 0")
-    if m == 0:
-        return CyclotomicNumber(p, 0, [Fraction(1)])
-    order = p ** m
-    vec = [Fraction(0)] * order
-    vec[a % order] = Fraction(1)
-    return _reduce(p, m, vec)
+    a %= p ** m
+    while m and a % p == 0:  # zeta_{p^m}^(p b) = zeta_{p^(m-1)}^b
+        m, a = m - 1, a // p
+    phi = _euler_phi_prime_power(p, m)
+    vec = [Fraction(0)] * max(phi, a + 1)
+    vec[a] = Fraction(1)
+    # below phi, a basis vector whose exponent p does not divide is canonical
+    return CyclotomicNumber._of(p, m, tuple(vec)) if a < phi else _reduce(p, m, vec)
 
 
 def root_of_unity_sum(p: int, m: int, counts) -> CyclotomicNumber:

@@ -5,8 +5,10 @@ coeff a CyclotomicNumber.  The class is closed under the matrix Fourier
 transform Phi^(x) = int Phi(y) psi(tr(xy)) dy, which maps a term to a single
 term: translations become modulations and vice versa, and a level-k indicator
 picks up the factor q^(-k n^2).  A psi value zeta_{p^m}^a is kept as its
-integer exponent (m, a) and applied by shifting exponents; an inner product
-adds every term pair into one exponent vector and reduces it once.
+integer exponent (m, a) and applied by shifting exponents (m = 0 costs
+nothing); an inner product adds every term pair into one exponent vector and
+reduces it once.  The pairing tr(b a) sums integer numerators over one
+denominator, and coset and integrality tests read one modulus (padic.in_level).
 """
 
 from __future__ import annotations
@@ -137,7 +139,7 @@ class SchwartzBruhatFn:
                 a, k = inner.center, inner.level
                 b = s.modulation - t.modulation
                 # int_{a + p^k M} psi(tr(b x)) dx vanishes unless p^k b is integral
-                if b.min_valuation(p) + k < 0:
+                if not b.in_level(-k, p):
                     continue
                 pairs.append((s.coeff, t_coeff_bar, Fraction(p) ** (-k * n2),
                               *psi_exponent(trace_pairing(b, a), self.ctx)))

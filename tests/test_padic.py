@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 import sympy
 
-from gjzeta.padic import (INFINITE, PAdicContext, PAdicMatrix, flat_det, psi_exponent,
-                          psi_value, trace_pairing, valuation)
+from gjzeta.padic import (INFINITE, PAdicContext, PAdicMatrix, flat_det, in_level,
+                          psi_exponent, psi_value, trace_pairing, valuation)
 from gjzeta.scalars import root_of_unity, scalar_is_zero
 
 
@@ -118,3 +118,49 @@ def test_trace_pairing_matches_trace_of_product():
     b = PAdicMatrix([[1, Fraction(1, 2)], [3, 0]])
     x = PAdicMatrix([[2, 1], [Fraction(1, 4), 5]])
     assert trace_pairing(b, x) == (b * x).trace()
+
+
+# -- the integer-residue helpers against the Fraction/valuation forms ---------
+
+@st.composite
+def _residue_cases(draw):
+    """(p, n, two matrices, level): entries 0, or u * p^e with u = a / d, where
+    d is prime to p (1/3 at p = 2) and a may carry p (5/49 at p = 7)."""
+    p = draw(st.sampled_from([2, 3, 7]))
+    n = draw(st.integers(1, 3))
+    unit_den = st.sampled_from([d for d in (1, 3, 5, 11, 49) if d % p])
+    entry = st.one_of(st.just(Fraction(0)),
+                      st.builds(lambda a, d, e: Fraction(a, d) * Fraction(p) ** e,
+                                st.integers(-50, 50), unit_den, st.integers(-4, 4)))
+
+    def matrix():
+        return PAdicMatrix([[draw(entry) for _ in range(n)] for _ in range(n)])
+    a = matrix()
+    b = draw(st.sampled_from([a, matrix(), a - matrix()]))
+    return p, n, a, b, draw(st.integers(-4, 4))
+
+
+def test_residue_helpers_on_named_entries():
+    assert in_level(Fraction(1, 3), 0, 2) and not in_level(Fraction(1, 3), 1, 2)
+    assert in_level(Fraction(5, 49), -2, 7) and not in_level(Fraction(5, 49), -1, 7)
+    assert in_level(0, 4, 3) and in_level(Fraction(0), -4, 3) and in_level(18, 2, 3)
+    b = PAdicMatrix([[Fraction(1, 3), 0], [Fraction(5, 49), 2]])
+    x = PAdicMatrix([[3, Fraction(7, 2)], [0, Fraction(1, 7)]])
+    # b00 x00 + b01 x10 + b10 x01 + b11 x11, the zero products skipped
+    assert trace_pairing(b, x) == 1 + Fraction(5, 49) * Fraction(7, 2) + Fraction(2, 7)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_residue_cases())
+def test_residue_helpers_match_fraction_forms(case):
+    p, n, a, b, level = case
+    pairs = [(x, y) for r1, r2 in zip(a.entries, b.entries) for x, y in zip(r1, r2)]
+    for x, _ in pairs:
+        assert in_level(x, level, p) == (valuation(x, p) >= level)
+        assert in_level(x.numerator, level, p) == (valuation(x.numerator, p) >= level)
+    assert a.in_level(level, p) == all(valuation(x, p) >= level for x, _ in pairs)
+    assert a.in_coset(b, level, p) == all(valuation(x - y, p) >= level for x, y in pairs)
+    got = trace_pairing(a, b)
+    want = sum((a.entries[i][k] * b.entries[k][i] for i in range(n) for k in range(n)),
+               Fraction(0))
+    assert type(got) is Fraction and got == want

@@ -266,6 +266,19 @@ def test_times_root_is_the_product_with_the_root(case):
     x, m, a = case
     got, want = x.times_root(m, a), x * root_of_unity(x.p, m, a)
     assert got == want and repr(got) == repr(want) and hash(got) == hash(want)
+    assert x.times_root(0, a) is x  # zeta_1 = 1
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_root_of_unity_is_the_reduced_exponent_vector(p):
+    for m in range(4):
+        for a in range(-p ** m, 2 * p ** m):
+            vec = [0] * p ** m
+            vec[a % p ** m] = 1
+            got, want = root_of_unity(p, m, a), root_of_unity_sum(p, m, vec)
+            assert (got.m, got.coeffs) == (want.m, want.coeffs)
+            assert repr(got) == repr(want) and hash(got) == hash(want)
+            assert type(got.coeffs) is tuple and all(type(c) is Fraction for c in got.coeffs)
 
 
 # -- rationals: the level-0 path against the vector path --------------------

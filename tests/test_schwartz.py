@@ -7,7 +7,7 @@ from itertools import product
 
 from hypothesis import given, settings, strategies as st
 
-from gjzeta.padic import PAdicContext, PAdicMatrix, psi_value, trace_pairing
+from gjzeta.padic import PAdicContext, PAdicMatrix, psi_exponent, valuation
 from gjzeta.cli import random_schwartz
 from gjzeta.schwartz import SchwartzBruhatFn, SchwartzTerm
 from gjzeta.scalars import (as_scalar, root_of_unity, root_of_unity_sum,
@@ -128,22 +128,30 @@ def _schwartz_pairs(draw, general=False):
 
 
 def inner_product_reference(f, g):
-    """<f, g> term pair by term pair, conjugating g's coefficient each time
-    and testing integrality of p^k b on the scaled matrix."""
-    p = f.ctx.p
-    n2 = f.n * f.n
+    """<f, g> term pair by term pair, conjugating g's coefficient each time.
+    Nothing here calls the engine's coset test, trace pairing or root of
+    unity: cosets compare entry valuations, tr(b a) is a plain sum of
+    Fraction products, p^k b is tested scaled, and psi(x) is the reduced
+    exponent vector with a single 1."""
+    p, n = f.ctx.p, f.n
     total = as_scalar(0, p)
     for s in f.terms:
         for t in g.terms:
             inner, outer = (s, t) if s.level >= t.level else (t, s)
-            if not inner.center.in_coset(outer.center, outer.level, p):
+            if not all(valuation(x - y, p) >= outer.level
+                       for r1, r2 in zip(inner.center.entries, outer.center.entries)
+                       for x, y in zip(r1, r2)):
                 continue
             a, k = inner.center, inner.level
             b = s.modulation - t.modulation
             if (b.scale(Fraction(p) ** k)).min_valuation(p) < 0:
                 continue
-            total = total + s.coeff * scalar_conjugate(t.coeff) \
-                * psi_value(trace_pairing(b, a), f.ctx) * Fraction(p) ** (-k * n2)
+            tr = sum((b.entries[i][j] * a.entries[j][i] for i in range(n) for j in range(n)),
+                     Fraction(0))
+            m, e = psi_exponent(tr, f.ctx)
+            psi = root_of_unity_sum(p, m, [0] * e + [1])
+            total = total + s.coeff * scalar_conjugate(t.coeff) * psi \
+                * Fraction(p) ** (-k * n * n)
     return total
 
 
@@ -225,3 +233,28 @@ def test_fn_equal_matches_norm_reference(data):
         reference = scalar_is_zero(inner_product_reference(d, d))
         assert x.fn_equal(y) == reference
         assert want is None or reference == want
+
+
+# -- what fourier-selftest checks ---------------------------------------------
+
+# SHA-256 over the to_json() lines of every function fourier-selftest --count 10
+# draws (f then g for each index, over (n, p) = (1, 2), (1, 3), (2, 2), (2, 3)).
+# The selftest report counts functions and failures only, so a random_schwartz
+# that drew other functions would still pass; this pins the draws themselves.
+SELFTEST_DRAWS_SHA256 = {
+    1: "53d415667ee45a5ffc60d17e1b98665df3b6a0ae4eeb1862b16312a26b9c864a",
+    2: "052b2374d5aa8ec36e0ba35911de1e10145be7ebc6b0bf5aaf12c6048fb90ec2",
+}
+
+
+def test_random_schwartz_draws_are_pinned():
+    import hashlib
+    for seed, want in SELFTEST_DRAWS_SHA256.items():
+        rng = random.Random(seed)
+        h = hashlib.sha256()
+        for n in (1, 2):
+            for p in (2, 3):
+                ctx = PAdicContext(p)
+                for _ in range(10 * 2):
+                    h.update(random_schwartz(n, ctx, rng).to_json().encode() + b"\n")
+        assert h.hexdigest() == want, seed
