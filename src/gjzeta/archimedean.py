@@ -2,7 +2,9 @@
 
 Test functions are P(x) exp(-pi x^2) with P polynomial over Q(i)[pi, 1/pi];
 this class is closed under the real Fourier transform (psi(x) = e^{2 pi i x})
-with exactly representable coefficients.  Zeta integrals are adaptive
+with exactly representable coefficients.  Q(i)[pi, 1/pi] needs no class of
+its own: a coefficient is a LaurentPoly in pi over the scalar tower's
+Q(zeta_4) = Q(i) (p = 2, m = 2).  Zeta integrals are adaptive
 quadratures; gamma factors are checked against a Gamma-function oracle.
 
 Both quadrature passes share one evaluation per node (see zeta_real); the
@@ -19,80 +21,33 @@ import functools
 import math
 from collections import namedtuple
 from fractions import Fraction
+from itertools import zip_longest
 
 import mpmath
 
 from .errors import NearZeroDenominator, ToleranceNotMet
+from .ratfun import LaurentPoly
+from .scalars import root_of_unity
+
+ZETA4 = root_of_unity(2, 2, 1)  # i: a coefficient re + im i of Q(zeta_4) = Q(i)
 
 
-class PiCoeff:
-    """Element of Q(i)[pi, 1/pi]: {pi exponent: (re, im) rational pair}."""
+def to_complex(c: LaurentPoly) -> complex:
+    """The float value of c at pi = float(mpmath.pi).
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for e, (re, im) in terms.items():
-                re, im = Fraction(re), Fraction(im)
-                if re or im:
-                    self.terms[int(e)] = (re, im)
-
-    @staticmethod
-    def const(re, im=0) -> "PiCoeff":
-        return PiCoeff({0: (re, im)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "PiCoeff") -> "PiCoeff":
-        out = dict(self.terms)
-        for e, (re, im) in other.terms.items():
-            r0, i0 = out.get(e, (Fraction(0), Fraction(0)))
-            out[e] = (r0 + re, i0 + im)
-        return PiCoeff(out)
-
-    def __neg__(self) -> "PiCoeff":
-        return PiCoeff({e: (-re, -im) for e, (re, im) in self.terms.items()})
-
-    def __sub__(self, other: "PiCoeff") -> "PiCoeff":
-        return self + (-other)
-
-    def __mul__(self, other: "PiCoeff") -> "PiCoeff":
-        out = {}
-        for e1, (a, b) in self.terms.items():
-            for e2, (c, d) in other.terms.items():
-                e = e1 + e2
-                r0, i0 = out.get(e, (Fraction(0), Fraction(0)))
-                out[e] = (r0 + a * c - b * d, i0 + a * d + b * c)
-        return PiCoeff(out)
-
-    def scale(self, re, im=0, pi_exp: int = 0) -> "PiCoeff":
-        return self * PiCoeff({pi_exp: (re, im)})
-
-    def __eq__(self, other):
-        if not isinstance(other, PiCoeff):
-            return NotImplemented
-        return (self - other).is_zero()
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.terms.items())))
-
-    def to_complex(self) -> complex:
-        total = 0j
-        for e, (re, im) in self.terms.items():
-            total += complex(float(re) + 1j * float(im)) * float(mpmath.pi) ** e
-        return total
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join("(%s%+si)*pi^%d" % (re, im, e)
-                          for e, (re, im) in sorted(self.terms.items()))
+    Each term is re + im i times pi^e in double precision, summed in the order
+    of c.coeffs, the order that LaurentPoly's arithmetic fills it; every
+    quadrature float depends on that order.
+    """
+    total = 0j
+    for e, z in c.coeffs.items():
+        re, im = z.coeffs if z.m else (z.coeffs[0], 0)
+        total += complex(float(re) + 1j * float(im)) * float(mpmath.pi) ** e
+    return total
 
 
 class RealSchwartzFn:
-    """x -> P(x) exp(-pi x^2) with PiCoeff coefficients of P."""
+    """x -> P(x) exp(-pi x^2), the coefficients of P in Q(i)[pi, 1/pi]."""
 
     def __init__(self, coeffs):
         self.coeffs = list(coeffs)
@@ -101,19 +56,17 @@ class RealSchwartzFn:
 
     @staticmethod
     def gaussian() -> "RealSchwartzFn":
-        return RealSchwartzFn([PiCoeff.const(1)])
+        return RealSchwartzFn([LaurentPoly.const(1)])
 
     @staticmethod
     def hermite_multiple(poly_coeffs) -> "RealSchwartzFn":
         """P(x) exp(-pi x^2) for rational (or (re, im) pair) coefficients."""
         out = []
         for c in poly_coeffs:
-            if isinstance(c, PiCoeff):
-                out.append(c)
-            elif isinstance(c, tuple):
-                out.append(PiCoeff.const(*c))
-            else:
-                out.append(PiCoeff.const(c))
+            if not isinstance(c, LaurentPoly):
+                re, im = c if isinstance(c, tuple) else (c, 0)
+                c = LaurentPoly.const(ZETA4 * Fraction(im) + Fraction(re))
+            out.append(c)
         return RealSchwartzFn(out)
 
     @property
@@ -121,13 +74,8 @@ class RealSchwartzFn:
         return len(self.coeffs) - 1
 
     def __add__(self, other: "RealSchwartzFn") -> "RealSchwartzFn":
-        k = max(len(self.coeffs), len(other.coeffs))
-        out = []
-        for i in range(k):
-            a = self.coeffs[i] if i < len(self.coeffs) else PiCoeff()
-            b = other.coeffs[i] if i < len(other.coeffs) else PiCoeff()
-            out.append(a + b)
-        return RealSchwartzFn(out)
+        return RealSchwartzFn([a + b for a, b in zip_longest(self.coeffs, other.coeffs,
+                                                             fillvalue=LaurentPoly())])
 
     def __sub__(self, other):
         return self + RealSchwartzFn([-c for c in other.coeffs])
@@ -151,32 +99,20 @@ def fourier_real(phi: RealSchwartzFn) -> RealSchwartzFn:
     transform of x^k G by recursion on polynomial factors Q_k with
     F(x^k G) = Q_k G, Q_k = (Q_{k-1}' - 2 pi x Q_{k-1}) / (2 pi i).
     """
-    # precompute Q_k up to the needed degree; Q_k is a polynomial in x
-    # with PiCoeff coefficients
-    deg = phi.degree
-    q_prev = [PiCoeff.const(1)]  # Q_0 = 1
+    # Q_0 = 1, ..., Q_deg: polynomials in x, each coefficient in Q(i)[pi, 1/pi]
+    q_prev = [LaurentPoly.const(1)]
     q_list = [q_prev]
-    # 1/(2 pi i) = (-i/2) pi^-1
-    inv_2pii = PiCoeff({-1: (Fraction(0), Fraction(-1, 2))})
-    two_pi = PiCoeff({1: (Fraction(2), Fraction(0))})
-    for _ in range(deg):
-        # derivative of Q_{k-1}
-        dq = [q_prev[i].scale(i) for i in range(1, len(q_prev))]
-        # -2 pi x Q_{k-1}
-        shifted = [PiCoeff()] + [(-(two_pi * c)) for c in q_prev]
-        k = max(len(dq), len(shifted))
-        q_new = []
-        for i in range(k):
-            a = dq[i] if i < len(dq) else PiCoeff()
-            b = shifted[i] if i < len(shifted) else PiCoeff()
-            q_new.append(inv_2pii * (a + b))
-        q_prev = q_new
-        q_list.append(q_new)
-    out = [PiCoeff() for _ in range(deg + 1)]
-    for k, ck in enumerate(phi.coeffs):
-        for i, qi in enumerate(q_list[k]):
-            out[i] = out[i] + ck * qi
-    return RealSchwartzFn(out)
+    inv_2pii = LaurentPoly({-1: ZETA4 * Fraction(-1, 2)})  # 1/(2 pi i) = (-i/2) pi^-1
+    two_pi = LaurentPoly({1: 2})
+    for _ in range(phi.degree):
+        dq = RealSchwartzFn([q_prev[i] * i for i in range(1, len(q_prev))])
+        shifted = RealSchwartzFn([LaurentPoly()] + [-(two_pi * c) for c in q_prev])
+        q_prev = [inv_2pii * c for c in (dq + shifted).coeffs]
+        q_list.append(q_prev)
+    out = RealSchwartzFn([])
+    for ck, qk in zip(phi.coeffs, q_list):
+        out = out + RealSchwartzFn([ck * qi for qi in qk])
+    return out
 
 
 class RealCharacter(namedtuple("RealCharacter", "sign_exponent imaginary_twist",
@@ -226,7 +162,7 @@ def zeta_real(phi: RealSchwartzFn, chi: RealCharacter, s: complex) -> complex:
     delta = chi.sign_exponent % 2
     sp = complex(s) + 1j * float(chi.imaginary_twist)
     sign = 1.0 if delta == 0 else -1.0
-    coeffs = [c.to_complex() for c in reversed(phi.coeffs)]
+    coeffs = [to_complex(c) for c in reversed(phi.coeffs)]
     prec = mpmath.mp.prec
     nodes = {}
 

@@ -187,9 +187,9 @@ def _shell_generic(ctx, k, center, level, modulation, config, unit_char, stats):
     (O(n^2 p^3)), reads each pair's fate, chi sign and bin as its children
     would, and keeps the signed counts by phase offset.  L mod p^(R-j) depends
     on a mod p^(R-j) only, so it is built once per key (j, det a mod p^R,
-    a mod p^(R-j)) and added at a's own psi exponent.  The children are still
-    counted as cells, and the budget trips exactly when the per-child loop
-    would, at budget + 1.
+    a mod p^(R-j)) and added at a's own psi exponent.  A cell is counted when it
+    is made (the root, each pushed or binned child), so the budget trips before a
+    split builds or bins its children, at budget + 1, as a per-cell count would.
     """
     p = ctx.p
     n = center.n
@@ -217,18 +217,22 @@ def _shell_generic(ctx, k, center, level, modulation, config, unit_char, stats):
     prefactor = Fraction(p) ** (n * k + m * n2)
     budget = config.hard_budget
     visited = 0
+
+    def count(cells):
+        nonlocal visited
+        visited += cells
+        if visited > budget:
+            raise BudgetExceeded("refinement exceeded %d cells" % budget,
+                                 shell=k, truncation=m, cells=budget + 1)
     hists = {}  # j -> signed cell count per phase of psi * chi at level T
     R = kp + max(1, cu)
     j_last = max(1, mpsi - 1, R - 1)
     pR, pk, children = p ** R, p ** kp, p ** n2
     census = {}  # (j, det a mod p^R, a mod p^(R-j)) -> (phase offset, signed count)s
+    count(1)  # the root
     stack = [(A, max(Lp, 0))]
     while stack:
         a, j = stack.pop()
-        visited += 1
-        if visited > budget:
-            raise BudgetExceeded("refinement exceeded %d cells" % budget,
-                                 shell=k, truncation=m, cells=visited)
         det = flat_det(a, n)
         if det != 0:
             dv = 0
@@ -249,16 +253,10 @@ def _shell_generic(ctx, k, center, level, modulation, config, unit_char, stats):
                 continue
         elif kp < j:
             continue
+        count(children)
         if j < j_last:
-            if visited + len(stack) + children > budget:  # each pushed cell is counted
-                raise BudgetExceeded("refinement exceeded %d cells" % budget,
-                                     shell=k, truncation=m, cells=budget + 1)
             stack.extend((tuple(map(add, a, off)), j + 1) for off in _offsets(n2, p, j))
             continue
-        visited += children
-        if visited > budget:
-            raise BudgetExceeded("refinement exceeded %d cells" % budget,
-                                 shell=k, truncation=m, cells=budget + 1)
         pa = p ** max(0, R - j)
         key = (j, det % pR, tuple(x % pa for x in a))
         bins = census.get(key)
@@ -354,17 +352,16 @@ def rationalize(seq, k0: int, weight: int, q: int, r_max: int,
     linear recurrence of order <= r_max, certified on `confirm` extra terms.
     Callers pass untwisted shells, so Berlekamp-Massey runs in their own field,
     and twist the result once (RationalFunctionT.twisted, a ring automorphism).
+    With den = 1 - sum_i c_i T^(weight i), T^(weight (k0 + t)) has coefficient
+    s_t - sum_{i <= min(t, L)} c_i s_(t-i) in seq * den: 0 for t >= start.
     """
     coeffs, s = detect_recurrence(seq, r_max, confirm)
-    head = LaurentPoly({weight * (k0 + i): seq[i] for i in range(s)})
-    den = LaurentPoly.const(1)
-    for i, ci in enumerate(coeffs, start=1):
-        den = den - LaurentPoly({weight * i: ci})
-    tail = LaurentPoly()
-    for jj in range(len(coeffs)):
-        e = seq[s + jj]
-        for i in range(1, jj + 1):
-            e = e - coeffs[i - 1] * seq[s + jj - i]
-        tail = tail + LaurentPoly({weight * (k0 + s + jj): e})
-    return RationalFunctionT(head * den + tail, den, q)
+    den = LaurentPoly({0: 1, **{weight * i: -ci for i, ci in enumerate(coeffs, start=1)}})
+    num = {}
+    for t in range(s):
+        e = seq[t]
+        for i in range(1, min(t, len(coeffs)) + 1):
+            e = e - coeffs[i - 1] * seq[t - i]
+        num[weight * (k0 + t)] = e
+    return RationalFunctionT(LaurentPoly(num), den, q)
 

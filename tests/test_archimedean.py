@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from gjzeta.archimedean import (ABS_TOL, MAX_SUBDIVISIONS, REL_TOL, S_GRID,
@@ -42,6 +43,20 @@ def test_double_transform_is_reflection_exact():
     phi = RealSchwartzFn.hermite_multiple(
         [1, Fraction(-2, 3), (0, 1), 0, 3, Fraction(1, 5), Fraction(1, 2)])
     assert fourier_real(fourier_real(phi)) == phi.reflect()
+
+
+_RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+_COEFFS = st.lists(st.one_of(_RATIONALS, st.tuples(_RATIONALS, _RATIONALS)),
+                   min_size=1, max_size=7)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_COEFFS, _COEFFS)
+def test_fourier_laws_on_random_coefficients(a, b):
+    # degree <= 6, rational and (re, im) coefficients: F F phi = reflect(phi), F additive
+    phi, chi = RealSchwartzFn.hermite_multiple(a), RealSchwartzFn.hermite_multiple(b)
+    assert fourier_real(fourier_real(phi)) == phi.reflect()
+    assert fourier_real(phi + chi) == fourier_real(phi) + fourier_real(chi)
 
 
 def test_pointwise_inversion_numeric():
@@ -142,10 +157,19 @@ def test_gaussian_cache_keys_on_precision():
 # integrand afresh.  zeta_real shares nodes and the Gaussian; the results must
 # be equal as floats, not merely close.
 
+def coefficient_reference(c):
+    """A coefficient of Q(i)[pi, 1/pi] as a complex, term by term in stored order."""
+    total = 0j
+    for e, z in c.coeffs.items():
+        re, im = (z.coeffs[0], 0) if z.m == 0 else z.coeffs
+        total += complex(float(re) + 1j * float(im)) * float(mpmath.pi) ** e
+    return total
+
+
 def evaluate_reference(phi, x):
     px = 0j
     for c in reversed(phi.coeffs):
-        px = px * x + c.to_complex()
+        px = px * x + coefficient_reference(c)
     return px * float(mpmath.exp(-mpmath.pi * x * x))
 
 

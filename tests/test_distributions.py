@@ -133,7 +133,7 @@ def test_empty_lists_are_not_a_pass():
 
 
 def test_environment_does_not_override_explicit_budget(monkeypatch):
-    # the budget set on the config must survive the per-shell config copies
+    # the budget set on the config wins over the environment, which only the CLI reads
     monkeypatch.setenv("GJZETA_HARD_BUDGET", "5")
     cfg = IntegrationConfig(hard_budget=7, force_enumeration=True)
     with pytest.raises(BudgetExceeded, match="exceeded 7 cells"):
