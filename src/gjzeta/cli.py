@@ -282,20 +282,40 @@ def cmd_verify_relation(args):
             verdict, 0, None)
 
 
+# the ratios b/c (b = -3..3, c = 1..3) that scale a drawn coefficient
+_RATIOS = tuple(tuple(Fraction(b, c) for c in range(1, 4)) for b in range(-3, 4))
+
+
+@lru_cache(maxsize=8)
+def _draw_tables(p: int):
+    """random_schwartz's candidate entries a/p^j (j = 0..2, a = -4..4) and
+    roots zeta_p^a (a = 0..p-1), in the order randint would draw them."""
+    entries = tuple(tuple(Fraction(a, p ** j) for a in range(-4, 5)) for j in range(3))
+    return entries, tuple(root_of_unity(p, 1, a) for a in range(p))
+
+
 def random_schwartz(n: int, ctx: PAdicContext, rng, terms: int = 3,
                     max_level: int = 3) -> SchwartzBruhatFn:
-    """Deterministic pseudo-random test function, levels within |k| <= max_level."""
-    p = ctx.p
+    """Deterministic pseudo-random test function, levels within |k| <= max_level.
+
+    Entries, roots and ratios are picked from prebuilt tables, each listed in
+    the order of the randint range it stands for.  choice(seq) is
+    seq[_randbelow(len(seq))] and randint(a, b) is a + _randbelow(b - a + 1),
+    so a pick reads the same random stream as the randint it replaces and
+    draws the same functions."""
+    entries, roots = _draw_tables(ctx.p)
+    choice, randint = rng.choice, rng.randint
+
+    def matrix(row):
+        return PAdicMatrix._of(tuple([tuple([choice(row) for _ in range(n)])
+                                      for _ in range(n)]))
     out = []
-    for _ in range(rng.randint(1, terms)):
-        level = rng.randint(-max_level, max_level)
-        denom = p ** rng.randint(0, 2)
-        center = PAdicMatrix([[Fraction(rng.randint(-4, 4), denom)
-                               for _ in range(n)] for _ in range(n)])
-        modulation = PAdicMatrix([[Fraction(rng.randint(-4, 4), denom)
-                                   for _ in range(n)] for _ in range(n)])
-        coeff = root_of_unity(p, 1, rng.randint(0, p - 1)) * Fraction(
-            rng.randint(-3, 3), rng.randint(1, 3))
+    for _ in range(randint(1, terms)):
+        level = randint(-max_level, max_level)
+        row = choice(entries)  # one denominator p^j for both matrices
+        center = matrix(row)
+        modulation = matrix(row)
+        coeff = choice(roots) * choice(choice(_RATIOS))
         out.append(SchwartzTerm(coeff, center, level, modulation))
     return SchwartzBruhatFn(n, ctx, out)
 

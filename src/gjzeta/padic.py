@@ -100,7 +100,7 @@ def flat_det(a, n: int):
 class PAdicMatrix:
     """n x n matrix with exact rational entries."""
 
-    __slots__ = ("n", "entries", "_hash")
+    __slots__ = ("n", "entries", "_hash", "_neg")
 
     def __init__(self, entries):
         rows = [tuple([e if type(e) is Fraction else Fraction(e) for e in row])
@@ -109,13 +109,13 @@ class PAdicMatrix:
         if any(len(r) != self.n for r in rows):
             raise ValueError("matrix must be square")
         self.entries = tuple(rows)
-        self._hash = None
+        self._hash = self._neg = None
 
     @staticmethod
     def _of(rows) -> "PAdicMatrix":
         """Trusted constructor: rows is a square tuple of tuples of Fractions."""
         out = object.__new__(PAdicMatrix)
-        out.n, out.entries, out._hash = len(rows), rows, None
+        out.n, out.entries, out._hash, out._neg = len(rows), rows, None, None
         return out
 
     @staticmethod
@@ -152,8 +152,12 @@ class PAdicMatrix:
                                       for r1, r2 in zip(self.entries, other.entries)]))
 
     def __neg__(self) -> "PAdicMatrix":
-        return PAdicMatrix._of(tuple([tuple([-e if e else e for e in row])
-                                      for row in self.entries]))
+        """-self, built once and kept, so transforms share it and fn_equal
+        matches their keys by identity; kept one way only, with no cycle."""
+        if self._neg is None:
+            self._neg = PAdicMatrix._of(tuple([tuple([-e if e else e for e in row])
+                                               for row in self.entries]))
+        return self._neg
 
     def scale(self, c) -> "PAdicMatrix":
         c = Fraction(c)
@@ -169,9 +173,23 @@ class PAdicMatrix:
         return all(in_level(x, level, p) for row in self.entries for x in row)
 
     def in_coset(self, center: "PAdicMatrix", level: int, p: int) -> bool:
-        """self in center + p^level M_n(Z_p)?  Stops at the first entry below."""
-        return all(in_level(x - y, level, p)
-                   for r1, r2 in zip(self.entries, center.entries) for x, y in zip(r1, r2))
+        """self in center + p^level M_n(Z_p)?  Stops at the first entry below.
+        From integers: x - y = N / (x.den y.den), and with t = level +
+        v_p(x.den y.den) an entry passes iff N = 0, t <= 0 or p^t | N."""
+        for r1, r2 in zip(self.entries, center.entries):
+            for x, y in zip(r1, r2):
+                if x is y:
+                    continue
+                xd, yd = x.denominator, y.denominator
+                num = x.numerator * yd - y.numerator * xd
+                if num:
+                    t, d = level, xd * yd
+                    while d % p == 0:
+                        d //= p
+                        t += 1
+                    if t > 0 and num % p ** t:
+                        return False
+        return True
 
     def __eq__(self, other):
         if not isinstance(other, PAdicMatrix):

@@ -254,8 +254,9 @@ class CyclotomicNumber:
             return total
 
 
-def _reduce(p: int, m: int, vec) -> CyclotomicNumber:
-    """Reduce a length-p^m exponent vector into the power basis.
+def _fold(p: int, m: int, vec) -> list:
+    """A length <= p^m exponent vector folded into the power basis: phi(p^m)
+    entries, in vec's own arithmetic (ints stay ints).
 
     For phi <= e < p^m, zeta^e = -sum_{j<p-1} zeta^(e - phi + j p^(m-1))."""
     phi = _euler_phi_prime_power(p, m)
@@ -266,7 +267,12 @@ def _reduce(p: int, m: int, vec) -> CyclotomicNumber:
         if c:
             for i in range(e - phi, phi, step):
                 out[i] -= c
-    return _normalize_level(CyclotomicNumber(p, m, out))
+    return out
+
+
+def _reduce(p: int, m: int, vec) -> CyclotomicNumber:
+    """The tower's own exponent vectors, of Fractions, in canonical form."""
+    return _normalize_level(CyclotomicNumber._of(p, m, tuple(_fold(p, m, vec))))
 
 
 def _normalize_level(z: CyclotomicNumber) -> CyclotomicNumber:
@@ -316,7 +322,9 @@ def root_of_unity_sum(p: int, m: int, counts) -> CyclotomicNumber:
     """sum_e counts[e] * zeta_{p^m}^e in canonical form, len(counts) <= p^m."""
     if len(counts) > p ** m:
         raise ValueError("more than p^m exponents for level %d" % m)
-    return _reduce(p, m, counts)
+    # outside counts (integer histograms, JSON) fold in their own arithmetic
+    # and become Fractions once, in the checked constructor
+    return _normalize_level(CyclotomicNumber(p, m, _fold(p, m, counts)))
 
 
 def embed_complex(z, digits: int = 20):

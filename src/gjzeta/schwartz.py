@@ -7,8 +7,9 @@ term: translations become modulations and vice versa, and a level-k indicator
 picks up the factor q^(-k n^2).  A psi value zeta_{p^m}^a is kept as its
 integer exponent (m, a) and applied by shifting exponents (m = 0 costs
 nothing); an inner product adds every term pair into one exponent vector and
-reduces it once.  The pairing tr(b a) sums integer numerators over one
-denominator, and coset and integrality tests read one modulus (padic.in_level).
+reduces it once.  The pairing tr(b a) and the coset and integrality tests run
+on integers.  A matrix keeps its negation, so F(F(f)) and reflect(f) share
+their centres and modulations and fn_equal merges them by identity.
 """
 
 from __future__ import annotations

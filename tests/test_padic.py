@@ -1,5 +1,6 @@
 """Q_p scalars, matrices, and the additive character psi."""
 
+import gc
 from fractions import Fraction
 
 import pytest
@@ -120,6 +121,21 @@ def test_trace_pairing_matches_trace_of_product():
     assert trace_pairing(b, x) == (b * x).trace()
 
 
+@settings(max_examples=100, deadline=None)
+@given(_coset_cases())
+def test_negation_is_cached_one_way(case):
+    m = case[0]
+    neg = -m
+    assert -m is neg
+    assert all(y == -x and (x or y is x)
+               for r1, r2 in zip(m.entries, neg.entries) for x, y in zip(r1, r2))
+    fresh = PAdicMatrix([[-x for x in row] for row in m.entries])
+    assert neg == fresh and fresh == neg and hash(neg) == hash(fresh)
+    assert -neg == m and hash(-neg) == hash(m)
+    # the cache points from m to -m only, so no reference cycle is made
+    assert all(r is not m for r in gc.get_referents(neg))
+
+
 # -- the integer-residue helpers against the Fraction/valuation forms ---------
 
 @st.composite
@@ -135,8 +151,19 @@ def _residue_cases(draw):
 
     def matrix():
         return PAdicMatrix([[draw(entry) for _ in range(n)] for _ in range(n)])
+
+    def near(x):
+        """x itself, an equal but distinct Fraction, or an entry with p in its
+        denominator (x may carry p there too)."""
+        how = draw(st.sampled_from(["same", "copy", "p_den"]))
+        if how == "same":
+            return x
+        if how == "copy":
+            return Fraction(x.numerator, x.denominator)
+        return Fraction(draw(st.integers(-50, 50)), draw(unit_den) * p ** draw(st.integers(1, 4)))
     a = matrix()
-    b = draw(st.sampled_from([a, matrix(), a - matrix()]))
+    b = draw(st.sampled_from([a, matrix(), a - matrix(),
+                              PAdicMatrix([[near(x) for x in row] for row in a.entries])]))
     return p, n, a, b, draw(st.integers(-4, 4))
 
 
@@ -148,6 +175,11 @@ def test_residue_helpers_on_named_entries():
     x = PAdicMatrix([[3, Fraction(7, 2)], [0, Fraction(1, 7)]])
     # b00 x00 + b01 x10 + b10 x01 + b11 x11, the zero products skipped
     assert trace_pairing(b, x) == 1 + Fraction(5, 49) * Fraction(7, 2) + Fraction(2, 7)
+    # p in both denominators: 1/9 - 4/9 = -1/3 and 5/21 - 1/6 = 1/14 at p = 3
+    x = PAdicMatrix([[Fraction(1, 9), Fraction(5, 21)]] * 2)
+    y = PAdicMatrix([[Fraction(4, 9), Fraction(1, 6)]] * 2)
+    assert x.in_coset(y, -1, 3) and not x.in_coset(y, 0, 3)
+    assert x.in_coset(PAdicMatrix(x.entries), 4, 3) and x.in_coset(x, 4, 3)
 
 
 @settings(max_examples=300, deadline=None)

@@ -38,6 +38,21 @@ def test_double_transform_is_reflection():
             assert f.fourier().fourier().fn_equal(f.reflect())
 
 
+def test_double_transform_shares_reflect_matrices():
+    # F(F(t)) has centre -(t.center) and modulation -(t.modulation), as
+    # reflect(t) does; with the cached negation they are the same objects,
+    # so fn_equal's merge matches their keys by identity
+    rng = random.Random(14)
+    for n, p in [(1, 2), (1, 3), (2, 2), (2, 3)]:
+        ctx = PAdicContext(p)
+        for _ in range(10):
+            f = random_schwartz(n, ctx, rng)
+            twice, refl = f.fourier().fourier(), f.reflect()
+            assert len(twice.terms) == len(refl.terms) == len(f.terms)
+            for s, t in zip(twice.terms, refl.terms):
+                assert s.center is t.center and s.modulation is t.modulation
+
+
 def test_plancherel():
     rng = random.Random(12)
     for n, p in [(1, 2), (2, 3)]:
@@ -238,12 +253,28 @@ def test_fn_equal_matches_norm_reference(data):
 # -- what fourier-selftest checks ---------------------------------------------
 
 # SHA-256 over the to_json() lines of every function fourier-selftest --count 10
-# draws (f then g for each index, over (n, p) = (1, 2), (1, 3), (2, 2), (2, 3)).
-# The selftest report counts functions and failures only, so a random_schwartz
-# that drew other functions would still pass; this pins the draws themselves.
+# draws (f then g for each index, over (n, p) = (1, 2), (1, 3), (2, 2), (2, 3)),
+# at seeds 1-16, the benchmark's whole self-test pool.  The selftest report
+# counts functions and failures only, so a random_schwartz that drew other
+# functions would still pass; this pins the draws themselves, and with them the
+# random stream that random_schwartz consumes.
 SELFTEST_DRAWS_SHA256 = {
     1: "53d415667ee45a5ffc60d17e1b98665df3b6a0ae4eeb1862b16312a26b9c864a",
     2: "052b2374d5aa8ec36e0ba35911de1e10145be7ebc6b0bf5aaf12c6048fb90ec2",
+    3: "b5b71eb8985ddd6015e0aa1684685980c3e13054027e773f2dcc5d2d5cc8f5be",
+    4: "1633ce0f536229b86565debe6147bacb181632099aaddaddf1ef3d2015b0b9e8",
+    5: "09fddc9c21618062469260c408d0bfd859e3c2ca8dab3487627f216f3d4b1381",
+    6: "a4bf15e99df24f542c8d47cfa1d424a0f2d78ca8b47a10685afc1787e2a1c83b",
+    7: "4846e10ace2136d213682f4212ee5621e6cfee33f2146f032a17bd6485b30f13",
+    8: "7dbf650da3b3600f422cceebd11e45a93f62d3a41f53d298750c3953c206bf60",
+    9: "7033defafd3c850a49b08ac328ec0239c2e2971e6694313dafa08d983eb38ab1",
+    10: "3cdf88e1f48be6d47b88736206360d22ef06c3175f43d63e52d7bbe98dc1d0e0",
+    11: "b030be586176285e1940787b08df6c5e016b16f0bf0cce33a5b9a8fa969fd91e",
+    12: "3b234ffb538700404e73a38ab30f26e3b206de0b01bbf75b6e58608bf2b9b8e4",
+    13: "f65cda96879be2e80ce9d8db2f527cbffc0ad89a119c2b909540b5595e8248c9",
+    14: "33321d5ef9c8541b612b797c5c248f4e55ad90145722282e53f120b0311491c9",
+    15: "27f489c539f0a5e6ba2ece0a273941e6ef4f65f46bc78f95540238322c0fe127",
+    16: "9bab19c30315b97122138e72d2f4d868d0b73c50dc47c73d54a43b00b8d49a50",
 }
 
 
