@@ -5,6 +5,12 @@ some m; half-integer powers of q additionally require sqrt(q), which is
 either an explicit cyclotomic element (p = 2 or p = 1 mod 4) or a formal
 quadratic generator (p = 3 mod 4, where the extension is a genuine field).
 
+Every CyclotomicNumber is canonical: the public constructor stores its value
+at its least level, as the tower's own results are.  Arithmetic scatters the
+operands' (exponent, coefficient) terms at the larger level and reduces once,
+so no value depends on a level-0 number's prime, except a phase applied by
+times_root.
+
 Inverses need no linear algebra.  Multiplying x in Q(zeta_{p^m}) by its other
 conjugates over Q(zeta_{p^(m-1)}) gives its relative norm, one level down;
 repeating down the tower reaches a rational N, and x^-1 is the product of
@@ -26,21 +32,22 @@ class CyclotomicNumber:
     """Element of Q(zeta_{p^m}) in the power basis zeta^j, 0 <= j < phi(p^m).
 
     Canonical form: reduced by the relation sum_{j<p} zeta^{j*p^(m-1)} = 0
-    and stored at the minimal level containing the element.  Instances are
-    immutable; arithmetic between levels coerces to the larger level.
+    and stored at the minimal level containing the element.  Every instance
+    is canonical, so == and hash agree.  Instances are immutable; arithmetic
+    scatters both operands' terms at the larger level and reduces once.
     """
 
-    __slots__ = ("p", "m", "coeffs", "_hash")
+    __slots__ = ("p", "m", "coeffs")
 
     def __init__(self, p: int, m: int, coeffs):
-        self.p = p
-        self.m = m
         # the checked entry for outside values (JSON, the CLI, integer
-        # histograms); the tower's own results go through _of
-        self.coeffs = tuple([c if type(c) is Fraction else Fraction(c) for c in coeffs])
-        if len(self.coeffs) != _euler_phi_prime_power(p, m):
+        # histograms), stored at its least level; the tower's own results
+        # go through _of
+        coeffs = tuple([c if type(c) is Fraction else Fraction(c) for c in coeffs])
+        if len(coeffs) != _euler_phi_prime_power(p, m):
             raise ValueError("coefficient vector has wrong length for level")
-        self._hash = None
+        self.p = p
+        self.m, self.coeffs = _least(p, m, coeffs)
 
     @staticmethod
     def _of(p: int, m: int, coeffs: tuple) -> "CyclotomicNumber":
@@ -48,7 +55,7 @@ class CyclotomicNumber:
         a tuple of phi(p^m) Fractions in canonical form, so nothing is
         checked or copied."""
         z = object.__new__(CyclotomicNumber)
-        z.p, z.m, z.coeffs, z._hash = p, m, coeffs, None
+        z.p, z.m, z.coeffs = p, m, coeffs
         return z
 
     def _rational(self, other):
@@ -59,18 +66,12 @@ class CyclotomicNumber:
             return None if self.m or other.m else other.coeffs[0]
         return None if self.m or not (t is int or t is Fraction) else other
 
-    # -- canonicalization ---------------------------------------------
-
-    def _lift(self, m: int) -> "CyclotomicNumber":
-        """Re-express at level m >= self.m (no minimality normalization).
-
-        j*step < phi(p^m) for every j < phi(p^self.m): nothing to reduce."""
-        if m == self.m:
-            return self
-        step = self.p ** (m - self.m)
-        vec = [Fraction(0)] * _euler_phi_prime_power(self.p, m)
-        vec[::step] = self.coeffs
-        return CyclotomicNumber(self.p, m, vec)
+    def _terms(self, top: int) -> list:
+        """The nonzero coefficients as (exponent of zeta_{p^top}, coefficient)
+        pairs, for top >= self.m.  Every exponent is below phi(p^top), and a
+        rational's is 0 whatever its prime."""
+        step = self.p ** (top - self.m)
+        return [(j * step, c) for j, c in enumerate(self.coeffs) if c]
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
@@ -78,30 +79,28 @@ class CyclotomicNumber:
     # -- arithmetic ----------------------------------------------------
 
     def _pair(self, other):
+        """(p, top, self's terms, other's terms) at top, the larger level, or
+        None when other is no scalar.  The prime is that of an operand at
+        level >= 1, so a rational takes the other operand's; two primes at
+        level >= 1 raise."""
         if isinstance(other, CyclotomicNumber):
-            if self.p != other.p:
-                if other.m == 0:
-                    other = CyclotomicNumber(self.p, 0, other.coeffs)
-                elif self.m == 0:
-                    return CyclotomicNumber(other.p, 0, self.coeffs)._pair(other)
-                else:
-                    raise ValueError("mixed cyclotomic primes %d and %d" % (self.p, other.p))
-        elif isinstance(other, (int, Fraction)):
-            other = CyclotomicNumber(self.p, 0, [Fraction(other)])
-        else:
-            return None, None
-        m = max(self.m, other.m)
-        return self._lift(m), other._lift(m)
+            if self.m and other.m and self.p != other.p:
+                raise ValueError("mixed cyclotomic primes %d and %d" % (self.p, other.p))
+            high = self if self.m >= other.m else other
+            return high.p, high.m, self._terms(high.m), other._terms(high.m)
+        if isinstance(other, (int, Fraction)):
+            return self.p, self.m, self._terms(self.m), [(0, Fraction(other))] if other else []
+        return None
 
     def __add__(self, other):
         r = self._rational(other)
-        if r is not None:  # keeps self.p, as _pair's coercion does
+        if r is not None:  # keeps self.p, as _pair does
             return self._of(self.p, 0, (self.coeffs[0] + r,))
-        a, b = self._pair(other)
-        if a is None:
+        pair = self._pair(other)
+        if pair is None:
             return NotImplemented
-        vec = [x + y for x, y in zip(a.coeffs, b.coeffs)]
-        return _normalize_level(CyclotomicNumber(a.p, a.m, vec))
+        p, top, xs, ys = pair
+        return _reduce(p, top, xs + ys)
 
     __radd__ = __add__
 
@@ -112,10 +111,8 @@ class CyclotomicNumber:
         r = self._rational(other)
         if r is not None:
             return self._of(self.p, 0, (self.coeffs[0] - r,))
-        if isinstance(other, CyclotomicNumber):
+        if isinstance(other, (int, Fraction, CyclotomicNumber)):
             return self.__add__(-other)
-        if isinstance(other, (int, Fraction)):
-            return self.__add__(-Fraction(other))
         return NotImplemented
 
     def __rsub__(self, other):
@@ -127,39 +124,25 @@ class CyclotomicNumber:
             return self._of(self.p, 0, (self.coeffs[0] * r,))
         if isinstance(other, (int, Fraction)):
             if not other:
-                return zero(self.p)  # canonical level 0, so == and hash agree
+                return as_scalar(0, self.p)  # canonical level 0, so == and hash agree
             # most coefficients of a high-level phase are 0
             return self._of(self.p, self.m, tuple([c * other if c else c for c in self.coeffs]))
-        a, b = self._pair(other)
-        if a is None:
+        pair = self._pair(other)
+        if pair is None:
             return NotImplemented
-        order = a.p ** a.m
-        vec = [Fraction(0)] * order
-        nz_b = [(j, c) for j, c in enumerate(b.coeffs) if c]
-        for i, ci in enumerate(a.coeffs):
-            if ci:
-                for j, cj in nz_b:
-                    k = i + j
-                    if k >= order:
-                        k -= order
-                    vec[k] += ci * cj
-        return _reduce(a.p, a.m, vec)
+        p, top, xs, ys = pair
+        return _reduce(p, top, [(i + j, ci * cj) for i, ci in xs for j, cj in ys])
 
     __rmul__ = __mul__
 
     def times_root(self, m: int, a: int) -> "CyclotomicNumber":
-        """self * zeta_{p^m}^a: each coefficient moves to its shifted exponent
-        at level max(m, self.m), and one _reduce follows.  zeta_1 = 1 costs nothing."""
+        """self * zeta_{p^m}^a: each term moves to its shifted exponent at level
+        max(m, self.m), and one _reduce follows.  zeta_1 = 1 costs nothing."""
         if not m:
             return self
         top = max(m, self.m)
-        order = self.p ** top
-        step, shift = self.p ** (top - self.m), a * self.p ** (top - m)
-        vec = [Fraction(0)] * order
-        for j, c in enumerate(self.coeffs):
-            if c:
-                vec[(j * step + shift) % order] = c
-        return _reduce(self.p, top, vec)
+        shift = a * self.p ** (top - m)
+        return _reduce(self.p, top, [(e + shift, c) for e, c in self._terms(top)])
 
     def inverse(self) -> "CyclotomicNumber":
         """cofactor / N, with N the norm of x to Q (see the module docstring).
@@ -172,7 +155,7 @@ class CyclotomicNumber:
         if not self.m:
             return self._of(self.p, 0, (1 / self.coeffs[0],))
         p = self.p
-        norm, cofactor = _normalize_level(self), 1
+        norm, cofactor = self, 1
         while norm.m:
             step = p ** (norm.m - 1)
             conj = reduce(mul, map(norm._galois, range(1 + step, p * step, step)))
@@ -192,18 +175,13 @@ class CyclotomicNumber:
     def __pow__(self, e: int):
         if self.m == 0:  # a rational: Fraction ** e, which rejects 0 ** -e too
             return self._of(self.p, 0, (self.coeffs[0] ** e,))
-        return _power(self, e, one(self.p))
+        return _power(self, e, as_scalar(1, self.p))
 
     def _galois(self, a: int) -> "CyclotomicNumber":
         """The field automorphism zeta -> zeta^a, for a prime to p."""
         if self.m == 0:
             return self
-        order = self.p ** self.m
-        vec = [Fraction(0)] * order
-        for j, c in enumerate(self.coeffs):
-            if c:
-                vec[a * j % order] = c
-        return _reduce(self.p, self.m, vec)
+        return _reduce(self.p, self.m, [(a * e, c) for e, c in self._terms(self.m)])
 
     def conjugate(self) -> "CyclotomicNumber":
         """Complex conjugation zeta -> zeta^{-1}."""
@@ -215,19 +193,12 @@ class CyclotomicNumber:
         r = self._rational(other)
         if r is not None:
             return self.coeffs[0] == r
-        if isinstance(other, (int, Fraction)):
-            return self.m == 0 and self.coeffs[0] == other
-        if not isinstance(other, CyclotomicNumber):
+        if not isinstance(other, (int, Fraction, CyclotomicNumber)):
             return NotImplemented
         return (self - other).is_zero()
 
     def __hash__(self):
-        if self._hash is None:
-            if self.m == 0:
-                self._hash = hash(self.coeffs[0])
-            else:
-                self._hash = hash((self.p, self.m, self.coeffs))
-        return self._hash
+        return hash(self.coeffs[0]) if self.m == 0 else hash((self.p, self.m, self.coeffs))
 
     def __repr__(self):
         if self.m == 0:
@@ -242,9 +213,6 @@ class CyclotomicNumber:
         """Numeric value under zeta_{p^m} -> exp(2*pi*i/p^m) as an mpmath mpc."""
         import mpmath  # numeric checks only: exact runs never load mpmath
         with mpmath.workdps(digits + 10):
-            if self.m == 0:
-                return mpmath.mpc(mpmath.mpf(self.coeffs[0].numerator)
-                                  / self.coeffs[0].denominator)
             order = self.p ** self.m
             total = mpmath.mpc(0)
             for j, c in enumerate(self.coeffs):
@@ -270,23 +238,27 @@ def _fold(p: int, m: int, vec) -> list:
     return out
 
 
-def _reduce(p: int, m: int, vec) -> CyclotomicNumber:
-    """The tower's own exponent vectors, of Fractions, in canonical form."""
-    return _normalize_level(CyclotomicNumber._of(p, m, tuple(_fold(p, m, vec))))
+def _reduce(p: int, m: int, terms) -> CyclotomicNumber:
+    """sum c * zeta_{p^m}^e over the tower's own (e, c) terms, e any integer and
+    c a Fraction, in canonical form: the one scatter of the tower's arithmetic."""
+    order, zero = p ** m, Fraction(0)
+    vec = [zero] * order
+    for e, c in terms:
+        e %= order
+        v = vec[e]
+        vec[e] = c if v is zero else v + c  # a first term costs no addition
+    return CyclotomicNumber._of(p, *_least(p, m, tuple(_fold(p, m, vec))))
 
 
-def _normalize_level(z: CyclotomicNumber) -> CyclotomicNumber:
-    """Drop to the minimal level p^m containing z."""
-    while z.m > 0:
-        if z.m == 1:
-            if any(z.coeffs[1:]):
-                break
-            z = CyclotomicNumber._of(z.p, 0, z.coeffs[:1])
-            continue
-        if any(any(z.coeffs[j::z.p]) for j in range(1, z.p)):
+def _least(p: int, m: int, coeffs: tuple) -> tuple:
+    """(level, coefficients) of the same value at its least level."""
+    while m > 0:
+        if m == 1:
+            return (1, coeffs) if any(coeffs[1:]) else (0, coeffs[:1])
+        if any(any(coeffs[j::p]) for j in range(1, p)):
             break
-        z = CyclotomicNumber._of(z.p, z.m - 1, z.coeffs[::z.p])
-    return z
+        m, coeffs = m - 1, coeffs[::p]
+    return m, coeffs
 
 
 def _power(x, e: int, unit):
@@ -312,10 +284,12 @@ def root_of_unity(p: int, m: int, a: int) -> CyclotomicNumber:
     while m and a % p == 0:  # zeta_{p^m}^(p b) = zeta_{p^(m-1)}^b
         m, a = m - 1, a // p
     phi = _euler_phi_prime_power(p, m)
-    vec = [Fraction(0)] * max(phi, a + 1)
-    vec[a] = Fraction(1)
+    if a >= phi:
+        return _reduce(p, m, [(a, Fraction(1))])
     # below phi, a basis vector whose exponent p does not divide is canonical
-    return CyclotomicNumber._of(p, m, tuple(vec)) if a < phi else _reduce(p, m, vec)
+    vec = [Fraction(0)] * phi
+    vec[a] = Fraction(1)
+    return CyclotomicNumber._of(p, m, tuple(vec))
 
 
 def root_of_unity_sum(p: int, m: int, counts) -> CyclotomicNumber:
@@ -324,7 +298,7 @@ def root_of_unity_sum(p: int, m: int, counts) -> CyclotomicNumber:
         raise ValueError("more than p^m exponents for level %d" % m)
     # outside counts (integer histograms, JSON) fold in their own arithmetic
     # and become Fractions once, in the checked constructor
-    return _normalize_level(CyclotomicNumber(p, m, _fold(p, m, counts)))
+    return CyclotomicNumber(p, m, _fold(p, m, counts))
 
 
 def embed_complex(z, digits: int = 20):
@@ -332,14 +306,6 @@ def embed_complex(z, digits: int = 20):
     if isinstance(z, (int, Fraction)):
         return mpmath.mpc(Fraction(z).numerator) / Fraction(z).denominator
     return z.embed(digits)
-
-
-def one(p: int = 2) -> CyclotomicNumber:
-    return CyclotomicNumber._of(p, 0, (Fraction(1),))
-
-
-def zero(p: int = 2) -> CyclotomicNumber:
-    return CyclotomicNumber._of(p, 0, (Fraction(0),))
 
 
 def as_scalar(x, p: int = 2):
@@ -362,7 +328,7 @@ def sqrt_q(p: int):
     if p % 4 == 1:
         return root_of_unity_sum(p, 1, [0] + [1 if pow(a, (p - 1) // 2, p) == 1 else -1
                                               for a in range(1, p)])
-    return QuadExt(zero(p), one(p), p)
+    return QuadExt(0, 1, p)
 
 
 def sqrt_q_power(p: int, e: int):
@@ -388,7 +354,7 @@ class QuadExt:
                 raise ValueError("mixed QuadExt primes")
             return other
         if isinstance(other, (int, Fraction, CyclotomicNumber)):
-            return QuadExt(as_scalar(other, self.p), zero(self.p), self.p)
+            return QuadExt(other, 0, self.p)
         return None
 
     def is_zero(self) -> bool:
@@ -440,7 +406,7 @@ class QuadExt:
         return self.inverse() * other
 
     def __pow__(self, e: int):
-        return _power(self, e, QuadExt(one(self.p), zero(self.p), self.p))
+        return _power(self, e, QuadExt(1, 0, self.p))
 
     def conjugate(self) -> "QuadExt":
         # complex conjugation; sqrt(p) is real

@@ -1,15 +1,17 @@
 """Schwartz-Bruhat functions on M_n(Q_p): modulated coset indicators.
 
 A term represents x -> coeff * psi(tr(b x)) * 1[x in a + p^k M_n(Z_p)], with
-coeff a CyclotomicNumber.  The class is closed under the matrix Fourier
-transform Phi^(x) = int Phi(y) psi(tr(xy)) dy, which maps a term to a single
-term: translations become modulations and vice versa, and a level-k indicator
-picks up the factor q^(-k n^2).  A psi value zeta_{p^m}^a is kept as its
-integer exponent (m, a) and applied by shifting exponents (m = 0 costs
-nothing); an inner product adds every term pair into one exponent vector and
-reduces it once.  The pairing tr(b a) and the coset and integrality tests run
-on integers.  A matrix keeps its negation, so F(F(f)) and reflect(f) share
-their centres and modulations and fn_equal merges them by identity.
+coeff a CyclotomicNumber of the function's own prime: a rational coefficient
+takes p when the function is built.  The class is closed under the matrix
+Fourier transform Phi^(x) = int Phi(y) psi(tr(xy)) dy, which maps a term to a
+single term: translations become modulations and vice versa, and a level-k
+indicator picks up the factor q^(-k n^2).  A psi value zeta_{p^m}^a is kept as
+its integer exponent (m, a) and applied by shifting exponents (m = 0 costs
+nothing); an inner product scatters the coefficient terms of every pair into
+one exponent vector and reduces it once.  The coset and integrality tests run
+on integers, and tr(b a) for b = s.mod - t.mod is two integer pairings.  A
+matrix keeps its negation, so F(F(f)) and reflect(f) share their centres and
+modulations and fn_equal merges them by identity.
 """
 
 from __future__ import annotations
@@ -18,7 +20,21 @@ import json
 from fractions import Fraction
 
 from .padic import PAdicContext, PAdicMatrix, psi_exponent, trace_pairing
-from .scalars import as_scalar, root_of_unity_sum, scalar_conjugate, scalar_is_zero
+from .scalars import (CyclotomicNumber, as_scalar, root_of_unity_sum, scalar_conjugate,
+                      scalar_is_zero)
+
+
+def _in_field(c, p: int):
+    """c as a number of p's own tower: a rational (an int, a Fraction or a
+    level-0 number of any prime) takes p, so a psi phase applied to it is a
+    power of zeta_{p^m}; a number of another prime at level >= 1 is an error."""
+    if isinstance(c, CyclotomicNumber):
+        if c.p == p:
+            return c
+        if c.m:
+            raise ValueError("coefficient %r does not lie in the tower of p = %d" % (c, p))
+        c = c.coeffs[0]
+    return as_scalar(c, p)
 
 
 class SchwartzTerm:
@@ -45,7 +61,12 @@ class SchwartzBruhatFn:
     def __init__(self, n: int, ctx: PAdicContext, terms=()):
         self.n = n
         self.ctx = ctx
-        self.terms = [t for t in terms if not scalar_is_zero(t.coeff)]
+        self.terms = []
+        for t in terms:
+            c = _in_field(t.coeff, ctx.p)
+            if not c.is_zero():
+                self.terms.append(t if c is t.coeff else
+                                  SchwartzTerm(c, t.center, t.level, t.modulation))
 
     # -- constructors --------------------------------------------------
 
@@ -54,8 +75,7 @@ class SchwartzBruhatFn:
                   modulation=None, coeff=1) -> "SchwartzBruhatFn":
         center = center if center is not None else PAdicMatrix.zero(n)
         modulation = modulation if modulation is not None else PAdicMatrix.zero(n)
-        return SchwartzBruhatFn(n, ctx, [SchwartzTerm(as_scalar(coeff, ctx.p),
-                                                      center, level, modulation)])
+        return SchwartzBruhatFn(n, ctx, [SchwartzTerm(coeff, center, level, modulation)])
 
     @staticmethod
     def unit_ball(n: int, ctx: PAdicContext) -> "SchwartzBruhatFn":
@@ -138,24 +158,23 @@ class SchwartzBruhatFn:
                 if not inner.center.in_coset(outer.center, outer.level, p):
                     continue
                 a, k = inner.center, inner.level
-                b = s.modulation - t.modulation
-                # int_{a + p^k M} psi(tr(b x)) dx vanishes unless p^k b is integral
-                if not b.in_level(-k, p):
+                # int_{a + p^k M} psi(tr(b x)) dx, b = s.mod - t.mod, vanishes
+                # unless p^k b is integral
+                if not s.modulation.in_coset(t.modulation, -k, p):
                     continue
+                tr = trace_pairing(s.modulation, a) - trace_pairing(t.modulation, a)
                 pairs.append((s.coeff, t_coeff_bar, Fraction(p) ** (-k * n2),
-                              *psi_exponent(trace_pairing(b, a), self.ctx)))
+                              *psi_exponent(tr, self.ctx)))
         top = max([0] + [max(x.m, y.m, m) for x, y, _, m, _ in pairs])
         order = p ** top
         vec = [Fraction(0)] * order
         for x, y, vol, m, a in pairs:
-            sx, sy, shift = p ** (top - x.m), p ** (top - y.m), a * p ** (top - m)
-            ys = [(j * sy, c) for j, c in enumerate(y.coeffs) if c]
-            for i, c in enumerate(x.coeffs):
-                if c:
-                    c *= vol
-                    e = i * sx + shift
-                    for f, d in ys:
-                        vec[(e + f) % order] += c * d
+            shift = a * p ** (top - m)
+            ys = y._terms(top)
+            for i, c in x._terms(top):
+                c *= vol
+                for j, d in ys:
+                    vec[(i + j + shift) % order] += c * d
         return root_of_unity_sum(p, top, vec)
 
     def fn_equal(self, other: "SchwartzBruhatFn") -> bool:

@@ -9,10 +9,9 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
-from gjzeta.scalars import (CyclotomicNumber, QuadExt, _normalize_level, _power, as_scalar,
-                            embed_complex, one, root_of_unity, root_of_unity_sum,
-                            scalar_conjugate, scalar_inverse, scalar_is_zero, sqrt_q,
-                            sqrt_q_power)
+from gjzeta.scalars import (CyclotomicNumber, QuadExt, _power, as_scalar, embed_complex,
+                            root_of_unity, root_of_unity_sum, scalar_conjugate,
+                            scalar_inverse, scalar_is_zero, sqrt_q, sqrt_q_power)
 
 
 def test_zeta_order_and_power_relations():
@@ -113,7 +112,7 @@ def test_rational_power_matches_square_and_multiply():
                     with pytest.raises(ZeroDivisionError):
                         x ** e
                     continue
-                got, want = x ** e, _power(x, e, one(p))
+                got, want = x ** e, _power(x, e, as_scalar(1, p))
                 assert got.m == 0 and got == want
                 assert repr(got) == repr(want) and hash(got) == hash(want)
 
@@ -149,8 +148,17 @@ def _element(p, m, terms):
     return total
 
 
+def _lift(x, m):
+    """x written at level m >= x.m, with no drop to its least level: a
+    non-canonical value that only the trusted constructor can build."""
+    vec = [Fraction(0)] * (1 if m == 0 else (x.p - 1) * x.p ** (m - 1))
+    for e, c in x._terms(m):
+        vec[e] = c
+    return CyclotomicNumber._of(x.p, m, tuple(vec))
+
+
 def _to_poly(x, m):
-    return sympy.Poly(list(reversed(x._lift(m).coeffs)), Z, domain=sympy.QQ)
+    return sympy.Poly(list(reversed(_lift(x, m).coeffs)), Z, domain=sympy.QQ)
 
 
 def _basis_vector(poly, p, m):
@@ -199,14 +207,14 @@ def test_mul_and_inverse_match_sympy_oracle(p, m):
     xs = _oracle_elements(p, m, phi_poly)
     for x, y in zip(xs, xs[1:] + xs[:1]):
         expected = (_to_poly(x, m) * _to_poly(y, m)).rem(phi_poly)
-        assert (x * y)._lift(m).coeffs == _basis_vector(expected, p, m)
+        assert _lift(x * y, m).coeffs == _basis_vector(expected, p, m)
     for x in xs:
         expected = _to_poly(x, m).invert(phi_poly)
-        assert x.inverse()._lift(m).coeffs == _basis_vector(expected, p, m)
+        assert _lift(x.inverse(), m).coeffs == _basis_vector(expected, p, m)
     # exponents e >= phi(p^m) reduce into the power basis
     for counts in _count_vectors(p, m):
         expected = sympy.Poly(list(reversed(counts)), Z, domain=sympy.QQ).rem(phi_poly)
-        assert root_of_unity_sum(p, m, counts)._lift(m).coeffs == _basis_vector(expected, p, m)
+        assert _lift(root_of_unity_sum(p, m, counts), m).coeffs == _basis_vector(expected, p, m)
 
 
 # -- field properties (hypothesis) -----------------------------------------
@@ -281,6 +289,36 @@ def test_root_of_unity_is_the_reduced_exponent_vector(p):
             assert type(got.coeffs) is tuple and all(type(c) is Fraction for c in got.coeffs)
 
 
+def test_constructor_stores_the_least_level():
+    x = CyclotomicNumber(3, 1, [1, 0])
+    assert x.m == 0 and x == 1 and hash(x) == hash(1) == hash(as_scalar(1, 3))
+    z = CyclotomicNumber(3, 2, [0, 0, 0, 1, 0, 0])
+    assert z.m == 1 and z == root_of_unity(3, 1, 1) and len({z, root_of_unity(3, 1, 1)}) == 1
+
+
+@st.composite
+def _level_vectors(draw):
+    """(p, m, phi(p^m) coefficients), the value often at a lower level j <= m:
+    its level-j vector spread at step p^(m-j)."""
+    p, m = draw(st.sampled_from([2, 3, 5])), draw(st.integers(0, 3))
+    j = draw(st.integers(0, m))
+    phi = [1 if i == 0 else (p - 1) * p ** (i - 1) for i in (j, m)]
+    vec = [Fraction(0)] * phi[1]
+    vec[::p ** (m - j)] = draw(st.lists(_coeffs, min_size=phi[0], max_size=phi[0]))
+    return p, m, vec
+
+
+@settings(max_examples=200, deadline=None)
+@given(_level_vectors(), _coeffs)
+def test_constructor_is_canonical(case, r):
+    p, m, vec = case
+    x, want = CyclotomicNumber(p, m, vec), root_of_unity_sum(p, m, vec)
+    assert (x.p, x.m, x.coeffs) == (want.p, want.m, want.coeffs)
+    assert x == want and hash(x) == hash(want) and repr(x) == repr(want)
+    for s in (r, r.numerator, vec[0]):
+        assert (x == s) is (x == as_scalar(s, p)) is (s == x)
+
+
 # -- rationals: the level-0 path against the vector path --------------------
 
 @st.composite
@@ -297,11 +335,12 @@ def _rationals(draw, kinds=("int", "fraction", 2, 3)):
 
 
 def _lifted(u, v):
-    """u and v at level 1, so that u (op) v takes the vector path.  An element
-    moves first to the prime the result keeps: the left operand's, or the
-    right one's when the left is a plain int or Fraction."""
+    """u and v at level 2, so that u (op) v takes the vector path (level 1 is
+    Q itself at p = 2, with no conjugate for inverse to multiply by).  An
+    element moves first to the prime the result keeps: the left operand's, or
+    the right one's when the left is a plain int or Fraction."""
     home = u.p if isinstance(u, CyclotomicNumber) else v.p
-    return tuple(CyclotomicNumber(home, 0, w.coeffs)._lift(1)
+    return tuple(_lift(as_scalar(w.coeffs[0], home), 2)
                  if isinstance(w, CyclotomicNumber) else w for w in (u, v))
 
 
@@ -324,7 +363,7 @@ def _assert_same(got, want):
         return
     a, b = got[1], want[1]
     if isinstance(b, CyclotomicNumber):
-        b = _normalize_level(b)  # -x and x * rational keep the lifted level
+        b = CyclotomicNumber(b.p, b.m, b.coeffs)  # -x and x * rational keep the lifted level
         _assert_canonical(a)
         assert (a.p, a.m, a.coeffs) == (b.p, b.m, b.coeffs)
         assert hash(a) == hash(b) and repr(a) == repr(b)
@@ -363,7 +402,7 @@ def test_rational_with_level_two_element_matches_vector_path(r, level, terms):
     z = _element(*level, terms)
     assume(z.m == 2)
     # a plain int or Fraction keeps its own branch (x / 0 raises Fraction's error)
-    lr = CyclotomicNumber(z.p, 0, r.coeffs)._lift(2) if isinstance(r, CyclotomicNumber) else r
+    lr = _lift(as_scalar(r.coeffs[0], z.p), 2) if isinstance(r, CyclotomicNumber) else r
     for op in BINARY_OPS:
         _assert_same(_outcome(op, z, r), _outcome(op, z, lr))
         _assert_same(_outcome(op, r, z), _outcome(op, lr, z))

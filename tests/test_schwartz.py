@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from gjzeta.padic import PAdicContext, PAdicMatrix, psi_exponent, valuation
@@ -92,6 +93,21 @@ def test_from_json_stores_coefficients_at_their_minimal_level():
     c = SchwartzBruhatFn.from_json(json.dumps(doc)).terms[0].coeff
     assert c == 3
     assert hash(c) == hash(as_scalar(3, 3))
+
+
+def test_rational_coefficients_take_the_functions_prime():
+    # psi(tr([[1]] [[1/3]])) = zeta_3, applied to the coefficient: a rational
+    # tagged with another prime (as_scalar(1) is p = 2) must still get zeta_3
+    ctx = PAdicContext(3)
+    center, modulation = PAdicMatrix([[Fraction(1, 3)]]), PAdicMatrix([[1]])
+    for coeff in (as_scalar(1, 3), as_scalar(1), as_scalar(1, 5), 1, Fraction(1)):
+        f = SchwartzBruhatFn(1, ctx, [SchwartzTerm(coeff, center, 0, modulation)])
+        (t,) = f.fourier().terms
+        assert t.coeff == root_of_unity(3, 1, 1) and repr(t.coeff) == "1*z3^1"
+        assert f.fourier().fourier().fn_equal(f.reflect())
+        assert f.inner_product(f) == f.fourier().inner_product(f.fourier()) == 1
+    with pytest.raises(ValueError):
+        SchwartzBruhatFn(1, ctx, [SchwartzTerm(root_of_unity(5, 1, 1), center, 0, modulation)])
 
 
 def test_det_valuation_bound():
