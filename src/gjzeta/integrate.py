@@ -6,9 +6,12 @@ has the shape psi(tr(B g)) * chi(unit part of det g) restricted to a coset
 of p^L M_n(Z_p), which covers Schwartz-Bruhat terms and the truncated
 distribution kernels alike.
 
-Two evaluation paths, the same for every n:
+Three evaluation paths, the same for every n, chosen once per term of a series:
   * zero-centered coset with scalar modulation: closed forms in Gauss sums,
     which visit and count no cell;
+  * scalar-centered coset a Id + p^L M_n(Z_p) with v(a) < L and p^L times the
+    modulation integral, every built-in shifted ball among them: one closed-form
+    term, at k = n v(a), with no cell;
   * every other coset, and every coset under force_enumeration: recursive
     residue-cell refinement with an exact resolution rule, bounded by a hard
     cell budget.
@@ -30,7 +33,7 @@ from operator import add, mul
 
 from .errors import BudgetExceeded
 from .padic import (INFINITE, PAdicContext, PAdicMatrix, flat_det, int_valuation,
-                    mod_int, valuation)
+                    mod_int, psi_exponent, valuation)
 from .ratfun import LaurentPoly, RationalFunctionT
 from .recurrence import detect_recurrence
 from .scalars import as_scalar, root_of_unity_sum
@@ -63,18 +66,37 @@ def parallel_map(fn, items, threads: int = 1):
     return [fn(x) for x in items]
 
 
+def _scalar_of(m: PAdicMatrix):
+    """c when m = c Id, else None."""
+    c = m.entries[0][0]
+    if all(e == (c if i == j else 0) for i, row in enumerate(m.entries) for j, e in enumerate(row)):
+        return c
+    return None
+
+
+def _shell_path(ctx: PAdicContext, center: PAdicMatrix, level: int,
+                modulation: PAdicMatrix, config: IntegrationConfig):
+    """The evaluator (k, unit_char, stats) -> shell k of one modulated coset.  The
+    path depends on the coset and the modulation alone, so a series chooses it once."""
+    if not config.force_enumeration:
+        p, n = ctx.p, center.n
+        c = _scalar_of(modulation)
+        if c is not None and center.in_level(level, p):
+            return lambda k, unit_char, stats: _shell_hermite(ctx, n, k, level, c, unit_char)
+        a = _scalar_of(center)
+        if a and valuation(a, p) < level and modulation.in_level(-level, p):
+            return lambda k, unit_char, stats: _shell_scalar_centre(
+                ctx, n, k, level, a, modulation, unit_char)
+    return lambda k, unit_char, stats: _shell_generic(ctx, k, center, level, modulation,
+                                                      config, unit_char, stats)
+
+
 def term_shell_integral(ctx: PAdicContext, k: int, center: PAdicMatrix,
                         level: int, modulation: PAdicMatrix,
                         config: IntegrationConfig, unit_char=None, stats=None):
     """int over {v(det g) = k} cap (center + p^level M) of
     psi(tr(modulation g)) chi(det g / p^k) d^x g."""
-    c = modulation.entries[0][0]
-    if (not config.force_enumeration
-            and all(e == (c if i == j else 0)
-                    for i, row in enumerate(modulation.entries) for j, e in enumerate(row))
-            and center.in_level(level, ctx.p)):
-        return _shell_hermite(ctx, center.n, k, level, c, unit_char)
-    return _shell_generic(ctx, k, center, level, modulation, config, unit_char, stats)
+    return _shell_path(ctx, center, level, modulation, config)(k, unit_char, stats)
 
 
 # name kept because perfbench/tracer.py wraps it to count cells per path
@@ -154,6 +176,33 @@ def _shell_hermite(ctx, n, k, level, c, unit_char):
 
 
 _shell_n2_hermite = _shell_hermite  # name kept because perfbench/tracer.py wraps it
+
+
+def _shell_scalar_centre(ctx, n, k, level, a, modulation, unit_char):
+    """Scalar-centred coset a Id + p^level M_n(Z_p), v(a) < level, and a modulation B
+    with p^level B integral, in closed form.
+
+    Write g = a (1 + Y): Y = a^(-1) p^level X is uniform on p^e M_n(Z_p), e = level -
+    v(a) >= 1.  psi(tr(B g)) = psi(a tr B), since tr(B p^level X) is in Z_p.  det(1 + Y)
+    is 1 mod p^e, a unit, so v(det g) = n v(a) and chi(det g / p^k) = chi(u_a)^n
+    chi(det(1 + Y)) with u_a = a p^(-v(a)).  det(1 + Y) is affine in Y_11 with the
+    unit coefficient det of the minor of 1 + Y, so for fixed other entries it runs
+    Haar-uniformly over 1 + p^e Z_p: chi(det(1 + Y)) integrates to 1 when chi is 1
+    there (f <= e) and to 0 otherwise.  With vol(coset) = p^(-level n^2) and
+    |det g|^(-n) = p^(n^2 v(a)):
+      shell = psi(a tr B) chi(u_a)^n p^(n^2 (v(a) - level)) if k = n v(a) and f <= e,
+    and 0 otherwise.
+    """
+    p = ctx.p
+    va = valuation(a, p)
+    f = unit_char.conductor_exp if unit_char else 0
+    if k != n * va or f > level - va:
+        return as_scalar(0, p)
+    value = as_scalar(Fraction(p) ** (n * n * (va - level)), p)
+    if f:
+        s, e = unit_char.phases[mod_int(a / Fraction(p) ** va, p ** f)]
+        value = value.times_root(f, n * e) * s ** n
+    return value.times_root(*psi_exponent(a * modulation.trace(), ctx))
 
 
 # -- generic recursive refinement ---------------------------------------
@@ -306,18 +355,20 @@ def _offsets(n2: int, p: int, j: int):
 
 # -- whole-function and stabilized integrals ----------------------------
 
-def schwartz_shell_integral(phi, k: int, config: IntegrationConfig,
+def schwartz_shell_integral(phi, ks, config: IntegrationConfig,
                             unit_char=None, stats=None):
-    """int_{v(det g)=k} Phi(g) chi(det g / p^k) d^x g for a Schwartz-Bruhat Phi."""
+    """[int_{v(det g)=k} Phi(g) chi(det g / p^k) d^x g for k in ks] for a
+    Schwartz-Bruhat Phi, with each term's path chosen once for the series."""
     ctx = phi.ctx
-    vals = parallel_map(
-        lambda t: t.coeff * term_shell_integral(ctx, k, t.center, t.level,
-                                                t.modulation, config, unit_char, stats),
-        phi.terms)
-    total = as_scalar(0, ctx.p)
-    for v in vals:
-        total = total + v
-    return total
+    paths = [(t.coeff, _shell_path(ctx, t.center, t.level, t.modulation, config))
+             for t in phi.terms]
+
+    def shell(k):
+        total = as_scalar(0, ctx.p)
+        for coeff, path in paths:
+            total = total + coeff * path(k, unit_char, stats)
+        return total
+    return parallel_map(shell, ks)
 
 
 def stabilized_shell_integral(ctx: PAdicContext, n: int, k: int,
@@ -346,7 +397,7 @@ def stabilized_shell_integral(ctx: PAdicContext, n: int, k: int,
 # name and signature kept because perfbench/tracer.py wraps it
 def rationalize(seq, k0: int, weight: int, q: int, r_max: int,
                 confirm: int) -> RationalFunctionT:
-    """Exact rational function from shell entries.
+    """Exact rational function from shell entries, canonical as built.
 
     seq[i] is the coefficient of T^(weight*(k0+i)); the tail must satisfy a
     linear recurrence of order <= r_max, certified on `confirm` extra terms.
@@ -354,6 +405,19 @@ def rationalize(seq, k0: int, weight: int, q: int, r_max: int,
     and twist the result once (RationalFunctionT.twisted, a ring automorphism).
     With den = 1 - sum_i c_i T^(weight i), T^(weight (k0 + t)) has coefficient
     s_t - sum_{i <= min(t, L)} c_i s_(t-i) in seq * den: 0 for t >= start.
+
+    num and den are coprime, so no gcd is taken (RationalFunctionT.coprime).  In
+    x = T^weight, den(x) has den(0) = 1 and degree <= L, num = x^k0 N(x) with
+    deg N < start, and the series N / den is seq: it agrees below start, and both
+    follow the recurrence from start on.  BM fits the window of 2 r_max terms from
+    ws = len(seq) - 2 r_max - confirm and returns its least order L, and
+    start <= ws + L.  Suppose g divides N and den with deg g = d >= 1 (g(0) != 0, as
+    den(0) = 1).  Then (N / g) / (den / g) is the same series, and den / g, of
+    degree <= L - d, gives a recurrence of order L - d that holds for every
+    t > deg(N / g), so for t >= start - d, and in particular from ws + L - d: it
+    generates the whole fit window, against the minimality of L.  So N and den are
+    coprime in K[x], hence num and den in K[x, 1/x] (Bezout), hence in K[T, 1/T].
+    If the zero tail is returned (L = 0), den = 1.
     """
     coeffs, s = detect_recurrence(seq, r_max, confirm)
     den = LaurentPoly({0: 1, **{weight * i: -ci for i, ci in enumerate(coeffs, start=1)}})
@@ -363,5 +427,4 @@ def rationalize(seq, k0: int, weight: int, q: int, r_max: int,
         for i in range(1, min(t, len(coeffs)) + 1):
             e = e - coeffs[i - 1] * seq[t - i]
         num[weight * (k0 + t)] = e
-    return RationalFunctionT(LaurentPoly(num), den, q)
-
+    return RationalFunctionT.coprime(LaurentPoly(num), den, q)

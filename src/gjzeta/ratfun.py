@@ -23,10 +23,6 @@ class LaurentPoly:
                     self.coeffs[int(e)] = as_scalar(c)
 
     @staticmethod
-    def monomial(c, e: int = 0) -> "LaurentPoly":
-        return LaurentPoly({e: c})
-
-    @staticmethod
     def const(c) -> "LaurentPoly":
         return LaurentPoly({0: c})
 
@@ -87,29 +83,48 @@ class LaurentPoly:
         return self.coeffs[self.low_degree()]
 
 
+def _dense(a: LaurentPoly) -> list:
+    """The coefficients of an ordinary poly by degree, None for 0."""
+    return [a.coeffs.get(e) for e in range(a.degree() + 1)] if a.coeffs else []
+
+
+def _reduce_mod(r: list, b: list) -> dict:
+    """r mod the dense b (top entry nonzero), in place in r, and the quotient as
+    {degree: coefficient}.  A cancelled entry goes back to None, as LaurentPoly
+    drops a zero, so each coefficient comes from the operands of the sparse long
+    division and prints the same (a QuadExt stays one only where it was one)."""
+    db, inv = len(b) - 1, scalar_inverse(b[-1])
+    low = [(j, c) for j, c in enumerate(b[:-1]) if c is not None]
+    q = {}
+    for e in range(len(r) - 1 - db, -1, -1):
+        if r[e + db] is not None:
+            qe = q[e] = r[e + db] * inv
+            for j, bc in low:
+                t = qe * bc
+                v = -t if r[e + j] is None else r[e + j] - t
+                r[e + j] = None if scalar_is_zero(v) else v
+    del r[db:]
+    return q
+
+
 def _poly_divmod(a: LaurentPoly, b: LaurentPoly):
     """Division with remainder for ordinary (non-negative-degree) polys."""
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    q = {}  # each step lowers deg r, so every quotient degree is new
-    r = a
-    db = b.degree()
-    inv = scalar_inverse(b.leading())
-    while not r.is_zero() and r.degree() >= db:
-        e = r.degree() - db
-        q[e] = r.leading() * inv
-        r = r - LaurentPoly.monomial(q[e], e) * b
-    return LaurentPoly(q), r
+    r = _dense(a)
+    q = _reduce_mod(r, _dense(b))
+    return LaurentPoly(q), LaurentPoly({e: c for e, c in enumerate(r) if c is not None})
 
 
 def _poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """gcd of a and b, both given with lowest degree 0."""
-    while not b.is_zero():
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-        if not b.is_zero():
-            b = b.shift(-b.low_degree())
-    return a
+    """gcd of a and b, both given with lowest degree 0: Euclid on dense lists,
+    each remainder cut to its nonzero span (shifted to lowest degree 0)."""
+    a, b = _dense(a), _dense(b)
+    while b:
+        _reduce_mod(a, b)
+        nz = [i for i, c in enumerate(a) if c is not None]
+        a, b = b, a[nz[0]:nz[-1] + 1] if nz else []
+    return LaurentPoly({e: c for e, c in enumerate(a) if c is not None})
 
 
 class RationalFunctionT:
@@ -140,6 +155,16 @@ class RationalFunctionT:
         tin = scalar_inverse(den.trailing())
         self.num = num * tin
         self.den = den * tin
+
+    @staticmethod
+    def coprime(num: LaurentPoly, den: LaurentPoly, q: int) -> "RationalFunctionT":
+        """Trusted constructor for a num and a nonzero den with no common factor:
+        the canonical form of __init__ with no gcd, only the shift of den to lowest
+        degree 0 and the normalization of its trailing coefficient to 1."""
+        lo, tin = den.low_degree(), scalar_inverse(den.trailing())
+        out = object.__new__(RationalFunctionT)
+        out.num, out.den, out.q = num.shift(-lo) * tin, den.shift(-lo) * tin, q
+        return out
 
     @staticmethod
     def from_poly(pnum: LaurentPoly, q: int) -> "RationalFunctionT":

@@ -147,8 +147,7 @@ def zeta_integral(phi, chi: MultiplicativeCharacter,
     k_min = phi.det_valuation_bound()
     count = 2 * r_max + config.confirm + K_EXTRA
     stats = {}
-    seq = [schwartz_shell_integral(phi, k, config, chi, stats)
-           for k in range(k_min, k_min + count)]
+    seq = schwartz_shell_integral(phi, range(k_min, k_min + count), config, chi, stats)
 
     def factor(k):
         c = chi.value_at_p ** k

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -54,34 +55,71 @@ def test_verify_fe_report_names_its_command(capsys):
     assert code == 0 and rep["command"] == "verify-fe"
 
 
-def test_verify_bk_pass(capsys):
-    code, rep = run_json(["verify-bk", "--p", "2", "--n", "1",
-                          "--char", "quadratic", "--phis", "shifted_ball(1,2)"],
-                         capsys)
+# a chi of conductor exponent 2 at p = 3: chi(2) = zeta_3, 2 generating (Z/9)^x
+CHI9 = '{"conductor_exp": 2, "generators": {"2": {"root": [1, 1]}}}'
+# @file Phis that still reach the generic refinement: Id + p M_n(Z_p) under
+# psi(tr(b g)) with p b not integral.  A chi of conductor 2 (quadratic at p = 2,
+# CHI9 at p = 3) makes each nondegenerate.  name -> (n, p, b)
+GENERIC_PHIS = {"coset_n1_p2": (1, 2, "1/4"), "coset_n1_p2_b3": (1, 2, "3/4"),
+                "coset_n2_p3": (2, 3, "1/9")}
+
+
+@pytest.fixture
+def generic_phis(tmp_path):
+    """name -> path of each GENERIC_PHIS file."""
+    def diag(n, x):
+        return [[x if i == j else "0" for j in range(n)] for i in range(n)]
+    out = {}
+    for name, (n, p, b) in GENERIC_PHIS.items():
+        out[name] = tmp_path / ("%s.json" % name)
+        out[name].write_text(json.dumps({"n": n, "p": p, "terms": [{
+            "coeff": {"level": 0, "coeffs": ["1"]}, "center": diag(n, "1"), "level": 1,
+            "modulation": diag(n, b)}]}))
+    return out
+
+
+def fill(argv, generic_phis):
+    """argv with each @name of GENERIC_PHIS pointing at its file."""
+    return [re.sub(r"@(\w+)", lambda m: "@%s" % generic_phis[m.group(1)], a) for a in argv]
+
+
+def test_verify_bk_pass(generic_phis, capsys):
+    code, rep = run_json(fill(["verify-bk", "--p", "2", "--n", "1", "--char", "quadratic",
+                               "--phis", "@coset_n1_p2"], generic_phis), capsys)
     assert code == 0 and rep["verdict"] == "PASS"
     assert rep["cells_enumerated"] > 0
     assert rep["windows"]["k_range"]
 
 
-# cells are those the refinement visits: a closed-form shell counts none
+# cells are those the refinement visits: a closed-form shell counts none, and a
+# built-in Phi, shifted balls included, has only closed-form shells
 @pytest.mark.parametrize("argv, cells", [
-    (["gamma", "--p", "2", "--n", "1"], 7),  # shifted_ball(1,1) alone is refined
-    (["gamma", "--p", "3", "--n", "2"], 9),
+    (["gamma", "--p", "2", "--n", "1"], 0),  # shifted_ball(1,1) is a scalar-centred coset
+    (["gamma", "--p", "3", "--n", "2"], 0),
     (["verify-bk", "--p", "3", "--n", "2", "--phis", "unit_ball"], 0),
     (["gamma", "--p", "2", "--n", "1", "--char", "quadratic",
-      "--phis", "shifted_ball(1,2),shifted_ball(1,3)"], 2 * 7)])  # every Phi, not the first
-def test_cells_count_the_work_of_the_run(argv, cells, capsys):
-    code, rep = run_json(argv, capsys)
+      "--phis", "shifted_ball(1,2),shifted_ball(1,3)"], 0),
+    (["gamma", "--p", "3", "--n", "2", "--phis", "shifted_ball(1,1),shifted_ball(1,2)"], 0),
+    (["gamma", "--p", "2", "--n", "1", "--char", "quadratic", "--phis", "@coset_n1_p2"], 18),
+    (["gamma", "--p", "2", "--n", "1", "--char", "quadratic",
+      "--phis", "@coset_n1_p2,@coset_n1_p2_b3"], 2 * 18),  # every Phi, not the first
+    (["gamma", "--p", "2", "--n", "1", "--char", "quadratic",
+      "--phis", "shifted_ball(1,2),@coset_n1_p2"], 18),
+    (["gamma", "--p", "3", "--n", "2", "--char", CHI9,
+      "--phis", "shifted_ball(1,2),@coset_n2_p3"], 180)])
+def test_cells_count_the_work_of_the_run(argv, cells, generic_phis, capsys):
+    code, rep = run_json(fill(argv, generic_phis), capsys)
     assert code == 0 and rep["verdict"] == "PASS"
     assert rep["cells_enumerated"] == cells
 
 
 @pytest.mark.parametrize("common", [
-    ["--p", "3", "--n", "2", "--phis", "shifted_ball(1,1)"],
-    ["--p", "2", "--n", "1", "--char", "quadratic", "--phis", "shifted_ball(1,2)"]])
-def test_verify_bk_counts_the_cells_of_its_gamma_factors(common, capsys):
+    ["--p", "3", "--n", "2", "--char", CHI9, "--phis", "@coset_n2_p3"],
+    ["--p", "2", "--n", "1", "--char", "quadratic", "--phis", "@coset_n1_p2"]])
+def test_verify_bk_counts_the_cells_of_its_gamma_factors(common, generic_phis, capsys):
     # the spectral action's shells are closed forms, so with one Phi verify-bk
     # counts what gamma counts for the same Phi
+    common = fill(common, generic_phis)
     bk = run_json(["verify-bk"] + common, capsys)[1]
     gamma = run_json(["gamma"] + common, capsys)[1]
     assert bk["verdict"] == gamma["verdict"] == "PASS"
@@ -371,25 +409,26 @@ def test_arch_gamma_nan_row_fails(monkeypatch, capsys):
     assert run(["arch-gamma", "--s", "0.4,0.5"], capsys)[0] == 0
 
 
-# the generic refinement of shifted_ball(3,2) needs 576 cells; a budget of 1 trips it
-BUDGET_TRIP = ["verify-bk", "--p", "3", "--n", "2", "--phis", "shifted_ball(3,2)",
+# the generic refinement of coset_n2_p3 needs 180 cells; a budget of 1 trips it
+BUDGET_TRIP = ["verify-bk", "--p", "3", "--n", "2", "--char", CHI9, "--phis", "@coset_n2_p3",
                "--hard-budget", "1"]
 
 
-def test_engine_error_maps_to_inconclusive(capsys):
-    assert main(BUDGET_TRIP) == 2
+def test_engine_error_maps_to_inconclusive(generic_phis, capsys):
+    argv = fill(BUDGET_TRIP, generic_phis)
+    assert main(argv) == 2
     assert "INCONCLUSIVE: BudgetExceeded" in capsys.readouterr().err
-    assert main(BUDGET_TRIP[:-2]) == 0
+    assert main(argv[:-2]) == 0
 
 
 @pytest.mark.parametrize("argv, error", [
     (["verify-bk", "--p", "3", "--n", "1", "--char", "quadratic"], "ZeroDenominator"),
     (BUDGET_TRIP, "BudgetExceeded")])
-def test_inconclusive_writes_report(argv, error, tmp_path, capsys):
+def test_inconclusive_writes_report(argv, error, generic_phis, tmp_path, capsys):
     # a stale report from an earlier run must not survive an INCONCLUSIVE one
     out = tmp_path / "report.json"
     out.write_text(json.dumps({"verdict": "PASS"}))
-    assert main(argv + ["--out", str(out)]) == 2
+    assert main(fill(argv, generic_phis) + ["--out", str(out)]) == 2
     assert "INCONCLUSIVE: %s" % error in capsys.readouterr().err
     rep = json.loads(out.read_text())
     assert rep["verdict"] == "INCONCLUSIVE" and rep["command"] == "verify-bk"

@@ -68,13 +68,18 @@ def test_bk_identity_report_n1():
     p = 2
     ctx = PAdicContext(p)
     chi = MultiplicativeCharacter.quadratic_ramified(p)
-    phis = [SchwartzBruhatFn.shifted_ball(1, ctx, 1, 2)]
+    # 1 + 2 Z_2 under psi(x / 4): p^1 / 4 is not integral, so this coset is refined
+    modulated = SchwartzBruhatFn.indicator(1, ctx, center=PAdicMatrix([[1]]), level=1,
+                                           modulation=PAdicMatrix([[Fraction(1, 4)]]))
     xs = [PAdicMatrix([[1]]), PAdicMatrix([[2]]), PAdicMatrix([[Fraction(1, 2)]])]
-    rep = verify_bk_identity(chi, 1, phis, xs)
+    rep = verify_bk_identity(chi, 1, [modulated], xs)
     assert rep["verdict"] == "PASS"
     assert rep["windows"]["k_range"]
-    # the action's shells are closed forms: the cells are the shifted ball's refinement
-    assert rep["cells_enumerated"] == 7
+    # the action's shells are closed forms: the cells are the modulated coset's refinement
+    assert rep["cells_enumerated"] == 18
+    # a shifted ball is a scalar-centred coset in closed form, with no cell
+    rep = verify_bk_identity(chi, 1, [SchwartzBruhatFn.shifted_ball(1, ctx, 1, 2)], xs)
+    assert rep["verdict"] == "PASS" and rep["cells_enumerated"] == 0
 
 
 def test_bk_identity_evaluates_the_spectral_action_once(monkeypatch):

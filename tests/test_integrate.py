@@ -99,12 +99,19 @@ def test_nonscalar_modulation_uses_generic_path():
     (PAdicMatrix.zero(2), PAdicMatrix.scalar(2, Fraction(1, 2)), "hermite"),
     (PAdicMatrix([[2, 0], [1, 2]]), PAdicMatrix.scalar(2, Fraction(1, 2)), "generic"),
     (PAdicMatrix.zero(2), PAdicMatrix([[Fraction(1, 2), 0], [0, 1]]), "generic"),
-    (PAdicMatrix.zero(2), PAdicMatrix([[1, 1], [0, 1]]), "generic")])
+    (PAdicMatrix.zero(2), PAdicMatrix([[1, 1], [0, 1]]), "generic"),
+    # a scalar center off the lattice takes the scalar-centre closed form when
+    # 2 * modulation is integral, and the refinement otherwise
+    (PAdicMatrix.scalar(2, 1), PAdicMatrix.zero(2), "scalar_centre"),
+    (PAdicMatrix.scalar(2, Fraction(3, 2)), PAdicMatrix([[0, Fraction(1, 2)], [1, 0]]),
+     "scalar_centre"),
+    (PAdicMatrix.scalar(2, 1), PAdicMatrix.scalar(2, Fraction(1, 4)), "generic"),
+    (PAdicMatrix([[1, 1], [0, 1]]), PAdicMatrix.zero(2), "generic")])
 def test_hermite_route_needs_scalar_modulation_and_center_in_the_lattice(
         center, modulation, route, monkeypatch):
     # at level 1: the center must lie in 2 M_2(Z_2), the modulation must be c * Id
     taken = []
-    for name in ("hermite", "generic"):
+    for name in ("hermite", "scalar_centre", "generic"):
         monkeypatch.setattr(integrate, "_shell_" + name,
                             lambda *args, name=name: taken.append(name) or 0)
     shell(2, 2, 2, center=center, level=1, modulation=modulation)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gjzeta.errors import NoRecurrence
-from gjzeta.ratfun import LaurentPoly, RationalFunctionT, ratfun_equal
+from gjzeta.ratfun import LaurentPoly, RationalFunctionT, _poly_divmod, _poly_gcd, ratfun_equal
 from gjzeta.recurrence import berlekamp_massey, detect_recurrence
 from gjzeta.integrate import rationalize
 from gjzeta.scalars import (as_scalar, root_of_unity, root_of_unity_sum, scalar_inverse,
@@ -240,3 +240,83 @@ def test_berlekamp_massey_recovers_random_recurrences(seq, k0, weight):
                    start=as_scalar(0, 3)) == seq[k]
     r = rationalize(seq, k0, weight, 3, 2, 3)
     assert series_coefficients(r, k0, len(seq), step=weight) == seq
+
+
+# -- rationalize without a gcd, and the dense division (hypothesis) ----------
+
+def _times(f, g):
+    """The product of two coefficient lists."""
+    out = [as_scalar(0, 3)] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+@st.composite
+def _planted_series(draw):
+    """(seq, k0, weight, num, den, r_max): seq is the expansion of x^k0 num / den in
+    x = T^weight, where num starts with zeros and num and den may share a factor."""
+    num = [as_scalar(0, 3)] * draw(st.integers(0, 3)) + draw(
+        st.lists(_scalars, min_size=1, max_size=3).filter(lambda c: not scalar_is_zero(c[-1])))
+    den = [as_scalar(1, 3)] + draw(st.lists(_scalars, max_size=2))
+    factor = [as_scalar(1, 3)] + draw(st.lists(_scalars, max_size=2))
+    num, den = _times(num, factor), _times(den, factor)
+    r_max = max(1, len(den) - 1)
+    seq = []
+    for t in range(len(num) + 2 * r_max + 3):
+        acc = num[t] if t < len(num) else as_scalar(0, 3)
+        for i in range(1, min(t, len(den) - 1) + 1):
+            acc = acc - den[i] * seq[t - i]
+        seq.append(acc)
+    return (seq, draw(st.integers(-2, 2)), draw(st.sampled_from([2, -2])), num, den, r_max)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_planted_series())
+def test_rationalize_is_the_gcd_reduced_form(case):
+    seq, k0, weight, num, den, r_max = case
+    gcd_path = RationalFunctionT(
+        LaurentPoly({weight * (k0 + t): c for t, c in enumerate(num)}),
+        LaurentPoly({weight * i: c for i, c in enumerate(den)}), 3)
+    assert rationalize(seq, k0, weight, 3, r_max, 3).serialize() == gcd_path.serialize()
+
+
+def test_rationalize_takes_no_gcd(monkeypatch):
+    from gjzeta import ratfun
+    from gjzeta.distributions import gj_delta, spectral_action
+    from gjzeta.padic import PAdicContext, PAdicMatrix
+    from gjzeta.schwartz import SchwartzBruhatFn
+    from gjzeta.zeta import MultiplicativeCharacter, zeta_integral
+
+    def no_gcd(a, b):
+        raise AssertionError("rationalize took a gcd")
+    monkeypatch.setattr(ratfun, "_poly_gcd", no_gcd)
+    seq = [as_scalar(0, 3)] * 2 + [as_scalar(Fraction(2, 3) ** k, 3) for k in range(8)]
+    for weight in (2, -2):
+        assert not rationalize(seq, -1, weight, 3, 2, 3).is_zero()
+    ctx = PAdicContext(3)
+    for chi in (MultiplicativeCharacter.trivial(3), MultiplicativeCharacter.quadratic_ramified(3)):
+        for phi in (SchwartzBruhatFn.shifted_ball(2, ctx, 1, 1), SchwartzBruhatFn.unit_ball(2, ctx)):
+            zeta_integral(phi, chi)
+            zeta_integral(phi.fourier(), chi.inverse(), dual_weight=True)
+        spectral_action(gj_delta(2), chi, PAdicMatrix.identity(2))
+
+
+# Q and Q(zeta_8)
+_scalars8 = st.one_of(_small, st.lists(_small, min_size=4, max_size=4).map(
+    lambda cs: root_of_unity_sum(2, 3, cs)))
+_ordinary8 = st.dictionaries(st.integers(0, 5), _scalars8, max_size=5).map(LaurentPoly)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ordinary8, _ordinary8.filter(lambda f: not f.is_zero()))
+def test_poly_divmod_is_division_with_remainder(a, b):
+    q, r = _poly_divmod(a, b)
+    assert q * b + r == a
+    assert r.is_zero() or r.degree() < b.degree()
+    assert q.is_zero() or q.low_degree() >= 0
+    # the gcd divides both
+    g = _poly_gcd(a.shift(-a.low_degree()), b.shift(-b.low_degree()))
+    assert _poly_divmod(b.shift(-b.low_degree()), g)[1].is_zero()
+    assert a.is_zero() or _poly_divmod(a.shift(-a.low_degree()), g)[1].is_zero()

@@ -630,11 +630,11 @@ def test_ramified_gauss_sums_stay_at_the_conductor(monkeypatch):
 
 
 @st.composite
-def _random_characters(draw):
-    """A character mod p^c, c <= 3, with a sign and a p-power root drawn on
+def _random_characters(draw, primes=(2, 3, 5), c_max=3):
+    """A character mod p^c, c <= c_max, with a sign and a p-power root drawn on
     generators of the units mod p^c (2 for odd p; -1 and 5 for p = 2).  Its
     true conductor is often below c: an imprimitive table."""
-    p, c = draw(st.sampled_from([2, 3, 5])), draw(st.integers(0, 3))
+    p, c = draw(st.sampled_from(primes)), draw(st.integers(0, c_max))
     sign, gens = st.sampled_from([1, -1]), {}
     if p == 2 and c >= 2:
         gens[2 ** c - 1] = draw(sign)
@@ -660,6 +660,48 @@ def test_gauss_sum_cache_matches_a_fresh_enumeration(chi):
         # and the definition, p^-cu sum_{x in (Z/p^cu)^x} chi(x) zeta_{p^l}^x, at w = 1
         assert p ** cu * _shell_n1(p, Fraction(1, p ** l), chi) == sum(
             chi.unit_value(x) * root_of_unity(p, l, x) for x in range(p ** cu) if x % p)
+
+
+# -- the scalar-centre closed form against the refinement ----------------
+
+@st.composite
+def _scalar_centred_cosets(draw):
+    """(p, n, k, a, level, modulation, chi) with v(a) < level, p^level modulation
+    integral (scalar, zero or not, or a full matrix) and chi of conductor <= 2."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 3 if p == 2 else 2))
+    unit = st.integers(1, p ** 3).filter(lambda u: u % p)
+    va = draw(st.integers(-2, 3 - n))  # the refinement splits to depth about n v(a)
+    a = Fraction(draw(unit), draw(unit)) * Fraction(p) ** va * draw(st.sampled_from([1, -1]))
+    level = va + draw(st.integers(1, 3))
+    k = n * va + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    entry = st.builds(lambda x, u: Fraction(x, u) / Fraction(p) ** level,
+                      st.integers(-p, p), unit)
+    kind = draw(st.sampled_from(["zero", "scalar", "matrix"]))
+    if kind == "zero":
+        modulation = PAdicMatrix.zero(n)
+    elif kind == "scalar":
+        modulation = PAdicMatrix.scalar(n, draw(entry))
+    else:
+        modulation = PAdicMatrix([[draw(entry) for _ in range(n)] for _ in range(n)])
+    chi = draw(_random_characters(primes=(p,), c_max=2))
+    return p, n, k, a, level, modulation, chi
+
+
+@settings(max_examples=60, deadline=None)
+@given(_scalar_centred_cosets())
+def test_scalar_centre_closed_form_matches_the_refinement(case):
+    p, n, k, a, level, modulation, chi = case
+    ctx, center = PAdicContext(p), PAdicMatrix.scalar(n, a)
+
+    def refused(*args):
+        raise AssertionError("a scalar-centred coset reached the refinement")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(integrate, "_shell_generic", refused)
+        got = term_shell_integral(ctx, k, center, level, modulation, IntegrationConfig(), chi)
+    want = term_shell_integral(ctx, k, center, level, modulation,
+                               IntegrationConfig(force_enumeration=True), chi)
+    _same(got, want)
 
 
 # -- the Hermite closed forms against the composition sum they replace ----

@@ -52,9 +52,10 @@ def zeta_integral_twisted_entries(phi, chi, dual_weight=False):
     config = IntegrationConfig()
     n, p = phi.n, phi.ctx.p
     k_min = phi.det_valuation_bound()
+    ks = range(k_min, k_min + 2 * n + config.confirm + K_EXTRA)
     seq = []
-    for k in range(k_min, k_min + 2 * n + config.confirm + K_EXTRA):
-        entry = schwartz_shell_integral(phi, k, config, chi, {}) * chi.value_at_p ** k
+    for k, shell in zip(ks, schwartz_shell_integral(phi, ks, config, chi, {})):
+        entry = shell * chi.value_at_p ** k
         if dual_weight:
             entry = entry * Fraction(p) ** (-n * k)
         seq.append(entry)
