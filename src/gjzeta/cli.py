@@ -288,22 +288,22 @@ _RATIOS = tuple(tuple(Fraction(b, c) for c in range(1, 4)) for b in range(-3, 4)
 
 @lru_cache(maxsize=8)
 def _draw_tables(p: int):
-    """random_schwartz's candidate entries a/p^j (j = 0..2, a = -4..4) and
-    roots zeta_p^a (a = 0..p-1), in the order randint would draw them."""
+    """random_schwartz's candidate entries a/p^j (j = 0..2, a = -4..4) and the phases
+    of zeta_p^a (a = 0..p-1) in psi_exponent's form, in the order randint draws them."""
     entries = tuple(tuple(Fraction(a, p ** j) for a in range(-4, 5)) for j in range(3))
-    return entries, tuple(root_of_unity(p, 1, a) for a in range(p))
+    return entries, tuple((1, a) if a else (0, 0) for a in range(p))
 
 
 def random_schwartz(n: int, ctx: PAdicContext, rng, terms: int = 3,
                     max_level: int = 3) -> SchwartzBruhatFn:
     """Deterministic pseudo-random test function, levels within |k| <= max_level.
 
-    Entries, roots and ratios are picked from prebuilt tables, each listed in
+    Entries, phases and ratios are picked from prebuilt tables, each listed in
     the order of the randint range it stands for.  choice(seq) is
     seq[_randbelow(len(seq))] and randint(a, b) is a + _randbelow(b - a + 1),
     so a pick reads the same random stream as the randint it replaces and
     draws the same functions."""
-    entries, roots = _draw_tables(ctx.p)
+    entries, phases = _draw_tables(ctx.p)
     choice, randint = rng.choice, rng.randint
 
     def matrix(row):
@@ -315,8 +315,8 @@ def random_schwartz(n: int, ctx: PAdicContext, rng, terms: int = 3,
         row = choice(entries)  # one denominator p^j for both matrices
         center = matrix(row)
         modulation = matrix(row)
-        coeff = choice(roots) * choice(choice(_RATIOS))
-        out.append(SchwartzTerm(coeff, center, level, modulation))
+        phase = choice(phases)  # the coefficient is a ratio b/c times zeta_p^a
+        out.append(SchwartzTerm(choice(choice(_RATIOS)), center, level, modulation, 0, phase))
     return SchwartzBruhatFn(n, ctx, out)
 
 

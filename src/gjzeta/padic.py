@@ -67,6 +67,15 @@ def psi_exponent(x, ctx: PAdicContext) -> tuple[int, int]:
     return m, x.numerator * pow(x.denominator // pm, -1, pm) % pm
 
 
+def _phase_add(p: int, x: tuple, y: tuple) -> tuple[int, int]:
+    """x + y for phases (m, a) of zeta_{p^m}^a, a any integer, in psi_exponent's form."""
+    m = max(x[0], y[0])
+    a = (x[1] * p ** (m - x[0]) + y[1] * p ** (m - y[0])) % p ** m
+    while m and a % p == 0:
+        m, a = m - 1, a // p
+    return m, a
+
+
 def psi_value(x, ctx: PAdicContext) -> CyclotomicNumber:
     """psi(x) as a root of unity in canonical form."""
     return root_of_unity(ctx.p, *psi_exponent(x, ctx))
@@ -196,7 +205,7 @@ class PAdicMatrix:
             return NotImplemented
         return self.entries == other.entries
 
-    def __hash__(self):  # fn_equal keys its merge on (center, level, modulation)
+    def __hash__(self):  # fn_equal keys its merge on (center, level, modulation, ...)
         if self._hash is None:
             self._hash = hash(self.entries)
         return self._hash

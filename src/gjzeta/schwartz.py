@@ -1,17 +1,18 @@
 """Schwartz-Bruhat functions on M_n(Q_p): modulated coset indicators.
 
-A term represents x -> coeff * psi(tr(b x)) * 1[x in a + p^k M_n(Z_p)], with
-coeff a CyclotomicNumber of the function's own prime: a rational coefficient
-takes p when the function is built.  The class is closed under the matrix
-Fourier transform Phi^(x) = int Phi(y) psi(tr(xy)) dy, which maps a term to a
-single term: translations become modulations and vice versa, and a level-k
-indicator picks up the factor q^(-k n^2).  A psi value zeta_{p^m}^a is kept as
-its integer exponent (m, a) and applied by shifting exponents (m = 0 costs
-nothing); an inner product scatters the coefficient terms of every pair into
-one exponent vector and reduces it once.  The coset and integrality tests run
-on integers, and tr(b a) for b = s.mod - t.mod is two integer pairings.  A
-matrix keeps its negation, so F(F(f)) and reflect(f) share their centres and
-modulations and fn_equal merges them by identity.
+A term represents x -> base * p^scale * zeta^phase * psi(tr(b x)) *
+1[x in a + p^k M_n(Z_p)]: base is a CyclotomicNumber of the function's own
+prime (a rational takes p when the function is built), scale an integer and
+phase = (m, a), zeta_{p^m}^a in psi_exponent's form.  The matrix Fourier
+transform Phi^(x) = int Phi(y) psi(tr(xy)) dy maps a term to one term:
+translations become modulations and vice versa, and a level-k indicator picks
+up p^(-k n^2).  Both factors are monomials, so a transform only adds to scale
+and phase; coeff builds the full value when read.  An inner product folds the
+scales and phases into each pair's p-power and psi exponent and scatters the
+bases of every pair into one exponent vector, reduced once.  Coset and
+integrality tests and tr(b a) run on integers.  A matrix keeps its negation, so
+F(F(f)) and reflect(f) share centres, modulations, scales and phases, and
+fn_equal merges them by identity.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .padic import PAdicContext, PAdicMatrix, psi_exponent, trace_pairing
+from .padic import PAdicContext, PAdicMatrix, _phase_add, psi_exponent, trace_pairing
 from .scalars import (CyclotomicNumber, as_scalar, root_of_unity_sum, scalar_conjugate,
                       scalar_is_zero)
 
@@ -38,13 +39,24 @@ def _in_field(c, p: int):
 
 
 class SchwartzTerm:
-    __slots__ = ("coeff", "center", "level", "modulation")
+    """x -> base * p^scale * zeta_{p^m}^a * psi(tr(modulation x)) *
+    1[x in center + p^level M_n(Z_p)], with phase = (m, a)."""
+    __slots__ = ("base", "center", "level", "modulation", "scale", "phase")
 
-    def __init__(self, coeff, center: PAdicMatrix, level: int, modulation: PAdicMatrix):
-        self.coeff = coeff
+    def __init__(self, base, center: PAdicMatrix, level: int, modulation: PAdicMatrix,
+                 scale: int = 0, phase: tuple = (0, 0)):
+        self.base = base
         self.center = center
         self.level = level
         self.modulation = modulation
+        self.scale = scale
+        self.phase = phase
+
+    @property
+    def coeff(self):
+        """The full coefficient base * p^scale * zeta_{p^m}^a, built on each read."""
+        c = self.base * Fraction(self.base.p) ** self.scale if self.scale else self.base
+        return c.times_root(*self.phase) if self.phase[0] else c
 
     @property
     def n(self) -> int:
@@ -63,10 +75,10 @@ class SchwartzBruhatFn:
         self.ctx = ctx
         self.terms = []
         for t in terms:
-            c = _in_field(t.coeff, ctx.p)
+            c = _in_field(t.base, ctx.p)
             if not c.is_zero():
-                self.terms.append(t if c is t.coeff else
-                                  SchwartzTerm(c, t.center, t.level, t.modulation))
+                self.terms.append(t if c is t.base else SchwartzTerm(
+                    c, t.center, t.level, t.modulation, t.scale, t.phase))
 
     # -- constructors --------------------------------------------------
 
@@ -103,8 +115,8 @@ class SchwartzBruhatFn:
 
     def scale(self, c) -> "SchwartzBruhatFn":
         return SchwartzBruhatFn(self.n, self.ctx,
-                                [SchwartzTerm(t.coeff * c, t.center, t.level, t.modulation)
-                                 for t in self.terms])
+                                [SchwartzTerm(t.base * c, t.center, t.level, t.modulation,
+                                              t.scale, t.phase) for t in self.terms])
 
     def __sub__(self, other: "SchwartzBruhatFn") -> "SchwartzBruhatFn":
         return self + other.scale(-1)
@@ -124,32 +136,32 @@ class SchwartzBruhatFn:
         """Exact term-by-term transform; fourier(fourier(f)) = reflect(f)."""
         p = self.ctx.p
         n2 = self.n * self.n
-        out = []
-        for t in self.terms:
-            vol = Fraction(p) ** (-t.level * n2)
-            phase = psi_exponent(trace_pairing(t.modulation, t.center), self.ctx)
-            out.append(SchwartzTerm((t.coeff * vol).times_root(*phase),
-                                    -t.modulation, -t.level, t.center))
-        return SchwartzBruhatFn(self.n, self.ctx, out)
+        return SchwartzBruhatFn(self.n, self.ctx, [SchwartzTerm(
+            t.base, -t.modulation, -t.level, t.center, t.scale - t.level * n2,
+            _phase_add(p, t.phase, psi_exponent(trace_pairing(t.modulation, t.center),
+                                                self.ctx)))
+            for t in self.terms])
 
     def reflect(self) -> "SchwartzBruhatFn":
         return SchwartzBruhatFn(self.n, self.ctx,
-                                [SchwartzTerm(t.coeff, -t.center, t.level, -t.modulation)
-                                 for t in self.terms])
+                                [SchwartzTerm(t.base, -t.center, t.level, -t.modulation,
+                                              t.scale, t.phase) for t in self.terms])
 
     def inner_product(self, other: "SchwartzBruhatFn"):
         """Exact <f, g> = int f(x) conj(g(x)) dx by pairwise closed forms.
 
-        A surviving pair adds s.coeff * conj(t.coeff) * p^(-k n^2) * zeta_{p^m}^a;
+        A surviving pair adds s.base * conj(t.base) * p^(s.scale + t.scale - k n^2)
+        * zeta_{p^m}^a, with the phase s.phase - t.phase folded into psi's;
         every pair goes into one exponent vector at the highest level seen,
         which is reduced once."""
         self._check_space(other)
         p = self.ctx.p
         n2 = self.n * self.n
-        other_terms = [(t, scalar_conjugate(t.coeff)) for t in other.terms]
+        other_terms = [(t, scalar_conjugate(t.base), (t.phase[0], -t.phase[1]))
+                       for t in other.terms]
         pairs = []
         for s in self.terms:
-            for t, t_coeff_bar in other_terms:
+            for t, t_base_bar, t_phase_bar in other_terms:
                 # coset intersection
                 if s.level >= t.level:
                     inner, outer = s, t
@@ -163,8 +175,10 @@ class SchwartzBruhatFn:
                 if not s.modulation.in_coset(t.modulation, -k, p):
                     continue
                 tr = trace_pairing(s.modulation, a) - trace_pairing(t.modulation, a)
-                pairs.append((s.coeff, t_coeff_bar, Fraction(p) ** (-k * n2),
-                              *psi_exponent(tr, self.ctx)))
+                phase = _phase_add(p, _phase_add(p, s.phase, t_phase_bar),
+                                   psi_exponent(tr, self.ctx))
+                pairs.append((s.base, t_base_bar,
+                              Fraction(p) ** (s.scale + t.scale - k * n2), *phase))
         top = max([0] + [max(x.m, y.m, m) for x, y, _, m, _ in pairs])
         order = p ** top
         vec = [Fraction(0)] * order
@@ -180,14 +194,15 @@ class SchwartzBruhatFn:
     def fn_equal(self, other: "SchwartzBruhatFn") -> bool:
         """Exact function equality via positivity of the L^2 norm of the difference.
 
-        Terms of self - other sharing (center, level, modulation) are multiples
-        of one function, so merging them keeps the function; if all cancel it is
-        0.  For f^^ against reflect(f) they do: psi(tr(ba)) psi(-tr(ab)) = 1.
+        Terms of self - other sharing (center, level, modulation, scale, phase)
+        are multiples of one function, so merging their bases keeps it; if all
+        cancel it is 0.  For f^^ against reflect(f) they do: the scales sum to 0
+        and psi(tr(ba)) psi(-tr(ab)) = 1.  Unmerged terms are left to the norm.
         """
         self._check_space(other)
         merged = {}
-        for t, c in [(t, t.coeff) for t in self.terms] + [(t, -t.coeff) for t in other.terms]:
-            key = (t.center, t.level, t.modulation)
+        for t, c in [(t, t.base) for t in self.terms] + [(t, -t.base) for t in other.terms]:
+            key = (t.center, t.level, t.modulation, t.scale, t.phase)
             merged[key] = merged[key] + c if key in merged else c
         diff = SchwartzBruhatFn(self.n, self.ctx, [SchwartzTerm(c, *key)
                                                    for key, c in merged.items()])

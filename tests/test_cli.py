@@ -519,6 +519,22 @@ def test_fourier_selftest_catches_a_wrong_phase(monkeypatch, capsys):
     assert "double transform = reflect" in {f["law"] for f in rep["results"]["failures"]}
 
 
+def test_fourier_selftest_catches_a_wrong_volume(monkeypatch, capsys):
+    # p^(+k n^2) in place of p^(-k n^2) in the integer scale: the two scales of
+    # F(F(f)) still cancel, so only Plancherel sees the volume, and must
+    real = SchwartzBruhatFn.fourier
+
+    def wrong_volume(self):
+        out = real(self)
+        for s, t in zip(out.terms, self.terms):
+            s.scale += 2 * t.level * self.n * self.n
+        return out
+    monkeypatch.setattr(SchwartzBruhatFn, "fourier", wrong_volume)
+    code, rep = run_json(["fourier-selftest", "--count", "3"], capsys)
+    assert code == 1 and rep["verdict"] == "FAIL"
+    assert {f["law"] for f in rep["results"]["failures"]} == {"Plancherel"}
+
+
 def test_failure_exit_1(capsys):
     # the delta=1 oracle differs from the delta=0 gamma: force a FAIL via
     # an oracle tolerance no real run can miss only when values differ

@@ -54,6 +54,22 @@ def test_double_transform_shares_reflect_matrices():
                 assert s.center is t.center and s.modulation is t.modulation
 
 
+def test_double_transform_merges_without_an_inner_product(monkeypatch):
+    # F(F(t)) keeps t's base, its scales -k n^2 and +k n^2 sum to 0 and its
+    # phases cancel, so every term merges with reflect(t) and cancels
+    def refuse(self, other):
+        raise AssertionError("inner product run")
+    rng = random.Random(15)
+    for n, p in [(1, 2), (1, 3), (2, 2), (2, 3), (2, 5)]:
+        ctx = PAdicContext(p)
+        for _ in range(10):
+            f = random_schwartz(n, ctx, rng)
+            twice = f.fourier().fourier()
+            with monkeypatch.context() as m:
+                m.setattr(SchwartzBruhatFn, "inner_product", refuse)
+                assert twice.fn_equal(f.reflect())
+
+
 def test_plancherel():
     rng = random.Random(12)
     for n, p in [(1, 2), (2, 3)]:
@@ -158,6 +174,12 @@ def _schwartz_pairs(draw, general=False):
     return draw(_schwartz_fn(n, ctx, general)), draw(_schwartz_fn(n, ctx, general))
 
 
+def _psi_reference(x, ctx):
+    """psi(x) as the exponent vector with a single 1, reduced by the tower."""
+    m, e = psi_exponent(x, ctx)
+    return root_of_unity_sum(ctx.p, m, [0] * e + [1])
+
+
 def inner_product_reference(f, g):
     """<f, g> term pair by term pair, conjugating g's coefficient each time.
     Nothing here calls the engine's coset test, trace pairing or root of
@@ -179,9 +201,7 @@ def inner_product_reference(f, g):
                 continue
             tr = sum((b.entries[i][j] * a.entries[j][i] for i in range(n) for j in range(n)),
                      Fraction(0))
-            m, e = psi_exponent(tr, f.ctx)
-            psi = root_of_unity_sum(p, m, [0] * e + [1])
-            total = total + s.coeff * scalar_conjugate(t.coeff) * psi \
+            total = total + s.coeff * scalar_conjugate(t.coeff) * _psi_reference(tr, f.ctx) \
                 * Fraction(p) ** (-k * n * n)
     return total
 
@@ -264,6 +284,82 @@ def test_fn_equal_matches_norm_reference(data):
         reference = scalar_is_zero(inner_product_reference(d, d))
         assert x.fn_equal(y) == reference
         assert want is None or reference == want
+
+
+# -- the transform's integer scale and phase ----------------------------------
+
+def _fourier_coeffs_reference(f):
+    """The coefficients of f^, each built eagerly from f's: c * p^(-k n^2) *
+    psi(tr(b a)), with tr(b a) a plain sum of Fraction products."""
+    p, n = f.ctx.p, f.n
+    return [t.coeff * Fraction(p) ** (-t.level * n * n) * _psi_reference(
+        sum((t.modulation.entries[i][j] * t.center.entries[j][i]
+             for i in range(n) for j in range(n)), Fraction(0)), f.ctx)
+        for t in f.terms]
+
+
+@st.composite
+def _drawn_or_parsed(draw):
+    """A random_schwartz draw, or a function read back from JSON with general
+    coefficients (scale 0, phase (0, 0), a base of any level <= 2)."""
+    n, p = draw(st.sampled_from([(1, 2), (1, 3), (1, 5), (2, 2), (2, 3), (2, 5)]))
+    ctx = PAdicContext(p)
+    if draw(st.booleans()):
+        return random_schwartz(n, ctx, random.Random(draw(st.integers(0, 10 ** 6))))
+    return SchwartzBruhatFn.from_json(draw(_schwartz_fn(n, ctx, general=True)).to_json())
+
+
+@settings(max_examples=60, deadline=None)
+@given(_drawn_or_parsed())
+def test_fourier_coeff_equals_the_eager_product(f):
+    once = f.fourier()
+    twice = once.fourier()
+    for g, h in ((f, once), (once, twice)):
+        want = _fourier_coeffs_reference(g)
+        assert len(h.terms) == len(want)
+        for t, c in zip(h.terms, want):
+            assert t.coeff == c and repr(t.coeff) == repr(c)
+
+
+# f.fourier().to_json() for random_schwartz(n, PAdicContext(p), random.Random(seed)),
+# as printed when each transform multiplied its coefficients out
+FOURIER_JSON = {
+    1: (1, 2, '{"n": 1, "p": 2, "terms": [{"coeff": {"level": 0, "coeffs": ["-3/4"]}, '
+              '"center": [["3"]], "level": -1, "modulation": [["0"]]}]}'),
+    2: (1, 3, '{"n": 1, "p": 3, "terms": [{"coeff": {"level": 1, "coeffs": ["-27", '
+              '"-27"]}, "center": [["2"]], "level": 3, "modulation": [["1"]]}]}'),
+    3: (2, 2, '{"n": 2, "p": 2, "terms": [{"coeff": {"level": 4, "coeffs": ["0", "0", '
+              '"0", "0", "0", "-1/24", "0", "0"]}, "center": [["1", "-3/4"], ["0", '
+              '"-1"]], "level": -1, "modulation": [["-1/2", "1/4"], ["3/4", '
+              '"-3/4"]]}]}'),
+    4: (2, 3, '{"n": 2, "p": 3, "terms": [{"coeff": {"level": 1, "coeffs": ["0", '
+              '"243"]}, "center": [["3", "4"], ["-2", "-4"]], "level": 1, '
+              '"modulation": [["2", "3"], ["-2", "-3"]]}]}'),
+}
+
+
+def test_fourier_json_is_pinned():
+    for seed, (n, p, want) in FOURIER_JSON.items():
+        f = random_schwartz(n, PAdicContext(p), random.Random(seed))
+        assert f.fourier().to_json() == want, seed
+
+
+def test_fn_equal_across_a_phase_and_its_multiplied_out_base():
+    # base c with phase zeta_3 on one side, c * zeta_3 with no phase on the
+    # other: the keys differ, so the L^2 norm decides
+    ctx = PAdicContext(3)
+    center = PAdicMatrix([[1, Fraction(1, 3)], [0, 2]])
+    modulation = PAdicMatrix([[Fraction(1, 9), 0], [1, Fraction(-2, 3)]])
+    c = root_of_unity(3, 1, 2) * Fraction(5, 2) + 1
+    other = SchwartzTerm(Fraction(1, 3), center, 0, PAdicMatrix.zero(2))
+    f = SchwartzBruhatFn(2, ctx, [SchwartzTerm(c, center, 1, modulation, 0, (1, 1)), other])
+    g = SchwartzBruhatFn(2, ctx, [SchwartzTerm(c * root_of_unity(3, 1, 1), center, 1,
+                                               modulation), other])
+    assert f.terms[0].coeff == g.terms[0].coeff
+    assert f.fn_equal(g) and g.fn_equal(f)
+    h = SchwartzBruhatFn(2, ctx, [SchwartzTerm(c * root_of_unity(3, 1, 1) + Fraction(1, 2),
+                                               center, 1, modulation), other])
+    assert not f.fn_equal(h) and not h.fn_equal(f)
 
 
 # -- what fourier-selftest checks ---------------------------------------------
