@@ -28,7 +28,7 @@ from .errors import EngineError
 from .integrate import IntegrationConfig
 from .padic import PAdicContext, PAdicMatrix
 from .scalars import root_of_unity, scalar_is_zero
-from .schwartz import SchwartzBruhatFn, SchwartzTerm
+from .schwartz import SchwartzBruhatFn, SchwartzTerm, json_int
 from .zeta import MultiplicativeCharacter, phi_independence_check
 
 EXIT_PASS, EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_INVALID = 0, 1, 2, 3
@@ -68,7 +68,7 @@ def parse_character(p: int, source: str) -> MultiplicativeCharacter:
         raise InvalidSpec("a character is a JSON object whose table and generators "
                           "are objects")
     try:
-        c = int(data.get("conductor_exp", 0))
+        c = json_int(data.get("conductor_exp", 0))
         if c < 0 or p ** min(c, 13) > MAX_ROOT_ORDER:  # checked before any residue is listed
             raise InvalidSpec("conductor exponent %d outside 0 <= c, %d^c <= %d"
                               % (c, p, MAX_ROOT_ORDER))
@@ -107,12 +107,12 @@ def _parse_scalar_spec(p: int, v, max_level=None):
         m, a = v.strip()[5:].split("/")
     else:
         return _rational(v)
-    m = int(m)
+    m = json_int(m)
     if max_level is not None and m > max_level:
         raise InvalidSpec("root level %s exceeds the conductor exponent %d" % (m, max_level))
     if p ** min(m, 13) > MAX_ROOT_ORDER:  # p^13 >= 2^13 > MAX_ROOT_ORDER
         raise InvalidSpec("root order %d^%d exceeds %d" % (p, m, MAX_ROOT_ORDER))
-    return root_of_unity(p, m, int(a))
+    return root_of_unity(p, m, json_int(a))
 
 
 def parse_phi(n: int, ctx: PAdicContext, name: str) -> SchwartzBruhatFn:

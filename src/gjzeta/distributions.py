@@ -11,7 +11,7 @@ T = q^(-s/2), computed by regularized shell sums:
 
 with I_k, J_k the unit-part shell integrals of psi(tr(eps g)), each exact at one truncation.
 The series sum_k I_k T^(-2k) (or J_k T^(2k)) is rationalized untwisted, so
-Berlekamp-Massey and the gcd run over the field of the shells (Q for trivial
+Berlekamp-Massey and its residuals run over the field of the shells (Q for trivial
 and unramified chi), and chi^(+-1)(p)^k q^(-k alpha) is applied once, to the
 finished rational function (RationalFunctionT.twisted).  That holds when
 sqrt(q) is a formal QuadExt (p = 3 mod 4 and odd 2 alpha) too: the shells stay

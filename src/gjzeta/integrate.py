@@ -38,7 +38,8 @@ from .ratfun import LaurentPoly, RationalFunctionT
 from .recurrence import detect_recurrence
 from .scalars import as_scalar, root_of_unity_sum
 
-# a shell series takes K_EXTRA shells beyond the 2 r_max + confirm that rationalize reads
+# a shell series takes K_EXTRA shells before the 2 r_max + confirm that Berlekamp-Massey
+# fits and checks; they lie in the head, whose residuals are num's low terms (rationalize)
 K_EXTRA = 2
 
 
@@ -394,7 +395,7 @@ def stabilized_shell_integral(ctx: PAdicContext, n: int, k: int,
 
 # -- rationalization ----------------------------------------------------
 
-# name and signature kept because perfbench/tracer.py wraps it
+# name kept because perfbench/tracer.py wraps it
 def rationalize(seq, k0: int, weight: int, q: int, r_max: int,
                 confirm: int) -> RationalFunctionT:
     """Exact rational function from shell entries, canonical as built.
@@ -404,27 +405,21 @@ def rationalize(seq, k0: int, weight: int, q: int, r_max: int,
     Callers pass untwisted shells, so Berlekamp-Massey runs in their own field,
     and twist the result once (RationalFunctionT.twisted, a ring automorphism).
     With den = 1 - sum_i c_i T^(weight i), T^(weight (k0 + t)) has coefficient
-    s_t - sum_{i <= min(t, L)} c_i s_(t-i) in seq * den: 0 for t >= start.
+    e_t = s_t - sum_{i <= min(t, L)} c_i s_(t-i) in seq * den: detect_recurrence's
+    head below ws + L, ws = len(seq) - 2 r_max - confirm, and 0 from there on.
 
     num and den are coprime, so no gcd is taken (RationalFunctionT.coprime).  In
     x = T^weight, den(x) has den(0) = 1 and degree <= L, num = x^k0 N(x) with
-    deg N < start, and the series N / den is seq: it agrees below start, and both
-    follow the recurrence from start on.  BM fits the window of 2 r_max terms from
-    ws = len(seq) - 2 r_max - confirm and returns its least order L, and
-    start <= ws + L.  Suppose g divides N and den with deg g = d >= 1 (g(0) != 0, as
-    den(0) = 1).  Then (N / g) / (den / g) is the same series, and den / g, of
-    degree <= L - d, gives a recurrence of order L - d that holds for every
-    t > deg(N / g), so for t >= start - d, and in particular from ws + L - d: it
-    generates the whole fit window, against the minimality of L.  So N and den are
-    coprime in K[x], hence num and den in K[x, 1/x] (Bezout), hence in K[T, 1/T].
-    If the zero tail is returned (L = 0), den = 1.
+    deg N < ws + L, and the series N / den is seq: it agrees below ws + L, and both
+    follow the recurrence from ws + L on.  BM fits the window of 2 r_max terms from
+    ws and returns its least order L.  Suppose g divides N and den with
+    deg g = d >= 1 (g(0) != 0, as den(0) = 1).  Then (N / g) / (den / g) is the
+    same series, and den / g, of degree <= L - d, gives a recurrence of order L - d
+    that holds for every t > deg(N / g), so from ws + L - d: it generates the whole
+    fit window, against the minimality of L.  So N and den are coprime in K[x],
+    hence num and den in K[x, 1/x] (Bezout), hence in K[T, 1/T].
     """
-    coeffs, s = detect_recurrence(seq, r_max, confirm)
+    coeffs, head = detect_recurrence(seq, r_max, confirm)
     den = LaurentPoly({0: 1, **{weight * i: -ci for i, ci in enumerate(coeffs, start=1)}})
-    num = {}
-    for t in range(s):
-        e = seq[t]
-        for i in range(1, min(t, len(coeffs)) + 1):
-            e = e - coeffs[i - 1] * seq[t - i]
-        num[weight * (k0 + t)] = e
-    return RationalFunctionT.coprime(LaurentPoly(num), den, q)
+    num = LaurentPoly({weight * (k0 + t): e for t, e in enumerate(head)})
+    return RationalFunctionT.coprime(num, den, q)

@@ -6,8 +6,6 @@ module recovers them exactly and certifies them on a confirmation window.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import NoRecurrence
 from .scalars import scalar_inverse, scalar_is_zero
 
@@ -44,34 +42,29 @@ def berlekamp_massey(seq):
     return [-cj for cj in c[1:L + 1]]
 
 
-def _predict(coeffs, seq, k):
-    """sum_i coeffs[i-1] * seq[k-i], the recurrence's value at index k."""
-    return sum((c * seq[k - i] for i, c in enumerate(coeffs, start=1)), start=Fraction(0))
-
-
 def detect_recurrence(seq, r_max: int, confirm: int):
-    """Minimal-order recurrence of the tail of seq, exact, as (coeffs, start):
-    seq[k] = sum_i coeffs[i-1] * seq[k-i] for every k >= start, so its order
-    is len(coeffs).  The start is pushed as far left as the recurrence holds.
+    """Minimal-order recurrence of the tail of seq, exact, as (coeffs, head).
 
-    Fits on the window preceding the last `confirm` entries and verifies the
-    prediction on those entries.  Raises NoRecurrence if no recurrence of
-    order <= r_max fits with the confirm margin.
+    Berlekamp-Massey fits the 2 r_max entries from ws = len(seq) - 2 r_max - confirm.
+    The residual e_t = seq[t] - sum_{i <= min(t, L)} coeffs[i-1] seq[t-i], L = len(coeffs),
+    is checked to vanish on the last `confirm` entries; it vanishes where the fit
+    holds, from ws + L on, and head = [e_t for t < ws + L].  Raises NoRecurrence if no
+    recurrence of order <= r_max fits with the confirm margin.
     """
-    if len(seq) < 2 * r_max + confirm:
+    ws = len(seq) - (2 * r_max + confirm)
+    if ws < 0:
         raise ValueError("need at least 2*r_max + confirm terms")
-    if all(scalar_is_zero(s) for s in seq[-(r_max + confirm):]):
-        return [], len(seq) - (r_max + confirm)
-    fit = seq[len(seq) - (2 * r_max + confirm):len(seq) - confirm]
-    coeffs = berlekamp_massey(fit)
+    coeffs = berlekamp_massey(seq[ws:len(seq) - confirm])
     order = len(coeffs)
     if order > r_max:
         raise NoRecurrence("minimal order %d exceeds r_max=%d" % (order, r_max))
+
+    def residual(t):
+        e = seq[t]
+        for i, c in enumerate(coeffs[:t], start=1):
+            e = e - c * seq[t - i]
+        return e
     for k in range(len(seq) - confirm, len(seq)):
-        if not scalar_is_zero(_predict(coeffs, seq, k) - seq[k]):
+        if not scalar_is_zero(residual(k)):
             raise NoRecurrence("confirm window mismatch at index %d" % k)
-    # extend validity as far left as it holds, to shorten the literal head
-    start = len(seq) - (2 * r_max + confirm) + order
-    while start > order and scalar_is_zero(_predict(coeffs, seq, start - 1) - seq[start - 1]):
-        start -= 1
-    return coeffs, start
+    return coeffs, [residual(t) for t in range(ws + order)]

@@ -25,6 +25,13 @@ from .scalars import (CyclotomicNumber, as_scalar, root_of_unity_sum, scalar_con
                       scalar_is_zero)
 
 
+def json_int(x) -> int:
+    """int(x) for a JSON integer or integer string; a float or bool is refused, not truncated."""
+    if isinstance(x, (bool, float)):
+        raise TypeError("expected an integer, got %r" % (x,))
+    return int(x)
+
+
 def _in_field(c, p: int):
     """c as a number of p's own tower: a rational (an int, a Fraction or a
     level-0 number of any prime) takes p, so a psi phase applied to it is a
@@ -230,15 +237,15 @@ class SchwartzBruhatFn:
     @staticmethod
     def from_json(doc: str) -> "SchwartzBruhatFn":
         data = json.loads(doc) if isinstance(doc, str) else doc
-        n = int(data["n"])
-        ctx = PAdicContext(int(data["p"]))
+        n = json_int(data["n"])
+        ctx = PAdicContext(json_int(data["p"]))
         terms = []
         for t in data["terms"]:
-            c = root_of_unity_sum(ctx.p, int(t["coeff"]["level"]),
+            c = root_of_unity_sum(ctx.p, json_int(t["coeff"]["level"]),
                                   [Fraction(x) for x in t["coeff"]["coeffs"]])
             center = PAdicMatrix([[Fraction(e) for e in row] for row in t["center"]])
             modulation = PAdicMatrix([[Fraction(e) for e in row] for row in t["modulation"]])
-            terms.append(SchwartzTerm(c, center, int(t["level"]), modulation))
+            terms.append(SchwartzTerm(c, center, json_int(t["level"]), modulation))
         return SchwartzBruhatFn(n, ctx, terms)
 
     def __repr__(self):

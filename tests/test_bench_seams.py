@@ -48,6 +48,9 @@ def _traced_run(monkeypatch, tmp_path, argv):
 def test_tracer_wraps_and_restores_engine_seams(monkeypatch, tmp_path):
     metrics = _traced_run(monkeypatch, tmp_path, ["verify-inverse", "--p", "2", "--n", "2"])
     assert metrics["integrate.shell.hermite.calls"] > 0
+    # the series layer runs through the wrapped names, or its metrics read 0
+    assert metrics["recurrence.detect_recurrence.calls"] > 0
+    assert metrics["integrate.rationalize.calls"] > 0
 
 
 def test_tracer_sees_the_real_place_at_call_time(monkeypatch, tmp_path):

@@ -362,6 +362,58 @@ def test_conductor_exponent_ceiling():
         MultiplicativeCharacter(3, -1, {})
 
 
+@pytest.mark.parametrize("char", [
+    '{"conductor_exp": 1.9, "generators": {"3": -1}}',
+    '{"conductor_exp": true, "generators": {"3": -1}}',
+    '{"conductor_exp": 2, "generators": {"3": {"root": [1.7, 1.2]}}}',
+    '{"conductor_exp": 2, "generators": {"3": {"root": [1, 1.2]}}}',
+    '{"conductor_exp": 2, "generators": {"3": {"root": [true, 1]}}}',
+], ids=["conductor", "conductor-bool", "root", "root-a", "root-bool"])
+def test_non_integer_json_character_field_exits_3(char, capsys):
+    # int() truncated each of these: conductor 1.9 was read as 1 and root [1.7, 1.2]
+    # as [1, 1], so the run exited 0 PASS on a character nobody wrote
+    assert main(["verify-inverse", "--p", "7", "--n", "1", "--char", char]) == 3
+    assert "invalid input" in capsys.readouterr().err
+
+
+def _phi_doc(phi=None):
+    phi = phi or SchwartzBruhatFn.unit_ball(1, PAdicContext(3))
+    return json.loads(phi.to_json())
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n", 1.9), ("p", 3.2), ("level", 1.7), ("coeff-level", 0.5), ("level", True),
+    ("n", True)], ids=["n", "p", "level", "coeff-level", "level-bool", "n-bool"])
+def test_non_integer_json_phi_field_exits_3(field, value, tmp_path, capsys):
+    # int() truncated each of these, so gamma --p 3 --n 1 exited 0 PASS
+    doc = _phi_doc()
+    if field in ("n", "p"):
+        doc[field] = value
+    elif field == "level":
+        doc["terms"][0]["level"] = value
+    else:
+        doc["terms"][0]["coeff"]["level"] = value
+    phi = tmp_path / "phi.json"
+    phi.write_text(json.dumps(doc))
+    assert main(["gamma", "--p", "3", "--n", "1", "--phis", "@%s" % phi]) == 3
+    assert "invalid input" in capsys.readouterr().err
+
+
+def test_integer_strings_in_json_fields_still_parse(tmp_path, capsys):
+    doc = _phi_doc(SchwartzBruhatFn.shifted_ball(1, PAdicContext(3), 1, 2))
+    doc["n"], doc["p"] = "1", "3"
+    doc["terms"][0]["level"], doc["terms"][0]["coeff"]["level"] = "2", "0"
+    phi = tmp_path / "phi.json"
+    phi.write_text(json.dumps(doc))
+    gamma = ["gamma", "--p", "3", "--n", "1", "--char"]
+    as_strings = '{"conductor_exp": "2", "generators": {"2": {"root": ["1", "1"]}}}'
+    code, rep = run_json(gamma + [as_strings, "--phis", "@%s" % phi], capsys)
+    assert code == 0 and rep["verdict"] == "PASS"
+    _, ref = run_json(gamma + ['{"conductor_exp": 2, "generators": {"2": {"root": [1, 1]}}}',
+                               "--phis", "shifted_ball(1,2)"], capsys)
+    assert rep["results"] == ref["results"]
+
+
 HIGH_CONDUCTOR_RUNS = [
     ("2", "1", '{"conductor_exp":6,"generators":{"5":{"root":[4,1]},"63":1}}'),
     ("2", "2", '{"conductor_exp":12,"generators":{"5":{"root":[10,1]},"4095":1}}'),

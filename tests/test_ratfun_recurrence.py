@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from gjzeta.errors import NoRecurrence
 from gjzeta.ratfun import LaurentPoly, RationalFunctionT, _poly_divmod, _poly_gcd, ratfun_equal
 from gjzeta.recurrence import berlekamp_massey, detect_recurrence
-from gjzeta.integrate import rationalize
+from gjzeta.integrate import K_EXTRA, rationalize
 from gjzeta.scalars import (as_scalar, root_of_unity, root_of_unity_sum, scalar_inverse,
                             scalar_is_zero)
 
@@ -95,9 +95,10 @@ def test_detect_recurrence_with_head():
     # junk head then geometric tail
     seq = [Fraction(7), Fraction(-2)] + [Fraction(5) * Fraction(1, 2) ** k
                                          for k in range(10)]
-    coeffs, start = detect_recurrence(seq, r_max=2, confirm=3)
+    coeffs, head = detect_recurrence(seq, r_max=2, confirm=3)
     assert coeffs == [Fraction(1, 2)]
-    assert start <= 3
+    # the residuals below ws + L = 5 + 1: seq is the series of (7 - 11/2 x + 6 x^2) / (1 - x/2)
+    assert head == [7, Fraction(-11, 2), 6, 0, 0, 0]
 
 
 def test_detect_recurrence_zero_tail():
@@ -233,13 +234,90 @@ def _recurrent_sequences(draw):
 @settings(max_examples=60, deadline=None)
 @given(_recurrent_sequences(), st.integers(-2, 2), st.sampled_from([1, 2]))
 def test_berlekamp_massey_recovers_random_recurrences(seq, k0, weight):
-    coeffs, start = detect_recurrence(seq, 2, 3)
+    coeffs, head = detect_recurrence(seq, 2, 3)
     assert len(coeffs) <= 2
-    for k in range(start, len(seq)):
+    for k in range(len(head), len(seq)):
         assert sum((c * seq[k - i] for i, c in enumerate(coeffs, start=1)),
                    start=as_scalar(0, 3)) == seq[k]
     r = rationalize(seq, k0, weight, 3, 2, 3)
     assert series_coefficients(r, k0, len(seq), step=weight) == seq
+
+
+# -- one residual pass against the (coeffs, start) algorithm (hypothesis) ----
+
+def _rationalize_reference(seq, k0, weight, q, r_max, confirm):
+    """rationalize as it was built on (coeffs, start): Berlekamp-Massey, the confirm
+    window checked by prediction, the zero-tail shortcut, start walked leftward while
+    the recurrence holds, and a numerator loop of its own below start."""
+    def predict(coeffs, k):
+        return sum((c * seq[k - i] for i, c in enumerate(coeffs, start=1)), start=Fraction(0))
+
+    if all(scalar_is_zero(s) for s in seq[-(r_max + confirm):]):
+        coeffs, start = [], len(seq) - (r_max + confirm)
+    else:
+        coeffs = berlekamp_massey(seq[len(seq) - (2 * r_max + confirm):len(seq) - confirm])
+        order = len(coeffs)
+        if order > r_max:
+            raise NoRecurrence("minimal order %d exceeds r_max=%d" % (order, r_max))
+        for k in range(len(seq) - confirm, len(seq)):
+            if not scalar_is_zero(predict(coeffs, k) - seq[k]):
+                raise NoRecurrence("confirm window mismatch at index %d" % k)
+        start = len(seq) - (2 * r_max + confirm) + order
+        while start > order and scalar_is_zero(predict(coeffs, start - 1) - seq[start - 1]):
+            start -= 1
+    den = LaurentPoly({0: 1, **{weight * i: -ci for i, ci in enumerate(coeffs, start=1)}})
+    num = {}
+    for t in range(start):
+        e = seq[t]
+        for i in range(1, min(t, len(coeffs)) + 1):
+            e = e - coeffs[i - 1] * seq[t - i]
+        num[weight * (k0 + t)] = e
+    return RationalFunctionT.coprime(LaurentPoly(num), den, q)
+
+
+@st.composite
+def _rationalize_inputs(draw):
+    """(seq, r_max, confirm), len(seq) = 2 r_max + confirm + extra, of one kind:
+    a recurrence of order <= r_max + 1 after a head that may run past K_EXTRA into
+    the fit window; a nonzero head then at least r_max + confirm zeros; all zeros;
+    or arbitrary entries, mostly not recurrent."""
+    scalar = draw(st.sampled_from([_small, st.lists(_small, min_size=6, max_size=6).map(
+        lambda cs: root_of_unity_sum(3, 2, cs))]))
+    r_max, confirm, extra = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(
+        st.integers(0, K_EXTRA + 2))
+    length = 2 * r_max + confirm + extra
+    kind = draw(st.sampled_from(["recurrent", "zero_tail", "zero", "arbitrary"]))
+    if kind == "zero":
+        return [as_scalar(0, 3)] * length, r_max, confirm
+    if kind == "arbitrary":
+        return draw(st.lists(scalar, min_size=length, max_size=length)), r_max, confirm
+    if kind == "zero_tail":
+        zeros = draw(st.integers(r_max + confirm, length - 1))
+        head = draw(st.lists(scalar, min_size=length - zeros, max_size=length - zeros).filter(
+            lambda h: not scalar_is_zero(h[-1])))
+        return head + [as_scalar(0, 3)] * zeros, r_max, confirm
+    order = draw(st.integers(0, r_max + 1))
+    coeffs = draw(st.lists(scalar, min_size=order, max_size=order))
+    head = draw(st.lists(scalar, max_size=min(length - order, K_EXTRA + r_max + 1)))
+    tail = draw(st.lists(scalar, min_size=order, max_size=order))
+    while len(head) + len(tail) < length:
+        tail.append(sum((c * tail[-i] for i, c in enumerate(coeffs, start=1)),
+                        start=as_scalar(0, 3)))
+    return head + tail, r_max, confirm
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rationalize_inputs(), st.integers(-2, 2), st.sampled_from([1, 2, -2]))
+def test_rationalize_matches_the_reference(case, k0, weight):
+    seq, r_max, confirm = case
+    try:
+        want = _rationalize_reference(seq, k0, weight, 3, r_max, confirm)
+    except NoRecurrence as exc:
+        with pytest.raises(NoRecurrence) as got:
+            rationalize(seq, k0, weight, 3, r_max, confirm)
+        assert str(got.value) == str(exc)
+        return
+    assert rationalize(seq, k0, weight, 3, r_max, confirm).serialize() == want.serialize()
 
 
 # -- rationalize without a gcd, and the dense division (hypothesis) ----------
