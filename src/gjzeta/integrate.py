@@ -6,15 +6,16 @@ has the shape psi(tr(B g)) * chi(unit part of det g) restricted to a coset
 of p^L M_n(Z_p), which covers Schwartz-Bruhat terms and the truncated
 distribution kernels alike.
 
-Three evaluation paths, the same for every n, chosen once per term of a series:
-  * zero-centered coset with scalar modulation: closed forms in Gauss sums,
-    which visit and count no cell;
-  * scalar-centered coset a Id + p^L M_n(Z_p) with v(a) < L and p^L times the
-    modulation integral, every built-in shifted ball among them: one closed-form
-    term, at k = n v(a), with no cell;
+Three evaluation paths, the same for every n, chosen once per term of a series
+from the centre C mod p^L and the modulation B mod p^(-L) (_shell_path):
+  * C = 0, B = c Id: closed forms in Gauss sums (Hermite), with no cell;
+  * C = a Id with v(a) < L, B = 0, every built-in shifted ball among them: one
+    closed-form term, at k = n v(a), with no cell;
   * every other coset, and every coset under force_enumeration: recursive
     residue-cell refinement with an exact resolution rule, bounded by a hard
     cell budget.
+The Fourier transform (C, L, B) -> (-B, -L, C) swaps the first two classes, so a
+term is closed form exactly when its transform is.
 The refinement adds the sign of chi(u) = sign * zeta_{p^c}^a into one sparse
 {phase: count} histogram per level at the phase e p^(T-m) + a p^(T-c) of
 psi * chi, T = max(m, c), reduced by one root_of_unity_sum at the least level
@@ -32,8 +33,8 @@ from math import gcd, prod
 from operator import add, mul
 
 from .errors import BudgetExceeded
-from .padic import (INFINITE, PAdicContext, PAdicMatrix, flat_det, int_valuation,
-                    mod_int, psi_exponent, valuation)
+from .padic import (INFINITE, PAdicContext, PAdicMatrix, flat_det, in_level,
+                    int_valuation, mod_int, psi_exponent, valuation)
 from .ratfun import LaurentPoly, RationalFunctionT
 from .recurrence import detect_recurrence
 from .scalars import as_scalar, root_of_unity_sum
@@ -67,25 +68,33 @@ def parallel_map(fn, items, threads: int = 1):
     return [fn(x) for x in items]
 
 
-def _scalar_of(m: PAdicMatrix):
-    """c when m = c Id, else None."""
+def _scalar_mod(m: PAdicMatrix, level: int, p: int):
+    """c = m_11 when m is in c Id + p^level M_n(Z_p), else None; an exact entry costs one ==."""
     c = m.entries[0][0]
-    if all(e == (c if i == j else 0) for i, row in enumerate(m.entries) for j, e in enumerate(row)):
-        return c
-    return None
+    for i, row in enumerate(m.entries):
+        for j, e in enumerate(row):
+            if e != (c if i == j else 0) and not in_level(e - c if i == j else e, level, p):
+                return None
+    return c
 
 
 def _shell_path(ctx: PAdicContext, center: PAdicMatrix, level: int,
                 modulation: PAdicMatrix, config: IntegrationConfig):
-    """The evaluator (k, unit_char, stats) -> shell k of one modulated coset.  The
-    path depends on the coset and the modulation alone, so a series chooses it once."""
+    """The evaluator (k, unit_char, stats) -> shell k of one modulated coset, chosen once per
+    series from C mod p^L, which fixes the coset, and B mod p^(-L): on the coset, B + p^(-L) Y
+    gives psi(tr(B g)) times psi(p^(-L) tr(Y C)), 1 when C = 0 mod p^L.  With C = a Id and
+    B = c Id in those classes (a, c the (1, 1) entries), a = 0 takes Hermite with c, and c = 0
+    the scalar centre with a and the written B.  Any representative gives the same value:
+    Hermite reads c only through c p^L mod Z_p; the scalar centre reads a through v(a) < L,
+    fixed on the class, u_a mod p^f, fixed as f <= L - v(a), and psi(a tr B), which moves by
+    an integer, since p^L B is integral."""
     if not config.force_enumeration:
         p, n = ctx.p, center.n
-        c = _scalar_of(modulation)
-        if c is not None and center.in_level(level, p):
+        a = _scalar_mod(center, level, p)
+        c = None if a is None else _scalar_mod(modulation, -level, p)
+        if c is not None and in_level(a, level, p):
             return lambda k, unit_char, stats: _shell_hermite(ctx, n, k, level, c, unit_char)
-        a = _scalar_of(center)
-        if a and valuation(a, p) < level and modulation.in_level(-level, p):
+        if c is not None and in_level(c, -level, p):
             return lambda k, unit_char, stats: _shell_scalar_centre(
                 ctx, n, k, level, a, modulation, unit_char)
     return lambda k, unit_char, stats: _shell_generic(ctx, k, center, level, modulation,

@@ -177,10 +177,6 @@ class PAdicMatrix:
         vals = [valuation(e, p) for row in self.entries for e in row]
         return min(vals)
 
-    def in_level(self, level: int, p: int) -> bool:
-        """self in p^level M_n(Z_p)?"""
-        return all(in_level(x, level, p) for row in self.entries for x in row)
-
     def in_coset(self, center: "PAdicMatrix", level: int, p: int) -> bool:
         """self in center + p^level M_n(Z_p)?  Stops at the first entry below.
         From integers: x - y = N / (x.den y.den), and with t = level +

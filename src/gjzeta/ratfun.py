@@ -76,9 +76,6 @@ class LaurentPoly:
             return "0"
         return " + ".join("(%r)*T^%d" % (c, e) for e, c in sorted(self.coeffs.items()))
 
-    def leading(self):
-        return self.coeffs[self.degree()]
-
     def trailing(self):
         return self.coeffs[self.low_degree()]
 

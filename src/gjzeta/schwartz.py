@@ -25,11 +25,11 @@ from .scalars import (CyclotomicNumber, as_scalar, root_of_unity_sum, scalar_con
                       scalar_is_zero)
 
 
-def json_int(x) -> int:
-    """int(x) for a JSON integer or integer string; a float or bool is refused, not truncated."""
+def json_exact(x, kind=int):
+    """kind(x), int or Fraction, of a JSON integer or string; a float or bool is refused."""
     if isinstance(x, (bool, float)):
-        raise TypeError("expected an integer, got %r" % (x,))
-    return int(x)
+        raise TypeError("expected an exact %s, got %r" % (kind.__name__, x))
+    return kind(x)
 
 
 def _in_field(c, p: int):
@@ -218,34 +218,27 @@ class SchwartzBruhatFn:
     # -- serialization -------------------------------------------------
 
     def to_json(self) -> str:
-        def frac(x):
-            return str(Fraction(x))
-
         def mat(m):
-            return [[frac(e) for e in row] for row in m.entries]
+            return [[str(e) for e in row] for row in m.entries]
 
-        terms = []
-        for t in self.terms:
-            terms.append({
-                "coeff": {"level": t.coeff.m, "coeffs": [frac(x) for x in t.coeff.coeffs]},
-                "center": mat(t.center),
-                "level": t.level,
-                "modulation": mat(t.modulation),
-            })
+        terms = [{"coeff": {"level": c.m, "coeffs": [str(Fraction(x)) for x in c.coeffs]},
+                  "center": mat(t.center), "level": t.level, "modulation": mat(t.modulation)}
+                 for t, c in ((t, t.coeff) for t in self.terms)]
         return json.dumps({"n": self.n, "p": self.ctx.p, "terms": terms})
 
     @staticmethod
     def from_json(doc: str) -> "SchwartzBruhatFn":
         data = json.loads(doc) if isinstance(doc, str) else doc
-        n = json_int(data["n"])
-        ctx = PAdicContext(json_int(data["p"]))
+        n = json_exact(data["n"])
+        ctx = PAdicContext(json_exact(data["p"]))
         terms = []
         for t in data["terms"]:
-            c = root_of_unity_sum(ctx.p, json_int(t["coeff"]["level"]),
-                                  [Fraction(x) for x in t["coeff"]["coeffs"]])
-            center = PAdicMatrix([[Fraction(e) for e in row] for row in t["center"]])
-            modulation = PAdicMatrix([[Fraction(e) for e in row] for row in t["modulation"]])
-            terms.append(SchwartzTerm(c, center, json_int(t["level"]), modulation))
+            c = root_of_unity_sum(ctx.p, json_exact(t["coeff"]["level"]),
+                                  [json_exact(x, Fraction) for x in t["coeff"]["coeffs"]])
+            center, modulation = (PAdicMatrix([[json_exact(e, Fraction) for e in row]
+                                               for row in t[key]])
+                                  for key in ("center", "modulation"))
+            terms.append(SchwartzTerm(c, center, json_exact(t["level"]), modulation))
         return SchwartzBruhatFn(n, ctx, terms)
 
     def __repr__(self):

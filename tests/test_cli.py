@@ -414,6 +414,49 @@ def test_integer_strings_in_json_fields_still_parse(tmp_path, capsys):
     assert rep["results"] == ref["results"]
 
 
+@pytest.mark.parametrize("field, value", [
+    ("coeffs", 0.1), ("center", 0.5), ("modulation", 0.5), ("coeffs", True)],
+    ids=["coeffs", "center", "modulation", "coeffs-bool"])
+def test_float_in_rational_json_phi_field_exits_3(field, value, tmp_path, capsys):
+    # Fraction() read 0.1 as 3602879701896397/36028797018963968, so the run exited 0 PASS
+    doc = _phi_doc()
+    if field == "coeffs":
+        doc["terms"][0]["coeff"]["coeffs"] = [value]
+    else:
+        doc["terms"][0][field] = [[value]]
+    phi = tmp_path / "phi.json"
+    phi.write_text(json.dumps(doc))
+    assert main(["gamma", "--p", "3", "--n", "1", "--phis", "@%s" % phi]) == 3
+    assert "invalid input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("char", [
+    '{"conductor_exp": 0, "value_at_p": 0.1}',
+    '{"conductor_exp": 0, "value_at_p": true}',
+    '{"conductor_exp": 1, "generators": {"2": -1.0}}',
+], ids=["value-at-p", "value-at-p-bool", "generator"])
+def test_float_in_rational_json_character_field_exits_3(char, capsys):
+    # value_at_p 0.1 gave a gamma with coefficients over 36028797018963968, and exit 0
+    assert main(["gamma", "--p", "3", "--n", "1", "--char", char]) == 3
+    assert "invalid input" in capsys.readouterr().err
+
+
+def test_rational_strings_and_integers_in_json_fields_still_parse(tmp_path, capsys):
+    gamma = ["gamma", "--p", "3", "--n", "1"]
+    runs = []
+    for half in ("1/2", "0.5"):
+        doc = _phi_doc(SchwartzBruhatFn.shifted_ball(1, PAdicContext(3), 1, 1))
+        doc["terms"][0]["coeff"]["coeffs"] = [half]
+        doc["terms"][0]["center"] = [[1]]
+        phi = tmp_path / "phi.json"
+        phi.write_text(json.dumps(doc))
+        char = '{"conductor_exp": 0, "value_at_p": "%s"}' % half
+        code, rep = run_json(gamma + ["--char", char, "--phis", "@%s" % phi], capsys)
+        assert code == 0 and rep["verdict"] == "PASS"
+        runs.append(rep["results"])
+    assert runs[0] == runs[1]
+
+
 HIGH_CONDUCTOR_RUNS = [
     ("2", "1", '{"conductor_exp":6,"generators":{"5":{"root":[4,1]},"63":1}}'),
     ("2", "2", '{"conductor_exp":12,"generators":{"5":{"root":[10,1]},"4095":1}}'),

@@ -9,14 +9,16 @@ The closed-form volumes used as oracles:
 """
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gjzeta import integrate
 from gjzeta.errors import BudgetExceeded
 from gjzeta.integrate import (IntegrationConfig, stabilized_shell_integral,
                               term_shell_integral)
-from gjzeta.padic import PAdicContext, PAdicMatrix
+from gjzeta.padic import PAdicContext, PAdicMatrix, psi_exponent, trace_pairing, valuation
 from gjzeta.scalars import root_of_unity, scalar_is_zero
 from gjzeta.zeta import MultiplicativeCharacter
 
@@ -98,18 +100,26 @@ def test_nonscalar_modulation_uses_generic_path():
     (PAdicMatrix([[2, 0], [4, 2]]), PAdicMatrix.scalar(2, Fraction(1, 2)), "hermite"),
     (PAdicMatrix.zero(2), PAdicMatrix.scalar(2, Fraction(1, 2)), "hermite"),
     (PAdicMatrix([[2, 0], [1, 2]]), PAdicMatrix.scalar(2, Fraction(1, 2)), "generic"),
-    (PAdicMatrix.zero(2), PAdicMatrix([[Fraction(1, 2), 0], [0, 1]]), "generic"),
-    (PAdicMatrix.zero(2), PAdicMatrix([[1, 1], [0, 1]]), "generic"),
+    # a modulation = c Id mod 2^(-1) M_2(Z_2) is Hermite's, however it is written
+    (PAdicMatrix.zero(2), PAdicMatrix([[Fraction(1, 2), 0], [0, 1]]), "hermite"),
+    (PAdicMatrix.zero(2), PAdicMatrix([[1, 1], [0, 1]]), "hermite"),
     # a scalar center off the lattice takes the scalar-centre closed form when
     # 2 * modulation is integral, and the refinement otherwise
     (PAdicMatrix.scalar(2, 1), PAdicMatrix.zero(2), "scalar_centre"),
     (PAdicMatrix.scalar(2, Fraction(3, 2)), PAdicMatrix([[0, Fraction(1, 2)], [1, 0]]),
      "scalar_centre"),
     (PAdicMatrix.scalar(2, 1), PAdicMatrix.scalar(2, Fraction(1, 4)), "generic"),
-    (PAdicMatrix([[1, 1], [0, 1]]), PAdicMatrix.zero(2), "generic")])
+    (PAdicMatrix([[1, 1], [0, 1]]), PAdicMatrix.zero(2), "generic"),
+    # off every scalar class mod 2^(-1): the refinement
+    (PAdicMatrix.zero(2), PAdicMatrix.diagonal([Fraction(1, 4), Fraction(1, 2)]), "generic"),
+    (PAdicMatrix.zero(2), PAdicMatrix([[Fraction(1, 2), Fraction(1, 4)], [0, Fraction(1, 2)]]),
+     "generic"),
+    # a center = Id mod 2 M_2(Z_2) is the shifted ball's coset
+    (PAdicMatrix([[1, 2], [0, 3]]), PAdicMatrix.zero(2), "scalar_centre")])
 def test_hermite_route_needs_scalar_modulation_and_center_in_the_lattice(
         center, modulation, route, monkeypatch):
-    # at level 1: the center must lie in 2 M_2(Z_2), the modulation must be c * Id
+    # at level 1 a path reads the center mod 2 M_2(Z_2) and the modulation mod
+    # 2^(-1) M_2(Z_2): Hermite needs center = 0 and modulation = c Id there
     taken = []
     for name in ("hermite", "scalar_centre", "generic"):
         monkeypatch.setattr(integrate, "_shell_" + name,
@@ -158,3 +168,63 @@ def test_high_conductor_shell_needs_no_truncation_cap():
     ref = term_shell_integral(ctx, -10, PAdicMatrix.zero(1), -10, mod,
                               IntegrationConfig(force_enumeration=True), chi)
     assert scalar_is_zero(val - ref)
+
+
+@st.composite
+def _spelled_terms(draw):
+    """A closed-form term (C, L, B) as spelled by a built-in, and integral X, Y: either
+    C = 0, B = c Id (Hermite) or C = a Id with v(a) < L, B = 0 (scalar centre)."""
+    p, n, L = draw(st.sampled_from([2, 3, 5])), draw(st.integers(1, 3)), draw(st.integers(-2, 2))
+    unit = draw(st.sampled_from([u for u in (1, -1, 2, -2, 3, 4, Fraction(1, 7), Fraction(5, 2))
+                                 if u % p]))
+    if draw(st.booleans()):
+        c = draw(st.sampled_from([0, unit])) * Fraction(p) ** draw(st.integers(-L - 3, -L + 1))
+        C, B = PAdicMatrix.zero(n), PAdicMatrix.scalar(n, c)
+    else:
+        a = unit * Fraction(p) ** draw(st.integers(L - 3, L - 1))
+        C, B = PAdicMatrix.scalar(n, a), PAdicMatrix.zero(n)
+    entries = st.sampled_from([Fraction(b, d) for b in range(-3, 4) for d in (1, p + 1)])
+    X, Y = (PAdicMatrix(draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                                      min_size=n, max_size=n))) for _ in "XY")
+    chi = draw(st.sampled_from([None, MultiplicativeCharacter.trivial(p),
+                                MultiplicativeCharacter.quadratic_ramified(p)]))
+    return p, C, L, B, X, Y, chi
+
+
+def _written_shells(ctx, C, L, B, X, Y, chi):
+    """(C + p^L X, L, B + p^(-L) Y) and {k: its shell k} for five k from n min(v(C), L) - 1.
+    It is the coset of (C, L, B) with psi(tr(B g)) times the constant psi(p^(-L) tr(Y C)),
+    so each shell must be the spelled term's times that constant, with no refinement."""
+    p, n = ctx.p, C.n
+    Cw, Bw = C - X.scale(-Fraction(p) ** L), B - Y.scale(-Fraction(p) ** -L)
+    phase = psi_exponent(trace_pairing(Y.scale(Fraction(p) ** -L), C), ctx)
+    k0 = n * min(L, valuation(C.entries[0][0], p))
+    cfg, shells = IntegrationConfig(), {}
+    with mock.patch.object(integrate, "_shell_generic", side_effect=AssertionError("refined")):
+        for k in range(k0 - 1, k0 + 4):
+            shells[k] = term_shell_integral(ctx, k, Cw, L, Bw, cfg, chi)
+            spelled = term_shell_integral(ctx, k, C, L, B, cfg, chi).times_root(*phase)
+            assert scalar_is_zero(shells[k] - spelled), k
+    return (Cw, L, Bw), shells
+
+
+@settings(max_examples=60, deadline=None)
+@given(_spelled_terms(), st.booleans(), st.integers(0, 4))
+def test_congruent_spellings_route_to_closed_forms_and_agree(case, transform, i):
+    # a centre = C mod p^L and a modulation = B mod p^(-L) take C's and B's closed form,
+    # and so does the transform (-B, -L, C), with the perturbation (-Y, X)
+    p, C, L, B, X, Y, chi = case
+    ctx = PAdicContext(p)
+    term = _written_shells(ctx, C, L, B, X, Y, chi)
+    dual = _written_shells(ctx, -B, -L, C, -Y, X, chi)
+    if p > 3 or C.n > 2:
+        return
+    (Cw, Lw, Bw), shells = dual if transform else term
+    k = sorted(shells)[i]
+    try:
+        slow = term_shell_integral(ctx, k, Cw, Lw, Bw,
+                                   IntegrationConfig(force_enumeration=True, hard_budget=20000),
+                                   chi)
+    except BudgetExceeded:
+        return
+    assert scalar_is_zero(shells[k] - slow), k

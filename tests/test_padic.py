@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import sympy
 
+from gjzeta.integrate import _scalar_mod
 from gjzeta.padic import (INFINITE, PAdicContext, PAdicMatrix, flat_det, in_level,
                           psi_exponent, psi_value, trace_pairing, valuation)
 from gjzeta.scalars import root_of_unity, scalar_is_zero
@@ -190,7 +191,10 @@ def test_residue_helpers_match_fraction_forms(case):
     for x, _ in pairs:
         assert in_level(x, level, p) == (valuation(x, p) >= level)
         assert in_level(x.numerator, level, p) == (valuation(x.numerator, p) >= level)
-    assert a.in_level(level, p) == all(valuation(x, p) >= level for x, _ in pairs)
+    c = a.entries[0][0]  # a in c Id + p^level M_n(Z_p), the class a shell's path reads
+    scalar = all(valuation(x - (c if i == j else 0), p) >= level
+                 for i, row in enumerate(a.entries) for j, x in enumerate(row))
+    assert _scalar_mod(a, level, p) == (c if scalar else None)
     assert a.in_coset(b, level, p) == all(valuation(x - y, p) >= level for x, y in pairs)
     got = trace_pairing(a, b)
     want = sum((a.entries[i][k] * b.entries[k][i] for i in range(n) for k in range(n)),
