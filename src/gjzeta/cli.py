@@ -46,6 +46,7 @@ def parse_character(p: int, source: str) -> MultiplicativeCharacter:
     JSON schema: {"conductor_exp": c, "table": {"u": value, ...} or
     "generators": {"g": value, ...}, "value_at_p": value}; scalar values are
     rational strings or {"root": [m, a]} for the p^m-th root of unity zeta^a.
+    Any other key, or a table beside generators, is refused.
     """
     source = source.strip()
     if source == "trivial":
@@ -67,6 +68,11 @@ def parse_character(p: int, source: str) -> MultiplicativeCharacter:
             and isinstance(data.get("generators", {}), dict)):
         raise InvalidSpec("a character is a JSON object whose table and generators "
                           "are objects")
+    unknown = sorted(data.keys() - {"conductor_exp", "table", "generators", "value_at_p"})
+    if unknown:
+        raise InvalidSpec("unknown character key %s" % ", ".join(map(repr, unknown)))
+    if "table" in data and "generators" in data:
+        raise InvalidSpec("a character has a table or generators, not both")
     try:
         c = json_exact(data.get("conductor_exp", 0))
         if c < 0 or p ** min(c, 13) > MAX_ROOT_ORDER:  # checked before any residue is listed
@@ -187,19 +193,11 @@ ARCH_COLUMNS = ("s_re", "s_im", "gamma_re", "gamma_im",
                 "oracle_re", "oracle_im", "abs_err")
 
 
-def make_report(command: str, parameters: dict, results, verdict: str,
-                elapsed: float, cells: int | None, windows=None) -> dict:
-    return {
-        "tool": "gjzeta",
-        "version": __version__,
-        "command": command,
-        "parameters": parameters,
-        "verdict": verdict,
-        "results": results,
-        "windows": windows or {},
-        "cells_enumerated": cells,
-        "elapsed_seconds": round(elapsed, 3),
-    }
+def make_report(command: str, body: dict, elapsed: float) -> dict:
+    """The body with the run's metadata; no windows and no cells where it has none."""
+    return ({"tool": "gjzeta", "version": __version__, "command": command,
+             "windows": {}, "cells_enumerated": 0}
+            | body | {"elapsed_seconds": round(elapsed, 3)})
 
 
 def emit(report, args) -> None:
@@ -220,31 +218,39 @@ def emit(report, args) -> None:
 
 
 # -- subcommands ---------------------------------------------------------
-# each returns the report body: (parameters, results, verdict, cells, windows)
+# each returns the report body: parameters, verdict, results[, windows, cells_enumerated]
+
+def _chi_config_phis(args):
+    """The character, engine settings and Phi list of gamma, verify-fe and verify-bk.
+    With no --phis (verify-fe, verify-bk), a chi of true conductor exponent f >= 1 takes
+    shifted balls, as both balls have Z(Phi, s, chi) = 0; args.phis keeps the list run."""
+    chi = parse_character(args.p, args.char)
+    cfg = build_config(args)
+    if args.phis is None:
+        f = chi.conductor_exp
+        args.phis = ("shifted_ball(1,%d),shifted_ball(1,%d)" % (f, f + 1) if f
+                     else "unit_ball,scaled_ball(1)")
+    return chi, cfg, parse_phi_list(args.n, PAdicContext(args.p), args.phis)
+
 
 def cmd_gamma(args):
     # verify-fe runs this too: its claim *is* Phi-independence of the ratio
-    ctx = PAdicContext(args.p)
-    chi = parse_character(args.p, args.char)
-    cfg = build_config(args)
-    phis = parse_phi_list(args.n, ctx, args.phis)
+    chi, cfg, phis = _chi_config_phis(args)
     stats = {}
     ok, gamma, warnings = phi_independence_check(phis, chi, cfg, stats)
-    return ({"p": args.p, "n": args.n, "char": args.char, "phis": args.phis},
-            {"gamma": gamma.value.serialize(),
-             "num": gamma.num.value.serialize(),
-             "den": gamma.den.value.serialize(),
-             "warnings": warnings},
-            "PASS" if ok else "FAIL", stats.get("cells", 0),
-            {"k_range_den": list(gamma.den.k_range),
-             "k_range_num": list(gamma.num.k_range)})
+    return {"parameters": {"p": args.p, "n": args.n, "char": args.char, "phis": args.phis},
+            "verdict": "PASS" if ok else "FAIL",
+            "results": {"gamma": gamma.value.serialize(),
+                        "num": gamma.num.value.serialize(),
+                        "den": gamma.den.value.serialize(),
+                        "warnings": warnings},
+            "windows": {"k_range_den": list(gamma.den.k_range),
+                        "k_range_num": list(gamma.num.k_range)},
+            "cells_enumerated": stats.get("cells", 0)}
 
 
 def cmd_verify_bk(args):
-    ctx = PAdicContext(args.p)
-    chi = parse_character(args.p, args.char)
-    cfg = build_config(args)
-    phis = parse_phi_list(args.n, ctx, args.phis)
+    chi, cfg, phis = _chi_config_phis(args)
     n = args.n
     if n == 1:
         xs = [PAdicMatrix([[x]]) for x in (1, args.p, Fraction(1, args.p))]
@@ -252,10 +258,9 @@ def cmd_verify_bk(args):
         xs = [PAdicMatrix.identity(n), PAdicMatrix.diagonal([1] * (n - 1) + [2]),
               PAdicMatrix([[2 if (i, j) == (n - 1, 0) else int(j == i + 1)
                             for j in range(n)] for i in range(n)])]
-    rep = verify_bk_identity(chi, n, phis, xs, cfg)
-    return (rep["parameters"] | {"char": args.char, "phis": args.phis},
-            {"claim": rep["claim"], "lhs": rep["lhs"], "rhs": rep["rhs"]},
-            rep["verdict"], rep["cells_enumerated"], rep["windows"])
+    body = verify_bk_identity(chi, n, phis, xs, cfg)
+    body["parameters"] |= {"char": args.char, "phis": args.phis}
+    return body
 
 
 def cmd_verify_inverse(args):
@@ -265,21 +270,17 @@ def cmd_verify_inverse(args):
         d = tilde(cstar_gamma(args.n))
     else:
         d = TwistedDistribution(args.n, args.alpha2, -1, INVERSE)
-    rep = verify_inverse_weak(d, [chi], cfg)
-    return (rep["parameters"] | {"char": args.char},
-            {"claim": rep["claim"], "products": rep["lhs"], "target": rep["rhs"]},
-            rep["verdict"], rep["cells_enumerated"], rep["windows"])
+    body = verify_inverse_weak(d, [chi], cfg)
+    body["parameters"]["char"] = args.char
+    return body
 
 
 def cmd_verify_relation(args):
     if args.n < 1:
         raise InvalidSpec("n must be >= 1, got %d" % args.n)
-    reps = [verify_relation(n) for n in range(1, args.n + 1)]
-    verdict = "PASS" if all(r["verdict"] == "PASS" for r in reps) else "FAIL"
-    return ({"n_max": args.n},
-            [{"n": r["parameters"]["n"], "verdict": r["verdict"],
-              "lhs": r["lhs"], "rhs": r["rhs"]} for r in reps],
-            verdict, 0, None)
+    rows = [verify_relation(n) for n in range(1, args.n + 1)]
+    return {"parameters": {"n_max": args.n}, "results": rows,
+            "verdict": "PASS" if all(r["verdict"] == "PASS" for r in rows) else "FAIL"}
 
 
 # the ratios b/c (b = -3..3, c = 1..3) that scale a drawn coefficient
@@ -341,9 +342,9 @@ def cmd_fourier_selftest(args):
                 if not scalar_is_zero(f.inner_product(g)
                                       - f_hat.inner_product(g.fourier())):
                     failures.append({"n": n, "p": p, "index": i, "law": "Plancherel"})
-    return ({"count_per_case": args.count, "seed": args.seed},
-            {"functions_checked": total, "failures": failures},
-            "PASS" if not failures else "FAIL", 0, None)
+    return {"parameters": {"count_per_case": args.count, "seed": args.seed},
+            "results": {"functions_checked": total, "failures": failures},
+            "verdict": "PASS" if not failures else "FAIL"}
 
 
 def cmd_arch_gamma(args):
@@ -366,10 +367,10 @@ def cmd_arch_gamma(args):
                                             oracle.real, oracle.imag, abs(val - oracle)))))
     errs = [row["abs_err"] for row in rows]
     worst = float("nan") if any(map(cmath.isnan, errs)) else max(0.0, *errs)
-    return ({"delta": args.delta, "tau": str(args.tau), "tol": args.tol,
-             "s_grid": [str(s) for s in grid]},
-            {"rows": rows, "max_abs_err": worst},
-            "PASS" if all(e < args.tol for e in errs) else "FAIL", 0, None)
+    return {"parameters": {"delta": args.delta, "tau": str(args.tau), "tol": args.tol,
+                           "s_grid": [str(s) for s in grid]},
+            "results": {"rows": rows, "max_abs_err": worst},
+            "verdict": "PASS" if all(e < args.tol for e in errs) else "FAIL"}
 
 
 # -- argument plumbing ---------------------------------------------------
@@ -402,18 +403,18 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated Phi list (independence is re-verified)")
     sp.set_defaults(fn="cmd_gamma")
 
-    ramified_phis = ("comma-separated Phi list; the default is degenerate for a ramified "
-                     "--char, so give e.g. 'shifted_ball(1,1),shifted_ball(1,2)'")
+    default_phis = ("comma-separated Phi list (default: unit_ball,scaled_ball(1), or "
+                    "shifted_ball(1,f),shifted_ball(1,f+1) for chi of conductor exponent f)")
     sp = sub.add_parser("verify-fe",
                         help="Phi-independence of the functional-equation ratio")
     common(sp)
-    sp.add_argument("--phis", default="unit_ball,scaled_ball(1)", help=ramified_phis)
+    sp.add_argument("--phis", help=default_phis)
     sp.set_defaults(fn="cmd_gamma")
 
     sp = sub.add_parser("verify-bk",
                         help="generating-distribution spectral identity")
     common(sp)
-    sp.add_argument("--phis", default="unit_ball,scaled_ball(1)", help=ramified_phis)
+    sp.add_argument("--phis", help=default_phis)
     sp.set_defaults(fn="cmd_verify_bk")
 
     sp = sub.add_parser("verify-inverse",
@@ -468,23 +469,22 @@ def main(argv=None) -> int:
         return EXIT_INVALID if exc.code not in (0, None) else 0
     t0 = time.time()
     try:
-        parameters, results, verdict, cells, windows = globals()[args.fn](args)
+        body = globals()[args.fn](args)
     except (InvalidSpec, ValueError) as exc:
         return _invalid(exc)
     except EngineError as exc:
         print("INCONCLUSIVE: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         where = {f: getattr(exc, f) for f in ("shell", "truncation", "cells")
                  if getattr(exc, f, None) is not None}
-        parameters = {k: v for k, v in vars(args).items()
-                      if k not in ("fn", "command", "out")}
-        results = {"error": type(exc).__name__, "message": str(exc)} | where
-        verdict, cells, windows = "INCONCLUSIVE", None, None
+        body = {"parameters": {k: v for k, v in vars(args).items()
+                               if k not in ("fn", "command", "out")},
+                "verdict": "INCONCLUSIVE", "cells_enumerated": None,
+                "results": {"error": type(exc).__name__, "message": str(exc)} | where}
     try:
-        emit(make_report(args.command, parameters, results, verdict,
-                         time.time() - t0, cells, windows), args)
+        emit(make_report(args.command, body, time.time() - t0), args)
     except InvalidSpec as exc:
         return _invalid(exc)
-    return {"PASS": EXIT_PASS, "FAIL": EXIT_FAIL}.get(verdict, EXIT_INCONCLUSIVE)
+    return {"PASS": EXIT_PASS, "FAIL": EXIT_FAIL}.get(body["verdict"], EXIT_INCONCLUSIVE)
 
 
 if __name__ == "__main__":

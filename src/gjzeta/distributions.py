@@ -81,19 +81,12 @@ def det_twist(d: TwistedDistribution, beta2: int) -> TwistedDistribution:
 
 
 def verify_relation(n: int) -> dict:
-    """det_twist(closed_form_inverse(tilde(cstar_gamma(n))), (n+1)/2)
-    must equal gj_delta(n) as an exact tuple identity."""
+    """det_twist(closed_form_inverse(tilde(cstar_gamma(n))), (n+1)/2) must equal
+    gj_delta(n) as an exact tuple identity; returns verify-relation's row for n."""
     lhs = det_twist(closed_form_inverse(tilde(cstar_gamma(n))), n + 1)
     rhs = gj_delta(n)
-    return {
-        "claim": "normalizing-distribution relation",
-        "parameters": {"n": n},
-        "verdict": "PASS" if lhs == rhs else "FAIL",
-        "lhs": repr(lhs),
-        "rhs": repr(rhs),
-        "windows": {},
-        "cells_enumerated": 0,
-    }
+    return {"n": n, "verdict": "PASS" if lhs == rhs else "FAIL",
+            "lhs": repr(lhs), "rhs": repr(rhs)}
 
 
 # -- spectral action ----------------------------------------------------
@@ -151,19 +144,8 @@ def spectral_action(d: TwistedDistribution, chi: MultiplicativeCharacter,
 
 
 # -- verification reports ----------------------------------------------
-
-def _report(claim, parameters, verdict, lhs, rhs, stats):
-    return {
-        "claim": claim,
-        "parameters": parameters,
-        "verdict": verdict,
-        "lhs": lhs,
-        "rhs": rhs,
-        "windows": {"k_range": list(stats.get("k_range", ())),
-                    "m_range": list(stats.get("m_range", ()))},
-        "cells_enumerated": stats.get("cells", 0),
-    }
-
+# each returns the report body the CLI writes: parameters, verdict, results,
+# windows (the k and m* ranges of every spectral action run) and cells_enumerated
 
 def verify_bk_identity(chi: MultiplicativeCharacter, n: int, phi_list,
                        x_list, config: IntegrationConfig | None = None) -> dict:
@@ -178,16 +160,14 @@ def verify_bk_identity(chi: MultiplicativeCharacter, n: int, phi_list,
     stats = {}
     spectral = spectral_action(gj_delta(n), chi, x_list[0], config, stats)
     gammas = [gamma_factor(phi, chi, config) for phi in phi_list]
-    stats["cells"] = stats.get("cells", 0) + sum(g.cells for g in gammas)
-    ok = all(ratfun_equal(g.value, spectral) for g in gammas)
-    return _report(
-        "Braverman-Kazhdan generating identity",
-        {"n": n, "p": chi.p, "conductor_exp": chi.conductor_exp,
-         "x_count": len(x_list), "phi_count": len(phi_list)},
-        "PASS" if ok else "FAIL",
-        spectral.serialize(),
-        gammas[0].value.serialize(),
-        stats)
+    return {
+        "parameters": {"n": n, "p": chi.p, "conductor_exp": chi.conductor_exp,
+                       "x_count": len(x_list), "phi_count": len(phi_list)},
+        "verdict": "PASS" if all(ratfun_equal(g.value, spectral) for g in gammas) else "FAIL",
+        "results": {"claim": "Braverman-Kazhdan generating identity",
+                    "lhs": spectral.serialize(), "rhs": gammas[0].value.serialize()},
+        "windows": {k: list(stats[k]) for k in ("k_range", "m_range")},
+        "cells_enumerated": stats.get("cells", 0) + sum(g.cells for g in gammas)}
 
 
 def verify_inverse_weak(d: TwistedDistribution, chi_list,
@@ -201,20 +181,13 @@ def verify_inverse_weak(d: TwistedDistribution, chi_list,
     stats = {}
     inv = closed_form_inverse(d)
     x = PAdicMatrix.identity(d.n)
-    ok = True
-    products = []
-    for chi in chi_list:
-        a = spectral_action(d, chi, x, config, stats)
-        b = spectral_action(inv, chi, x, config, stats)
-        prod = a * b
-        products.append(prod.serialize())
-        ok = ok and prod == 1
-    return _report(
-        "weak convolution inverse",
-        {"n": d.n, "alpha2": d.alpha2, "epsilon": d.epsilon,
-         "chi_count": len(chi_list),
-         "p": chi_list[0].p},
-        "PASS" if ok else "FAIL",
-        products,
-        "1",
-        stats)
+    products = [spectral_action(d, chi, x, config, stats)
+                * spectral_action(inv, chi, x, config, stats) for chi in chi_list]
+    return {
+        "parameters": {"n": d.n, "alpha2": d.alpha2, "epsilon": d.epsilon,
+                       "chi_count": len(chi_list), "p": chi_list[0].p},
+        "verdict": "PASS" if all(prod == 1 for prod in products) else "FAIL",
+        "results": {"claim": "weak convolution inverse",
+                    "products": [prod.serialize() for prod in products], "target": "1"},
+        "windows": {k: list(stats[k]) for k in ("k_range", "m_range")},
+        "cells_enumerated": stats.get("cells", 0)}

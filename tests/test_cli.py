@@ -13,7 +13,7 @@ import pytest
 
 from gjzeta import archimedean, cli, integrate
 from gjzeta.cli import build_config, build_parser, main
-from gjzeta.errors import BudgetExceeded, NearZeroDenominator
+from gjzeta.errors import BudgetExceeded, NearZeroDenominator, NoRecurrence
 from gjzeta.padic import PAdicContext, psi_value
 from gjzeta.schwartz import SchwartzBruhatFn, SchwartzTerm
 from gjzeta.zeta import MultiplicativeCharacter
@@ -376,6 +376,17 @@ def test_non_integer_json_character_field_exits_3(char, capsys):
     assert "invalid input" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("char, error", [
+    ('{"value_at_p": "2", "conductor": 1}', "unknown character key 'conductor'"),
+    ('{"conductor_exp": 1, "table": {"1": 1, "2": 1}, "generators": {"2": -1}}',
+     "a table or generators, not both")], ids=["misspelt-key", "table-and-generators"])
+def test_unread_character_json_exits_3(char, error, capsys):
+    # each exited 0 PASS on a character nobody wrote: the misspelt key was skipped,
+    # so chi was unramified with chi(p) = 2, and the generators hid the table
+    assert main(["gamma", "--p", "3", "--n", "1", "--char", char]) == 3
+    assert error in capsys.readouterr().err
+
+
 def _phi_doc(phi=None):
     phi = phi or SchwartzBruhatFn.unit_ball(1, PAdicContext(3))
     return json.loads(phi.to_json())
@@ -517,7 +528,8 @@ def test_engine_error_maps_to_inconclusive(generic_phis, capsys):
 
 
 @pytest.mark.parametrize("argv, error", [
-    (["verify-bk", "--p", "3", "--n", "1", "--char", "quadratic"], "ZeroDenominator"),
+    (["verify-bk", "--p", "3", "--n", "1", "--char", "quadratic",
+      "--phis", "unit_ball,scaled_ball(1)"], "ZeroDenominator"),
     (BUDGET_TRIP, "BudgetExceeded")])
 def test_inconclusive_writes_report(argv, error, generic_phis, tmp_path, capsys):
     # a stale report from an earlier run must not survive an INCONCLUSIVE one
@@ -532,13 +544,51 @@ def test_inconclusive_writes_report(argv, error, generic_phis, tmp_path, capsys)
 
 
 def test_quadratic_bk_default_phis_report_is_pinned(capsys):
-    # for a ramified chi the unit ball's zeta integral vanishes identically:
-    # the zero test on its rational coefficients decides this exit-2 report
-    code, rep = run_json(["verify-bk", "--p", "3", "--n", "2", "--char", "quadratic"], capsys)
+    # for a ramified chi the unit ball's zeta integral vanishes identically: the zero
+    # test on its rational coefficients decides this exit-2 report.  This list was
+    # the default --phis for every chi; a ramified chi now defaults to shifted balls
+    code, rep = run_json(["verify-bk", "--p", "3", "--n", "2", "--char", "quadratic",
+                          "--phis", "unit_ball,scaled_ball(1)"], capsys)
     assert code == 2 and rep["verdict"] == "INCONCLUSIVE"
     assert rep["results"] == {"error": "ZeroDenominator",
                               "message": "Z(Phi, s, chi) vanishes identically for this Phi"}
     assert rep["cells_enumerated"] is None and rep["windows"] == {}
+
+
+# the default --phis of verify-bk and verify-fe is unit_ball,scaled_ball(1) for an
+# unramified chi; for a chi of true conductor f >= 1 both balls have Z(Phi, s, chi) = 0,
+# and the default is shifted_ball(1,f),shifted_ball(1,f+1)
+CHI_IMPRIMITIVE = '{"conductor_exp": 2, "generators": {"3": -1}}'  # quadratic at p = 7, f = 1
+CHI_C3 = '{"conductor_exp": 3, "generators": {"3": {"root": [2, 1]}}}'
+
+
+@pytest.mark.parametrize("command, p, n, char, phis", [
+    ("verify-bk", 3, 2, "quadratic", "shifted_ball(1,1),shifted_ball(1,2)"),
+    ("verify-fe", 2, 2, "quadratic", "shifted_ball(1,2),shifted_ball(1,3)"),  # f = 2
+    ("verify-bk", 3, 1, CHI9, "shifted_ball(1,2),shifted_ball(1,3)"),
+    ("verify-bk", 7, 2, CHI_IMPRIMITIVE, "shifted_ball(1,1),shifted_ball(1,2)"),
+    ("verify-fe", 7, 2, CHI_C3, "shifted_ball(1,3),shifted_ball(1,4)"),
+    ("verify-bk", 3, 2, "trivial", "unit_ball,scaled_ball(1)"),
+    ("verify-fe", 3, 2, "unramified:-1", "unit_ball,scaled_ball(1)")],
+    ids=["bk-quadratic", "fe-quadratic", "bk-chi9", "bk-imprimitive", "fe-c3",
+         "bk-trivial", "fe-unramified"])
+def test_default_phis_follow_the_conductor(command, p, n, char, phis, capsys):
+    # a ramified --char with no --phis exited 2 (ZeroDenominator or AllDegenerate)
+    code, rep = run_json([command, "--p", str(p), "--n", str(n), "--char", char], capsys)
+    assert code == 0 and rep["verdict"] == "PASS"
+    assert rep["parameters"]["phis"] == phis
+    assert rep == run_json([command, "--p", str(p), "--n", str(n), "--char", char,
+                            "--phis", phis], capsys)[1] | {
+        "elapsed_seconds": rep["elapsed_seconds"]}
+
+
+def test_inconclusive_report_names_the_default_phis(monkeypatch, capsys):
+    def no_recurrence(*args):
+        raise NoRecurrence("minimal order 3 exceeds r_max=2")
+    monkeypatch.setattr(cli, "phi_independence_check", no_recurrence)
+    code, rep = run_json(["verify-fe", "--p", "3", "--n", "2", "--char", "quadratic"], capsys)
+    assert code == 2 and rep["results"]["error"] == "NoRecurrence"
+    assert rep["parameters"]["phis"] == "shifted_ball(1,1),shifted_ball(1,2)"
 
 
 def test_inconclusive_report_names_budget_shell(monkeypatch, capsys):
@@ -573,6 +623,36 @@ def test_wide_split_over_budget_exits_2(tmp_path, monkeypatch, capsys):
     assert rep["results"]["cells"] == 10 ** 7 + 1
 
 
+REPORT_KEYS = {"tool", "version", "command", "parameters", "verdict", "results",
+               "windows", "cells_enumerated", "elapsed_seconds"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["gamma", "--p", "2", "--n", "1"],
+    ["verify-fe", "--p", "3", "--n", "1"],
+    ["verify-bk", "--p", "2", "--n", "1"],
+    ["verify-inverse", "--p", "2", "--n", "1"],
+    ["verify-relation", "--n", "3"],
+    ["fourier-selftest", "--count", "1"],
+    ["arch-gamma", "--s", "0.3"],
+    ["gamma", "--p", "3", "--n", "1", "--phis", "shifted_ball(1,3)"]],
+    ids=["gamma", "verify-fe", "verify-bk", "verify-inverse", "verify-relation",
+         "fourier-selftest", "arch-gamma", "inconclusive"])
+def test_report_shape(argv, capsys):
+    # the handler returns the body; make_report adds the run metadata and fills
+    # windows and cells_enumerated for a command whose engine has neither
+    code, rep = run_json(argv, capsys)
+    assert set(rep) == REPORT_KEYS and rep["command"] == argv[0]
+    if rep["verdict"] == "INCONCLUSIVE":
+        assert code == 2 and rep["windows"] == {} and rep["cells_enumerated"] is None
+    elif argv[0] in ("verify-relation", "fourier-selftest", "arch-gamma"):
+        assert code == 0 and rep["windows"] == {} and rep["cells_enumerated"] == 0
+    else:
+        assert code == 0 and rep["windows"] and rep["cells_enumerated"] == 0
+    if argv[0] == "verify-relation":
+        assert [set(row) for row in rep["results"]] == [{"n", "verdict", "lhs", "rhs"}] * 3
+
+
 def test_handler_patched_after_a_run_takes_effect(monkeypatch, capsys):
     # main builds its parser once per process, but looks each handler up
     # by name when it runs, so a later monkeypatch still takes effect
@@ -580,7 +660,8 @@ def test_handler_patched_after_a_run_takes_effect(monkeypatch, capsys):
     assert code == 0 and rep["verdict"] == "PASS"
 
     def failing(args):
-        return {"n_max": args.n}, {"patched": True}, "FAIL", 0, None
+        return {"parameters": {"n_max": args.n}, "results": {"patched": True},
+                "verdict": "FAIL"}
     monkeypatch.setattr(cli, "cmd_verify_relation", failing)
     code, rep = run_json(["verify-relation", "--n", "1"], capsys)
     assert code == 1 and rep["results"] == {"patched": True}
