@@ -7,11 +7,12 @@ its own: a coefficient is a LaurentPoly in pi over the scalar tower's
 Q(zeta_4) = Q(i) (p = 2, m = 2).  Zeta integrals are adaptive
 quadratures; gamma factors are checked against a Gamma-function oracle.
 
-Both quadrature passes share one evaluation per node (see zeta_real); the
-Gaussian stays an mpmath evaluation (cached per node and precision), so every
-arch-gamma row is bit-identical to evaluating Phi at x and -x on its own
-(`evaluate_reference` in tests/test_archimedean.py).  scipy is imported by
-zeta_real on first use, so the p-adic engine never loads it.
+The quadrature is QUADPACK's QAGI, ported to Python in `quadpack`, with the
+same floats as scipy.integrate.quad, so the real place loads neither scipy nor
+numpy.  Both quadrature passes share one rule evaluation per interval (see
+zeta_real); the Gaussian stays an mpmath evaluation (cached per node and
+precision), so every arch-gamma row is bit-identical to evaluating Phi at x
+and -x on its own (`evaluate_reference` in tests/test_archimedean.py).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from itertools import zip_longest
 import mpmath
 
 from .errors import NearZeroDenominator, ToleranceNotMet
+from .quadpack import qagie, qk15i
 from .ratfun import LaurentPoly
 from .scalars import root_of_unity
 
@@ -150,21 +152,22 @@ def zeta_real(phi: RealSchwartzFn, chi: RealCharacter, s: complex) -> complex:
     removes both endpoint singularities: the integrand becomes
     [Phi(e^t) +- Phi(-e^t)] e^{t(s + i tau)} over t in (-inf, inf).
 
-    The real and imaginary parts are two `quad` passes over the same
-    integrand, so each node t is evaluated once and shared between them.
-    Phi(x) and Phi(-x) share the Gaussian exp(-pi x^2), an mpmath
-    evaluation cached across calls (`_gaussian_node`): the float expressions
-    are those of `evaluate_reference` in tests/test_archimedean.py, so every
-    value is bit-identical to evaluating Phi at x and -x separately.
+    The real and imaginary parts are two QAGI passes (`quadpack.qagie`) over
+    the same integrand.  The 15-point rule runs once per interval for both
+    parts (`quadpack.qk15i`), and the second pass reads it from a dict local
+    to the call, so every node t is evaluated once.  Phi(x) and Phi(-x) share
+    the Gaussian exp(-pi x^2), an mpmath evaluation cached across calls
+    (`_gaussian_node`): the float expressions are those of
+    `evaluate_reference` in tests/test_archimedean.py, so every value is
+    bit-identical to evaluating Phi at x and -x separately, and to
+    scipy.integrate.quad's QAGI on the same integrand.
     """
-    from scipy.integrate import quad
-
     delta = chi.sign_exponent % 2
     sp = complex(s) + 1j * float(chi.imaginary_twist)
     sign = 1.0 if delta == 0 else -1.0
     coeffs = [to_complex(c) for c in reversed(phi.coeffs)]
     prec = mpmath.mp.prec
-    nodes = {}
+    rules = {}  # (a, b) -> the 15-point rule's real and imaginary parts on (a, b)
 
     def folded(t: float) -> complex:
         # exp(-pi e^{2t}) underflows to exactly 0 well before e^{t Re s}
@@ -181,18 +184,16 @@ def zeta_real(phi: RealSchwartzFn, chi: RealCharacter, s: complex) -> complex:
             return 0j
         return val * cmath.exp(t * sp)
 
-    def integrand(t: float) -> complex:
-        val = nodes.get(t)
-        if val is None:
-            val = nodes[t] = folded(t)
-        return val
+    def real_rule(a: float, b: float):  # no pass visits an interval twice
+        both = rules[(a, b)] = qk15i(folded, a, b)
+        return both[0]
 
-    def part(fn):
-        return quad(fn, -float("inf"), float("inf"),
-                    epsabs=ABS_TOL / 4, epsrel=REL_TOL / 4, limit=MAX_SUBDIVISIONS)
+    def imag_rule(a: float, b: float):
+        both = rules.get((a, b))
+        return (both or qk15i(folded, a, b))[1]
 
-    re_val, re_err = part(lambda t: integrand(t).real)
-    im_val, im_err = part(lambda t: integrand(t).imag)
+    re_val, re_err, _, _ = qagie(real_rule, ABS_TOL / 4, REL_TOL / 4, MAX_SUBDIVISIONS)
+    im_val, im_err, _, _ = qagie(imag_rule, ABS_TOL / 4, REL_TOL / 4, MAX_SUBDIVISIONS)
     total = complex(re_val, im_val)
     err = re_err + im_err
     if err > max(ABS_TOL, REL_TOL * abs(total)):

@@ -220,16 +220,23 @@ def emit(report, args) -> None:
 # -- subcommands ---------------------------------------------------------
 # each returns the report body: parameters, verdict, results[, windows, cells_enumerated]
 
+# each command's default Phi list, and the largest true conductor exponent it serves:
+# both balls have Z(Phi, s, chi) = 0 for f >= 1, and shifted_ball(1,1) for f >= 2
+DEFAULT_PHIS = {"gamma": (1, "unit_ball,scaled_ball(1),shifted_ball(1,1)"),
+                "verify-fe": (0, "unit_ball,scaled_ball(1)"),
+                "verify-bk": (0, "unit_ball,scaled_ball(1)")}
+
+
 def _chi_config_phis(args):
     """The character, engine settings and Phi list of gamma, verify-fe and verify-bk.
-    With no --phis (verify-fe, verify-bk), a chi of true conductor exponent f >= 1 takes
-    shifted balls, as both balls have Z(Phi, s, chi) = 0; args.phis keeps the list run."""
+    With no --phis, a chi of true conductor exponent f above the command's default
+    takes shifted_ball(1,f),shifted_ball(1,f+1); args.phis keeps the list run."""
     chi = parse_character(args.p, args.char)
     cfg = build_config(args)
     if args.phis is None:
         f = chi.conductor_exp
-        args.phis = ("shifted_ball(1,%d),shifted_ball(1,%d)" % (f, f + 1) if f
-                     else "unit_ball,scaled_ball(1)")
+        f_max, balls = DEFAULT_PHIS[args.command]
+        args.phis = balls if f <= f_max else "shifted_ball(1,%d),shifted_ball(1,%d)" % (f, f + 1)
     return chi, cfg, parse_phi_list(args.n, PAdicContext(args.p), args.phis)
 
 
@@ -399,8 +406,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("gamma", help="gamma factor as an exact rational function in T")
     common(sp)
-    sp.add_argument("--phis", default="unit_ball,scaled_ball(1),shifted_ball(1,1)",
-                    help="comma-separated Phi list (independence is re-verified)")
+    sp.add_argument("--phis", help="comma-separated Phi list, independence re-verified "
+                                   "(default: unit_ball,scaled_ball(1),shifted_ball(1,1), or "
+                                   "shifted_ball(1,f),shifted_ball(1,f+1) for chi of "
+                                   "conductor exponent f >= 2)")
     sp.set_defaults(fn="cmd_gamma")
 
     default_phis = ("comma-separated Phi list (default: unit_ball,scaled_ball(1), or "

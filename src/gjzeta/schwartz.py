@@ -87,6 +87,14 @@ class SchwartzBruhatFn:
                 self.terms.append(t if c is t.base else SchwartzTerm(
                     c, t.center, t.level, t.modulation, t.scale, t.phase))
 
+    @classmethod
+    def _trusted(cls, n: int, ctx: PAdicContext, terms: list) -> "SchwartzBruhatFn":
+        """A function whose terms already have nonzero bases in ctx's field, as a
+        transform's and a reflection's do: no term is checked again."""
+        fn = cls.__new__(cls)
+        fn.n, fn.ctx, fn.terms = n, ctx, terms
+        return fn
+
     # -- constructors --------------------------------------------------
 
     @staticmethod
@@ -143,16 +151,17 @@ class SchwartzBruhatFn:
         """Exact term-by-term transform; fourier(fourier(f)) = reflect(f)."""
         p = self.ctx.p
         n2 = self.n * self.n
-        return SchwartzBruhatFn(self.n, self.ctx, [SchwartzTerm(
+        return SchwartzBruhatFn._trusted(self.n, self.ctx, [SchwartzTerm(
             t.base, -t.modulation, -t.level, t.center, t.scale - t.level * n2,
             _phase_add(p, t.phase, psi_exponent(trace_pairing(t.modulation, t.center),
                                                 self.ctx)))
             for t in self.terms])
 
     def reflect(self) -> "SchwartzBruhatFn":
-        return SchwartzBruhatFn(self.n, self.ctx,
-                                [SchwartzTerm(t.base, -t.center, t.level, -t.modulation,
-                                              t.scale, t.phase) for t in self.terms])
+        return SchwartzBruhatFn._trusted(self.n, self.ctx,
+                                         [SchwartzTerm(t.base, -t.center, t.level,
+                                                       -t.modulation, t.scale, t.phase)
+                                          for t in self.terms])
 
     def inner_product(self, other: "SchwartzBruhatFn"):
         """Exact <f, g> = int f(x) conj(g(x)) dx by pairwise closed forms.

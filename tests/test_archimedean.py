@@ -153,9 +153,10 @@ def test_gaussian_cache_keys_on_precision():
 # -- the quadrature against a plain reference -------------------------------
 #
 # zeta_reference is the straightforward quadrature: Phi evaluated at x and -x
-# on its own, coefficient by coefficient, and each quad pass calling the
-# integrand afresh.  zeta_real shares nodes and the Gaussian; the results must
-# be equal as floats, not merely close.
+# on its own, coefficient by coefficient, and each pass of scipy's quad calling
+# the integrand afresh.  zeta_real shares nodes, the Gaussian and each
+# interval's rule, on the in-tree QAGI port; the results must be equal as
+# floats, not merely close.
 
 def coefficient_reference(c):
     """A coefficient of Q(i)[pi, 1/pi] as a complex, term by term in stored order."""

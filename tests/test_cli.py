@@ -557,7 +557,8 @@ def test_quadratic_bk_default_phis_report_is_pinned(capsys):
 
 # the default --phis of verify-bk and verify-fe is unit_ball,scaled_ball(1) for an
 # unramified chi; for a chi of true conductor f >= 1 both balls have Z(Phi, s, chi) = 0,
-# and the default is shifted_ball(1,f),shifted_ball(1,f+1)
+# and the default is shifted_ball(1,f),shifted_ball(1,f+1).  gamma keeps its
+# unit_ball,scaled_ball(1),shifted_ball(1,1) for f <= 1 and follows f from f = 2 on
 CHI_IMPRIMITIVE = '{"conductor_exp": 2, "generators": {"3": -1}}'  # quadratic at p = 7, f = 1
 CHI_C3 = '{"conductor_exp": 3, "generators": {"3": {"root": [2, 1]}}}'
 
@@ -569,9 +570,16 @@ CHI_C3 = '{"conductor_exp": 3, "generators": {"3": {"root": [2, 1]}}}'
     ("verify-bk", 7, 2, CHI_IMPRIMITIVE, "shifted_ball(1,1),shifted_ball(1,2)"),
     ("verify-fe", 7, 2, CHI_C3, "shifted_ball(1,3),shifted_ball(1,4)"),
     ("verify-bk", 3, 2, "trivial", "unit_ball,scaled_ball(1)"),
-    ("verify-fe", 3, 2, "unramified:-1", "unit_ball,scaled_ball(1)")],
+    ("verify-fe", 3, 2, "unramified:-1", "unit_ball,scaled_ball(1)"),
+    ("gamma", 2, 1, "quadratic", "shifted_ball(1,2),shifted_ball(1,3)"),  # f = 2
+    ("gamma", 7, 2, CHI_C3, "shifted_ball(1,3),shifted_ball(1,4)"),
+    ("gamma", 3, 1, CHI9, "shifted_ball(1,2),shifted_ball(1,3)"),
+    ("gamma", 3, 2, "quadratic", "unit_ball,scaled_ball(1),shifted_ball(1,1)"),  # f = 1
+    ("gamma", 7, 2, CHI_IMPRIMITIVE, "unit_ball,scaled_ball(1),shifted_ball(1,1)"),
+    ("gamma", 3, 2, "trivial", "unit_ball,scaled_ball(1),shifted_ball(1,1)")],
     ids=["bk-quadratic", "fe-quadratic", "bk-chi9", "bk-imprimitive", "fe-c3",
-         "bk-trivial", "fe-unramified"])
+         "bk-trivial", "fe-unramified", "gamma-quadratic-f2", "gamma-c3", "gamma-chi9",
+         "gamma-quadratic-f1", "gamma-imprimitive", "gamma-trivial"])
 def test_default_phis_follow_the_conductor(command, p, n, char, phis, capsys):
     # a ramified --char with no --phis exited 2 (ZeroDenominator or AllDegenerate)
     code, rep = run_json([command, "--p", str(p), "--n", str(n), "--char", char], capsys)
@@ -772,20 +780,20 @@ def test_out_of_range_engine_flags_exit_3(flags, env, monkeypatch, capsys):
     assert "invalid input" in capsys.readouterr().err
 
 
-# A fresh interpreter: which modules a CLI run loads.  The p-adic commands
-# must not load scipy; arch-gamma loads scipy.integrate when it integrates.
-# cli loads archimedean lazily, so the probe imports it to check that it loads no scipy.
+# A fresh interpreter: which modules a CLI run loads.  No command loads scipy or
+# numpy, arch-gamma included: its quadrature is gjzeta.quadpack.  cli loads
+# archimedean lazily, so the probe imports it too.
 SCIPY_PROBE = """
 import sys
 from gjzeta import archimedean, cli
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-
-assert cli.main(["verify-inverse", "--p", "3", "--n", "2", "--out", sys.argv[1]]) == 0
-assert not scipy_modules(), scipy_modules()[:5]
-assert cli.main(["arch-gamma", "--out", sys.argv[2]]) == 0
-assert "scipy.integrate" in sys.modules
+for argv in (["gamma", "--p", "2", "--n", "1"], ["verify-fe", "--p", "3", "--n", "1"],
+             ["verify-bk", "--p", "3", "--n", "1"], ["verify-inverse", "--p", "3", "--n", "2"],
+             ["verify-relation", "--n", "2"], ["fourier-selftest", "--count", "2"],
+             ["arch-gamma"]):
+    assert cli.main(argv + ["--out", sys.argv[1]]) == 0, argv
+loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "numpy"))
+assert not loaded, loaded[:5]
 """
 
 
@@ -797,9 +805,8 @@ def _fresh_python(code, *args):
                           capture_output=True, text=True, timeout=120)
 
 
-def test_scipy_is_loaded_only_by_the_real_place(tmp_path):
-    proc = _fresh_python(SCIPY_PROBE, str(tmp_path / "inverse.json"),
-                         str(tmp_path / "arch.json"))
+def test_no_command_loads_scipy_or_numpy(tmp_path):
+    proc = _fresh_python(SCIPY_PROBE, str(tmp_path / "report.json"))
     assert proc.returncode == 0, proc.stderr
 
 

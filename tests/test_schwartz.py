@@ -70,6 +70,19 @@ def test_double_transform_merges_without_an_inner_product(monkeypatch):
                 assert twice.fn_equal(f.reflect())
 
 
+def test_transform_and_reflection_terms_pass_the_public_checks():
+    # fourier and reflect build their result unchecked; the public constructor
+    # would keep every term as it is, the same objects in the same order
+    rng = random.Random(16)
+    for n, p in [(1, 2), (1, 3), (2, 2), (2, 3), (2, 5)]:
+        ctx = PAdicContext(p)
+        for _ in range(10):
+            f = random_schwartz(n, ctx, rng)
+            for g in (f.fourier(), f.reflect(), f.fourier().fourier()):
+                assert len(g.terms) == len(f.terms)
+                assert SchwartzBruhatFn(n, ctx, g.terms).terms == g.terms
+
+
 def test_plancherel():
     rng = random.Random(12)
     for n, p in [(1, 2), (2, 3)]:
