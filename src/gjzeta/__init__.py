@@ -6,9 +6,8 @@ from .distributions import (DIRECT, INVERSE, TwistedDistribution,
                             gj_delta, spectral_action, tilde,
                             verify_bk_identity, verify_inverse_weak,
                             verify_relation)
-from .errors import (AllDegenerate, BudgetExceeded, EngineError,
-                     InfiniteLowerSupport, NearZeroDenominator, NoRecurrence,
-                     Singular, ToleranceNotMet, ZeroDenominator)
+from .errors import (AllDegenerate, BudgetExceeded, EngineError, NearZeroDenominator,
+                     NoRecurrence, Singular, ToleranceNotMet, ZeroDenominator)
 from .integrate import IntegrationConfig, rationalize, schwartz_shell_integral
 from .padic import PAdicContext, PAdicMatrix, psi_value, valuation
 from .ratfun import LaurentPoly, RationalFunctionT, ratfun_equal

@@ -398,8 +398,9 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--char", default="trivial",
                             help="trivial | unramified:VALUE | quadratic | "
                                  "inline JSON | file path (default: trivial)")
-            sp.add_argument("--r-max", dest="r_max", type=int)
-            sp.add_argument("--confirm", type=int)
+            read = "; read only by sampled zeta integrals: gamma, verify-fe, verify-bk's Phi side"
+            sp.add_argument("--r-max", dest="r_max", type=int, help="recurrence order bound" + read)
+            sp.add_argument("--confirm", type=int, help="recurrence confirmation terms" + read)
             sp.add_argument("--hard-budget", dest="hard_budget", type=int)
             sp.add_argument("--threads", type=int,
                             help="accepted for compatibility; evaluation is serial")

@@ -4,14 +4,14 @@ A TwistedDistribution is |det g|^alpha psi(tr(eps * g^kappa)) d^x g with
 kappa = +1 (DIRECT) or -1 (INVERSE).  The calculus (tilde, det-twist,
 closed-form convolution inverse) is exact tuple algebra; the spectral
 action on the coefficient family chi(det)|det|^s is a rational function of
-T = q^(-s/2), computed by regularized shell sums:
+T = q^(-s/2), the sum over kernel shells
 
     DIRECT  (alpha, eps):  sum_k I_k(eps, chi^-1) chi^-1(p)^k q^(-k alpha) T^(-2k)
     INVERSE (alpha, eps):  sum_k J_k(eps, chi)    chi(p)^k    q^(-k alpha) T^(+2k)
 
 with I_k, J_k the unit-part shell integrals of psi(tr(eps g)), each exact at one truncation.
-The series sum_k I_k T^(-2k) (or J_k T^(2k)) is rationalized untwisted, so
-Berlekamp-Massey and its residuals run over the field of the shells (Q for trivial
+The untwisted series sum_k I_k T^(-2k) (or J_k T^(2k)) is a proven generating function
+read off one or two shells (spectral_action), in the field of the shells (Q for trivial
 and unramified chi), and chi^(+-1)(p)^k q^(-k alpha) is applied once, to the
 finished rational function (RationalFunctionT.twisted).  That holds when
 sqrt(q) is a formal QuadExt (p = 3 mod 4 and odd 2 alpha) too: the shells stay
@@ -28,12 +28,11 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import InfiniteLowerSupport, Singular
-from .integrate import (K_EXTRA, IntegrationConfig, parallel_map, rationalize,
-                        stabilized_shell_integral)
+from .errors import Singular
+from .integrate import IntegrationConfig, stabilized_shell_integral
 from .padic import PAdicContext, PAdicMatrix
-from .ratfun import RationalFunctionT, ratfun_equal
-from .scalars import scalar_is_zero, sqrt_q_power
+from .ratfun import LaurentPoly, RationalFunctionT, ratfun_equal
+from .scalars import sqrt_q_power
 from .zeta import MultiplicativeCharacter, gamma_factor
 
 DIRECT = "direct"
@@ -91,11 +90,6 @@ def verify_relation(n: int) -> dict:
 
 # -- spectral action ----------------------------------------------------
 
-def _zero_window(n: int, conductor_exp: int) -> int:
-    """Shells k < -window have vanishing kernel integrals."""
-    return n * (conductor_exp + 1) + 2
-
-
 def _check_sample_point(n: int, x: PAdicMatrix) -> None:
     if x.n != n:
         raise ValueError("sample point has wrong size")
@@ -108,7 +102,19 @@ def spectral_action(d: TwistedDistribution, chi: MultiplicativeCharacter,
                     stats=None) -> RationalFunctionT:
     """The rational function by which D acts on chi(det)|det|^s at x:
     (D * chi(det)|det|^s)(x) / (chi(det x)|det x|^s).  It does not depend
-    on x, which is only checked for its size and invertibility."""
+    on x, which is only checked for its size and invertibility.
+
+    The untwisted series sum_k I_k x^k, x = T^w (w = -2 DIRECT, +2 INVERSE), is read off
+    one or two shells.  stabilized_shell_integral's I_k is _shell_hermite at level -m*, with
+    mc = m* and k' = k + n m*.  At n >= 2, m* >= max(1, f): for f = 0 the mc >= 1 case has
+    K = k + n, so I_k = 0 for k < -n and I_k = s1 for k >= 1 - n; for f >= 1, I_k = 0
+    unless k' = n (m* - f), i.e. k = -n f.  At n = 1, m* = max(0, -k) gives the same, the
+    mc = 0 value (p - 1) / p at k >= 0 being the K > 0 one.  So
+      f = 0:  num = I_(-n) x^(-n) + (s1 - I_(-n)) x^(1-n), den = 1 - x, coprime as
+              num(1) = s1 = (-1)^n p^(-n(n+1)/2) (1 - p^n) != 0;
+      f >= 1: num = I_(-nf) x^(-nf), den = 1.
+    Through stabilized_shell_integral, force_enumeration refines these shells under the
+    budget, and stats' k_range and m_range widen to them and their m*."""
     config = config or IntegrationConfig()
     n = d.n
     p = chi.p
@@ -118,26 +124,21 @@ def spectral_action(d: TwistedDistribution, chi: MultiplicativeCharacter,
         stats = {}
     # kernel character: chi^(-1) in DIRECT mode, chi in INVERSE mode
     kchi = chi.inverse() if d.mode == DIRECT else chi
+    f = kchi.conductor_exp
     eps_mod = PAdicMatrix.scalar(n, d.epsilon)
-    window = _zero_window(n, kchi.conductor_exp)
-    k_low = -window
-    r_max = config.r_max or n
-    k_high = 2 * r_max + config.confirm + K_EXTRA
-
-    results = parallel_map(
-        lambda k: stabilized_shell_integral(ctx, n, k, eps_mod, config, kchi, stats),
-        range(k_low, k_high + 1))
-    seq = [val for val, _ in results]
-    # certify the dead zone below the window
-    if not (scalar_is_zero(seq[0]) and scalar_is_zero(seq[1])):
-        raise InfiniteLowerSupport(
-            "kernel shells still nonzero at the lower window edge k=%d" % k_low)
-    weight = -2 if d.mode == DIRECT else 2
-    value = rationalize(seq, k_low, weight, p, r_max, config.confirm).twisted(
-        lambda k: kchi.value_at_p ** k * sqrt_q_power(p, -k * d.alpha2), weight)
+    ks = [-n * f] if f else [-n, 1 - n]
+    results = [stabilized_shell_integral(ctx, n, k, eps_mod, config, kchi, stats) for k in ks]
+    s = [v for v, _ in results]
+    w = -2 if d.mode == DIRECT else 2
+    if f:
+        num, den = LaurentPoly({w * ks[0]: s[0]}), LaurentPoly.const(1)
+    else:
+        num, den = LaurentPoly({w * -n: s[0], w * (1 - n): s[1] - s[0]}), LaurentPoly({0: 1, w: -1})
+    value = RationalFunctionT.coprime(num, den, p).twisted(
+        lambda k: kchi.value_at_p ** k * sqrt_q_power(p, -k * d.alpha2), w)
     # the windows cover every call that shares these stats
     ms = [m for _, m in results]
-    for key, lo, hi in (("m_range", min(ms), max(ms)), ("k_range", k_low, k_high)):
+    for key, lo, hi in (("m_range", min(ms), max(ms)), ("k_range", ks[0], ks[-1])):
         old = stats.get(key, (lo, hi))
         stats[key] = (min(old[0], lo), max(old[1], hi))
     return value

@@ -21,10 +21,6 @@ class NoRecurrence(EngineError):
     pass
 
 
-class InfiniteLowerSupport(EngineError):
-    pass
-
-
 class Singular(EngineError):
     pass
 

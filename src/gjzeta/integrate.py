@@ -48,7 +48,8 @@ class IntegrationConfig:
     """Certification and budget knobs; a kernel shell's truncation is proven, not set.
 
     r_max/confirm: recurrence order bound and confirmation window for
-    rationalization (r_max defaults to n at the call site).
+    rationalizing a sampled zeta integral (r_max defaults to n at the call site);
+    the spectral action reads neither.
     hard_budget: max refinement cells counted per integral, the census-binned children
     of last splits included, though those are never built.
     force_enumeration: send every shell, at every n, to the refinement, the
@@ -394,7 +395,7 @@ def stabilized_shell_integral(ctx: PAdicContext, n: int, k: int,
     K = k' - n(m - 1) = k + n only, and f >= 1 is nonzero only at k' = n(m - f), i.e.
     k = -n f, with a value free of m.  So m* = max(1, f, ceil(-k/n)), which also reaches
     the shell.  A truncated integral does not depend on its path: force_enumeration uses m*.
-    No cap: the spectral window k >= -(n(f + 1) + 2) keeps m* <= f + 3.
+    No cap: the spectral action reads only shells -n and 1 - n, or -n f, so m* <= max(1, f).
     """
     f = unit_char.conductor_exp if unit_char else 0
     m = max(0, -k) if n == 1 else max(1, f, -(k // n))

@@ -46,7 +46,10 @@ def _traced_run(monkeypatch, tmp_path, argv):
 
 
 def test_tracer_wraps_and_restores_engine_seams(monkeypatch, tmp_path):
-    metrics = _traced_run(monkeypatch, tmp_path, ["verify-inverse", "--p", "2", "--n", "2"])
+    # verify-inverse reads the spectral action's generating function with no rationalize;
+    # the Phi side of verify-bk is a sampled zeta integral, so it still runs the series layer
+    metrics = _traced_run(monkeypatch, tmp_path,
+                          ["verify-bk", "--p", "2", "--n", "2", "--phis", "unit_ball"])
     assert metrics["integrate.shell.hermite.calls"] > 0
     # the series layer runs through the wrapped names, or its metrics read 0
     assert metrics["recurrence.detect_recurrence.calls"] > 0

@@ -476,11 +476,12 @@ HIGH_CONDUCTOR_RUNS = [
 
 @pytest.mark.parametrize("p, n, char", HIGH_CONDUCTOR_RUNS, ids=["p2-c6", "p2-c12", "p3-c7"])
 def test_high_conductor_runs_pass(p, n, char, capsys):
-    # m* = max(1, f, ceil(-k/n)) exceeds 8 on these shells; a cap at m = 8 made each run
+    # the one shell read, k = -n f, truncates at m* = f > 8; a cap at m = 8 made each run
     # exit 2 with NoStabilization, though a closed-form shell costs the same at any m
     code, rep = run_json(["verify-inverse", "--p", p, "--n", n, "--char", char], capsys)
     assert code == 0 and rep["verdict"] == "PASS"
-    assert max(rep["windows"]["m_range"]) > 8
+    f = json.loads(char)["conductor_exp"]
+    assert rep["windows"] == {"k_range": [-int(n) * f] * 2, "m_range": [f, f]}
 
 
 def test_imprimitive_table_gives_the_same_results(capsys):

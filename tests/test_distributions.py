@@ -11,10 +11,11 @@ from gjzeta.distributions import (DIRECT, INVERSE, TwistedDistribution,
                                   verify_bk_identity, verify_inverse_weak,
                                   verify_relation)
 from gjzeta.errors import BudgetExceeded, Singular
-from gjzeta.integrate import IntegrationConfig
+from gjzeta.integrate import (K_EXTRA, IntegrationConfig, rationalize,
+                              stabilized_shell_integral)
 from gjzeta.padic import PAdicContext, PAdicMatrix
 from gjzeta.ratfun import ratfun_equal
-from gjzeta.scalars import root_of_unity
+from gjzeta.scalars import root_of_unity, scalar_is_zero, sqrt_q_power
 from gjzeta.schwartz import SchwartzBruhatFn
 from gjzeta.zeta import MultiplicativeCharacter, gamma_factor
 
@@ -152,7 +153,75 @@ def test_windows_cover_every_spectral_action_call(order):
     chis = [MultiplicativeCharacter.trivial(3), MultiplicativeCharacter.quadratic_ramified(3)]
     rep = verify_inverse_weak(tilde(cstar_gamma(1)), chis[::order])
     assert rep["verdict"] == "PASS"
-    # one evaluation per shell, at m* = max(0, -k), twice per chi (the action and
-    # its inverse), over k in [-3, 7] and [-4, 7]; each is a closed form, with no cell
-    assert rep["windows"] == {"k_range": [-4, 7], "m_range": [0, 4]}
+    # one evaluation per shell read, at m* = max(0, -k), twice per chi (the action and
+    # its inverse): k = -1, 0 for trivial chi and k = -1 (-n f) for the quadratic one;
+    # each is a closed form, with no cell
+    assert rep["windows"] == {"k_range": [-1, 0], "m_range": [0, 1]}
     assert rep["cells_enumerated"] == 0
+
+
+# -- the generating function against the sampled kernel series ------------
+
+PRIMITIVE_ROOTS = {2: 3, 3: 2, 5: 2, 7: 3, 11: 2}  # each generates (Z/p^2)^x
+
+
+def kernel_characters(p):
+    """trivial, unramified, quadratic and conductor-2 chi (at p = 2 the quadratic
+    chi has conductor 2 too)."""
+    return {"trivial": MultiplicativeCharacter.trivial(p),
+            "unramified:2": MultiplicativeCharacter.unramified(p, 2),
+            "unramified:zeta_p": MultiplicativeCharacter.unramified(p, root_of_unity(p, 1, 1)),
+            "quadratic": MultiplicativeCharacter.quadratic_ramified(p, -1),
+            "conductor2": MultiplicativeCharacter(
+                p, 2, {PRIMITIVE_ROOTS[p]: root_of_unity(p, 1, 1)}, 3)}
+
+
+def sampled_spectral_action(d, chi):
+    """The spectral action as a sampled series: every kernel shell from the window
+    k >= -(n (f + 1) + 2), whose first two shells must vanish, to 2 r_max + confirm +
+    K_EXTRA, rationalized by Berlekamp-Massey at r_max = n and twisted once."""
+    config = IntegrationConfig()
+    n, p = d.n, chi.p
+    kchi = chi.inverse() if d.mode == DIRECT else chi
+    k_low = -(n * (kchi.conductor_exp + 1) + 2)
+    eps = PAdicMatrix.scalar(n, d.epsilon)
+    seq = [stabilized_shell_integral(PAdicContext(p), n, k, eps, config, kchi)[0]
+           for k in range(k_low, 2 * n + config.confirm + K_EXTRA + 1)]
+    assert scalar_is_zero(seq[0]) and scalar_is_zero(seq[1])
+    weight = -2 if d.mode == DIRECT else 2
+    return rationalize(seq, k_low, weight, p, n, config.confirm).twisted(
+        lambda k: kchi.value_at_p ** k * sqrt_q_power(p, -k * d.alpha2), weight)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_generating_function_matches_sampled_series(p, n):
+    # odd alpha2 at p = 3 mod 4 twists by a formal sqrt(q); both sides twist once
+    x = PAdicMatrix.identity(n)
+    for name, chi in kernel_characters(p).items():
+        for mode in (DIRECT, INVERSE):
+            for eps in (1, -1):
+                for alpha2 in (1, 2, 3, 2 * n):
+                    d = TwistedDistribution(n, alpha2, eps, mode)
+                    assert (spectral_action(d, chi, x).serialize()
+                            == sampled_spectral_action(d, chi).serialize()), (name, d)
+
+
+FORCED_CASES = ([(p, 1, name) for p in (2, 3, 5) for name in ("trivial", "quadratic")]
+                + [(2, 2, "trivial"), (2, 2, "quadratic")])
+
+
+@pytest.mark.parametrize("p, n, name", FORCED_CASES, ids=["p%d-n%d-%s" % c for c in FORCED_CASES])
+def test_forced_enumeration_gives_the_default_action(p, n, name):
+    # the refinement evaluates the same one or two shells; the sampled window made the
+    # n = 2, p = 2 action refine every shell up to k = 9 and stop with BudgetExceeded
+    chi = {"trivial": MultiplicativeCharacter.trivial(p),
+           "quadratic": MultiplicativeCharacter.quadratic_ramified(p)}[name]
+    x, forced = PAdicMatrix.identity(n), IntegrationConfig(force_enumeration=True)
+    for mode in (DIRECT, INVERSE):
+        for eps in (1, -1):
+            d = TwistedDistribution(n, n + 1, eps, mode)
+            stats = {}
+            got = spectral_action(d, chi, x, forced, stats)
+            assert got.serialize() == spectral_action(d, chi, x).serialize(), d
+            assert stats["cells"] > 0

@@ -12,7 +12,6 @@ import copy
 import pytest
 
 from gjzeta import integrate
-from gjzeta.distributions import _zero_window
 from gjzeta.integrate import (K_EXTRA, IntegrationConfig, stabilized_shell_integral,
                               term_shell_integral)
 from gjzeta.padic import PAdicContext, PAdicMatrix
@@ -64,9 +63,11 @@ CASES = ([(p, n, name) for p in (2, 3) for n in (1, 2, 3)
 
 
 def shells(n, chi, config):
-    """Every shell a spectral action of this n and kernel character reads."""
+    """Every shell of the window a sampled spectral action of this n and kernel
+    character read, from k = -(n (f + 1) + 2): a superset of the one or two shells
+    the generating function reads."""
     k_high = 2 * n + config.confirm + K_EXTRA
-    return range(-_zero_window(n, chi.conductor_exp), k_high + 1)
+    return range(-(n * (chi.conductor_exp + 1) + 2), k_high + 1)
 
 
 @pytest.mark.parametrize("eps", [1, -1])
