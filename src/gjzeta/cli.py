@@ -398,7 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--char", default="trivial",
                             help="trivial | unramified:VALUE | quadratic | "
                                  "inline JSON | file path (default: trivial)")
-            read = "; read only by sampled zeta integrals: gamma, verify-fe, verify-bk's Phi side"
+            read = ("; read only by zeta integrals with a refined term: gamma, verify-fe, "
+                    "verify-bk's Phi side")
             sp.add_argument("--r-max", dest="r_max", type=int, help="recurrence order bound" + read)
             sp.add_argument("--confirm", type=int, help="recurrence confirmation terms" + read)
             sp.add_argument("--hard-budget", dest="hard_budget", type=int)

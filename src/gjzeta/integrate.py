@@ -15,7 +15,9 @@ from the centre C mod p^L and the modulation B mod p^(-L) (_shell_path):
     residue-cell refinement with an exact resolution rule, bounded by a hard
     cell budget.
 The Fourier transform (C, L, B) -> (-B, -L, C) swaps the first two classes, so a
-term is closed form exactly when its transform is.
+term is closed form exactly when its transform is.  A closed form also gives the
+term's whole shell series as a generating function (_series_hermite, and one
+monomial for the scalar centre); schwartz_series sums them over one denominator.
 The refinement adds the sign of chi(u) = sign * zeta_{p^c}^a into one sparse
 {phase: count} histogram per level at the phase e p^(T-m) + a p^(T-c) of
 psi * chi, T = max(m, c), reduced by one root_of_unity_sum at the least level
@@ -39,8 +41,9 @@ from .ratfun import LaurentPoly, RationalFunctionT
 from .recurrence import detect_recurrence
 from .scalars import as_scalar, root_of_unity_sum
 
-# a shell series takes K_EXTRA shells before the 2 r_max + confirm that Berlekamp-Massey
-# fits and checks; they lie in the head, whose residuals are num's low terms (rationalize)
+# a sampled shell series (a Phi with a refined term) takes K_EXTRA shells before the
+# 2 r_max + confirm that Berlekamp-Massey fits and checks; they lie in the head, whose
+# residuals are num's low terms (rationalize)
 K_EXTRA = 2
 
 
@@ -48,8 +51,8 @@ class IntegrationConfig:
     """Certification and budget knobs; a kernel shell's truncation is proven, not set.
 
     r_max/confirm: recurrence order bound and confirmation window for
-    rationalizing a sampled zeta integral (r_max defaults to n at the call site);
-    the spectral action reads neither.
+    rationalizing the sampled zeta integral of a Phi with a refined term (r_max
+    defaults to n at the call site); a generating function reads neither.
     hard_budget: max refinement cells counted per integral, the census-binned children
     of last splits included, though those are never built.
     force_enumeration: send every shell, at every n, to the refinement, the
@@ -81,8 +84,10 @@ def _scalar_mod(m: PAdicMatrix, level: int, p: int):
 
 def _shell_path(ctx: PAdicContext, center: PAdicMatrix, level: int,
                 modulation: PAdicMatrix, config: IntegrationConfig):
-    """The evaluator (k, unit_char, stats) -> shell k of one modulated coset, chosen once per
-    series from C mod p^L, which fixes the coset, and B mod p^(-L): on the coset, B + p^(-L) Y
+    """(shell, series) for one modulated coset, chosen once per series from C mod p^L, which
+    fixes the coset, and B mod p^(-L): shell(k, unit_char, stats) is shell k, and
+    series(unit_char) the whole untwisted shell series as (num, J) (_series_hermite), or
+    None when the coset is refined.  On the coset, B + p^(-L) Y
     gives psi(tr(B g)) times psi(p^(-L) tr(Y C)), 1 when C = 0 mod p^L.  With C = a Id and
     B = c Id in those classes (a, c the (1, 1) entries), a = 0 takes Hermite with c, and c = 0
     the scalar centre with a and the written B.  Any representative gives the same value:
@@ -94,12 +99,16 @@ def _shell_path(ctx: PAdicContext, center: PAdicMatrix, level: int,
         a = _scalar_mod(center, level, p)
         c = None if a is None else _scalar_mod(modulation, -level, p)
         if c is not None and in_level(a, level, p):
-            return lambda k, unit_char, stats: _shell_hermite(ctx, n, k, level, c, unit_char)
+            return (lambda k, unit_char, stats: _shell_hermite(ctx, n, k, level, c, unit_char),
+                    lambda unit_char: _series_hermite(ctx, n, level, c, unit_char))
         if c is not None and in_level(c, -level, p):
-            return lambda k, unit_char, stats: _shell_scalar_centre(
-                ctx, n, k, level, a, modulation, unit_char)
-    return lambda k, unit_char, stats: _shell_generic(ctx, k, center, level, modulation,
-                                                      config, unit_char, stats)
+            k0 = n * valuation(a, p)  # the one shell that can be nonzero
+            return (lambda k, unit_char, stats: _shell_scalar_centre(
+                ctx, n, k, level, a, modulation, unit_char),
+                lambda unit_char: ({k0: _shell_scalar_centre(
+                    ctx, n, k0, level, a, modulation, unit_char)}, 0))
+    return (lambda k, unit_char, stats: _shell_generic(ctx, k, center, level, modulation,
+                                                       config, unit_char, stats), None)
 
 
 def term_shell_integral(ctx: PAdicContext, k: int, center: PAdicMatrix,
@@ -107,7 +116,7 @@ def term_shell_integral(ctx: PAdicContext, k: int, center: PAdicMatrix,
                         config: IntegrationConfig, unit_char=None, stats=None):
     """int over {v(det g) = k} cap (center + p^level M) of
     psi(tr(modulation g)) chi(det g / p^k) d^x g."""
-    return _shell_path(ctx, center, level, modulation, config)(k, unit_char, stats)
+    return _shell_path(ctx, center, level, modulation, config)[0](k, unit_char, stats)
 
 
 # name kept because perfbench/tracer.py wraps it to count cells per path
@@ -186,6 +195,30 @@ def _shell_hermite(ctx, n, k, level, c, unit_char):
                               p ** (n * (n + 1) // 2)), p)
 
 
+def _series_hermite(ctx, n, level, c, unit_char):
+    """sum_k _shell_hermite(k) x^k as (num, J): num a {k: coefficient} dict over the
+    denominator prod_{j<J} (1 - p^j x).  With k = k' + n level and mc, f as there:
+      * f = 0, mc = 0: shell = s prod_{0<i<n} (p^(k'+i) - 1) / (p^i - 1) = s [k'+n-1 choose n-1]_p,
+        s the shell at k' = 0, and sum_(k'>=0) [k'+n-1 choose n-1]_p x^k' = 1 / prod_{j<n}
+        (1 - p^j x) (q-binomial theorem), so num = s x^(n level), J = n;
+      * f = 0, mc >= 1: shell = s at K = 0 and (1 - p^n) s at K > 0, so with k0 = n level +
+        n (mc - 1) the series is s x^k0 (1 + (1 - p^n) x / (1 - x)) = s x^k0 (1 - p^n x) / (1 - x),
+        num = s x^k0 - p^n s x^(k0+1), J = 1;
+      * f >= 1: the one shell k0 = n level + n (mc - f) if mc >= f, and 0 otherwise: J = 0.
+    """
+    p = ctx.p
+    f = unit_char.conductor_exp if unit_char else 0
+    mc = max(0, -valuation(Fraction(c) * Fraction(p) ** level, p))
+    if f:
+        k0 = n * (level + mc - f)
+        return ({k0: _shell_hermite(ctx, n, k0, level, c, unit_char)} if mc >= f else {}), 0
+    if mc == 0:
+        return {n * level: _shell_hermite(ctx, n, n * level, level, c, unit_char)}, n
+    k0 = n * (level + mc - 1)
+    s = _shell_hermite(ctx, n, k0, level, c, unit_char)
+    return {k0: s, k0 + 1: s * -p ** n}, 1
+
+
 _shell_n2_hermite = _shell_hermite  # name kept because perfbench/tracer.py wraps it
 
 
@@ -202,7 +235,7 @@ def _shell_scalar_centre(ctx, n, k, level, a, modulation, unit_char):
     there (f <= e) and to 0 otherwise.  With vol(coset) = p^(-level n^2) and
     |det g|^(-n) = p^(n^2 v(a)):
       shell = psi(a tr B) chi(u_a)^n p^(n^2 (v(a) - level)) if k = n v(a) and f <= e,
-    and 0 otherwise.
+    and 0 otherwise, so the shell series is that one monomial at k = n v(a) (_shell_path).
     """
     p = ctx.p
     va = valuation(a, p)
@@ -371,7 +404,7 @@ def schwartz_shell_integral(phi, ks, config: IntegrationConfig,
     """[int_{v(det g)=k} Phi(g) chi(det g / p^k) d^x g for k in ks] for a
     Schwartz-Bruhat Phi, with each term's path chosen once for the series."""
     ctx = phi.ctx
-    paths = [(t.coeff, _shell_path(ctx, t.center, t.level, t.modulation, config))
+    paths = [(t.coeff, _shell_path(ctx, t.center, t.level, t.modulation, config)[0])
              for t in phi.terms]
 
     def shell(k):
@@ -380,6 +413,30 @@ def schwartz_shell_integral(phi, ks, config: IntegrationConfig,
             total = total + coeff * path(k, unit_char, stats)
         return total
     return parallel_map(shell, ks)
+
+
+def schwartz_series(phi, weight: int, config: IntegrationConfig, unit_char=None):
+    """The untwisted shell series sum_k I_k x^k of a Schwartz-Bruhat Phi, x = T^weight, as
+    LaurentPolys (num, den) in T, or None when a term is refined (every term under
+    force_enumeration).  Each term's generating function (_shell_path) has the denominator
+    prod_{j<J_t} (1 - p^j x), a head of den = prod_{j<J} (1 - p^j x), J = max J_t, so num
+    sums coeff * num_t * prod_{J_t<=j<J} (1 - p^j x) over the terms, with no division."""
+    fns = [_shell_path(phi.ctx, t.center, t.level, t.modulation, config)[1] for t in phi.terms]
+    if None in fns:
+        return None
+    parts = [(t.coeff, *fn(unit_char)) for t, fn in zip(phi.terms, fns)]
+    factors = [LaurentPoly({0: 1, weight: -phi.ctx.p ** j})
+               for j in range(max([j for _, _, j in parts], default=0))]
+    num = LaurentPoly()
+    for coeff, part, j in parts:
+        term = LaurentPoly({weight * k: coeff * v for k, v in part.items()})
+        for factor in factors[j:]:
+            term = term * factor
+        num = num + term
+    den = LaurentPoly.const(1)
+    for factor in factors:
+        den = den * factor
+    return num, den
 
 
 def stabilized_shell_integral(ctx: PAdicContext, n: int, k: int,

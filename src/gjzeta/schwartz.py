@@ -139,11 +139,11 @@ class SchwartzBruhatFn:
     # -- structure queries ---------------------------------------------
 
     def det_valuation_bound(self):
-        """Lower bound -n m for v(det x) on the support, which lies in
-        p^(-m) M_n(Z_p) (every entry has v >= -m)."""
+        """n min over the terms of min(v(C), L), 0 for no term: every entry of
+        C + p^L M_n(Z_p) has v >= min(v(C), L), so v(det x) >= n times it."""
         p = self.ctx.p
-        return -self.n * max([0] + [-min(t.center.min_valuation(p), t.level)
-                                    for t in self.terms])
+        return self.n * min([min(t.center.min_valuation(p), t.level) for t in self.terms],
+                            default=0)
 
     # -- operators -----------------------------------------------------
 

@@ -1,14 +1,15 @@
 """Godement-Jacquet zeta integrals and gamma factors on GL_n(Q_p).
 
-Z(Phi, s, chi) = int_{GL_n} Phi(g) chi(det g) |det g|^s d^x g is computed
-shell by shell; each shell entry is an exact scalar and the shell series is
+Z(Phi, s, chi) = int_{GL_n} Phi(g) chi(det g) |det g|^s d^x g is a sum over
+det-valuation shells; each shell entry is an exact scalar and the shell series is
 an exact rational function in T = q^(-s/2) (weight T^2 per unit of det
 valuation).  The gamma factor is the ratio of the dual integral
 Z(Phi^, n - s, chi^(-1)) to Z(Phi, s, chi), with the dual series expanded
-in T^(-2) from fresh shell integrals of the Fourier transform.  The untwisted
-shell series is rationalized and chi(p)^k (times q^(-nk) on the dual side) is
-applied once, to the rational function (RationalFunctionT.twisted), as in
-distributions.spectral_action.
+in T^(-2) from the Fourier transform.  The untwisted shell series is the sum of
+the terms' generating functions when every term is closed form, and a sampled
+series rationalized by Berlekamp-Massey otherwise; chi(p)^k (times q^(-nk) on
+the dual side) is applied once, to the rational function
+(RationalFunctionT.twisted), as in distributions.spectral_action.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import AllDegenerate, ZeroDenominator
-from .integrate import K_EXTRA, IntegrationConfig, rationalize, schwartz_shell_integral
+from .integrate import (K_EXTRA, IntegrationConfig, rationalize, schwartz_series,
+                        schwartz_shell_integral)
+from .ratfun import RationalFunctionT
 from .scalars import CyclotomicNumber, as_scalar, root_of_unity, scalar_is_zero
 
 
@@ -139,23 +142,40 @@ def zeta_integral(phi, chi: MultiplicativeCharacter,
     With dual_weight=True the series is expanded at the reflected argument
     n - s (each shell k weighted by q^(-nk) T^(-2k) instead of T^(2k)),
     which is how the numerator of the gamma factor is assembled.
+
+    When no term of Phi is refined, the untwisted series is the sum of the terms'
+    generating functions over one common denominator (schwartz_series), reduced by one
+    gcd, and k_range is the shell span of its numerator.  A single term needs no gcd
+    (RationalFunctionT.coprime): its num is 0 over 1, a monomial over a den with den(0) = 1,
+    or s x^k0 (1 - p^n x) over 1 - x, coprime as p^n != 1.
+    Otherwise (force_enumeration included) the series is sampled: 2 r_max + confirm +
+    K_EXTRA shells from det_valuation_bound, rationalized by Berlekamp-Massey, and k_range
+    is that window.  The sampled path is the oracle of the generating functions.
     """
     config = config or IntegrationConfig()
     n = phi.n
     p = phi.ctx.p
-    r_max = config.r_max or n
-    k_min = phi.det_valuation_bound()
-    count = 2 * r_max + config.confirm + K_EXTRA
+    weight = -2 if dual_weight else 2
     stats = {}
-    seq = schwartz_shell_integral(phi, range(k_min, k_min + count), config, chi, stats)
+    series = schwartz_series(phi, weight, config, chi)
+    if series is None:
+        k_min = phi.det_valuation_bound()
+        r_max = config.r_max or n
+        count = 2 * r_max + config.confirm + K_EXTRA
+        seq = schwartz_shell_integral(phi, range(k_min, k_min + count), config, chi, stats)
+        value = rationalize(seq, k_min, weight, p, r_max, config.confirm)
+        k_range = (k_min, k_min + count - 1)
+    else:
+        value = (RationalFunctionT.coprime if len(phi.terms) == 1 else RationalFunctionT)(
+            *series, p)
+        ks = [e // weight for e in series[0].coeffs] or [phi.det_valuation_bound()]
+        k_range = (min(ks), max(ks))
 
     def factor(k):
         c = chi.value_at_p ** k
         return c * Fraction(p) ** (-n * k) if dual_weight else c
 
-    weight = -2 if dual_weight else 2
-    value = rationalize(seq, k_min, weight, p, r_max, config.confirm).twisted(factor, weight)
-    return ZetaResult(value=value, k_range=(k_min, k_min + count - 1), stats=stats)
+    return ZetaResult(value=value.twisted(factor, weight), k_range=k_range, stats=stats)
 
 
 class GammaResult(namedtuple("GammaResult", "value num den")):  # num.value / den.value

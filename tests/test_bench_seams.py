@@ -46,10 +46,15 @@ def _traced_run(monkeypatch, tmp_path, argv):
 
 
 def test_tracer_wraps_and_restores_engine_seams(monkeypatch, tmp_path):
-    # verify-inverse reads the spectral action's generating function with no rationalize;
-    # the Phi side of verify-bk is a sampled zeta integral, so it still runs the series layer
-    metrics = _traced_run(monkeypatch, tmp_path,
-                          ["verify-bk", "--p", "2", "--n", "2", "--phis", "unit_ball"])
+    # the spectral action and a closed-form Phi read generating functions with no
+    # rationalize; Id + 2 Z_2 under psi(g / 4) is refined, so its zeta integrals are
+    # sampled series and still run the series layer
+    phi = tmp_path / "phi.json"
+    phi.write_text(json.dumps({"n": 1, "p": 2, "terms": [{
+        "coeff": {"level": 0, "coeffs": ["1"]}, "center": [["1"]], "level": 1,
+        "modulation": [["1/4"]]}]}))
+    metrics = _traced_run(monkeypatch, tmp_path, ["verify-bk", "--p", "2", "--n", "1",
+                                                  "--char", "quadratic", "--phis", "@%s" % phi])
     assert metrics["integrate.shell.hermite.calls"] > 0
     # the series layer runs through the wrapped names, or its metrics read 0
     assert metrics["recurrence.detect_recurrence.calls"] > 0

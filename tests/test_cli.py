@@ -591,6 +591,38 @@ def test_default_phis_follow_the_conductor(command, p, n, char, phis, capsys):
         "elapsed_seconds": rep["elapsed_seconds"]}
 
 
+# Phis whose sampled shell window exited 2 NoRecurrence at default flags: it started
+# at shell 0 below scaled_ball(2)'s support, and shifted_ball(1,3)'s head ran past
+# K_EXTRA.  The pinned results are the sampled series' at --r-max 3 (verify-bk: 4).
+TATE_GAMMA_P2_N2 = {"base_q": 2, "den": {"0": "1", "2": "-4"}, "num": {"4": "8", "6": "-8"}}
+Z_SCALED_BALL_2 = ({"base_q": 2, "den": {"0": "1", "2": "-3", "4": "2"}},
+                   {"base_q": 2, "den": {"0": "1", "2": "-6", "4": "8"}})
+
+
+@pytest.mark.parametrize("argv, results", [
+    (["gamma", "--p", "2", "--n", "2", "--phis", "scaled_ball(2)"],
+     {"gamma": TATE_GAMMA_P2_N2, "den": Z_SCALED_BALL_2[0] | {"num": {"8": "3/8"}},
+      "num": Z_SCALED_BALL_2[1] | {"num": {"12": "3"}}}),
+    (["verify-fe", "--p", "2", "--n", "2", "--phis", "unit_ball,scaled_ball(2)"],
+     {"gamma": TATE_GAMMA_P2_N2, "den": Z_SCALED_BALL_2[0] | {"num": {"0": "3/8"}},
+      "num": Z_SCALED_BALL_2[1] | {"num": {"4": "3"}}}),
+    (["gamma", "--p", "3", "--n", "1", "--phis", "shifted_ball(1,3)"],
+     {"gamma": {"base_q": 3, "den": {"0": "1", "2": "-3"}, "num": {"2": "-3", "4": "3"}},
+      "den": {"base_q": 3, "den": {"0": "1"}, "num": {"0": "1/27"}},
+      "num": {"base_q": 3, "den": {"0": "1", "2": "-3"}, "num": {"2": "-1/9", "4": "1/9"}}}),
+    (["verify-bk", "--p", "2", "--n", "2", "--phis", "shifted_ball(1,3)"],
+     {"claim": "Braverman-Kazhdan generating identity",
+      "lhs": TATE_GAMMA_P2_N2, "rhs": TATE_GAMMA_P2_N2})],
+    ids=["gamma-scaled-ball-2", "fe-scaled-ball-2", "gamma-shifted-ball-1-3",
+         "bk-shifted-ball-1-3"])
+def test_closed_form_phis_pass_at_default_flags(argv, results, capsys):
+    for flags in ([], ["--r-max", "4"]):
+        code, rep = run_json(argv + flags, capsys)
+        assert code == 0 and rep["verdict"] == "PASS", flags
+        assert {k: v for k, v in rep["results"].items() if k != "warnings"} == results, flags
+        assert rep["cells_enumerated"] == 0
+
+
 def test_inconclusive_report_names_the_default_phis(monkeypatch, capsys):
     def no_recurrence(*args):
         raise NoRecurrence("minimal order 3 exceeds r_max=2")
@@ -644,14 +676,16 @@ REPORT_KEYS = {"tool", "version", "command", "parameters", "verdict", "results",
     ["verify-relation", "--n", "3"],
     ["fourier-selftest", "--count", "1"],
     ["arch-gamma", "--s", "0.3"],
-    ["gamma", "--p", "3", "--n", "1", "--phis", "shifted_ball(1,3)"]],
+    ["gamma", "--p", "3", "--n", "2", "--char", CHI9, "--phis", "@coset_n2_p3",
+     "--hard-budget", "1"]],
     ids=["gamma", "verify-fe", "verify-bk", "verify-inverse", "verify-relation",
          "fourier-selftest", "arch-gamma", "inconclusive"])
-def test_report_shape(argv, capsys):
+def test_report_shape(argv, generic_phis, capsys):
     # the handler returns the body; make_report adds the run metadata and fills
     # windows and cells_enumerated for a command whose engine has neither
-    code, rep = run_json(argv, capsys)
+    code, rep = run_json(fill(argv, generic_phis), capsys)
     assert set(rep) == REPORT_KEYS and rep["command"] == argv[0]
+    assert (rep["verdict"] == "INCONCLUSIVE") == ("--hard-budget" in argv)
     if rep["verdict"] == "INCONCLUSIVE":
         assert code == 2 and rep["windows"] == {} and rep["cells_enumerated"] is None
     elif argv[0] in ("verify-relation", "fourier-selftest", "arch-gamma"):

@@ -363,6 +363,7 @@ def test_rationalize_is_the_gcd_reduced_form(case):
 def test_rationalize_takes_no_gcd(monkeypatch):
     from gjzeta import ratfun
     from gjzeta.distributions import gj_delta, spectral_action
+    from gjzeta.integrate import IntegrationConfig
     from gjzeta.padic import PAdicContext, PAdicMatrix
     from gjzeta.schwartz import SchwartzBruhatFn
     from gjzeta.zeta import MultiplicativeCharacter, zeta_integral
@@ -373,11 +374,16 @@ def test_rationalize_takes_no_gcd(monkeypatch):
     seq = [as_scalar(0, 3)] * 2 + [as_scalar(Fraction(2, 3) ** k, 3) for k in range(8)]
     for weight in (2, -2):
         assert not rationalize(seq, -1, weight, 3, 2, 3).is_zero()
-    ctx = PAdicContext(3)
+    # a single-term generating function is coprime as it stands; only a multi-term one
+    # takes a gcd.  A forced (sampled) series goes through rationalize alone
+    ctx, forced = PAdicContext(3), IntegrationConfig(force_enumeration=True)
     for chi in (MultiplicativeCharacter.trivial(3), MultiplicativeCharacter.quadratic_ramified(3)):
         for phi in (SchwartzBruhatFn.shifted_ball(2, ctx, 1, 1), SchwartzBruhatFn.unit_ball(2, ctx)):
             zeta_integral(phi, chi)
             zeta_integral(phi.fourier(), chi.inverse(), dual_weight=True)
+        for phi in (SchwartzBruhatFn.shifted_ball(1, ctx, 1, 1), SchwartzBruhatFn.unit_ball(1, ctx)):
+            zeta_integral(phi, chi, forced)
+            zeta_integral(phi.fourier(), chi.inverse(), forced, dual_weight=True)
         spectral_action(gj_delta(2), chi, PAdicMatrix.identity(2))
 
 

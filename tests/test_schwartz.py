@@ -144,6 +144,10 @@ def test_det_valuation_bound():
     phi = SchwartzBruhatFn.scaled_ball(2, ctx, -2)
     assert phi.det_valuation_bound() == -4
     assert SchwartzBruhatFn.unit_ball(1, ctx).det_valuation_bound() == 0
+    # no clamp at 0: the support of p^2 M_n(Z_p) starts at shell 2n
+    for n in (1, 2, 3):
+        assert SchwartzBruhatFn.scaled_ball(n, ctx, 2).det_valuation_bound() == 2 * n
+    assert SchwartzBruhatFn(2, ctx).det_valuation_bound() == 0
 
 
 # -- Fourier laws (hypothesis) ----------------------------------------------

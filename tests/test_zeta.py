@@ -4,14 +4,15 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from gjzeta.errors import ZeroDenominator
-from gjzeta.integrate import IntegrationConfig
-from gjzeta.padic import PAdicContext, mod_int, valuation
+from gjzeta.errors import NoRecurrence, ZeroDenominator
+from gjzeta.integrate import K_EXTRA, IntegrationConfig, rationalize, schwartz_shell_integral
+from gjzeta.padic import PAdicContext, PAdicMatrix, mod_int, valuation
 from gjzeta.ratfun import LaurentPoly, RationalFunctionT
-from gjzeta.scalars import as_scalar, embed_complex, root_of_unity, sqrt_q
-from gjzeta.schwartz import SchwartzBruhatFn
+from gjzeta.scalars import (as_scalar, embed_complex, root_of_unity, root_of_unity_sum,
+                            sqrt_q)
+from gjzeta.schwartz import SchwartzBruhatFn, SchwartzTerm
 from gjzeta.zeta import (MultiplicativeCharacter, dual_gamma_factor,
                          gamma_factor, phi_independence_check, zeta_integral)
 
@@ -250,3 +251,116 @@ def test_gamma_n2_trivial_and_duality():
     g = gamma_factor(phis[0], chi)
     gd = dual_gamma_factor(phis[0], chi)
     assert g.value * gd.value == 1  # chi(-1)^2 = 1
+
+
+# -- generating functions against the sampled series ------------------------
+
+def sampled_zeta_integral(phi, chi, r_max, dual_weight=False):
+    """zeta_integral as a sampled series: the 2 r_max + confirm + K_EXTRA shells from
+    det_valuation_bound, rationalized by Berlekamp-Massey and twisted once."""
+    config = IntegrationConfig(r_max=r_max)
+    n, p = phi.n, phi.ctx.p
+    k_min = phi.det_valuation_bound()
+    seq = schwartz_shell_integral(
+        phi, range(k_min, k_min + 2 * r_max + config.confirm + K_EXTRA), config, chi)
+
+    def factor(k):
+        c = chi.value_at_p ** k
+        return c * Fraction(p) ** (-n * k) if dual_weight else c
+    weight = -2 if dual_weight else 2
+    return rationalize(seq, k_min, weight, p, r_max, config.confirm).twisted(factor, weight)
+
+
+PRIMITIVE_ROOTS = {2: 3, 3: 2, 5: 2}  # each generates (Z/p^2)^x
+
+
+def series_characters(p):
+    return [MultiplicativeCharacter.trivial(p), MultiplicativeCharacter.unramified(p, 2),
+            MultiplicativeCharacter.quadratic_ramified(p, -1),
+            MultiplicativeCharacter(p, 2, {PRIMITIVE_ROOTS[p]: root_of_unity(p, 1, 1)}, 3)]
+
+
+@st.composite
+def closed_form_sums(draw):
+    """(Phi, chi, r_max): a sum of closed-form terms and an r_max past its series' head.
+
+    A term is 0 or a Id (a in p^L) under c Id, or a Id (v(a) < L) under c Id with p^L c
+    integral.  Its series' last head shell h (the numerator's top exponent) is n L,
+    n (L + mc - 1) + 1, n (L + mc - f) or n v(a), and a common denominator of degree
+    <= n raises it by <= n, so r_max = 2n + 1 + max h - k_min covers the head."""
+    p, n = draw(st.sampled_from([2, 3, 5])), draw(st.integers(1, 3))
+    chi = draw(st.sampled_from(series_characters(p)))
+    f = chi.conductor_exp
+    unit = st.sampled_from([u for u in range(-p * p, p * p + 1) if u % p])
+    terms, heads = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        level = draw(st.integers(-2, 2))
+        if draw(st.booleans()):  # Hermite: a = 0 mod p^L, any c
+            a = draw(st.sampled_from([0, draw(unit) * Fraction(p) ** (level + draw(
+                st.integers(0, 1)))]))
+            c = draw(st.integers(-4, 4)) * Fraction(p) ** -draw(st.integers(0, 3))
+            mc = max(0, -valuation(c * Fraction(p) ** level, p))
+            heads.append(n * level + (n * (mc - f) if f else 0 if mc == 0 else n * (mc - 1) + 1))
+        else:  # scalar centre: v(a) < L, p^L c integral
+            va = level - draw(st.integers(1, 2))
+            a = draw(unit) * Fraction(p) ** va
+            c = draw(st.integers(-3, 3)) * Fraction(p) ** (-level + draw(st.integers(0, 1)))
+            heads.append(n * va)
+        m = draw(st.integers(0, 1))
+        coeff = root_of_unity_sum(p, m, [draw(st.fractions(-3, 3, max_denominator=3))
+                                         for _ in range(p ** m)])
+        assume(not coeff.is_zero())
+        terms.append(SchwartzTerm(coeff, PAdicMatrix.scalar(n, a), level,
+                                  PAdicMatrix.scalar(n, c)))
+    phi = SchwartzBruhatFn(n, PAdicContext(p), terms)
+    return phi, chi, 2 * n + 1 + max(heads) - phi.det_valuation_bound()
+
+
+@settings(max_examples=80, deadline=None)
+@given(closed_form_sums(), st.booleans())
+def test_generating_functions_match_the_sampled_series(case, dual_weight):
+    phi, chi, r_max = case
+    got = zeta_integral(phi, chi, dual_weight=dual_weight)
+    assert got.stats == {}
+    assert got.value.serialize() == sampled_zeta_integral(
+        phi, chi, r_max, dual_weight).serialize()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_built_in_balls_match_the_sampled_series(p, n):
+    # every built-in ball and a three-term sum, on both sides of the gamma factor
+    ctx = PAdicContext(p)
+    balls = [SchwartzBruhatFn.unit_ball(n, ctx), SchwartzBruhatFn.scaled_ball(n, ctx, 1),
+             SchwartzBruhatFn.scaled_ball(n, ctx, 2), SchwartzBruhatFn.shifted_ball(n, ctx, 1, 1),
+             SchwartzBruhatFn.shifted_ball(n, ctx, 1, 3)]
+    phis = balls + [balls[0] + balls[2].scale(3) - balls[3]]
+    for chi in series_characters(p):
+        for phi in phis:
+            for hat, psi, dual in ((phi, chi, False), (phi.fourier(), chi.inverse(), True)):
+                got = zeta_integral(hat, psi, dual_weight=dual).value.serialize()
+                assert got == sampled_zeta_integral(hat, psi, 4 * n + 4, dual).serialize()
+
+
+def test_forced_enumeration_starts_at_the_support():
+    # the sampled window of scaled_ball(3) started at shell 0, three shells below its
+    # support, so the head ran past K_EXTRA: NoRecurrence at the default r_max
+    ctx, chi = PAdicContext(3), MultiplicativeCharacter.trivial(3)
+    phi = SchwartzBruhatFn.scaled_ball(1, ctx, 3)
+    forced = IntegrationConfig(force_enumeration=True)
+    g = gamma_factor(phi, chi, forced)
+    assert g.num.stats["cells"] > 0 and g.den.stats["cells"] > 0
+    assert g.value.serialize() == gamma_factor(phi, chi).value.serialize()
+    assert g.den.k_range[0] == 3
+
+
+def test_forced_enumeration_still_certifies_its_recurrence():
+    # shifted_ball(1,3)'s sampled head outruns K_EXTRA at r_max = n; the generating
+    # function has no window
+    ctx, chi = PAdicContext(3), MultiplicativeCharacter.trivial(3)
+    phi = SchwartzBruhatFn.shifted_ball(1, ctx, 1, 3)
+    with pytest.raises(NoRecurrence):
+        gamma_factor(phi, chi, IntegrationConfig(force_enumeration=True))
+    want = gamma_factor(phi, chi).value.serialize()
+    assert gamma_factor(phi, chi, IntegrationConfig(force_enumeration=True, r_max=3)
+                        ).value.serialize() == want
