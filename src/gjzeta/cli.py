@@ -28,7 +28,7 @@ from .errors import EngineError
 from .integrate import IntegrationConfig
 from .padic import PAdicContext, PAdicMatrix
 from .scalars import root_of_unity, scalar_is_zero
-from .schwartz import SchwartzBruhatFn, SchwartzTerm, json_exact
+from .schwartz import MAX_ROOT_ORDER, SchwartzBruhatFn, SchwartzTerm, json_exact
 from .zeta import MultiplicativeCharacter, phi_independence_check
 
 EXIT_PASS, EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_INVALID = 0, 1, 2, 3
@@ -93,10 +93,6 @@ def _rational(text) -> Fraction:
     except ZeroDivisionError:
         raise InvalidSpec("zero denominator in %r" % (text,)) from None
 
-
-# a root zeta_{p^m} is built as a length-p^m vector, and a character mod p^c lists its
-# p^c residues; a larger p^m or p^c is refused
-MAX_ROOT_ORDER = 2 ** 12
 
 N_CHOICES = range(1, 9)  # the GL_n sizes of gamma, verify-fe, verify-bk and verify-inverse
 
@@ -294,37 +290,29 @@ def cmd_verify_relation(args):
 _RATIOS = tuple(tuple(Fraction(b, c) for c in range(1, 4)) for b in range(-3, 4))
 
 
-@lru_cache(maxsize=8)
-def _draw_tables(p: int):
-    """random_schwartz's candidate entries a/p^j (j = 0..2, a = -4..4) and the phases
-    of zeta_p^a (a = 0..p-1) in psi_exponent's form, in the order randint draws them."""
-    entries = tuple(tuple(Fraction(a, p ** j) for a in range(-4, 5)) for j in range(3))
-    return entries, tuple((1, a) if a else (0, 0) for a in range(p))
-
-
 def random_schwartz(n: int, ctx: PAdicContext, rng, terms: int = 3,
                     max_level: int = 3) -> SchwartzBruhatFn:
     """Deterministic pseudo-random test function, levels within |k| <= max_level.
 
-    Entries, phases and ratios are picked from prebuilt tables, each listed in
-    the order of the randint range it stands for.  choice(seq) is
-    seq[_randbelow(len(seq))] and randint(a, b) is a + _randbelow(b - a + 1),
-    so a pick reads the same random stream as the randint it replaces and
-    draws the same functions."""
-    entries, phases = _draw_tables(ctx.p)
-    choice, randint = rng.choice, rng.randint
+    Both matrices of a term hold numerators -4..4 over one denominator p^j
+    (j = 0..2), and its coefficient is a ratio b/c times zeta_p^a (a = 0..p-1).
+    Each is picked from a sequence listed in the order of the randint range it
+    stands for: choice(seq) is seq[_randbelow(len(seq))] and randint(a, b) is
+    a + _randbelow(b - a + 1), so a pick reads the same random stream as the
+    randint it replaces and draws the same functions."""
+    p, choice, randint, nums = ctx.p, rng.choice, rng.randint, range(-4, 5)
 
-    def matrix(row):
-        return PAdicMatrix._of(tuple([tuple([choice(row) for _ in range(n)])
-                                      for _ in range(n)]))
+    def matrix(den):
+        return PAdicMatrix._lattice(n, tuple([choice(nums) for _ in range(n * n)]), den)
     out = []
     for _ in range(randint(1, terms)):
         level = randint(-max_level, max_level)
-        row = choice(entries)  # one denominator p^j for both matrices
-        center = matrix(row)
-        modulation = matrix(row)
-        phase = choice(phases)  # the coefficient is a ratio b/c times zeta_p^a
-        out.append(SchwartzTerm(choice(choice(_RATIOS)), center, level, modulation, 0, phase))
+        den = choice((1, p, p * p))  # one denominator for both matrices
+        center = matrix(den)
+        modulation = matrix(den)
+        a = choice(range(p))  # the phase zeta_p^a in psi_exponent's form
+        out.append(SchwartzTerm(choice(choice(_RATIOS)), center, level, modulation, 0,
+                                (1, a) if a else (0, 0)))
     return SchwartzBruhatFn(n, ctx, out)
 
 

@@ -2,12 +2,16 @@
 
 Elements of Q_p are exact rationals: every point arising in the engine is
 rational, so valuations and psi-values are computed from integer
-factorizations with no precision bookkeeping.
+factorizations with no precision bookkeeping.  A matrix is held as integer
+numerators over one positive denominator, reduced, so its negation, difference,
+product, determinant, coset test and trace pairing are integer arithmetic, and
+its Fraction entries are built only when read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .scalars import CyclotomicNumber, root_of_unity
 
@@ -55,16 +59,25 @@ class PAdicContext:
         self.p = p
 
 
+def psi_parts(num: int, den: int, p: int) -> tuple[int, int]:
+    """psi_exponent of num/den, den > 0: each factor p of den cancels one of num's
+    while num has one; with m left and u den's prime-to-p part, a = num/u mod p^m."""
+    m = 0
+    while den % p == 0:
+        den //= p
+        if num % p:
+            m += 1
+        else:
+            num //= p
+    pm = p ** m
+    return (m, num * pow(den, -1, pm) % pm) if m else (0, 0)
+
+
 def psi_exponent(x, ctx: PAdicContext) -> tuple[int, int]:
     """(m, a) with psi(x) = zeta_{p^m}^a: a/p^m is the p-fractional part of x."""
     if type(x) is not Fraction:
         x = Fraction(x)
-    p = ctx.p
-    m = int_valuation(x.denominator, p)
-    if m == 0:
-        return 0, 0
-    pm = p ** m
-    return m, x.numerator * pow(x.denominator // pm, -1, pm) % pm
+    return psi_parts(x.numerator, x.denominator, ctx.p)
 
 
 def _phase_add(p: int, x: tuple, y: tuple) -> tuple[int, int]:
@@ -107,25 +120,41 @@ def flat_det(a, n: int):
 
 
 class PAdicMatrix:
-    """n x n matrix with exact rational entries."""
+    """n x n matrix with exact rational entries, held as integers: entry (i, j)
+    is nums[i n + j] / den, with den > 0 and gcd(den, *nums) = 1.  That form is
+    canonical, so == and hash compare (den, nums)."""
 
-    __slots__ = ("n", "entries", "_hash", "_neg")
+    __slots__ = ("n", "nums", "den", "_entries", "_hash", "_neg")
 
     def __init__(self, entries):
-        rows = [tuple([e if type(e) is Fraction else Fraction(e) for e in row])
-                for row in entries]
-        self.n = len(rows)
-        if any(len(r) != self.n for r in rows):
+        rows = tuple([tuple([e if type(e) is Fraction else Fraction(e) for e in row])
+                      for row in entries])
+        if any(len(r) != len(rows) for r in rows):
             raise ValueError("matrix must be square")
-        self.entries = tuple(rows)
-        self._hash = self._neg = None
+        # over the least common denominator no prime divides den and every numerator
+        self.n, self.den = len(rows), lcm(*[e.denominator for row in rows for e in row])
+        self.nums = tuple([e.numerator * (self.den // e.denominator) for row in rows for e in row])
+        self._entries, self._hash, self._neg = rows, None, None
 
     @staticmethod
-    def _of(rows) -> "PAdicMatrix":
-        """Trusted constructor: rows is a square tuple of tuples of Fractions."""
+    def _lattice(n: int, nums: tuple, den: int) -> "PAdicMatrix":
+        """Trusted constructor: n*n ints nums, row-major, over den > 0, reduced here."""
+        g = gcd(den, *nums)
+        if g != 1:
+            nums, den = tuple([x // g for x in nums]), den // g
         out = object.__new__(PAdicMatrix)
-        out.n, out.entries, out._hash, out._neg = len(rows), rows, None, None
+        out.n, out.nums, out.den = n, nums, den
+        out._entries = out._hash = out._neg = None
         return out
+
+    @property
+    def entries(self) -> tuple:
+        """The rows as Fractions: those given to the constructor, or built on the first read."""
+        if self._entries is None:
+            n, d = self.n, self.den
+            self._entries = tuple([tuple([Fraction(x, d) for x in self.nums[i:i + n]])
+                                   for i in range(0, n * n, n)])
+        return self._entries
 
     @staticmethod
     def identity(n: int) -> "PAdicMatrix":
@@ -145,65 +174,61 @@ class PAdicMatrix:
         return PAdicMatrix.diagonal([c] * n)
 
     def trace(self) -> Fraction:
-        return sum(self.entries[i][i] for i in range(self.n))
+        return Fraction(sum(self.nums[::self.n + 1]), self.den)
 
     def det(self) -> Fraction:
-        return Fraction(flat_det([e for row in self.entries for e in row], self.n))
+        return Fraction(flat_det(self.nums, self.n), self.den ** self.n)
 
     def __mul__(self, other: "PAdicMatrix") -> "PAdicMatrix":
-        n = self.n
-        return PAdicMatrix([[sum(self.entries[i][k] * other.entries[k][j]
-                                 for k in range(n)) for j in range(n)]
-                            for i in range(n)])
+        n, a, b = self.n, self.nums, other.nums
+        return PAdicMatrix._lattice(n, tuple([sum(a[i + k] * b[k * n + j] for k in range(n))
+                                              for i in range(0, n * n, n) for j in range(n)]),
+                                    self.den * other.den)
 
     def __sub__(self, other: "PAdicMatrix") -> "PAdicMatrix":
-        return PAdicMatrix._of(tuple([tuple([x - y for x, y in zip(r1, r2)])
-                                      for r1, r2 in zip(self.entries, other.entries)]))
+        d, e = self.den, other.den
+        return PAdicMatrix._lattice(self.n, tuple([x * e - y * d for x, y in
+                                                   zip(self.nums, other.nums)]), d * e)
 
     def __neg__(self) -> "PAdicMatrix":
         """-self, built once and kept, so transforms share it and fn_equal
         matches their keys by identity; kept one way only, with no cycle."""
         if self._neg is None:
-            self._neg = PAdicMatrix._of(tuple([tuple([-e if e else e for e in row])
-                                               for row in self.entries]))
+            self._neg = PAdicMatrix._lattice(self.n, tuple([-x for x in self.nums]), self.den)
         return self._neg
 
     def scale(self, c) -> "PAdicMatrix":
         c = Fraction(c)
-        return PAdicMatrix([[e * c for e in row] for row in self.entries])
+        return PAdicMatrix._lattice(self.n, tuple([x * c.numerator for x in self.nums]),
+                                    self.den * c.denominator)
 
     def min_valuation(self, p: int):
         """min over entries of v_p; +inf for the zero matrix."""
-        vals = [valuation(e, p) for row in self.entries for e in row]
-        return min(vals)
+        vals = [int_valuation(x, p) for x in self.nums if x]
+        return min(vals) - int_valuation(self.den, p) if vals else INFINITE
 
     def in_coset(self, center: "PAdicMatrix", level: int, p: int) -> bool:
-        """self in center + p^level M_n(Z_p)?  Stops at the first entry below.
-        From integers: x - y = N / (x.den y.den), and with t = level +
-        v_p(x.den y.den) an entry passes iff N = 0, t <= 0 or p^t | N."""
-        for r1, r2 in zip(self.entries, center.entries):
-            for x, y in zip(r1, r2):
-                if x is y:
-                    continue
-                xd, yd = x.denominator, y.denominator
-                num = x.numerator * yd - y.numerator * xd
-                if num:
-                    t, d = level, xd * yd
-                    while d % p == 0:
-                        d //= p
-                        t += 1
-                    if t > 0 and num % p ** t:
-                        return False
+        """self in center + p^level M_n(Z_p)?  Stops at the first entry outside.
+        Entrywise x - y = (a e - b d) / (d e) for self = a/d and center = b/e, so
+        with t = level + v_p(d e) all pass if t <= 0, and else iff p^t | a e - b d."""
+        d, e = self.den, center.den
+        t = level + int_valuation(d * e, p)
+        if t <= 0:
+            return True
+        q = p ** t
+        for a, b in zip(self.nums, center.nums):
+            if (a * e - b * d) % q:
+                return False
         return True
 
     def __eq__(self, other):
         if not isinstance(other, PAdicMatrix):
             return NotImplemented
-        return self.entries == other.entries
+        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self):  # fn_equal keys its merge on (center, level, modulation, ...)
         if self._hash is None:
-            self._hash = hash(self.entries)
+            self._hash = hash((self.den, self.nums))
         return self._hash
 
     def __repr__(self):
@@ -211,16 +236,13 @@ class PAdicMatrix:
             [[str(e) for e in row] for row in self.entries],)
 
 
+def trace_parts(b: PAdicMatrix, x: PAdicMatrix) -> tuple[int, int]:
+    """tr(b x) as (num, den), unreduced: one integer dot product over b.den x.den."""
+    n, u, v = b.n, b.nums, x.nums
+    return (sum([u[i * n + k] * v[k * n + i] for i in range(n) for k in range(n)]),
+            b.den * x.den)
+
+
 def trace_pairing(b: PAdicMatrix, x: PAdicMatrix) -> Fraction:
-    """tr(b x) as an exact rational: the integer numerators of the nonzero
-    products over one running denominator, normalized once at the end."""
-    num, den = 0, 1
-    for i, row in enumerate(b.entries):
-        for u, xrow in zip(row, x.entries):
-            v = xrow[i]
-            if u and v:
-                d = u.denominator * v.denominator
-                if den % d:
-                    num, den = num * d, den * d
-                num += u.numerator * v.numerator * (den // d)
-    return Fraction(num, den)
+    """tr(b x) as an exact rational."""
+    return Fraction(*trace_parts(b, x))

@@ -9,20 +9,27 @@ translations become modulations and vice versa, and a level-k indicator picks
 up p^(-k n^2).  Both factors are monomials, so a transform only adds to scale
 and phase; coeff builds the full value when read.  An inner product folds the
 scales and phases into each pair's p-power and psi exponent and scatters the
-bases of every pair into one exponent vector, reduced once.  Coset and
-integrality tests and tr(b a) run on integers.  A matrix keeps its negation, so
-F(F(f)) and reflect(f) share centres, modulations, scales and phases, and
-fn_equal merges them by identity.
+integer numerators of every pair's bases, over one common denominator, into one
+exponent vector, reduced once.  Coset and integrality tests and tr(b a) run on
+the matrices' integer numerators and denominators, so no entry is a Fraction.
+A matrix keeps its negation, so F(F(f)) and reflect(f) share centres,
+modulations, scales and phases, and fn_equal merges them by identity.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import lcm
 
-from .padic import PAdicContext, PAdicMatrix, _phase_add, psi_exponent, trace_pairing
-from .scalars import (CyclotomicNumber, as_scalar, root_of_unity_sum, scalar_conjugate,
-                      scalar_is_zero)
+from .padic import PAdicContext, PAdicMatrix, _phase_add, psi_parts, trace_parts
+from .scalars import (CyclotomicNumber, _reduce, as_scalar, root_of_unity_sum,
+                      scalar_conjugate, scalar_is_zero)
+
+
+# a root zeta_{p^m} or a Phi file's level-m coefficient is built as a length-p^m
+# vector, and a character mod p^c lists its p^c residues; a larger p^m or p^c is refused
+MAX_ROOT_ORDER = 2 ** 12
 
 
 def json_exact(x, kind=int):
@@ -43,6 +50,15 @@ def _in_field(c, p: int):
             raise ValueError("coefficient %r does not lie in the tower of p = %d" % (c, p))
         c = c.coeffs[0]
     return as_scalar(c, p)
+
+
+def _over_one_den(c) -> tuple:
+    """(level, [(exponent, numerator)], den): c's nonzero coefficients, or a
+    rational's one, as integers over their least common denominator."""
+    if not c.m:
+        return 0, [(0, c.coeffs[0].numerator)], c.coeffs[0].denominator
+    d = lcm(*[x.denominator for x in c.coeffs])
+    return c.m, [(j, x.numerator * (d // x.denominator)) for j, x in enumerate(c.coeffs) if x], d
 
 
 class SchwartzTerm:
@@ -82,6 +98,8 @@ class SchwartzBruhatFn:
         self.ctx = ctx
         self.terms = []
         for t in terms:
+            if t.center.n != n or t.modulation.n != n:
+                raise ValueError("a term's centre and modulation must be %d x %d" % (n, n))
             c = _in_field(t.base, ctx.p)
             if not c.is_zero():
                 self.terms.append(t if c is t.base else SchwartzTerm(
@@ -153,8 +171,7 @@ class SchwartzBruhatFn:
         n2 = self.n * self.n
         return SchwartzBruhatFn._trusted(self.n, self.ctx, [SchwartzTerm(
             t.base, -t.modulation, -t.level, t.center, t.scale - t.level * n2,
-            _phase_add(p, t.phase, psi_exponent(trace_pairing(t.modulation, t.center),
-                                                self.ctx)))
+            _phase_add(p, t.phase, psi_parts(*trace_parts(t.modulation, t.center), p)))
             for t in self.terms])
 
     def reflect(self) -> "SchwartzBruhatFn":
@@ -167,22 +184,21 @@ class SchwartzBruhatFn:
         """Exact <f, g> = int f(x) conj(g(x)) dx by pairwise closed forms.
 
         A surviving pair adds s.base * conj(t.base) * p^(s.scale + t.scale - k n^2)
-        * zeta_{p^m}^a, with the phase s.phase - t.phase folded into psi's;
-        every pair goes into one exponent vector at the highest level seen,
-        which is reduced once."""
+        * zeta_{p^m}^a, with the phase s.phase - t.phase folded into psi's.  Each
+        base is read as integers over one denominator, and every pair goes into
+        one integer exponent vector, over the pairs' common denominator, at the
+        highest level seen: each slot becomes a Fraction once, reduced once."""
         self._check_space(other)
         p = self.ctx.p
         n2 = self.n * self.n
-        other_terms = [(t, scalar_conjugate(t.base), (t.phase[0], -t.phase[1]))
+        other_terms = [(t, _over_one_den(scalar_conjugate(t.base)), (t.phase[0], -t.phase[1]))
                        for t in other.terms]
         pairs = []
         for s in self.terms:
-            for t, t_base_bar, t_phase_bar in other_terms:
+            x = _over_one_den(s.base)
+            for t, y, t_phase_bar in other_terms:
                 # coset intersection
-                if s.level >= t.level:
-                    inner, outer = s, t
-                else:
-                    inner, outer = t, s
+                inner, outer = (s, t) if s.level >= t.level else (t, s)
                 if not inner.center.in_coset(outer.center, outer.level, p):
                     continue
                 a, k = inner.center, inner.level
@@ -190,22 +206,24 @@ class SchwartzBruhatFn:
                 # unless p^k b is integral
                 if not s.modulation.in_coset(t.modulation, -k, p):
                     continue
-                tr = trace_pairing(s.modulation, a) - trace_pairing(t.modulation, a)
+                u, du = trace_parts(s.modulation, a)
+                v, dv = trace_parts(t.modulation, a)
                 phase = _phase_add(p, _phase_add(p, s.phase, t_phase_bar),
-                                   psi_exponent(tr, self.ctx))
-                pairs.append((s.base, t_base_bar,
-                              Fraction(p) ** (s.scale + t.scale - k * n2), *phase))
-        top = max([0] + [max(x.m, y.m, m) for x, y, _, m, _ in pairs])
+                                   psi_parts(u * dv - v * du, du * dv, p))
+                e = s.scale + t.scale - k * n2  # the volume p^e
+                pairs.append((x, y, p ** max(e, 0), x[2] * y[2] * p ** max(-e, 0), *phase))
+        top = max([0] + [max(x[0], y[0], m) for x, y, _, _, m, _ in pairs])
+        den = lcm(*[d for _, _, _, d, _, _ in pairs])
         order = p ** top
-        vec = [Fraction(0)] * order
-        for x, y, vol, m, a in pairs:
-            shift = a * p ** (top - m)
-            ys = y._terms(top)
-            for i, c in x._terms(top):
-                c *= vol
-                for j, d in ys:
-                    vec[(i + j + shift) % order] += c * d
-        return root_of_unity_sum(p, top, vec)
+        vec = [0] * order
+        for (xm, xs, _), (ym, ys, _), vol, d, m, a in pairs:
+            vol *= den // d
+            shift, xstep, ystep = a * p ** (top - m), p ** (top - xm), p ** (top - ym)
+            for i, c in xs:
+                i, c = i * xstep + shift, c * vol
+                for j, b in ys:
+                    vec[(i + j * ystep) % order] += c * b
+        return _reduce(p, top, [(e, Fraction(v, den)) for e, v in enumerate(vec) if v])
 
     def fn_equal(self, other: "SchwartzBruhatFn") -> bool:
         """Exact function equality via positivity of the L^2 norm of the difference.
@@ -242,8 +260,11 @@ class SchwartzBruhatFn:
         ctx = PAdicContext(json_exact(data["p"]))
         terms = []
         for t in data["terms"]:
-            c = root_of_unity_sum(ctx.p, json_exact(t["coeff"]["level"]),
-                                  [json_exact(x, Fraction) for x in t["coeff"]["coeffs"]])
+            m = json_exact(t["coeff"]["level"])
+            if ctx.p ** min(m, 13) > MAX_ROOT_ORDER:  # refused before any vector is built
+                raise ValueError("root order %d^%d exceeds %d" % (ctx.p, m, MAX_ROOT_ORDER))
+            c = root_of_unity_sum(ctx.p, m, [json_exact(x, Fraction)
+                                             for x in t["coeff"]["coeffs"]])
             center, modulation = (PAdicMatrix([[json_exact(e, Fraction) for e in row]
                                                for row in t[key]])
                                   for key in ("center", "modulation"))

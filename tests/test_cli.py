@@ -441,6 +441,33 @@ def test_float_in_rational_json_phi_field_exits_3(field, value, tmp_path, capsys
     assert "invalid input" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("center, modulation", [
+    ([["0"]], [["0"]]), ([["0", "0"], ["0", "0"]], [["0"]])], ids=["1x1-both", "1x1-modulation"])
+@pytest.mark.parametrize("command", ["gamma", "verify-bk"])
+def test_phi_file_matrices_not_n_by_n_exit_3(command, center, modulation, tmp_path, capsys):
+    # at n = 2 these terms were read as given: gamma exited 0 PASS and verify-bk
+    # 1 FAIL, a false refutation
+    doc = _phi_doc()
+    doc["n"] = 2
+    doc["terms"][0]["center"], doc["terms"][0]["modulation"] = center, modulation
+    phi = tmp_path / "phi.json"
+    phi.write_text(json.dumps(doc))
+    assert main([command, "--p", "3", "--n", "2", "--phis", "@%s" % phi]) == 3
+    assert "invalid input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("level, code", [(7, 0), (8, 3), (40, 3)])
+def test_phi_coefficient_level_is_bounded_by_the_root_order(level, code, tmp_path, capsys):
+    # 3^7 <= MAX_ROOT_ORDER < 3^8; level 8 built its 3^8-entry vector and passed,
+    # and level 40 ended in a MemoryError traceback, exit 1
+    doc = _phi_doc()
+    doc["terms"][0]["coeff"]["level"] = level
+    phi = tmp_path / "phi.json"
+    phi.write_text(json.dumps(doc))
+    assert main(["gamma", "--p", "3", "--n", "1", "--phis", "@%s" % phi]) == code
+    assert ("invalid input" in capsys.readouterr().err) == (code == 3)
+
+
 @pytest.mark.parametrize("char", [
     '{"conductor_exp": 0, "value_at_p": 0.1}',
     '{"conductor_exp": 0, "value_at_p": true}',

@@ -10,7 +10,7 @@ import sympy
 
 from gjzeta.integrate import _scalar_mod
 from gjzeta.padic import (INFINITE, PAdicContext, PAdicMatrix, flat_det, in_level,
-                          psi_exponent, psi_value, trace_pairing, valuation)
+                          psi_exponent, psi_parts, psi_value, trace_pairing, valuation)
 from gjzeta.scalars import root_of_unity, scalar_is_zero
 
 
@@ -46,12 +46,14 @@ def test_psi_additivity():
 
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from([2, 3, 5]), st.integers(-60, 60), st.integers(0, 4),
-       st.sampled_from([1, 7, 11]))
-def test_psi_exponent_is_the_fractional_part(p, num, e, unit):
+       st.sampled_from([1, 7, 11]), st.sampled_from([1, 2, 3, 5, 7 * 9 * 25]))
+def test_psi_exponent_is_the_fractional_part(p, num, e, unit, g):
     # psi(x) = zeta_{p^m}^a with a / p^m = x mod Z_p and a a unit mod p (or m = 0)
     ctx = PAdicContext(p)
     x = Fraction(num, p ** e * unit)
     m, a = psi_exponent(x, ctx)
+    # the integer form reads the same phase from the pair times a common factor g
+    assert psi_parts(num * g, p ** e * unit * g, p) == (m, a)
     assert valuation(x - Fraction(a, p ** m), p) >= 0
     assert (m, a) == (0, 0) or (m > 0 and 0 < a < p ** m and a % p)
     assert psi_exponent(x + 5, ctx) == (m, a)
@@ -109,11 +111,44 @@ def _coset_cases(draw):
     return g, g - delta, draw(st.integers(-4, 4)), p
 
 
+def _check_against_fraction_entries(a, b, p):
+    """The integer forms of -, *, det, min_valuation and trace_pairing against the
+    same operations on the Fraction entries."""
+    n, x, y = a.n, a.entries, b.entries
+    assert PAdicMatrix(x) == a and all(type(e) is Fraction for row in x for e in row)
+    assert (a - b).entries == tuple(tuple(u - v for u, v in zip(r1, r2))
+                                    for r1, r2 in zip(x, y))
+    assert (a * b).entries == tuple(tuple(sum((x[i][k] * y[k][j] for k in range(n)),
+                                              Fraction(0)) for j in range(n))
+                                    for i in range(n))
+    want = sympy.Matrix([[sympy.Rational(e.numerator, e.denominator) for e in row]
+                         for row in x]).det()
+    assert a.det() == Fraction(int(want.p), int(want.q))
+    assert a.min_valuation(p) == min(valuation(e, p) for row in x for e in row)
+    got = trace_pairing(a, b)
+    assert type(got) is Fraction and got == sum((x[i][k] * y[k][i] for i in range(n)
+                                                 for k in range(n)), Fraction(0))
+
+
 @settings(max_examples=200, deadline=None)
 @given(_coset_cases())
 def test_in_coset_matches_min_valuation(case):
     g, center, level, p = case
     assert g.in_coset(center, level, p) == ((g - center).min_valuation(p) >= level)
+    _check_against_fraction_entries(g, center, p)
+
+
+def test_lattice_form_is_canonical():
+    rows = [[Fraction(1, 2), 0], [Fraction(-3, 2), 5]]
+    m = PAdicMatrix(rows)
+    assert (m.den, m.nums) == (2, (1, 0, -3, 10))
+    unreduced = PAdicMatrix._lattice(2, (2, 0, -6, 20), 4)
+    for other in (unreduced, -(-m)):
+        assert (other.den, other.nums) == (m.den, m.nums)
+        assert other == m and m == other and hash(other) == hash(m)
+        assert other.entries == tuple(tuple(Fraction(e) for e in row) for row in rows)
+    zero = PAdicMatrix._lattice(2, (0, 0, 0, 0), 4)
+    assert (zero.den, zero.nums) == (1, (0,) * 4) and zero == PAdicMatrix.zero(2)
 
 
 def test_trace_pairing_matches_trace_of_product():
@@ -128,8 +163,7 @@ def test_negation_is_cached_one_way(case):
     m = case[0]
     neg = -m
     assert -m is neg
-    assert all(y == -x and (x or y is x)
-               for r1, r2 in zip(m.entries, neg.entries) for x, y in zip(r1, r2))
+    assert neg.den == m.den and neg.nums == tuple([-x for x in m.nums])
     fresh = PAdicMatrix([[-x for x in row] for row in m.entries])
     assert neg == fresh and fresh == neg and hash(neg) == hash(fresh)
     assert -neg == m and hash(-neg) == hash(m)
@@ -196,7 +230,4 @@ def test_residue_helpers_match_fraction_forms(case):
                  for i, row in enumerate(a.entries) for j, x in enumerate(row))
     assert _scalar_mod(a, level, p) == (c if scalar else None)
     assert a.in_coset(b, level, p) == all(valuation(x - y, p) >= level for x, y in pairs)
-    got = trace_pairing(a, b)
-    want = sum((a.entries[i][k] * b.entries[k][i] for i in range(n) for k in range(n)),
-               Fraction(0))
-    assert type(got) is Fraction and got == want
+    _check_against_fraction_entries(a, b, p)

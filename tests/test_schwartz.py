@@ -139,6 +139,16 @@ def test_rational_coefficients_take_the_functions_prime():
         SchwartzBruhatFn(1, ctx, [SchwartzTerm(root_of_unity(5, 1, 1), center, 0, modulation)])
 
 
+def test_terms_must_be_n_by_n():
+    # a 1 x 1 term in an n = 2 function was kept, and its gamma factor was n = 1's
+    ctx, one, two = PAdicContext(3), PAdicMatrix.zero(1), PAdicMatrix.zero(2)
+    for center, modulation in ((one, one), (two, one), (one, two)):
+        with pytest.raises(ValueError):
+            SchwartzBruhatFn(2, ctx, [SchwartzTerm(1, center, 0, modulation)])
+        with pytest.raises(ValueError):
+            SchwartzBruhatFn.indicator(2, ctx, center, 0, modulation)
+
+
 def test_det_valuation_bound():
     ctx = PAdicContext(2)
     phi = SchwartzBruhatFn.scaled_ball(2, ctx, -2)
