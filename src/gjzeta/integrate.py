@@ -21,16 +21,18 @@ monomial for the scalar centre); schwartz_series sums them over one denominator.
 The refinement adds the sign of chi(u) = sign * zeta_{p^c}^a into one sparse
 {phase: count} histogram per level at the phase e p^(T-m) + a p^(T-c) of
 psi * chi, T = max(m, c), reduced by one root_of_unity_sum at the least level
-holding its phases.  It counts every cell, bins the children of a last split
-by counting their digits over two linear forms, and is the independent check
-of the closed forms.
+holding its phases.  It counts every cell, expands each split's subtree once
+per key (level, cell mod p^(R-j), det mod p^R) and adds a recurring key's cells
+and counts times its multiplicity, and is the independent check of the closed
+forms.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from collections import Counter
 from functools import lru_cache
-from itertools import product
+from itertools import product, repeat
 from math import gcd, prod
 from operator import add, mul
 
@@ -53,8 +55,8 @@ class IntegrationConfig:
     r_max/confirm: recurrence order bound and confirmation window for
     rationalizing the sampled zeta integral of a Phi with a refined term (r_max
     defaults to n at the call site); a generating function reads neither.
-    hard_budget: max refinement cells counted per integral, the census-binned children
-    of last splits included, though those are never built.
+    hard_budget: max refinement cells counted per integral, the cells under a
+    memoized subtree included each time its key recurs, though those are never built.
     force_enumeration: send every shell, at every n, to the refinement, the
     independent check of the closed forms.
     """
@@ -258,31 +260,34 @@ def _shell_generic(ctx, k, center, level, modulation, config, unit_char, stats):
     v(det a) < j the det valuation is constant on the cell; it is resolved
     once j also certifies the psi phase and the det unit residue.  If
     v(det a) >= j every point has v(det) >= j, so the cell is dead once
-    j > k'.  Otherwise split into p^(n^2) children at level j+1.  Resolved
-    cells add their chi sign at phase b of psi * chi in level j's {b: count}
-    dict, reduced once at level T - s, where p^s divides every phase.
+    j > k'.  Otherwise it splits into p^(n^2) children a + p^j t, t a digit
+    vector.  Resolved cells add their chi sign at phase b of psi * chi in level
+    j's {b: count} dict, reduced once at level T - s, where p^s divides every phase.
 
-    Last splits are binned without visiting their children.  Let
-    R = k' + max(1, cu) and let (a, j) split with j >= max(1, mpsi - 1, R - 1),
-    so j >= k', j + 1 >= max(mpsi, k' + cu), R - j <= 1 and T - j <= 1 (as
-    cu <= R - k').  A child c = a + p^j t, t a digit vector, then ends at
-    level j + 1: if v(det c) = k' <= j it is resolved, since j + 1 certifies
-    psi and the unit residue; otherwise v(det c) != k' and it is dropped, or
-    v(det c) >= j + 1 > k' and it is dead.  So its fate and bin are read from
-    det c mod p^R and the psi exponent sum Cint_l a_l + p^j M(t), M(t) =
-    sum Cint_l t_l.
-    det is affine in each entry: det(a + x e_l) = det a + x L_l with the
-    cofactor L_l = det(a + e_l) - det a, and every other term of det c has a
-    factor p^(2j).  So det c = det a + p^j L(t) mod p^(2j), L(t) = sum L_l t_l,
-    and R <= j + 1 <= 2j: det c mod p^R depends on L(t) mod p^(R-j), and
-    p^j M(t) mod p^T on M(t) mod p^(T-j), each a residue mod 1 or p.  The
-    census counts the p^(n^2) vectors t by that pair one coordinate at a time
-    (O(n^2 p^3)), reads each pair's fate, chi sign and bin as its children
-    would, and keeps the signed counts by phase offset.  L mod p^(R-j) depends
-    on a mod p^(R-j) only, so it is built once per key (j, det a mod p^R,
-    a mod p^(R-j)) and added at a's own psi exponent.  A cell is counted when it
-    is made (the root, each pushed or binned child), so the budget trips before a
-    split builds or bins its children, at budget + 1, as a per-cell count would.
+    With R = k' + max(1, cu), the subtree of a split (a, j), its cells and their
+    signed counts by level and by phase relative to a's psi exponent sum
+    Cint_l a_l, depends only on the key (j, a mod p^(R-j), det a mod p^R):
+      * a fate reads det mod p^R alone: v(det) <= k' < R is exact there, and so is
+        the unit residue mod p^cu (k' + cu <= R); if v(det) > k' it splits iff j <= k';
+      * det(a + p^j X) = sum_r p^(jr) (sum of (n-r)-minors of a times r-minors of X)
+        reads a, mod p^R, through det a mod p^R and, for r >= 1, its minors mod
+        p^(R-jr), so through a mod p^(R-j), which fixes a child's a mod p^(R-j-1);
+      * psi(tr C(a + p^j X)) = psi(tr C a) psi(p^j tr C X): a child's phase offset
+        p^j M(t), M(t) = sum Cint_l t_l, is free of a;
+    and by induction on depth so is every descendant's fate, key and offset.  The
+    walk is depth first and expands each key once; a split's children are grouped
+    by (key, offset), and a recurring key adds its subtree's cells and counts
+    times its multiplicity.  Where 2j >= R the terms r >= 2 vanish: det(a + p^j t)
+    = det a + p^j L(t) mod p^R, L(t) = sum L_l t_l with the cofactors L_l =
+    det(a + e_l) - det a (det is affine in each entry), and a child keeps a mod
+    p^(R-j-1) and so its cofactors.  There the key is (j, multiset of (L_l mod
+    p^(R-j), Cint_l mod p^(T-j)), det a mod p^R), and the groups count the t by
+    (L(t) mod p^(R-j), M(t) mod p^(T-j)), one coordinate at a time, once per key.
+    Elsewhere a child's det is det a + det(a' + p^j t) - det a' mod p^R for the
+    key's a', expanded along the first row, in which det is linear.  A cell is
+    counted when it is made (the root, a split's p^(n^2) children before they are
+    grouped), so the budget trips before a split builds its children, at budget + 1
+    as a per-cell count would, and the memo holds at most budget / p^(n^2) keys.
     """
     p = ctx.p
     n = center.n
@@ -317,70 +322,118 @@ def _shell_generic(ctx, k, center, level, modulation, config, unit_char, stats):
         if visited > budget:
             raise BudgetExceeded("refinement exceeded %d cells" % budget,
                                  shell=k, truncation=m, cells=budget + 1)
-    hists = {}  # j -> signed cell count per phase of psi * chi at level T
     R = kp + max(1, cu)
-    j_last = max(1, mpsi - 1, R - 1)
-    pR, pk, children = p ** R, p ** kp, p ** n2
-    census = {}  # (j, det a mod p^R, a mod p^(R-j)) -> (phase offset, signed count)s
-    count(1)  # the root
-    stack = [(A, max(Lp, 0))]
-    while stack:
-        a, j = stack.pop()
-        det = flat_det(a, n)
-        if det != 0:
-            dv = 0
-            d = det
-            while d % p == 0:
-                d //= p
-                dv += 1
-        else:
-            dv = j  # only "v >= j" is known
-        if det != 0 and dv < j:
-            if dv != kp:
-                continue
-            if j >= mpsi and j >= dv + cu:
-                hist = hists.setdefault(j, {})
-                s, e = chi[d % pcu]
-                b = (sum(map(mul, Cint, a)) + e) % PT
-                hist[b] = hist.get(b, 0) + s
-                continue
-        elif kp < j:
-            continue
+    pR, children, low = p ** R, p ** n2, p ** (n2 - n)
+    basis = [tuple(int(i == l) for i in range(n2)) for l in range(n2)]  # the flat e_l
+
+    @lru_cache(maxsize=None)  # local to the call
+    def pairs_of(j, a):
+        """a's sorted (L_l mod p^(R-j), Cint_l mod p^(T-j)) pairs."""
+        d, pa, pM = flat_det(a, n), p ** max(0, R - j), p ** max(0, T - j)
+        return tuple(sorted(((flat_det(tuple(map(add, a, e)), n) - d) % pa, w % pM)
+                            for e, w in zip(basis, Cint)))
+
+    # census: (j, pairs) -> (the children's pairs, grouped children); lower: (j, lower rows
+    # of a) -> (rows mod p^(R-j-1), first-row cofactors) per lower-row digit vector;
+    # level_phases: j -> each offset's psi phase; memo: key -> (cells, {level: {phase: count}})
+    census, lower, level_phases, memo = {}, {}, {}, {}
+
+    def expand(j, a, D):
+        """Count the children of the split (a, j), det D mod p^R and a its pairs where
+        2j >= R, else a mod p^(R-j), and group them in a frame [key, (child a, child D,
+        offset, multiplicity)s, cells, {level: {phase: signed count}}, the (offset,
+        multiplicity) of the child being expanded]."""
         count(children)
-        if j < j_last:
-            stack.extend((tuple(map(add, a, off)), j + 1) for off in _offsets(n2, p, j))
-            continue
-        pa = p ** max(0, R - j)
-        key = (j, det % pR, tuple(x % pa for x in a))
-        bins = census.get(key)
-        if bins is None:
-            pj, pM = p ** j, p ** max(0, T - j)
-            ways = {(0, 0): 1}  # (L(t) mod pa, M(t) mod pM) -> number of digit vectors t
-            for l in range(n2):
-                cof = 0 if pa == 1 else (flat_det(a[:l] + (a[l] + 1,) + a[l + 1:], n) - det) % pa
-                step = {}
-                for (x, y), w in ways.items():
-                    for t in range(p):
-                        xy = ((x + t * cof) % pa, (y + t * Cint[l]) % pM)
-                        step[xy] = step.get(xy, 0) + w
-                ways = step
-            counts = {}
-            for (x, y), w in ways.items():
-                dc = (det + pj * x) % pR
-                if dc % pk == 0 and dc // pk % p:
-                    s, e = chi[dc // pk % pcu]
-                    b = (pj * y + e) % PT
-                    counts[b] = counts.get(b, 0) + s * w
-            bins = census[key] = tuple(counts.items())
-        if bins:
-            hist = hists.setdefault(j + 1, {})
-            e0 = sum(map(mul, Cint, a))
-            for e, c in bins:
-                b = (e0 + e) % PT
-                hist[b] = hist.get(b, 0) + c
+        pj, pc = p ** j, p ** max(0, R - j - 1)
+        if 2 * j >= R:
+            if (j, a) not in census:
+                pa, pM = p ** max(0, R - j), p ** max(0, T - j)
+                ways = {(0, 0): 1}  # (L(t) mod pa, M(t) mod pM) -> number of vectors t
+                for cof, wt in a:
+                    step = {}
+                    for (x, y), w in ways.items():
+                        for t in range(p):
+                            xy = ((x + t * cof) % pa, (y + t * wt) % pM)
+                            step[xy] = step.get(xy, 0) + w
+                    ways = step
+                census[j, a] = (tuple(sorted((cof % pc, wt % max(1, pM // p)) for cof, wt in a)),
+                                [(pj * x, pj * y % PT, w) for (x, y), w in ways.items()])
+            c, ways = census[j, a]
+            groups = [(c, (D + x) % pR, y, w) for x, y, w in ways]
+        else:
+            # offsets[::low] are the first-row digit vectors and offsets[:low] the lower-row
+            # ones, the fastest-varying; det is linear in the first row, with cofactors
+            # read from the lower rows
+            offsets = _offsets(n2, p, j)
+            if j not in level_phases:
+                level_phases[j] = [sum(map(mul, Cint, off)) % PT for off in offsets]
+            if (j, a[n:]) not in lower:
+                lower[j, a[n:]] = [(tuple(x % pc for x in rows),
+                                    [flat_det(e[:n] + rows, n) for e in basis[:n]])
+                                   for rows in (tuple(map(add, a[n:], off[n:]))
+                                                for off in offsets[:low])]
+            bottoms, cofs = zip(*lower[j, a[n:]])
+            base = D - sum(map(mul, a, cofs[0]))  # det a - det a' mod p^R
+            dets, digits = [[base + sum(map(mul, a, c)) for c in cofs]], range(0, p * pj, pj)
+            for col in zip(*cofs):  # first-row digits, slowest first, as in `offsets`
+                dets = [[d + t * c for d, c in zip(ds, col)] for ds in dets for t in digits]
+            dets = [d % pR for ds in dets for d in ds]
+            if pc > pj:  # p^j t shows mod pc: every child has its own key
+                tops = [tuple((x + y) % pc for x, y in zip(a[:n], f)) for f in offsets[::low]]
+                groups = zip([t + b for t in tops for b in bottoms], dets, level_phases[j],
+                             repeat(1))
+            else:
+                c = tuple(x % pc for x in a)
+                groups = [(c, d, e, w)
+                          for (d, e), w in Counter(zip(dets, level_phases[j])).items()]
+        return [(j, a, D), iter(groups), children, {}, None]
+
+    def merge(frame, sub, offset, w):
+        frame[2] += sub[0] * w
+        for j, hist in sub[1].items():
+            into = frame[3].setdefault(j, {})
+            for e, c in hist.items():
+                b = (e + offset) % PT
+                into[b] = into.get(b, 0) + c * w
+
+    count(1)  # the root
+    j0 = max(Lp, 0)
+    a = tuple(x % p ** max(0, R - j0) for x in A)
+    root = (pairs_of(j0, a) if 2 * j0 - 2 >= R else a, flat_det(A, n) % pR,
+            sum(map(mul, Cint, A)) % PT, 1)
+    stack = [[(j0 - 1,), iter([root]), 0, {}, None]]  # the root as the one child of a frame
+    while stack:
+        top = stack[-1]
+        j = top[0][0] + 1
+        for a, D, offset, w in top[1]:
+            v = int_valuation(D, p) if D else R  # det mod p^R fixes the fate
+            if v >= j and kp < j or v < j and v != kp:
+                continue  # dead, or dropped
+            if v < j and j >= mpsi and j >= kp + cu:  # resolved
+                s, e = chi[D // p ** v % pcu]
+                hist = top[3].setdefault(j, {})
+                b = (offset + e) % PT
+                hist[b] = hist.get(b, 0) + s * w
+                continue
+            if 2 * j - 2 < R <= 2 * j:  # the first level where det is affine in t
+                a = pairs_of(j, a)
+            sub = memo.get((j, a, D))
+            if sub is None:
+                top[4] = offset, w
+                stack.append(expand(j, a, D))
+                break
+            count(sub[0] * w)
+            merge(top, sub, offset, w)
+        else:
+            stack.pop()
+            sub = memo[top[0]] = top[2], top[3]
+            if stack:
+                offset, w = stack[-1][4]
+                count(sub[0] * (w - 1))
+                merge(stack[-1], sub, offset, w)
     _bump(stats, "cells", visited)
     total = as_scalar(0, p)
-    for j, hist in hists.items():
+    for j, hist in top[3].items():
         g = gcd(PT, *hist)  # p^s divides every phase: reduce at level T - s
         vec = [0] * (PT // g)
         for e, c in hist.items():

@@ -276,8 +276,8 @@ def _power(x, e: int, unit):
 
 # -- public helpers ----------------------------------------------------
 
-def root_of_unity(p: int, m: int, a: int) -> CyclotomicNumber:
-    """zeta_{p^m}^a in canonical form."""
+def root_of_unity(p: int, m: int, a: int, c: Fraction = Fraction(1)) -> CyclotomicNumber:
+    """c * zeta_{p^m}^a in canonical form, for a nonzero Fraction c."""
     if m < 0:
         raise ValueError("level must be >= 0")
     a %= p ** m
@@ -285,10 +285,10 @@ def root_of_unity(p: int, m: int, a: int) -> CyclotomicNumber:
         m, a = m - 1, a // p
     phi = _euler_phi_prime_power(p, m)
     if a >= phi:
-        return _reduce(p, m, [(a, Fraction(1))])
+        return _reduce(p, m, [(a, c)])
     # below phi, a basis vector whose exponent p does not divide is canonical
     vec = [Fraction(0)] * phi
-    vec[a] = Fraction(1)
+    vec[a] = c
     return CyclotomicNumber._of(p, m, tuple(vec))
 
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import lcm
 
 from .padic import PAdicContext, PAdicMatrix, _phase_add, psi_parts, trace_parts
-from .scalars import (CyclotomicNumber, _reduce, as_scalar, root_of_unity_sum,
+from .scalars import (CyclotomicNumber, _reduce, as_scalar, root_of_unity, root_of_unity_sum,
                       scalar_conjugate, scalar_is_zero)
 
 
@@ -59,6 +59,19 @@ def _over_one_den(c) -> tuple:
         return 0, [(0, c.coeffs[0].numerator)], c.coeffs[0].denominator
     d = lcm(*[x.denominator for x in c.coeffs])
     return c.m, [(j, x.numerator * (d // x.denominator)) for j, x in enumerate(c.coeffs) if x], d
+
+
+def _slot_sum(p: int, top: int, vec: list, den: int):
+    """sum_e vec[e] / den * zeta_{p^top}^e in canonical form.  Only two or more nonzero
+    slots are folded and reduced at level top; none is the level-0 zero, and one is
+    v / den times its root of unity, at the root's own level."""
+    slots = [(e, v) for e, v in enumerate(vec) if v]
+    if len(slots) > 1:
+        return _reduce(p, top, [(e, Fraction(v, den)) for e, v in slots])
+    if not slots:
+        return as_scalar(0, p)
+    (e, v), = slots
+    return root_of_unity(p, top, e, Fraction(v, den))
 
 
 class SchwartzTerm:
@@ -223,7 +236,7 @@ class SchwartzBruhatFn:
                 i, c = i * xstep + shift, c * vol
                 for j, b in ys:
                     vec[(i + j * ystep) % order] += c * b
-        return _reduce(p, top, [(e, Fraction(v, den)) for e, v in enumerate(vec) if v])
+        return _slot_sum(p, top, vec, den)
 
     def fn_equal(self, other: "SchwartzBruhatFn") -> bool:
         """Exact function equality via positivity of the L^2 norm of the difference.

@@ -428,3 +428,40 @@ def test_random_schwartz_draws_are_pinned():
                 for _ in range(10 * 2):
                     h.update(random_schwartz(n, ctx, rng).to_json().encode() + b"\n")
         assert h.hexdigest() == want, seed
+
+
+def _slot_sums_of_the_selftest(seed):
+    """Run fourier-selftest's laws at one seed (--count 10) with schwartz._slot_sum
+    checked against the fold of every slot, _reduce over all nonzero slots; return
+    the number of nonzero slots of each call."""
+    from gjzeta import schwartz
+    from gjzeta.scalars import _reduce
+    slot_sum, seen = schwartz._slot_sum, []
+
+    def checked(p, top, vec, den):
+        got = slot_sum(p, top, vec, den)
+        want = _reduce(p, top, [(e, Fraction(v, den)) for e, v in enumerate(vec) if v])
+        assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+        seen.append(sum(map(bool, vec)))
+        return got
+    rng = random.Random(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(schwartz, "_slot_sum", checked)
+        for n, p in product((1, 2), (2, 3)):
+            for _ in range(10):
+                f, g = (random_schwartz(n, PAdicContext(p), rng) for _ in range(2))
+                f_hat = f.fourier()
+                assert f_hat.fourier().fn_equal(f.reflect())
+                assert scalar_is_zero(f.inner_product(g) - f_hat.inner_product(g.fourier()))
+    return seen
+
+
+@settings(max_examples=16, deadline=None)
+@given(st.integers(1, 16))
+def test_inner_product_slots_match_the_fold_over_the_selftest_pool(seed):
+    assert _slot_sums_of_the_selftest(seed)
+
+
+def test_selftest_pool_has_inner_products_of_no_one_and_many_slots():
+    seen = _slot_sums_of_the_selftest(1)
+    assert 0 in seen and 1 in seen and max(seen) > 1

@@ -24,6 +24,7 @@ from gjzeta.integrate import (IntegrationConfig, _shell_generic, _shell_hermite,
 from gjzeta.padic import (INFINITE, PAdicContext, PAdicMatrix, flat_det, int_valuation,
                           mod_int, psi_value, valuation)
 from gjzeta.scalars import as_scalar, root_of_unity, root_of_unity_sum
+from gjzeta.schwartz import SchwartzBruhatFn, SchwartzTerm
 from gjzeta.zeta import MultiplicativeCharacter
 
 
@@ -404,7 +405,7 @@ def test_generic_n3_unit_ball_matches_reference(k, volume):
     assert _generic_same(2, k, PAdicMatrix.zero(3), 0, PAdicMatrix.zero(3), None) == volume
 
 
-# -- last splits binned from a census of their children -----------------
+# -- last splits and memoized subtrees ----------------------------------
 
 @pytest.mark.parametrize("p, k", [(2, 1), (2, 2), (3, 1)])
 def test_generic_last_split_at_kprime_matches_reference(p, k):
@@ -449,9 +450,7 @@ def test_generic_budget_inside_a_last_split_matches_reference():
                              budget=budget) is None
 
 
-def test_generic_last_splits_read_few_determinants(monkeypatch):
-    # the p = 3, k' = 2 cross-check shell: 76,545 of its 79,300 cells are
-    # children of last splits, counted from one census per key
+def _count_determinants(monkeypatch):
     calls = []
     flat_det_ = integrate.flat_det
 
@@ -460,11 +459,40 @@ def test_generic_last_splits_read_few_determinants(monkeypatch):
         return flat_det_(a, n)
 
     monkeypatch.setattr(integrate, "flat_det", counted)
+    return calls
+
+
+def test_generic_last_splits_read_few_determinants(monkeypatch):
+    # the p = 3, k' = 2 cross-check shell: 79,300 cells from 1 + 33 expansions
+    # where det is not affine in the digits (n per lower-row digit vector, once
+    # per lower rows) and one cofactor multiset per first affine key tuple
+    calls = _count_determinants(monkeypatch)
     stats = {}
     value = _shell_generic(PAdicContext(3), 2, PAdicMatrix.zero(2), 0, PAdicMatrix.scalar(2, 1),
                            IntegrationConfig(), None, stats)
     assert value == Fraction(208, 27) and stats == {"cells": 79300}
-    assert len(calls) < 79300 // 20  # n^2 cofactors per census key, not p^(n^2) children
+    assert len(calls) < 79300 // 200  # 346; a census per last split read 3,151
+
+
+def test_d12_transform_trips_the_budget_reading_few_determinants(monkeypatch):
+    # gamma --p 3 --n 2 on the coset diag(1, 2) + 3 M_2(Z_3) exits 2: shell 2 of its
+    # transform (centre 0, level -1, modulation diag(1, 2)) counts 59,403,862 cells,
+    # and a cell-by-cell walk gives the same count and -8/27
+    ctx = PAdicContext(3)
+    phi = SchwartzBruhatFn(2, ctx, [SchwartzTerm(1, PAdicMatrix([[1, 0], [0, 2]]), 1,
+                                                 PAdicMatrix.zero(2))])
+    (t,) = phi.fourier().terms
+    calls = _count_determinants(monkeypatch)
+    with pytest.raises(BudgetExceeded) as exc:
+        term_shell_integral(ctx, 2, t.center, t.level, t.modulation, IntegrationConfig(),
+                            None, {})
+    assert (exc.value.shell, exc.value.truncation, exc.value.cells) == (2, 1, 10 ** 7 + 1)
+    assert len(calls) < 2000  # a determinant per child read 370,450
+    stats = {}
+    assert term_shell_integral(ctx, 2, t.center, t.level, t.modulation,
+                               IntegrationConfig(hard_budget=10 ** 8), None,
+                               stats) == Fraction(-8, 27)
+    assert stats == {"cells": 59403862}
 
 
 def last_split_by_children(p, k, a, j, C, chi):
@@ -552,8 +580,7 @@ def test_generic_budget_checked_before_a_split_is_built(monkeypatch, budget):
 
 @st.composite
 def _generic_cosets(draw):
-    p = draw(st.sampled_from([2, 3]))
-    n = draw(st.integers(1, 2))
+    p, n = draw(st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2)]))
 
     def matrix(low):
         entry = st.builds(lambda a, e: Fraction(a) * Fraction(p) ** e,
