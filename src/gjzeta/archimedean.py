@@ -9,10 +9,11 @@ quadratures; gamma factors are checked against a Gamma-function oracle.
 
 The quadrature is QUADPACK's QAGI, ported to Python in `quadpack`, with the
 same floats as scipy.integrate.quad, so the real place loads neither scipy nor
-numpy.  Both quadrature passes share one rule evaluation per interval (see
-zeta_real); the Gaussian stays an mpmath evaluation (cached per node and
-precision), so every arch-gamma row is bit-identical to evaluating Phi at x
-and -x on its own (`evaluate_reference` in tests/test_archimedean.py).
+numpy.  Both quadrature passes share one rule evaluation per interval, and every
+s reads each node's Phi part from one bounded table (see zeta_real); the
+Gaussian stays an mpmath evaluation, so every arch-gamma row is bit-identical
+to evaluating Phi at x and -x on its own (`evaluate_reference` in
+tests/test_archimedean.py).
 """
 
 from __future__ import annotations
@@ -71,10 +72,6 @@ class RealSchwartzFn:
             out.append(c)
         return RealSchwartzFn(out)
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def __add__(self, other: "RealSchwartzFn") -> "RealSchwartzFn":
         return RealSchwartzFn([a + b for a, b in zip_longest(self.coeffs, other.coeffs,
                                                              fillvalue=LaurentPoly())])
@@ -90,8 +87,13 @@ class RealSchwartzFn:
             return NotImplemented
         return (self - other).coeffs == []
 
+    @functools.cached_property
+    def hat(self) -> "RealSchwartzFn":
+        """fourier_real(self), built on the first read and kept."""
+        return fourier_real(self)
+
     def __repr__(self):
-        return "RealSchwartzFn(degree=%d)" % self.degree
+        return "RealSchwartzFn([%s])" % ", ".join(c.format("pi") for c in self.coeffs)
 
 
 def fourier_real(phi: RealSchwartzFn) -> RealSchwartzFn:
@@ -106,7 +108,7 @@ def fourier_real(phi: RealSchwartzFn) -> RealSchwartzFn:
     q_list = [q_prev]
     inv_2pii = LaurentPoly({-1: ZETA4 * Fraction(-1, 2)})  # 1/(2 pi i) = (-i/2) pi^-1
     two_pi = LaurentPoly({1: 2})
-    for _ in range(phi.degree):
+    for _ in range(len(phi.coeffs) - 1):
         dq = RealSchwartzFn([q_prev[i] * i for i in range(1, len(q_prev))])
         shifted = RealSchwartzFn([LaurentPoly()] + [-(two_pi * c) for c in q_prev])
         q_prev = [inv_2pii * c for c in (dq + shifted).coeffs]
@@ -137,12 +139,21 @@ S_GRID = (0.3, 0.5, 0.7, 0.5 + 0.25j, 0.4 - 0.1j)
 def _gaussian_node(t: float, prec: int) -> tuple[float, float]:
     """(x, exp(-pi x^2)) at x = e^t, the Gaussian at mpmath precision prec.
 
-    QUADPACK revisits the same nodes for every s and for both zeta_real
-    calls of a gamma; the precision is part of the key so a caller inside
-    mpmath.workdps is never served a value computed at another precision.
+    The tables of Phi and Phi^ share it; the precision is part of the key so a
+    caller inside mpmath.workdps is never served a value of another precision.
     """
     x = math.exp(t)
     return x, float(mpmath.exp(-mpmath.pi * x * x))
+
+
+TABLE_NODES = 2048  # nodes a table stores; later ones are computed, not stored
+
+
+@functools.lru_cache(maxsize=32)
+def _integrand_table(coeffs: tuple, sign: float, prec: int) -> dict:
+    """t -> [Phi(x) + sign Phi(-x)] exp(-pi x^2) at x = e^t, filled by zeta_real;
+    QAGI bisects dyadically, so the same t come back for every s and call."""
+    return {}
 
 
 def zeta_real(phi: RealSchwartzFn, chi: RealCharacter, s: complex) -> complex:
@@ -155,9 +166,10 @@ def zeta_real(phi: RealSchwartzFn, chi: RealCharacter, s: complex) -> complex:
     The real and imaginary parts are two QAGI passes (`quadpack.qagie`) over
     the same integrand.  The 15-point rule runs once per interval for both
     parts (`quadpack.qk15i`), and the second pass reads it from a dict local
-    to the call, so every node t is evaluated once.  Phi(x) and Phi(-x) share
-    the Gaussian exp(-pi x^2), an mpmath evaluation cached across calls
-    (`_gaussian_node`): the float expressions are those of
+    to the call.  [Phi(e^t) +- Phi(-e^t)] exp(-pi e^{2t}) does not depend on s
+    or tau, so it is read from a table kept across calls (`_integrand_table`).
+    Phi(x) and Phi(-x) share the Gaussian, an mpmath evaluation cached per
+    node and precision (`_gaussian_node`): the float expressions are those of
     `evaluate_reference` in tests/test_archimedean.py, so every value is
     bit-identical to evaluating Phi at x and -x separately, and to
     scipy.integrate.quad's QAGI on the same integrand.
@@ -165,21 +177,26 @@ def zeta_real(phi: RealSchwartzFn, chi: RealCharacter, s: complex) -> complex:
     delta = chi.sign_exponent % 2
     sp = complex(s) + 1j * float(chi.imaginary_twist)
     sign = 1.0 if delta == 0 else -1.0
-    coeffs = [to_complex(c) for c in reversed(phi.coeffs)]
+    coeffs = tuple([to_complex(c) for c in reversed(phi.coeffs)])
     prec = mpmath.mp.prec
+    table = _integrand_table(coeffs, sign, prec)
     rules = {}  # (a, b) -> the 15-point rule's real and imaginary parts on (a, b)
 
     def folded(t: float) -> complex:
-        # exp(-pi e^{2t}) underflows to exactly 0 well before e^{t Re s}
-        # can overflow; short-circuit so the dead region stays finite
-        if t > 4.0:
-            return 0j
-        x, gauss = _gaussian_node(t, prec)
-        px = pmx = 0j
-        for c in coeffs:
-            px = px * x + c
-            pmx = pmx * -x + c
-        val = px * gauss + sign * (pmx * gauss)
+        val = table.get(t)
+        if val is None:
+            # exp(-pi e^{2t}) underflows to exactly 0 well before e^{t Re s}
+            # can overflow; short-circuit so the dead region stays finite
+            val = 0j
+            if t <= 4.0:
+                x, gauss = _gaussian_node(t, prec)
+                px = pmx = 0j
+                for c in coeffs:
+                    px = px * x + c
+                    pmx = pmx * -x + c
+                val = px * gauss + sign * (pmx * gauss)
+            if len(table) < TABLE_NODES:
+                table[t] = val
         if val == 0:
             return 0j
         return val * cmath.exp(t * sp)
@@ -202,9 +219,10 @@ def zeta_real(phi: RealSchwartzFn, chi: RealCharacter, s: complex) -> complex:
 
 
 def gamma_real(chi: RealCharacter, s: complex, phi: RealSchwartzFn) -> complex:
-    """gamma(s, chi) = Z(Phi^, 1-s, chi^(-1)) / Z(Phi, s, chi)."""
+    """gamma(s, chi) = Z(Phi^, 1-s, chi^(-1)) / Z(Phi, s, chi); Phi^ is phi.hat,
+    built once per Phi however many s it serves."""
     den = zeta_real(phi, chi, s)
-    num = zeta_real(fourier_real(phi), chi.inverse(), 1 - complex(s))
+    num = zeta_real(phi.hat, chi.inverse(), 1 - complex(s))
     if abs(den) < 1e-6 * max(1.0, abs(num)):
         raise NearZeroDenominator("Z(Phi, s, chi) too close to zero at s=%s" % s)
     return num / den

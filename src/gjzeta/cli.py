@@ -299,11 +299,17 @@ def random_schwartz(n: int, ctx: PAdicContext, rng, terms: int = 3,
     Each is picked from a sequence listed in the order of the randint range it
     stands for: choice(seq) is seq[_randbelow(len(seq))] and randint(a, b) is
     a + _randbelow(b - a + 1), so a pick reads the same random stream as the
-    randint it replaces and draws the same functions."""
-    p, choice, randint, nums = ctx.p, rng.choice, rng.randint, range(-4, 5)
+    randint it replaces and draws the same functions; a numerator inlines
+    choice(range(-4, 5)), whose _randbelow(9) redraws 4 bits until below 9."""
+    p, choice, randint, bits = ctx.p, rng.choice, rng.randint, rng.getrandbits
 
     def matrix(den):
-        return PAdicMatrix._lattice(n, tuple([choice(nums) for _ in range(n * n)]), den)
+        nums = []
+        while len(nums) < n * n:
+            r = bits(4)
+            if r < 9:
+                nums.append(r - 4)
+        return PAdicMatrix._lattice(n, tuple(nums), den)
     out = []
     for _ in range(randint(1, terms)):
         level = randint(-max_level, max_level)

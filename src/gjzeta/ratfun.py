@@ -71,10 +71,14 @@ class LaurentPoly:
     def __hash__(self):
         return hash(tuple(sorted(self.coeffs)))
 
-    def __repr__(self):
+    def format(self, var: str) -> str:
+        """The terms (c)*var^e by increasing e, or "0"."""
         if not self.coeffs:
             return "0"
-        return " + ".join("(%r)*T^%d" % (c, e) for e, c in sorted(self.coeffs.items()))
+        return " + ".join("(%r)*%s^%d" % (c, var, e) for e, c in sorted(self.coeffs.items()))
+
+    def __repr__(self):
+        return self.format("T")
 
     def trailing(self):
         return self.coeffs[self.low_degree()]

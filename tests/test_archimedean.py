@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from gjzeta.archimedean import (ABS_TOL, MAX_SUBDIVISIONS, REL_TOL, S_GRID,
+from gjzeta import archimedean
+from gjzeta.archimedean import (ABS_TOL, MAX_SUBDIVISIONS, REL_TOL, S_GRID, TABLE_NODES,
                                 RealCharacter, RealSchwartzFn, _gaussian_node,
-                                fourier_real, gamma_oracle, gamma_real,
-                                zeta_real)
+                                _integrand_table, fourier_real, gamma_oracle,
+                                gamma_real, zeta_real)
 from gjzeta.errors import NearZeroDenominator
 
 GAUSS = RealSchwartzFn.gaussian()
@@ -117,22 +118,88 @@ def test_quadrature_is_deterministic():
     assert a == b
 
 
-# -- the Gaussian node cache -------------------------------------------------
+def test_repr_prints_coefficients_in_pi():
+    phi = RealSchwartzFn.hermite_multiple([Fraction(1, 2), (Fraction(1, 4), 1)])
+    assert repr(phi) == "RealSchwartzFn([(1/2)*pi^0, (1/4*z4^0 + 1*z4^1)*pi^0])"
+    # F(x^2 G) = (1/(2 pi) - x^2) G
+    assert repr(fourier_real(RealSchwartzFn.hermite_multiple([0, 0, 1]))) == \
+        "RealSchwartzFn([(1/2)*pi^-1, 0, (-1)*pi^0])"
+    assert repr(phi.coeffs[0]) == "(1/2)*T^0"  # a bare LaurentPoly keeps T
+
+
+def test_gamma_real_builds_the_transform_once(monkeypatch):
+    calls = []
+
+    def counted(phi):
+        calls.append(phi)
+        return fourier_real(phi)
+    monkeypatch.setattr(archimedean, "fourier_real", counted)
+    phi = RealSchwartzFn.hermite_multiple([1, 1])
+    values = [gamma_real(TRIV, s, phi) for s in S_GRID]
+    assert len(S_GRID) == 5 and calls == [phi]
+    fresh = RealSchwartzFn.hermite_multiple([1, 1])
+    assert values == [zeta_real(fourier_real(fresh), TRIV, 1 - complex(s))
+                      / zeta_real(fresh, TRIV, s) for s in S_GRID]
+
+
+# -- the Gaussian node cache and the integrand tables ------------------------
+
+def _table_key(phi, chi):
+    coeffs = tuple(archimedean.to_complex(c) for c in reversed(phi.coeffs))
+    return coeffs, 1.0 - 2 * (chi.sign_exponent % 2), mpmath.mp.prec
+
 
 def test_gaussian_cache_is_bounded():
     maxsize = _gaussian_node.cache_info().maxsize
     assert maxsize is not None and maxsize > 0
 
 
+def test_integrand_tables_are_bounded(monkeypatch):
+    maxsize = _integrand_table.cache_info().maxsize
+    assert maxsize is not None and maxsize > 0 and TABLE_NODES > 0
+    # a table past its cap stores nothing more and serves the same values
+    phi = RealSchwartzFn.hermite_multiple([1, 2, (0, 1)])
+    grid = (0.45 + 0.2j, 0.3)
+    _integrand_table.cache_clear()
+    full = [zeta_real(phi, SGN, s) for s in grid]
+    assert 40 < len(_integrand_table(*_table_key(phi, SGN))) <= TABLE_NODES
+    _integrand_table.cache_clear()
+    monkeypatch.setattr(archimedean, "TABLE_NODES", 40)
+    assert [zeta_real(phi, SGN, s) for s in grid] == full
+    assert len(_integrand_table(*_table_key(phi, SGN))) == 40
+
+
 def test_zeta_real_cold_equals_warm():
+    # cold: no table and no Gaussian; warm: every node read from the table
     phi = RealSchwartzFn.hermite_multiple([1, 2, (0, 1)])
     chi = RealCharacter(1, Fraction(1, 3))
+    _integrand_table.cache_clear()
     _gaussian_node.cache_clear()
     cold = zeta_real(phi, chi, 0.45 + 0.2j)
-    hits = _gaussian_node.cache_info().hits
+    table = _integrand_table(*_table_key(phi, chi))
+    hits, nodes = _integrand_table.cache_info().hits, len(table)
+    gauss = _gaussian_node.cache_info()
     warm = zeta_real(phi, chi, 0.45 + 0.2j)
-    assert _gaussian_node.cache_info().hits > hits
+    assert _integrand_table.cache_info().hits == hits + 1 and len(table) == nodes
+    assert _gaussian_node.cache_info() == gauss  # no node was computed again
     assert warm == cold
+
+
+def test_integrand_tables_key_on_precision():
+    # zeta_real under workdps reads no table filled at the default precision
+    _integrand_table.cache_clear()
+    default = zeta_real(GAUSS, TRIV, 0.5)
+    key = _table_key(GAUSS, TRIV)
+    hits = _integrand_table.cache_info().hits
+    with mpmath.workdps(30):
+        precise = zeta_real(GAUSS, TRIV, 0.5)
+        precise_key = _table_key(GAUSS, TRIV)
+    assert _integrand_table.cache_info().hits == hits
+    assert precise_key[2] != key[2]
+    shared = _integrand_table(*key).keys() & _integrand_table(*precise_key).keys()
+    assert shared and any(_integrand_table(*key)[t] != _integrand_table(*precise_key)[t]
+                          for t in shared)
+    assert abs(precise - default) < 1e-9
 
 
 def test_gaussian_cache_keys_on_precision():

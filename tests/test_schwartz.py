@@ -465,3 +465,44 @@ def test_inner_product_slots_match_the_fold_over_the_selftest_pool(seed):
 def test_selftest_pool_has_inner_products_of_no_one_and_many_slots():
     seen = _slot_sums_of_the_selftest(1)
     assert 0 in seen and 1 in seen and max(seen) > 1
+
+
+# -- the self-test's draws against the choice/randint oracle -----------------
+
+def random_schwartz_oracle(n, ctx, rng, terms=3, max_level=3):
+    """random_schwartz as written with Random.choice for every pick: the
+    numerators are choice(range(-4, 5)), which cli inlines on getrandbits."""
+    ratios = tuple(tuple(Fraction(b, c) for c in range(1, 4)) for b in range(-3, 4))
+    p, choice, randint, nums = ctx.p, rng.choice, rng.randint, range(-4, 5)
+
+    def matrix(den):
+        return PAdicMatrix._lattice(n, tuple([choice(nums) for _ in range(n * n)]), den)
+    out = []
+    for _ in range(randint(1, terms)):
+        level = randint(-max_level, max_level)
+        den = choice((1, p, p * p))
+        center = matrix(den)
+        modulation = matrix(den)
+        a = choice(range(p))
+        out.append(SchwartzTerm(choice(choice(ratios)), center, level, modulation, 0,
+                                (1, a) if a else (0, 0)))
+    return SchwartzBruhatFn(n, ctx, out)
+
+
+def _drawn_terms(fn):
+    return [(t.base, t.center.nums, t.center.den, t.level, t.modulation.nums,
+             t.modulation.den, t.scale, t.phase) for t in fn.terms]
+
+
+@pytest.mark.parametrize("seed", range(1, 65))
+def test_random_schwartz_draws_what_the_oracle_draws(seed):
+    # fourier-selftest's order: per (n, p), f then g from one stream
+    rng, oracle = random.Random(seed), random.Random(seed)
+    for n in (1, 2):
+        for p in (2, 3):
+            ctx = PAdicContext(p)
+            for _ in range(4):
+                got = random_schwartz(n, ctx, rng)
+                want = random_schwartz_oracle(n, ctx, oracle)
+                assert _drawn_terms(got) == _drawn_terms(want)
+    assert rng.getstate() == oracle.getstate()
