@@ -27,7 +27,7 @@ from .distributions import (INVERSE, TwistedDistribution, cstar_gamma, tilde,
 from .errors import EngineError
 from .integrate import IntegrationConfig
 from .padic import PAdicContext, PAdicMatrix
-from .scalars import root_of_unity, scalar_is_zero
+from .scalars import root_of_unity
 from .schwartz import MAX_ROOT_ORDER, SchwartzBruhatFn, SchwartzTerm, json_exact
 from .zeta import MultiplicativeCharacter, phi_independence_check
 
@@ -296,28 +296,30 @@ def random_schwartz(n: int, ctx: PAdicContext, rng, terms: int = 3,
 
     Both matrices of a term hold numerators -4..4 over one denominator p^j
     (j = 0..2), and its coefficient is a ratio b/c times zeta_p^a (a = 0..p-1).
-    Each is picked from a sequence listed in the order of the randint range it
-    stands for: choice(seq) is seq[_randbelow(len(seq))] and randint(a, b) is
-    a + _randbelow(b - a + 1), so a pick reads the same random stream as the
-    randint it replaces and draws the same functions; a numerator inlines
-    choice(range(-4, 5)), whose _randbelow(9) redraws 4 bits until below 9."""
-    p, choice, randint, bits = ctx.p, rng.choice, rng.randint, rng.getrandbits
+    Every pick is below(k), random.Random._randbelow on getrandbits (k.bit_length()
+    bits, redrawn while >= k): choice(seq) is seq[below(len(seq))] and randint(a, b)
+    is a + below(b - a + 1), so the picks read the same random stream, and draw the
+    same functions, as the choice and randint calls they stand for."""
+    p, bits = ctx.p, rng.getrandbits
+
+    def below(k):
+        b = k.bit_length()
+        r = bits(b)
+        while r >= k:
+            r = bits(b)
+        return r
 
     def matrix(den):
-        nums = []
-        while len(nums) < n * n:
-            r = bits(4)
-            if r < 9:
-                nums.append(r - 4)
-        return PAdicMatrix._lattice(n, tuple(nums), den)
+        return PAdicMatrix._lattice(n, tuple([below(9) - 4 for _ in range(n * n)]), den)
     out = []
-    for _ in range(randint(1, terms)):
-        level = randint(-max_level, max_level)
-        den = choice((1, p, p * p))  # one denominator for both matrices
+    for _ in range(1 + below(terms)):
+        level = below(2 * max_level + 1) - max_level
+        den = p ** below(3)  # one denominator, 1, p or p^2, for both matrices
         center = matrix(den)
         modulation = matrix(den)
-        a = choice(range(p))  # the phase zeta_p^a in psi_exponent's form
-        out.append(SchwartzTerm(choice(choice(_RATIOS)), center, level, modulation, 0,
+        a = below(p)  # the phase zeta_p^a in psi_exponent's form
+        ratios = _RATIOS[below(len(_RATIOS))]
+        out.append(SchwartzTerm(ratios[below(len(ratios))], center, level, modulation, 0,
                                 (1, a) if a else (0, 0)))
     return SchwartzBruhatFn(n, ctx, out)
 
@@ -340,8 +342,7 @@ def cmd_fourier_selftest(args):
                 if not f_hat.fourier().fn_equal(f.reflect()):
                     failures.append({"n": n, "p": p, "index": i,
                                      "law": "double transform = reflect"})
-                if not scalar_is_zero(f.inner_product(g)
-                                      - f_hat.inner_product(g.fourier())):
+                if f.inner_product(g) != f_hat.inner_product(g.fourier()):
                     failures.append({"n": n, "p": p, "index": i, "law": "Plancherel"})
     return {"parameters": {"count_per_case": args.count, "seed": args.seed},
             "results": {"functions_checked": total, "failures": failures},

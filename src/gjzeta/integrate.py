@@ -37,7 +37,7 @@ from math import gcd, prod
 from operator import add, mul
 
 from .errors import BudgetExceeded
-from .padic import (INFINITE, PAdicContext, PAdicMatrix, flat_det, in_level,
+from .padic import (INFINITE, PAdicContext, PAdicMatrix, flat_cofactors, flat_det, in_level,
                     int_valuation, mod_int, psi_exponent, valuation)
 from .ratfun import LaurentPoly, RationalFunctionT
 from .recurrence import detect_recurrence
@@ -278,8 +278,8 @@ def _shell_generic(ctx, k, center, level, modulation, config, unit_char, stats):
     walk is depth first and expands each key once; a split's children are grouped
     by (key, offset), and a recurring key adds its subtree's cells and counts
     times its multiplicity.  Where 2j >= R the terms r >= 2 vanish: det(a + p^j t)
-    = det a + p^j L(t) mod p^R, L(t) = sum L_l t_l with the cofactors L_l =
-    det(a + e_l) - det a (det is affine in each entry), and a child keeps a mod
+    = det a + p^j L(t) mod p^R, L(t) = sum L_l t_l with L_l = det(a + e_l) - det a
+    the signed (n-1)-minors (det is affine in each entry), and a child keeps a mod
     p^(R-j-1) and so its cofactors.  There the key is (j, multiset of (L_l mod
     p^(R-j), Cint_l mod p^(T-j)), det a mod p^R), and the groups count the t by
     (L(t) mod p^(R-j), M(t) mod p^(T-j)), one coordinate at a time, once per key.
@@ -324,14 +324,13 @@ def _shell_generic(ctx, k, center, level, modulation, config, unit_char, stats):
                                  shell=k, truncation=m, cells=budget + 1)
     R = kp + max(1, cu)
     pR, children, low = p ** R, p ** n2, p ** (n2 - n)
-    basis = [tuple(int(i == l) for i in range(n2)) for l in range(n2)]  # the flat e_l
+    first_row = [tuple(int(i == l) for i in range(n)) for l in range(n)]  # its unit rows
 
     @lru_cache(maxsize=None)  # local to the call
     def pairs_of(j, a):
         """a's sorted (L_l mod p^(R-j), Cint_l mod p^(T-j)) pairs."""
-        d, pa, pM = flat_det(a, n), p ** max(0, R - j), p ** max(0, T - j)
-        return tuple(sorted(((flat_det(tuple(map(add, a, e)), n) - d) % pa, w % pM)
-                            for e, w in zip(basis, Cint)))
+        pa, pM = p ** max(0, R - j), p ** max(0, T - j)
+        return tuple(sorted((cof % pa, w % pM) for cof, w in zip(flat_cofactors(a, n), Cint)))
 
     # census: (j, pairs) -> (the children's pairs, grouped children); lower: (j, lower rows
     # of a) -> (rows mod p^(R-j-1), first-row cofactors) per lower-row digit vector;
@@ -369,7 +368,7 @@ def _shell_generic(ctx, k, center, level, modulation, config, unit_char, stats):
                 level_phases[j] = [sum(map(mul, Cint, off)) % PT for off in offsets]
             if (j, a[n:]) not in lower:
                 lower[j, a[n:]] = [(tuple(x % pc for x in rows),
-                                    [flat_det(e[:n] + rows, n) for e in basis[:n]])
+                                    [flat_det(e + rows, n) for e in first_row])
                                    for rows in (tuple(map(add, a[n:], off[n:]))
                                                 for off in offsets[:low])]
             bottoms, cofs = zip(*lower[j, a[n:]])

@@ -119,6 +119,17 @@ def flat_det(a, n: int):
     return total
 
 
+def flat_cofactors(a, n: int) -> tuple:
+    """det(a + e_l) - det a for each entry l of a flat row-major n x n tuple: det is
+    affine in each entry, so this is l's cofactor, its signed (n-1)-minor."""
+    if n < 3:
+        return (a[3], -a[2], -a[1], a[0]) if n == 2 else (1,)
+    idx = range(n)
+    return tuple([(-1) ** (i + j) * flat_det(tuple([a[r * n + c] for r in idx if r != i
+                                                    for c in idx if c != j]), n - 1)
+                  for i in idx for j in idx])
+
+
 class PAdicMatrix:
     """n x n matrix with exact rational entries, held as integers: entry (i, j)
     is nums[i n + j] / den, with den > 0 and gcd(den, *nums) = 1.  That form is

@@ -2,7 +2,8 @@
 
 T stands for q^(-s/2), so |x|^s = q^(-vs) contributes T^(2v) and
 half-integer exponents of q^(-s) are integer powers of T.  Coefficients
-are exact scalars (cyclotomic, possibly extended by sqrt(q)).
+are exact scalars (cyclotomic, possibly extended by sqrt(q)).  Both kinds
+are stored canonically, so equality compares coefficients before arithmetic.
 """
 
 from __future__ import annotations
@@ -64,9 +65,11 @@ class LaurentPoly:
         return LaurentPoly({k + e: c for k, c in self.coeffs.items()})
 
     def __eq__(self, other):
+        # no coefficient is stored at 0, so equal polys have one support and
+        # equal coefficients on it, compared by the scalars' own ==
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return (self - other).is_zero()
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash(tuple(sorted(self.coeffs)))
@@ -217,8 +220,15 @@ class RationalFunctionT:
         return RationalFunctionT.from_poly(LaurentPoly.const(as_scalar(other)), self.q)
 
     def equals(self, other) -> bool:
-        """Exact equality by cross-multiplication; no evaluation."""
+        """Exact equality: canonical forms first, then cross-multiplication.
+
+        Canonical num and den (coprime, den at lowest degree 0 with trailing
+        coefficient 1) are unique, so equal functions of one q (_coerce checks
+        it) have equal coefficients.  Other forms cross-multiply: a form that
+        missed canonicalization costs time, never a wrong answer."""
         other = self._coerce(other)
+        if self.num == other.num and self.den == other.den:
+            return True
         return (self.num * other.den - other.num * self.den).is_zero()
 
     def __eq__(self, other):

@@ -6,10 +6,10 @@ either an explicit cyclotomic element (p = 2 or p = 1 mod 4) or a formal
 quadratic generator (p = 3 mod 4, where the extension is a genuine field).
 
 Every CyclotomicNumber is canonical: the public constructor stores its value
-at its least level, as the tower's own results are.  Arithmetic scatters the
-operands' (exponent, coefficient) terms at the larger level and reduces once,
-so no value depends on a level-0 number's prime, except a phase applied by
-times_root.
+at its least level, as the tower's own results are, so == compares stored
+forms and does no arithmetic.  Arithmetic scatters the operands' (exponent,
+coefficient) terms at the larger level and reduces once, so no value depends
+on a level-0 number's prime, except a phase applied by times_root.
 
 Inverses need no linear algebra.  Multiplying x in Q(zeta_{p^m}) by its other
 conjugates over Q(zeta_{p^(m-1)}) gives its relative norm, one level down;
@@ -33,8 +33,9 @@ class CyclotomicNumber:
 
     Canonical form: reduced by the relation sum_{j<p} zeta^{j*p^(m-1)} = 0
     and stored at the minimal level containing the element.  Every instance
-    is canonical, so == and hash agree.  Instances are immutable; arithmetic
-    scatters both operands' terms at the larger level and reduces once.
+    is canonical, so == compares (p, m, coeffs) and hash agrees with it.
+    Instances are immutable; arithmetic scatters both operands' terms at the
+    larger level and reduces once.
     """
 
     __slots__ = ("p", "m", "coeffs")
@@ -60,7 +61,7 @@ class CyclotomicNumber:
 
     def _rational(self, other):
         """other's value (an int or Fraction) when self and other are both
-        rational, else None: the level-0 path of + - * ==."""
+        rational, else None: the level-0 path of + - *."""
         t = type(other)
         if t is CyclotomicNumber:
             return None if self.m or other.m else other.coeffs[0]
@@ -190,12 +191,22 @@ class CyclotomicNumber:
     # -- comparison / misc --------------------------------------------
 
     def __eq__(self, other):
-        r = self._rational(other)
-        if r is not None:
-            return self.coeffs[0] == r
-        if not isinstance(other, (int, Fraction, CyclotomicNumber)):
-            return NotImplemented
-        return (self - other).is_zero()
+        """Equality of canonical forms, with no arithmetic.
+
+        The power-basis coordinates of a value at its least level are unique,
+        and every instance is stored there, so two numbers of one prime are
+        equal iff their (m, coeffs) are.  A number at level >= 1 is not
+        rational, so it differs from every level-0 number and rational; and
+        Q(zeta_{p^a}) meets Q(zeta_{q^b}) in Q for p != q, so numbers of two
+        primes at level >= 1 differ.  Two rationals compare by value whatever
+        their primes.  A QuadExt is not canonical and decides by value."""
+        if isinstance(other, CyclotomicNumber):
+            if self.m or other.m:
+                return self.m == other.m and self.p == other.p and self.coeffs == other.coeffs
+            return self.coeffs[0] == other.coeffs[0]
+        if isinstance(other, (int, Fraction)):
+            return not self.m and self.coeffs[0] == other
+        return NotImplemented
 
     def __hash__(self):
         return hash(self.coeffs[0]) if self.m == 0 else hash((self.p, self.m, self.coeffs))

@@ -12,8 +12,9 @@ scales and phases into each pair's p-power and psi exponent and scatters the
 integer numerators of every pair's bases, over one common denominator, into one
 exponent vector, reduced once.  Coset and integrality tests and tr(b a) run on
 the matrices' integer numerators and denominators, so no entry is a Fraction.
-A matrix keeps its negation, so F(F(f)) and reflect(f) share centres,
-modulations, scales and phases, and fn_equal merges them by identity.
+A matrix keeps its negation, so F(F(f)) and reflect(f) share bases, centres,
+modulations, scales and phases, and fn_equal finds them equal term by term,
+with no scalar arithmetic.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from math import lcm
+from operator import attrgetter
 
 from .padic import PAdicContext, PAdicMatrix, _phase_add, psi_parts, trace_parts
 from .scalars import (CyclotomicNumber, _reduce, as_scalar, root_of_unity, root_of_unity_sum,
@@ -241,12 +243,18 @@ class SchwartzBruhatFn:
     def fn_equal(self, other: "SchwartzBruhatFn") -> bool:
         """Exact function equality via positivity of the L^2 norm of the difference.
 
-        Terms of self - other sharing (center, level, modulation, scale, phase)
-        are multiples of one function, so merging their bases keeps it; if all
-        cancel it is 0.  For f^^ against reflect(f) they do: the scales sum to 0
-        and psi(tr(ba)) psi(-tr(ab)) = 1.  Unmerged terms are left to the norm.
+        Two term lists that agree term by term (equal bases, centres and
+        modulations, the same level, scale and phase) sum the same functions,
+        so they are equal with no arithmetic; f^^ against reflect(f) always
+        agrees so: the scales sum to 0 and psi(tr(ba)) psi(-tr(ab)) = 1.
+        Otherwise terms of self - other sharing (center, level, modulation,
+        scale, phase) are multiples of one function, so merging their bases
+        keeps it; if all cancel it is 0.  Unmerged terms are left to the norm.
         """
         self._check_space(other)
+        parts = attrgetter("base", "center", "level", "modulation", "scale", "phase")
+        if list(map(parts, self.terms)) == list(map(parts, other.terms)):
+            return True
         merged = {}
         for t, c in [(t, t.base) for t in self.terms] + [(t, -t.base) for t in other.terms]:
             key = (t.center, t.level, t.modulation, t.scale, t.phase)

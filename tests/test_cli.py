@@ -781,6 +781,24 @@ def test_fourier_selftest_catches_a_wrong_volume(monkeypatch, capsys):
     assert {f["law"] for f in rep["results"]["failures"]} == {"Plancherel"}
 
 
+def test_fourier_selftest_whose_laws_hold_adds_no_scalars(monkeypatch, capsys):
+    # F(F(f)) and reflect(f) agree term by term and the two sides of Plancherel
+    # are compared by canonical form, so a passing self-test adds nothing
+    from gjzeta.scalars import CyclotomicNumber
+    adds = []
+    real = CyclotomicNumber.__add__
+
+    def counted(self, other):
+        adds.append(1)
+        return real(self, other)
+    monkeypatch.setattr(CyclotomicNumber, "__add__", counted)
+    monkeypatch.setattr(CyclotomicNumber, "__radd__", counted)
+    for seed in (1, 2, 3):
+        code, rep = run_json(["fourier-selftest", "--count", "10", "--seed", str(seed)], capsys)
+        assert code == 0 and rep["verdict"] == "PASS"
+    assert adds == []
+
+
 def test_failure_exit_1(capsys):
     # the delta=1 oracle differs from the delta=0 gamma: force a FAIL via
     # an oracle tolerance no real run can miss only when values differ

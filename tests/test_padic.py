@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 import sympy
 
 from gjzeta.integrate import _scalar_mod
-from gjzeta.padic import (INFINITE, PAdicContext, PAdicMatrix, flat_det, in_level,
-                          psi_exponent, psi_parts, psi_value, trace_pairing, valuation)
+from gjzeta.padic import (INFINITE, PAdicContext, PAdicMatrix, flat_cofactors, flat_det,
+                          in_level, psi_exponent, psi_parts, psi_value, trace_pairing, valuation)
 from gjzeta.scalars import root_of_unity, scalar_is_zero
 
 
@@ -87,6 +87,23 @@ def test_det_matches_sympy(rows):
     ints = [[e.numerator for e in row] for row in rows]
     flat = tuple(e for row in ints for e in row)
     assert flat_det(flat, n) == sympy.Matrix(ints).det()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(-40, 40), min_size=n * n, max_size=n * n))))
+def test_cofactors_are_the_slopes_of_det(case):
+    # det is affine in each entry: det(a + e_l) - det(a) is entry l's cofactor
+    n, a = case
+    a, d = tuple(a), flat_det(tuple(a), n)
+    want = tuple(flat_det(tuple(x + (i == l) for i, x in enumerate(a)), n) - d
+                 for l in range(n * n))
+    assert flat_cofactors(a, n) == want
+
+
+def test_two_by_two_cofactors():
+    assert flat_cofactors((2, 3, 5, 7), 2) == (7, -5, -3, 2)
+    assert flat_cofactors((9,), 1) == (1,)
 
 
 def test_coset_membership():

@@ -404,3 +404,55 @@ def test_poly_divmod_is_division_with_remainder(a, b):
     g = _poly_gcd(a.shift(-a.low_degree()), b.shift(-b.low_degree()))
     assert _poly_divmod(b.shift(-b.low_degree()), g)[1].is_zero()
     assert a.is_zero() or _poly_divmod(a.shift(-a.low_degree()), g)[1].is_zero()
+
+
+# -- equality by canonical form against cross-multiplication -----------------
+
+def _cross_equal(a, b):
+    """The reference: num_a den_b - num_b den_a is the zero poly."""
+    return (a.num * b.den - b.num * a.den).is_zero()
+
+
+def _uncanonical(num, den, q):
+    """num / den stored as given, with no gcd and no normalization."""
+    out = object.__new__(RationalFunctionT)
+    out.num, out.den, out.q = num, den, q
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(_polys, _nonzero_polys, _nonzero_polys, _polys, _nonzero_polys,
+       st.sampled_from(["same", "other", "same_num", "uncanonical"]))
+def test_equals_matches_cross_multiplication(num, den, f, num2, den2, kind):
+    a = RationalFunctionT(num, den, 3)
+    if kind == "same":  # the same function, reduced from another form
+        b = RationalFunctionT(num * f, den * f, 3)
+    elif kind == "other":
+        b = RationalFunctionT(num2, den2, 3)
+    elif kind == "same_num":  # a's num over another den
+        b = _uncanonical(a.num, den2, 3)
+    else:  # a form that missed canonicalization still compares by value
+        b = _uncanonical(num * f, den * f, 3)
+    for x, y in ((a, b), (b, a)):
+        assert x.equals(y) is _cross_equal(x, y)
+        assert (x == y) is _cross_equal(x, y) and ratfun_equal(x, y) is _cross_equal(x, y)
+        assert (x.num == y.num) is (x.num - y.num).is_zero()
+
+
+def test_formal_sqrt3_one_equals_one():
+    # verify-inverse --p 3 --n 2 --alpha2 1 prints its product as
+    # (1) + (0)*sqrt(3) over (1) + (0)*sqrt(3): QuadExt is compared by value
+    from gjzeta.distributions import (INVERSE, TwistedDistribution, closed_form_inverse,
+                                      spectral_action)
+    from gjzeta.padic import PAdicMatrix
+    from gjzeta.zeta import MultiplicativeCharacter
+    d, chi, x = TwistedDistribution(2, 1, -1, INVERSE), MultiplicativeCharacter.trivial(3), \
+        PAdicMatrix.identity(2)
+    prod = spectral_action(d, chi, x) * spectral_action(closed_form_inverse(d), chi, x)
+    assert prod.serialize() == {"num": {"0": "(1) + (0)*sqrt(3)"},
+                                "den": {"0": "(1) + (0)*sqrt(3)"}, "base_q": 3}
+    one = RationalFunctionT.const(1, 3)
+    for x, y in ((prod, one), (one, prod)):
+        assert x.equals(y) and _cross_equal(x, y) and x == y
+    assert prod == 1 and prod.equals(1)
+    assert not prod.equals(2) and not _cross_equal(prod, RationalFunctionT.const(2, 3))

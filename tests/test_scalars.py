@@ -417,3 +417,74 @@ def test_zero_rational_inverse_names_the_cyclotomic_division(p):
                        lambda: Fraction(3, 4) / zero_, lambda: scalar_inverse(zero_)):
             with pytest.raises(ZeroDivisionError, match="^cyclotomic division by zero$"):
                 divide()
+
+
+# -- equality by canonical form against the difference oracle -----------------
+
+EQ_LEVELS = [(2, 3), (3, 2), (3, 4), (5, 2)]
+
+
+@st.composite
+def _equality_pairs(draw):
+    """(a, b): a of p^m in EQ_LEVELS at a drawn level, and b the same value built
+    by another path, a one-root perturbation of a, another value of the field, a
+    rational (an int, a Fraction or a level-0 number of either prime), a number
+    of another prime, or, at p = 3, a QuadExt a + c sqrt(3) with c often 0."""
+    p, top = draw(st.sampled_from(EQ_LEVELS))
+    a = _cyclotomic(draw, p, draw(st.integers(0, top)))
+    kind = draw(st.sampled_from(["rebuilt", "perturbed", "other", "rational", "prime",
+                                 "quad"]))
+    if kind == "rebuilt":  # the checked constructor on a's vector written at level top
+        return a, CyclotomicNumber(p, top, _lift(a, top).coeffs)
+    if kind == "perturbed":
+        root = root_of_unity(p, draw(st.integers(0, top)), draw(st.integers(0, p ** top - 1)))
+        return a, a + root * draw(_coeffs)
+    if kind == "other":
+        return a, _cyclotomic(draw, p, draw(st.integers(0, top)))
+    if kind == "rational":
+        if not a.m and draw(st.booleans()):
+            value = a.coeffs[0]
+            return a, draw(st.sampled_from([value, CyclotomicNumber(2, 0, [value]),
+                                            CyclotomicNumber(3, 0, [value])]))
+        return a, draw(_rationals())
+    if kind == "prime":
+        q = draw(st.sampled_from([q for q in (2, 3, 5) if q != p]))
+        if not a.m and draw(st.booleans()):
+            return a, as_scalar(a.coeffs[0], q)  # the same rational of another prime
+        return a, _cyclotomic(draw, q, draw(st.integers(0, 2)))
+    if p != 3:
+        a = _cyclotomic(draw, 3, draw(st.integers(0, 4)))
+    c = draw(st.sampled_from([0, 0, Fraction(1, 2), root_of_unity(3, 1, 1)]))
+    return a, QuadExt(a, c, 3)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_equality_pairs())
+def test_equality_matches_the_difference_oracle(pair):
+    a, b = pair
+    for x, y in ((a, b), (b, a)):
+        try:
+            want = (x - y).is_zero()
+        except ValueError:
+            # numbers of two primes at level >= 1: their fields meet in Q, so
+            # neither is the other; their embeddings say so too
+            assert x.m and y.m and x.p != y.p
+            want = abs(x.embed() - y.embed()) < 1e-12
+            assert not want
+        assert (x == y) is want and (x != y) is (not want)
+        if want:
+            assert hash(x) == hash(y)
+
+
+def test_equality_reads_stored_forms_only(monkeypatch):
+    # == on two CyclotomicNumbers builds no difference
+    def refuse(self, other):
+        raise AssertionError("scalar arithmetic run")
+    x = root_of_unity(3, 4, 5) * Fraction(2, 3) + root_of_unity(3, 4, 1)
+    y = CyclotomicNumber(3, 4, x.coeffs)
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__"):
+        monkeypatch.setattr(CyclotomicNumber, name, refuse)
+    assert x == y and x is not y and not x != y
+    assert x != root_of_unity(3, 4, 5) and root_of_unity(2, 3, 1) != root_of_unity(3, 2, 1)
+    assert CyclotomicNumber(2, 0, [3]) == CyclotomicNumber(5, 0, [3]) == 3 == Fraction(3)
+    assert root_of_unity(5, 2, 7) != 1 and Fraction(1, 2) != root_of_unity(2, 3, 1)

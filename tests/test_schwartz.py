@@ -8,7 +8,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gjzeta.padic import PAdicContext, PAdicMatrix, psi_exponent, valuation
+from gjzeta.padic import PAdicContext, PAdicMatrix, _phase_add, psi_exponent, valuation
 from gjzeta.cli import random_schwartz
 from gjzeta.schwartz import SchwartzBruhatFn, SchwartzTerm
 from gjzeta.scalars import (as_scalar, root_of_unity, root_of_unity_sum,
@@ -42,7 +42,7 @@ def test_double_transform_is_reflection():
 def test_double_transform_shares_reflect_matrices():
     # F(F(t)) has centre -(t.center) and modulation -(t.modulation), as
     # reflect(t) does; with the cached negation they are the same objects,
-    # so fn_equal's merge matches their keys by identity
+    # so fn_equal's term-by-term test matches them by identity
     rng = random.Random(14)
     for n, p in [(1, 2), (1, 3), (2, 2), (2, 3)]:
         ctx = PAdicContext(p)
@@ -56,18 +56,24 @@ def test_double_transform_shares_reflect_matrices():
 
 def test_double_transform_merges_without_an_inner_product(monkeypatch):
     # F(F(t)) keeps t's base, its scales -k n^2 and +k n^2 sum to 0 and its
-    # phases cancel, so every term merges with reflect(t) and cancels
-    def refuse(self, other):
-        raise AssertionError("inner product run")
+    # phases cancel, so the term lists of F(F(f)) and reflect(f) agree term by
+    # term and fn_equal runs no inner product and no scalar arithmetic
+    from gjzeta.scalars import CyclotomicNumber
+
+    def refuse(*args):
+        raise AssertionError("inner product or scalar arithmetic run")
     rng = random.Random(15)
     for n, p in [(1, 2), (1, 3), (2, 2), (2, 3), (2, 5)]:
         ctx = PAdicContext(p)
         for _ in range(10):
             f = random_schwartz(n, ctx, rng)
-            twice = f.fourier().fourier()
+            twice, refl = f.fourier().fourier(), f.reflect()
             with monkeypatch.context() as m:
                 m.setattr(SchwartzBruhatFn, "inner_product", refuse)
-                assert twice.fn_equal(f.reflect())
+                for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                             "__rmul__", "__neg__"):
+                    m.setattr(CyclotomicNumber, name, refuse)
+                assert twice.fn_equal(refl) and refl.fn_equal(twice)
 
 
 def test_transform_and_reflection_terms_pass_the_public_checks():
@@ -311,6 +317,44 @@ def test_fn_equal_matches_norm_reference(data):
         reference = scalar_is_zero(inner_product_reference(d, d))
         assert x.fn_equal(y) == reference
         assert want is None or reference == want
+
+
+@st.composite
+def _one_change(draw):
+    """(f, g): f a drawn function or its transform, and g f's terms with one
+    term's base, phase, scale or level changed, or with the terms reordered."""
+    f, _ = draw(_schwartz_pairs())
+    if draw(st.booleans()):
+        f = f.fourier()  # terms with a nonzero scale and a phase
+    if not f.terms:
+        f = f + SchwartzBruhatFn.unit_ball(f.n, f.ctx)
+    p, terms = f.ctx.p, list(f.terms)
+    kind = draw(st.sampled_from(["base", "phase", "scale", "level", "reorder"]))
+    if kind == "reorder":
+        return f, SchwartzBruhatFn(f.n, f.ctx, draw(st.permutations(terms)))
+    i = draw(st.integers(0, len(terms) - 1))
+    t = terms[i]
+    base, level, scale, phase = t.base, t.level, t.scale, t.phase
+    if kind == "base":
+        base = base + root_of_unity(p, 1, draw(st.integers(0, p - 1))) * draw(
+            st.sampled_from([-1, 1, Fraction(1, 2)]))
+    elif kind == "phase":
+        phase = _phase_add(p, phase, (draw(st.integers(1, 2)), draw(st.integers(1, p - 1))))
+    elif kind == "scale":
+        scale += draw(st.sampled_from([-1, 1]))
+    else:
+        level += draw(st.sampled_from([-1, 1]))
+    terms[i] = SchwartzTerm(base, t.center, level, t.modulation, scale, phase)
+    return f, SchwartzBruhatFn(f.n, f.ctx, terms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_one_change())
+def test_fn_equal_matches_norm_reference_after_one_change(pair):
+    f, g = pair
+    d = f - g
+    reference = scalar_is_zero(inner_product_reference(d, d))
+    assert f.fn_equal(g) == g.fn_equal(f) == reference
 
 
 # -- the transform's integer scale and phase ----------------------------------

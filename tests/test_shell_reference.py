@@ -474,6 +474,23 @@ def test_generic_last_splits_read_few_determinants(monkeypatch):
     assert len(calls) < 79300 // 200  # 346; a census per last split read 3,151
 
 
+@pytest.mark.parametrize("p, k, level, c, value, cells", [
+    (2, 3, 0, Fraction(1), Fraction(45, 8), 13361),
+    (2, 3, 0, Fraction(1, 2), Fraction(-3, 8), 13361),
+    (2, 1, -1, Fraction(1), Fraction(-3, 8), 13361),
+    (3, 2, 0, Fraction(1), Fraction(208, 27), 79300)])
+def test_cross_check_shells_keep_their_values_and_cells(p, k, level, c, value, cells):
+    # the enumerate workload's Hermite-against-refinement cross-checks: the
+    # refinement's value and cell count, whatever reads the cofactors
+    stats = {}
+    got = term_shell_integral(PAdicContext(p), k, PAdicMatrix.zero(2), level,
+                              PAdicMatrix.scalar(2, c),
+                              IntegrationConfig(force_enumeration=True), None, stats)
+    assert got == value and stats == {"cells": cells}
+    assert term_shell_integral(PAdicContext(p), k, PAdicMatrix.zero(2), level,
+                               PAdicMatrix.scalar(2, c), IntegrationConfig()) == value
+
+
 def test_d12_transform_trips_the_budget_reading_few_determinants(monkeypatch):
     # gamma --p 3 --n 2 on the coset diag(1, 2) + 3 M_2(Z_3) exits 2: shell 2 of its
     # transform (centre 0, level -1, modulation diag(1, 2)) counts 59,403,862 cells,
