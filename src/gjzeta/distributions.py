@@ -105,11 +105,11 @@ def spectral_action(d: TwistedDistribution, chi: MultiplicativeCharacter,
     on x, which is only checked for its size and invertibility.
 
     The untwisted series sum_k I_k x^k, x = T^w (w = -2 DIRECT, +2 INVERSE), is read off
-    one or two shells.  stabilized_shell_integral's I_k is _shell_hermite at level -m*, with
-    mc = m* and k' = k + n m*.  At n >= 2, m* >= max(1, f): for f = 0 the mc >= 1 case has
-    K = k + n, so I_k = 0 for k < -n and I_k = s1 for k >= 1 - n; for f >= 1, I_k = 0
-    unless k' = n (m* - f), i.e. k = -n f.  At n = 1, m* = max(0, -k) gives the same, the
-    mc = 0 value (p - 1) / p at k >= 0 being the K > 0 one.  So
+    one or two shells: stabilized_shell_integral's I_k is read off _series_hermite at level
+    -m*, mc = m*.  At n >= 2, m* >= max(1, f): for f = 0 its mc >= 1 case s x^(-n) (1 - p^n x)
+    / (1 - x) gives I_k = 0 for k < -n and I_k = s1 = (1 - p^n) s for k >= 1 - n; for f >= 1
+    its one monomial is at x^(-n f).  At n = 1, m* = max(0, -k) gives the same, the mc = 0
+    value (p - 1) / p at k >= 0 being s1 = (1 - p) s, s = -1/p.  So
       f = 0:  num = I_(-n) x^(-n) + (s1 - I_(-n)) x^(1-n), den = 1 - x, coprime as
               num(1) = s1 = (-1)^n p^(-n(n+1)/2) (1 - p^n) != 0;
       f >= 1: num = I_(-nf) x^(-nf), den = 1.

@@ -6,18 +6,19 @@ has the shape psi(tr(B g)) * chi(unit part of det g) restricted to a coset
 of p^L M_n(Z_p), which covers Schwartz-Bruhat terms and the truncated
 distribution kernels alike.
 
-Three evaluation paths, the same for every n, chosen once per term of a series
-from the centre C mod p^L and the modulation B mod p^(-L) (_shell_path):
-  * C = 0, B = c Id: closed forms in Gauss sums (Hermite), with no cell;
+Three evaluation paths, the same for every n, chosen per term from the centre C
+mod p^L and the modulation B mod p^(-L) (_shell_path):
+  * C = 0, B = c Id: the generating function of the Hermite count, in Gauss sums
+    (_series_hermite), with no cell;
   * C = a Id with v(a) < L, B = 0, every built-in shifted ball among them: one
-    closed-form term, at k = n v(a), with no cell;
+    monomial, at k = n v(a) (_series_scalar_centre), with no cell;
   * every other coset, and every coset under force_enumeration: recursive
     residue-cell refinement with an exact resolution rule, bounded by a hard
     cell budget.
 The Fourier transform (C, L, B) -> (-B, -L, C) swaps the first two classes, so a
-term is closed form exactly when its transform is.  A closed form also gives the
-term's whole shell series as a generating function (_series_hermite, and one
-monomial for the scalar centre); schwartz_series sums them over one denominator.
+term is closed form exactly when its transform is.  A closed form is one shell
+series, a numerator over prod_{j<J} (1 - p^j x): schwartz_series sums a Phi's over one
+denominator, and a single shell is its x^k coefficient (_coefficient).
 The refinement adds the sign of chi(u) = sign * zeta_{p^c}^a into one sparse
 {phase: count} histogram per level at the phase e p^(T-m) + a p^(T-c) of
 psi * chi, T = max(m, c), reduced by one root_of_unity_sum at the least level
@@ -86,39 +87,45 @@ def _scalar_mod(m: PAdicMatrix, level: int, p: int):
 
 def _shell_path(ctx: PAdicContext, center: PAdicMatrix, level: int,
                 modulation: PAdicMatrix, config: IntegrationConfig):
-    """(shell, series) for one modulated coset, chosen once per series from C mod p^L, which
-    fixes the coset, and B mod p^(-L): shell(k, unit_char, stats) is shell k, and
-    series(unit_char) the whole untwisted shell series as (num, J) (_series_hermite), or
-    None when the coset is refined.  On the coset, B + p^(-L) Y
-    gives psi(tr(B g)) times psi(p^(-L) tr(Y C)), 1 when C = 0 mod p^L.  With C = a Id and
-    B = c Id in those classes (a, c the (1, 1) entries), a = 0 takes Hermite with c, and c = 0
-    the scalar centre with a and the written B.  Any representative gives the same value:
-    Hermite reads c only through c p^L mod Z_p; the scalar centre reads a through v(a) < L,
-    fixed on the class, u_a mod p^f, fixed as f <= L - v(a), and psi(a tr B), which moves by
-    an integer, since p^L B is integral."""
-    if not config.force_enumeration:
-        p, n = ctx.p, center.n
-        a = _scalar_mod(center, level, p)
-        c = None if a is None else _scalar_mod(modulation, -level, p)
-        if c is not None and in_level(a, level, p):
-            return (lambda k, unit_char, stats: _shell_hermite(ctx, n, k, level, c, unit_char),
-                    lambda unit_char: _series_hermite(ctx, n, level, c, unit_char))
-        if c is not None and in_level(c, -level, p):
-            k0 = n * valuation(a, p)  # the one shell that can be nonzero
-            return (lambda k, unit_char, stats: _shell_scalar_centre(
-                ctx, n, k, level, a, modulation, unit_char),
-                lambda unit_char: ({k0: _shell_scalar_centre(
-                    ctx, n, k0, level, a, modulation, unit_char)}, 0))
-    return (lambda k, unit_char, stats: _shell_generic(ctx, k, center, level, modulation,
-                                                       config, unit_char, stats), None)
+    """The closed-form shell series of one modulated coset, unit_char -> (num, J), or None
+    when it is refined; chosen from C mod p^L, which fixes the coset, and B mod p^(-L).  On
+    the coset, B + p^(-L) Y gives psi(tr(B g)) psi(p^(-L) tr(Y C)), 1 when C = 0 mod p^L.
+    With C = a Id and B = c Id in those classes (a, c the (1, 1) entries), a = 0 takes
+    Hermite with c, and c = 0 the scalar centre with a and the written B.  Any representative
+    gives the same value: Hermite reads c only through c p^L mod Z_p; the scalar centre reads
+    a through v(a) < L, fixed on the class, u_a mod p^f, fixed as f <= L - v(a), and
+    psi(a tr B), which moves by an integer, since p^L B is integral."""
+    if config.force_enumeration:
+        return None
+    p, n = ctx.p, center.n
+    a = _scalar_mod(center, level, p)
+    c = None if a is None else _scalar_mod(modulation, -level, p)
+    if c is not None and in_level(a, level, p):
+        return lambda unit_char: _series_hermite(ctx, n, level, c, unit_char)
+    if c is not None and in_level(c, -level, p):
+        return lambda unit_char: _series_scalar_centre(ctx, n, level, a, modulation, unit_char)
+    return None
 
 
 def term_shell_integral(ctx: PAdicContext, k: int, center: PAdicMatrix,
                         level: int, modulation: PAdicMatrix,
                         config: IntegrationConfig, unit_char=None, stats=None):
-    """int over {v(det g) = k} cap (center + p^level M) of
-    psi(tr(modulation g)) chi(det g / p^k) d^x g."""
-    return _shell_path(ctx, center, level, modulation, config)[0](k, unit_char, stats)
+    """int over {v(det g) = k} cap (center + p^level M) of psi(tr(modulation g))
+    chi(det g / p^k) d^x g: the x^k coefficient of a closed-form series, or the refinement."""
+    series = _shell_path(ctx, center, level, modulation, config)
+    if series is None:
+        return _shell_generic(ctx, k, center, level, modulation, config, unit_char, stats)
+    return _coefficient(ctx.p, k, *series(unit_char))
+
+
+def _coefficient(p, k, num, J):
+    """The x^k coefficient of num / prod_{j<J} (1 - p^j x).  By the q-binomial theorem it is
+    sum_{i<=k} num_i [k-i+J-1 choose J-1]_p, with [m+J-1 choose J-1]_p = prod_{0<j<J}
+    (p^(m+j) - 1) / (p^j - 1): 1 at J = 1, and [k = i] at J = 0, where the denominator is 1."""
+    terms = [v * Fraction(prod(p ** (k - i + j) - 1 for j in range(1, J)),
+                          prod(p ** j - 1 for j in range(1, J))) if J > 1 else v
+             for i, v in num.items() if i == k or J and i < k]
+    return sum(terms[1:], terms[0]) if terms else as_scalar(0, p)
 
 
 # name kept because perfbench/tracer.py wraps it to count cells per path
@@ -150,8 +157,9 @@ def gl2_histogram(*args):
 _gl2_hist_cached = lru_cache(maxsize=1)(gl2_histogram)
 
 
-def _shell_hermite(ctx, n, k, level, c, unit_char):
-    """Zero-centered coset p^level M_n, modulation c * Id, any n, in closed form.
+def _series_hermite(ctx, n, level, c, unit_char):
+    """The shell series sum_k I_k x^k of the zero-centred coset p^level M_n(Z_p) under c Id,
+    any n, as (num, J): num a {k: coefficient} dict over the denominator prod_{j<J} (1 - p^j x).
 
     g = p^level H leaves v(det H) = k' = k - n*level and psi(cH tr H), with
     cH = c p^level = w / p^mc (w a unit).  Write H = kappa b, kappa in GL_n(Z_p),
@@ -161,72 +169,43 @@ def _shell_hermite(ctx, n, k, level, c, unit_char):
     kappa_ji = 0 mod p^mc and 0 otherwise: only kappa in B_0(p^mc) survive.  There
     (kappa_11, ..., kappa_nn, det) mod (p^mc, ..., p^mc, p^f) is a homomorphism
     with the image of (x_1, ..., x_n, x_1...x_n) on units, so the u_j-integrals split:
-      shell = vol * sum_{a_1+...+a_n=k'} p^(sum_j (j-1) a_j) prod_j gamma(min(a_j, mc)),
+      I_k = vol * sum_{a_1+...+a_n=k'} p^(sum_j (j-1) a_j) prod_j gamma(min(a_j, mc)),
     vol = vol(B_0(p^mc)) = (1 - 1/p)^n p^(-mc n(n-1)/2) (prod_{i<=n} (1 - p^-i) at mc = 0),
-    gamma(t) = int_{Z_p^x} chi(x) psi(cH p^t x) dx / (1 - 1/p).  Its psi level is
-    l = mc - t, and gamma = 0 for l > max(1, f), f = conductor_exp (x = x0 +
-    p^(l-1) y: chi(x) sees x0 alone, sum_y zeta_p^(w y) = 0), and for l < f (x -> x u,
-    u = 1 mod p^l with chi(u) != 1).
-      * f = 0, mc = 0: gamma = 1, and the sum is the Gaussian binomial
-        [k'+n-1 choose n-1]_p, so shell = (p^n - 1) p^(-n(n+1)/2) prod_{i<n} (p^(k'+i) - 1).
-      * f = 0, mc >= 1: gamma(mc) = 1, gamma(mc - 1) = -1/(p - 1) (Ramanujan sums)
-        and 0 below.  Factor j of the generating function in x^(a_j) is
-        p^((j-1)(mc-1)) x^(mc-1) (p^j x - 1) / ((p - 1)(1 - p^(j-1) x)), and the
-        product telescopes to (-1)^n (1 - p^n x) / (1 - x).  With K = k' - n(mc - 1),
-        shell = (-1)^n p^(-n(n+1)/2) * (0 if K < 0, 1 if K = 0, 1 - p^n if K > 0).
-      * f >= 1: only a_j = t0 = mc - f survives, so shell = 0 unless t0 >= 0 and
-        k' = n t0, and then g^n p^(-f n(n-1)/2) with g = _shell_n1(p, cH p^t0, chi).
+    gamma(t) = int_{Z_p^x} chi(x) psi(cH p^t x) dx / (1 - 1/p).  The sum over compositions
+    is the x^k' coefficient of prod_j G_j(x), G_j(x) = sum_(a>=0) p^((j-1) a) gamma(min(a, mc))
+    x^a, so the series is vol x^(n level) prod_j G_j(x).  gamma's psi level is l = mc - t, and
+    gamma = 0 for l > max(1, f), f = conductor_exp (x = x0 + p^(l-1) y: chi(x) sees x0
+    alone, sum_y zeta_p^(w y) = 0), and for l < f (x -> x u, u = 1 mod p^l with chi(u) != 1).
+      * f = 0, mc = 0: gamma = 1 and G_j = 1 / (1 - p^(j-1) x), so num = vol x^(n level)
+        with vol = prod_{i<=n} (p^i - 1) / p^(n(n+1)/2), and J = n.
+      * f = 0, mc >= 1: gamma(mc) = 1, gamma(mc - 1) = -1/(p - 1) (Ramanujan sums) and 0
+        below, so G_j = p^((j-1)(mc-1)) x^(mc-1) (p^j x - 1) / ((p - 1)(1 - p^(j-1) x)), and
+        the product telescopes to (-1)^n (1 - p^n x) / (1 - x) times p^((mc-1) n(n-1)/2)
+        x^(n(mc-1)) / (p - 1)^n.  With vol, the series is s x^k0 (1 - p^n x) / (1 - x),
+        s = (-1)^n p^(-n(n+1)/2), k0 = n (level + mc - 1): num = s x^k0 - p^n s x^(k0+1), J = 1.
+      * f >= 1: only a_j = t0 = mc - f survives, so G_j = p^((j-1) t0) gamma(t0) x^t0 when
+        t0 >= 0, and the series is 0 otherwise; with vol it is the one monomial
+        g^n p^(-f n(n-1)/2) x^(n (level + t0)), g = _shell_n1(p, cH p^t0, chi), and J = 0.
     """
     p = ctx.p
     f = unit_char.conductor_exp if unit_char else 0
-    kp = k - n * level
-    if kp < 0:
-        return as_scalar(0, p)
     cH = Fraction(c) * Fraction(p) ** level
     mc = max(0, -valuation(cH, p))
     if f:
-        if mc < f or kp != n * (mc - f):
-            return as_scalar(0, p)
-        return _shell_n1(p, cH * p ** (mc - f), unit_char) ** n * Fraction(
-            1, p ** (f * n * (n - 1) // 2))
+        return ({n * (level + mc - f): _shell_n1(p, cH * p ** (mc - f), unit_char) ** n
+                 * Fraction(1, p ** (f * n * (n - 1) // 2))} if mc >= f else {}), 0
+    d = p ** (n * (n + 1) // 2)
     if mc == 0:
-        return as_scalar(Fraction((p ** n - 1) * prod(p ** (kp + i) - 1 for i in range(1, n)),
-                                  p ** (n * (n + 1) // 2)), p)
-    K = kp - n * (mc - 1)
-    return as_scalar(Fraction((-1) ** n * (0 if K < 0 else 1 if K == 0 else 1 - p ** n),
-                              p ** (n * (n + 1) // 2)), p)
-
-
-def _series_hermite(ctx, n, level, c, unit_char):
-    """sum_k _shell_hermite(k) x^k as (num, J): num a {k: coefficient} dict over the
-    denominator prod_{j<J} (1 - p^j x).  With k = k' + n level and mc, f as there:
-      * f = 0, mc = 0: shell = s prod_{0<i<n} (p^(k'+i) - 1) / (p^i - 1) = s [k'+n-1 choose n-1]_p,
-        s the shell at k' = 0, and sum_(k'>=0) [k'+n-1 choose n-1]_p x^k' = 1 / prod_{j<n}
-        (1 - p^j x) (q-binomial theorem), so num = s x^(n level), J = n;
-      * f = 0, mc >= 1: shell = s at K = 0 and (1 - p^n) s at K > 0, so with k0 = n level +
-        n (mc - 1) the series is s x^k0 (1 + (1 - p^n) x / (1 - x)) = s x^k0 (1 - p^n x) / (1 - x),
-        num = s x^k0 - p^n s x^(k0+1), J = 1;
-      * f >= 1: the one shell k0 = n level + n (mc - f) if mc >= f, and 0 otherwise: J = 0.
-    """
-    p = ctx.p
-    f = unit_char.conductor_exp if unit_char else 0
-    mc = max(0, -valuation(Fraction(c) * Fraction(p) ** level, p))
-    if f:
-        k0 = n * (level + mc - f)
-        return ({k0: _shell_hermite(ctx, n, k0, level, c, unit_char)} if mc >= f else {}), 0
-    if mc == 0:
-        return {n * level: _shell_hermite(ctx, n, n * level, level, c, unit_char)}, n
-    k0 = n * (level + mc - 1)
-    s = _shell_hermite(ctx, n, k0, level, c, unit_char)
+        return {n * level: as_scalar(Fraction(prod(p ** i - 1 for i in range(1, n + 1)), d), p)}, n
+    s, k0 = as_scalar(Fraction((-1) ** n, d), p), n * (level + mc - 1)
     return {k0: s, k0 + 1: s * -p ** n}, 1
 
 
-_shell_n2_hermite = _shell_hermite  # name kept because perfbench/tracer.py wraps it
+_shell_n2_hermite = _series_hermite  # name kept because perfbench/tracer.py wraps it
 
 
-def _shell_scalar_centre(ctx, n, k, level, a, modulation, unit_char):
-    """Scalar-centred coset a Id + p^level M_n(Z_p), v(a) < level, and a modulation B
-    with p^level B integral, in closed form.
+def _series_scalar_centre(ctx, n, level, a, modulation, unit_char):
+    """The shell series of a Id + p^level M_n(Z_p), v(a) < level, under B, p^level B integral.
 
     Write g = a (1 + Y): Y = a^(-1) p^level X is uniform on p^e M_n(Z_p), e = level -
     v(a) >= 1.  psi(tr(B g)) = psi(a tr B), since tr(B p^level X) is in Z_p.  det(1 + Y)
@@ -235,20 +214,19 @@ def _shell_scalar_centre(ctx, n, k, level, a, modulation, unit_char):
     unit coefficient det of the minor of 1 + Y, so for fixed other entries it runs
     Haar-uniformly over 1 + p^e Z_p: chi(det(1 + Y)) integrates to 1 when chi is 1
     there (f <= e) and to 0 otherwise.  With vol(coset) = p^(-level n^2) and
-    |det g|^(-n) = p^(n^2 v(a)):
-      shell = psi(a tr B) chi(u_a)^n p^(n^2 (v(a) - level)) if k = n v(a) and f <= e,
-    and 0 otherwise, so the shell series is that one monomial at k = n v(a) (_shell_path).
+    |det g|^(-n) = p^(n^2 v(a)), the one shell k = n v(a) is
+    psi(a tr B) chi(u_a)^n p^(n^2 (v(a) - level)) when f <= e, and the series is 0 otherwise.
     """
     p = ctx.p
     va = valuation(a, p)
     f = unit_char.conductor_exp if unit_char else 0
-    if k != n * va or f > level - va:
-        return as_scalar(0, p)
+    if f > level - va:
+        return {}, 0
     value = as_scalar(Fraction(p) ** (n * n * (va - level)), p)
     if f:
         s, e = unit_char.phases[mod_int(a / Fraction(p) ** va, p ** f)]
         value = value.times_root(f, n * e) * s ** n
-    return value.times_root(*psi_exponent(a * modulation.trace(), ctx))
+    return {n * va: value.times_root(*psi_exponent(a * modulation.trace(), ctx))}, 0
 
 
 # -- generic recursive refinement ---------------------------------------
@@ -453,16 +431,19 @@ def _offsets(n2: int, p: int, j: int):
 
 def schwartz_shell_integral(phi, ks, config: IntegrationConfig,
                             unit_char=None, stats=None):
-    """[int_{v(det g)=k} Phi(g) chi(det g / p^k) d^x g for k in ks] for a
-    Schwartz-Bruhat Phi, with each term's path chosen once for the series."""
+    """[int_{v(det g)=k} Phi(g) chi(det g / p^k) d^x g for k in ks] for a Schwartz-Bruhat
+    Phi: a closed-form term's series is built once and read at each k (_coefficient), and a
+    refined term is refined at each k."""
     ctx = phi.ctx
-    paths = [(t.coeff, _shell_path(ctx, t.center, t.level, t.modulation, config)[0])
-             for t in phi.terms]
+    fns = [_shell_path(ctx, t.center, t.level, t.modulation, config) for t in phi.terms]
+    terms = [(t, fn and fn(unit_char)) for t, fn in zip(phi.terms, fns)]
 
     def shell(k):
         total = as_scalar(0, ctx.p)
-        for coeff, path in paths:
-            total = total + coeff * path(k, unit_char, stats)
+        for t, series in terms:
+            total = total + t.coeff * (_coefficient(ctx.p, k, *series) if series else
+                                       _shell_generic(ctx, k, t.center, t.level, t.modulation,
+                                                      config, unit_char, stats))
         return total
     return parallel_map(shell, ks)
 
@@ -473,7 +454,7 @@ def schwartz_series(phi, weight: int, config: IntegrationConfig, unit_char=None)
     force_enumeration).  Each term's generating function (_shell_path) has the denominator
     prod_{j<J_t} (1 - p^j x), a head of den = prod_{j<J} (1 - p^j x), J = max J_t, so num
     sums coeff * num_t * prod_{J_t<=j<J} (1 - p^j x) over the terms, with no division."""
-    fns = [_shell_path(phi.ctx, t.center, t.level, t.modulation, config)[1] for t in phi.terms]
+    fns = [_shell_path(phi.ctx, t.center, t.level, t.modulation, config) for t in phi.terms]
     if None in fns:
         return None
     parts = [(t.coeff, *fn(unit_char)) for t, fn in zip(phi.terms, fns)]
@@ -499,11 +480,12 @@ def stabilized_shell_integral(ctx: PAdicContext, n: int, k: int,
     proven exact truncation point m = m*.
 
     n = 1: the shell p^k Z_p^x is compact and inside p^(-m) Z_p once m >= -k,
-    so m* = max(0, -k).  n >= 2: _shell_hermite at level -m has mc = m, k' = k + n m
-    and w = eps, and for m >= max(1, f) its closed forms are free of m: f = 0 reads
-    K = k' - n(m - 1) = k + n only, and f >= 1 is nonzero only at k' = n(m - f), i.e.
-    k = -n f, with a value free of m.  So m* = max(1, f, ceil(-k/n)), which also reaches
-    the shell.  A truncated integral does not depend on its path: force_enumeration uses m*.
+    so m* = max(0, -k).  n >= 2: the coset is _series_hermite's at level -m, with mc = m,
+    and for m >= max(1, f) its series is free of m: at f = 0 its mc >= 1 case,
+    s x^(-n) (1 - p^n x) / (1 - x), k0 = n (-m + m - 1) = -n; at f >= 1 its one monomial
+    at x^(-n f), with g read at cH p^(m-f) = eps p^(-f).  So m* = max(1, f, ceil(-k/n)),
+    which also reaches the shell.  A truncated integral does not depend on its path:
+    force_enumeration uses m*.
     No cap: the spectral action reads only shells -n and 1 - n, or -n f, so m* <= max(1, f).
     """
     f = unit_char.conductor_exp if unit_char else 0

@@ -121,9 +121,10 @@ def test_hermite_route_needs_scalar_modulation_and_center_in_the_lattice(
     # at level 1 a path reads the center mod 2 M_2(Z_2) and the modulation mod
     # 2^(-1) M_2(Z_2): Hermite needs center = 0 and modulation = c Id there
     taken = []
-    for name in ("hermite", "scalar_centre", "generic"):
-        monkeypatch.setattr(integrate, "_shell_" + name,
-                            lambda *args, name=name: taken.append(name) or 0)
+    for name in ("hermite", "scalar_centre"):
+        monkeypatch.setattr(integrate, "_series_" + name,
+                            lambda *args, name=name: taken.append(name) or ({}, 0))
+    monkeypatch.setattr(integrate, "_shell_generic", lambda *args: taken.append("generic") or 0)
     shell(2, 2, 2, center=center, level=1, modulation=modulation)
     assert taken == [route]
 
@@ -132,9 +133,8 @@ def test_hermite_route_needs_scalar_modulation_and_center_in_the_lattice(
 def test_n1_routes_like_every_n(force, route, monkeypatch):
     # n = 1 has no path of its own: force_enumeration sends the shell to the refinement
     taken = []
-    for name in ("hermite", "generic"):
-        monkeypatch.setattr(integrate, "_shell_" + name,
-                            lambda *args, name=name: taken.append(name) or 0)
+    monkeypatch.setattr(integrate, "_series_hermite", lambda *args: taken.append("hermite") or ({}, 0))
+    monkeypatch.setattr(integrate, "_shell_generic", lambda *args: taken.append("generic") or 0)
     shell(3, 1, 0, level=-1, modulation=PAdicMatrix([[1]]), force_enumeration=force)
     assert taken == [route]
 

@@ -26,6 +26,43 @@ def test_context_requires_prime():
         PAdicContext(6)
 
 
+def _accepted(p):
+    try:
+        PAdicContext(p)
+    except ValueError:
+        return False
+    return True
+
+
+def test_primality_agrees_with_trial_division():
+    def trial_division(p):
+        return p >= 2 and all(p % d for d in range(2, int(p ** 0.5) + 1))
+    ns = range(-3, 2 * 10 ** 4)
+    assert [p for p in ns if _accepted(p)] == [p for p in ns if trial_division(p)]
+
+
+@pytest.mark.parametrize("n", [
+    561, 41041, 825265,  # Carmichael numbers
+    2047, 3215031751,  # strong pseudoprimes to base 2
+    1000000016000000063])  # (10^9 + 7)(10^9 + 9)
+def test_pseudoprimes_and_semiprimes_are_refused(n):
+    assert not _accepted(n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 2 ** 81), st.integers(2, 2 ** 40))
+def test_primality_agrees_with_sympy_below_the_bound(n, m):
+    # n itself, and a product whose factors miss every Miller-Rabin base
+    for x in (n, sympy.nextprime(m) * sympy.nextprime(m + 50)):
+        assert _accepted(x) == sympy.isprime(x)
+
+
+@pytest.mark.parametrize("p", [2 ** 31 - 1, 2 ** 61 - 1, 10 ** 14 + 31])
+def test_large_primes_are_accepted(p):
+    # trial division up to sqrt(2^61 - 1) takes minutes
+    assert _accepted(p)
+
+
 def test_psi_conductor_is_zp():
     ctx = PAdicContext(2)
     assert psi_value(Fraction(3), ctx) == 1

@@ -19,13 +19,19 @@ from hypothesis import assume, given, settings, strategies as st
 
 from gjzeta import integrate
 from gjzeta.errors import BudgetExceeded
-from gjzeta.integrate import (IntegrationConfig, _shell_generic, _shell_hermite, _shell_n1,
-                              term_shell_integral)
+from gjzeta.integrate import (IntegrationConfig, _coefficient, _series_hermite, _shell_generic,
+                              _shell_n1, term_shell_integral)
 from gjzeta.padic import (INFINITE, PAdicContext, PAdicMatrix, flat_det, int_valuation,
-                          mod_int, psi_value, valuation)
+                          mod_int, psi_exponent, psi_value, valuation)
 from gjzeta.scalars import as_scalar, root_of_unity, root_of_unity_sum
 from gjzeta.schwartz import SchwartzBruhatFn, SchwartzTerm
 from gjzeta.zeta import MultiplicativeCharacter
+
+
+def hermite_shell(ctx, n, k, level, c, unit_char):
+    """Shell k of the zero-centred coset under c Id, read off its generating function
+    as term_shell_integral reads it."""
+    return _coefficient(ctx.p, k, *_series_hermite(ctx, n, level, c, unit_char))
 
 
 def _unit_values(unit_char):
@@ -283,7 +289,7 @@ def test_hermite_matches_reference(p, c_exp, level):
     for chi in _characters(p):
         for kp in range(-1, 3):
             k = kp + 2 * level
-            got = _shell_hermite(ctx, 2, k, level, c, chi)
+            got = hermite_shell(ctx, 2, k, level, c, chi)
             _same(got, shell_n2_hermite_reference(ctx, k, level, c, chi, {}))
 
 
@@ -291,7 +297,7 @@ def test_hermite_zero_modulation_matches_reference():
     ctx = PAdicContext(3)
     chi = _characters(3)[-1]
     for k in range(0, 4):
-        got = _shell_hermite(ctx, 2, k, 0, Fraction(0), chi)
+        got = hermite_shell(ctx, 2, k, 0, Fraction(0), chi)
         _same(got, shell_n2_hermite_reference(ctx, k, 0, Fraction(0), chi, {}))
 
 
@@ -300,7 +306,7 @@ def test_hermite_p5_matches_reference():
     ctx = PAdicContext(5)
     for chi in _characters(5):
         for k in range(-1, 3):
-            got = _shell_hermite(ctx, 2, k, 0, Fraction(1, 5), chi)
+            got = hermite_shell(ctx, 2, k, 0, Fraction(1, 5), chi)
             _same(got, shell_n2_hermite_reference(ctx, k, 0, Fraction(1, 5), chi, {}))
 
 
@@ -318,7 +324,7 @@ def test_hermite_p5_p7_matches_reference(p, c, level):
     for chi in _characters(p):
         for kp in range(-1, 3):
             k = kp + 2 * level
-            got = _shell_hermite(ctx, 2, k, level, c, chi)
+            got = hermite_shell(ctx, 2, k, level, c, chi)
             _same(got, shell_n2_hermite_reference(ctx, k, level, c, chi, {}))
 
 
@@ -333,8 +339,8 @@ def test_hermite_never_builds_the_count_kernel(monkeypatch):
             for c_exp in range(3):
                 for level in (-1, 0, 1):
                     for kp in range(-1, 4):
-                        _shell_hermite(ctx, 2, kp + 2 * level, level,
-                                       Fraction(1, p ** c_exp), chi)
+                        hermite_shell(ctx, 2, kp + 2 * level, level,
+                                      Fraction(1, p ** c_exp), chi)
 
 
 def _generic_characters(p):
@@ -647,7 +653,7 @@ def test_hermite_n3_matches_generic(p, chi_index, c, k, level):
     chi = _characters(p)[chi_index]
     want = _shell_generic(ctx, k, PAdicMatrix.zero(3), level, PAdicMatrix.scalar(3, c),
                           IntegrationConfig(), chi, {})
-    got = _shell_hermite(ctx, 3, k, level, c, chi)
+    got = hermite_shell(ctx, 3, k, level, c, chi)
     assert got == want and hash(got) == hash(want)
 
 
@@ -667,10 +673,11 @@ def test_ramified_gauss_sums_stay_at_the_conductor(monkeypatch):
     written = MultiplicativeCharacter(11, 2, {2: -1})
     for unit_char in (chi, written):
         for mc in range(5):
-            for kp in range(4):
-                _shell_hermite(ctx, 2, kp, 0, Fraction(1, 11 ** mc), unit_char)
-    # each character has its nonzero shells at (mc, k') = (1, 0) and (2, 2)
-    assert len(levels) == 4 and set(levels) == {1}
+            # each series is one monomial at k' = 2 (mc - f) when mc >= f = 1, and 0 below
+            num, J = _series_hermite(ctx, 2, 0, Fraction(1, 11 ** mc), unit_char)
+            assert J == 0 and list(num) == ([2 * (mc - 1)] if mc else [])
+    # one Gauss sum per series with mc >= f, each at psi level f = 1
+    assert len(levels) == 8 and set(levels) == {1}
 
 
 @st.composite
@@ -766,7 +773,7 @@ def _unit_integral(p, b, unit_char):
 def shell_hermite_reference(ctx, n, k, level, c, unit_char):
     """vol(B_0(p^mc)) sum_{a_1+...+a_n=k'} p^(sum_j (j-1) a_j) prod_j gamma(min(a_j, mc)),
     with gamma(t) = int_{Z_p^x} chi(x) psi(cH p^t x) dx / (1 - 1/p) from the unit
-    enumeration: the sum over compositions that _shell_hermite puts in closed form."""
+    enumeration: the sum over compositions that _series_hermite puts in closed form."""
     p = ctx.p
     kp = k - n * level
     if kp < 0:
@@ -817,6 +824,109 @@ def test_hermite_closed_forms_match_the_composition_sum(n, p):
             for level in (-1, 0, 1):
                 for kp in sorted({-1, 0, 1, 2, n, 2 * n} if n < 4 else {-1, 0, 1, n}):
                     k = kp + n * level
-                    got = _shell_hermite(ctx, n, k, level, c, chi)
+                    got = hermite_shell(ctx, n, k, level, c, chi)
                     want = shell_hermite_reference(ctx, n, k, level, c, chi)
                     assert got == want and repr(got) == repr(want)
+
+
+# -- the per-shell closed forms the generating functions replaced, as an oracle --
+
+def per_shell_hermite(ctx, n, k, level, c, unit_char):
+    """Shell k of the zero-centred coset p^level M_n under c Id, by cases on
+    k' = k - n level, mc and f: the Gaussian binomial at f = mc = 0, the sign of
+    K = k' - n (mc - 1) at f = 0 < mc, and one Gauss-sum power at k' = n (mc - f)."""
+    p = ctx.p
+    f = unit_char.conductor_exp if unit_char else 0
+    kp = k - n * level
+    if kp < 0:
+        return as_scalar(0, p)
+    cH = Fraction(c) * Fraction(p) ** level
+    mc = max(0, -valuation(cH, p))
+    if f:
+        if mc < f or kp != n * (mc - f):
+            return as_scalar(0, p)
+        return _shell_n1(p, cH * p ** (mc - f), unit_char) ** n * Fraction(
+            1, p ** (f * n * (n - 1) // 2))
+    if mc == 0:
+        return as_scalar(Fraction((p ** n - 1) * prod(p ** (kp + i) - 1 for i in range(1, n)),
+                                  p ** (n * (n + 1) // 2)), p)
+    K = kp - n * (mc - 1)
+    return as_scalar(Fraction((-1) ** n * (0 if K < 0 else 1 if K == 0 else 1 - p ** n),
+                              p ** (n * (n + 1) // 2)), p)
+
+
+def per_shell_scalar_centre(ctx, n, k, level, a, modulation, unit_char):
+    """Shell k of a Id + p^level M_n under B: psi(a tr B) chi(u_a)^n p^(n^2 (v(a) - level))
+    at k = n v(a) when f <= level - v(a), and 0 otherwise."""
+    p = ctx.p
+    va = valuation(a, p)
+    f = unit_char.conductor_exp if unit_char else 0
+    if k != n * va or f > level - va:
+        return as_scalar(0, p)
+    value = as_scalar(Fraction(p) ** (n * n * (va - level)), p)
+    if f:
+        s, e = unit_char.phases[mod_int(a / Fraction(p) ** va, p ** f)]
+        value = value.times_root(f, n * e) * s ** n
+    return value.times_root(*psi_exponent(a * modulation.trace(), ctx))
+
+
+def _oracle_characters(p):
+    """Trivial (None and explicit), unramified, quadratic, and conductor 2 at p = 7."""
+    chars = _characters(p)
+    return chars[:4] + ([chars[4]] if p == 7 else [])
+
+
+def _refinement_refused(monkeypatch):
+    def refused(*args):
+        raise AssertionError("a closed-form coset reached the refinement")
+    monkeypatch.setattr(integrate, "_shell_generic", refused)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_hermite_series_coefficients_match_the_per_shell_forms(p, n, monkeypatch):
+    _refinement_refused(monkeypatch)
+    ctx = PAdicContext(p)
+    for chi in _oracle_characters(p):
+        for level in range(-2, 3):
+            # c = 0, and c with v(c p^level) = -mc
+            for mc, c in [(0, Fraction(0))] + [(mc, (p + 1) / Fraction(p) ** (mc + level))
+                                                for mc in range(4)]:
+                for k in range(n * level - 1, n * (level + mc) + 4):
+                    got = term_shell_integral(ctx, k, PAdicMatrix.zero(n), level,
+                                              PAdicMatrix.scalar(n, c), IntegrationConfig(), chi)
+                    _same(got, per_shell_hermite(ctx, n, k, level, c, chi))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_scalar_centre_series_coefficients_match_the_per_shell_forms(p, n, monkeypatch):
+    _refinement_refused(monkeypatch)
+    ctx = PAdicContext(p)
+    for chi in _oracle_characters(p):
+        for level in range(-2, 3):
+            bs = [Fraction(0), (p + 1) / Fraction(p) ** level]
+            modulations = [PAdicMatrix.scalar(n, b) for b in bs] + [
+                PAdicMatrix([[bs[(i + j) % 2] * (i + 1) for j in range(n)] for i in range(n)])]
+            for va in range(level - 3, level):
+                for a in (Fraction(p) ** va, Fraction(-2, p + 2) * Fraction(p) ** va):
+                    for modulation in modulations:
+                        for k in range(n * va - 2, n * va + 3):
+                            got = term_shell_integral(ctx, k, PAdicMatrix.scalar(n, a), level,
+                                                      modulation, IntegrationConfig(), chi)
+                            _same(got, per_shell_scalar_centre(ctx, n, k, level, a,
+                                                               modulation, chi))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.integers(0, 3),
+       st.dictionaries(st.integers(-4, 3), st.fractions(-7, 7, max_denominator=12), max_size=4))
+def test_coefficient_is_the_power_series_coefficient(p, J, num):
+    # expand num / prod_{j<J} (1 - p^j x) over a window that straddles num's support:
+    # dividing a series by 1 - q x is d_k = c_k + q d_(k-1)
+    lo, hi = -7, 9
+    coeffs = [num.get(k, Fraction(0)) for k in range(lo, hi + 1)]
+    for j in range(J):
+        for i in range(1, len(coeffs)):
+            coeffs[i] += p ** j * coeffs[i - 1]
+    assert [_coefficient(p, k, num, J) for k in range(lo, hi + 1)] == coeffs

@@ -364,3 +364,24 @@ def test_forced_enumeration_still_certifies_its_recurrence():
     want = gamma_factor(phi, chi).value.serialize()
     assert gamma_factor(phi, chi, IntegrationConfig(force_enumeration=True, r_max=3)
                         ).value.serialize() == want
+
+
+@pytest.mark.parametrize("phi, chi, hat", [
+    ("unit_ball", "trivial", False), ("unit_ball", "unramified", True),
+    ("shifted_ball(1,1)", "trivial", True), ("shifted_ball(1,2)", "trivial", True)])
+def test_forced_sampled_series_checks_n2_generating_functions(phi, chi, hat):
+    # at n = 2, p = 2 the sampled window refines shells up to k = 8; a shell counts
+    # about 5 * 10^8 cells, almost all under memoized keys and never built, so it
+    # needs a budget past the default
+    ctx = PAdicContext(2)
+    phi = {"unit_ball": SchwartzBruhatFn.unit_ball(2, ctx),
+           "shifted_ball(1,1)": SchwartzBruhatFn.shifted_ball(2, ctx, 1, 1),
+           "shifted_ball(1,2)": SchwartzBruhatFn.shifted_ball(2, ctx, 1, 2)}[phi]
+    chi = {"trivial": MultiplicativeCharacter.trivial(2),
+           "unramified": MultiplicativeCharacter.unramified(2, Fraction(3))}[chi]
+    if hat:  # the numerator side of gamma_factor
+        phi, chi = phi.fourier(), chi.inverse()
+    forced = IntegrationConfig(force_enumeration=True, hard_budget=10 ** 9)
+    got = zeta_integral(phi, chi, forced, dual_weight=hat)
+    assert got.stats["cells"] > 10 ** 8
+    assert got.value.serialize() == zeta_integral(phi, chi, dual_weight=hat).value.serialize()
