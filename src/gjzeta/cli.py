@@ -355,7 +355,12 @@ def cmd_arch_gamma(args):
                               gamma_real)
     if not 0 <= args.tol < float("inf"):
         raise InvalidSpec("tol must be finite and >= 0, got %r" % args.tol)
-    chi = RealCharacter(args.delta, _rational(args.tau))
+    tau = _rational(args.tau)
+    try:
+        float(tau)
+    except OverflowError:
+        raise InvalidSpec("tau must be finite as a float, got %s" % args.tau) from None
+    chi = RealCharacter(args.delta, tau)
     grid = [complex(x) for x in (args.s.split(",") if args.s is not None else S_GRID)]
     if not all(cmath.isfinite(s) and 0 < s.real < 1 for s in grid):
         raise InvalidSpec("every s must be finite with 0 < Re s < 1, where Z(Phi, s) "

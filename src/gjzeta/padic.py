@@ -54,17 +54,20 @@ class PAdicContext:
     __slots__ = ("p",)
 
     def __init__(self, p: int):
+        if p >= PRIMALITY_BOUND:
+            raise ValueError("p must be below %d, where primality is proven" % PRIMALITY_BOUND)
         if not _is_prime(p):
             raise ValueError("p must be prime")
         self.p = p
 
 
+PRIMALITY_BOUND = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
-    """Miller-Rabin on the first 13 prime bases, exact below 3.317 * 10^24 (Sorenson and
+    """Miller-Rabin on the first 13 prime bases, exact below PRIMALITY_BOUND (Sorenson and
     Webster, 2015): with p - 1 = d 2^s, d odd, a prime p has b^d = 1 or b^(d 2^r) = -1 mod p
-    for some r < s.  Trial division from the bound on."""
-    if p >= 3317044064679887385961981:
-        return all(p % d for d in range(2, int(p ** 0.5) + 1))
+    for some r < s."""
     bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
     if p < 2 or p in bases:
         return p in bases

@@ -5,11 +5,10 @@ some m; half-integer powers of q additionally require sqrt(q), which is
 either an explicit cyclotomic element (p = 2 or p = 1 mod 4) or a formal
 quadratic generator (p = 3 mod 4, where the extension is a genuine field).
 
-Every CyclotomicNumber is canonical: the public constructor stores its value
-at its least level, as the tower's own results are, so == compares stored
-forms and does no arithmetic.  Arithmetic scatters the operands' (exponent,
-coefficient) terms at the larger level and reduces once, so no value depends
-on a level-0 number's prime, except a phase applied by times_root.
+A CyclotomicNumber is integer numerators over one positive denominator, always
+canonical, so == compares stored forms and does no arithmetic.  Every tower
+operation is integer arithmetic with one gcd against the denominator.  No value
+depends on a level-0 number's prime, except a phase applied by times_root.
 
 Inverses need no linear algebra.  Multiplying x in Q(zeta_{p^m}) by its other
 conjugates over Q(zeta_{p^(m-1)}) gives its relative norm, one level down;
@@ -21,7 +20,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
-from operator import mul
+from math import gcd, lcm
+from operator import add, mul, sub
 
 
 def _euler_phi_prime_power(p: int, m: int) -> int:
@@ -29,121 +29,139 @@ def _euler_phi_prime_power(p: int, m: int) -> int:
 
 
 class CyclotomicNumber:
-    """Element of Q(zeta_{p^m}) in the power basis zeta^j, 0 <= j < phi(p^m).
+    """Element of Q(zeta_{p^m}) in the power basis zeta^j, 0 <= j < phi(p^m): the
+    coefficient of zeta^j is nums[j] / den, with den > 0.
 
-    Canonical form: reduced by the relation sum_{j<p} zeta^{j*p^(m-1)} = 0
-    and stored at the minimal level containing the element.  Every instance
-    is canonical, so == compares (p, m, coeffs) and hash agrees with it.
-    Instances are immutable; arithmetic scatters both operands' terms at the
-    larger level and reduces once.
+    Canonical form: reduced by the relation sum_{j<p} zeta^{j*p^(m-1)} = 0, at the
+    minimal level containing the element, with gcd(den, *nums) = 1.  Every
+    instance is canonical, so == compares (p, m, den, nums) and hash agrees.
     """
 
-    __slots__ = ("p", "m", "coeffs")
+    __slots__ = ("p", "m", "nums", "den")
 
     def __init__(self, p: int, m: int, coeffs):
-        # the checked entry for outside values (JSON, the CLI, integer
-        # histograms), stored at its least level; the tower's own results
-        # go through _of
-        coeffs = tuple([c if type(c) is Fraction else Fraction(c) for c in coeffs])
+        # the checked entry for outside values; the tower's own results go through _make
+        coeffs = [c if type(c) is int else Fraction(c) for c in coeffs]
         if len(coeffs) != _euler_phi_prime_power(p, m):
             raise ValueError("coefficient vector has wrong length for level")
-        self.p = p
-        self.m, self.coeffs = _least(p, m, coeffs)
+        den = lcm(*[c.denominator for c in coeffs])
+        z = _make(p, m, [c.numerator * (den // c.denominator) for c in coeffs], den)
+        self.p, self.m, self.nums, self.den = p, z.m, z.nums, z.den
 
     @staticmethod
-    def _of(p: int, m: int, coeffs: tuple) -> "CyclotomicNumber":
-        """Trusted constructor for the tower's own results: coeffs is already
-        a tuple of phi(p^m) Fractions in canonical form, so nothing is
-        checked or copied."""
+    def _of(p: int, m: int, nums: tuple, den: int) -> "CyclotomicNumber":
+        """Trusted constructor for the tower's own results: nums is already a
+        canonical tuple of phi(p^m) ints over den, so nothing is checked or copied."""
         z = object.__new__(CyclotomicNumber)
-        z.p, z.m, z.coeffs = p, m, coeffs
+        z.p, z.m, z.nums, z.den = p, m, nums, den
         return z
 
-    def _rational(self, other):
-        """other's value (an int or Fraction) when self and other are both
-        rational, else None: the level-0 path of + - *."""
-        t = type(other)
-        if t is CyclotomicNumber:
-            return None if self.m or other.m else other.coeffs[0]
-        return None if self.m or not (t is int or t is Fraction) else other
-
-    def _terms(self, top: int) -> list:
-        """The nonzero coefficients as (exponent of zeta_{p^top}, coefficient)
-        pairs, for top >= self.m.  Every exponent is below phi(p^top), and a
-        rational's is 0 whatever its prime."""
-        step = self.p ** (top - self.m)
-        return [(j * step, c) for j, c in enumerate(self.coeffs) if c]
+    @property
+    def coeffs(self) -> tuple:
+        """The power-basis coefficients as Fractions, built on each read."""
+        return tuple([Fraction(n, self.den) for n in self.nums])
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.nums)
 
     # -- arithmetic ----------------------------------------------------
 
-    def _pair(self, other):
-        """(p, top, self's terms, other's terms) at top, the larger level, or
-        None when other is no scalar.  The prime is that of an operand at
-        level >= 1, so a rational takes the other operand's; two primes at
-        level >= 1 raise."""
-        if isinstance(other, CyclotomicNumber):
-            if self.m and other.m and self.p != other.p:
+    def _high(self, other):
+        """(x, n, d) when self or other is rational (an int, a Fraction or a level-0
+        number): n/d is that rational and x the other operand, whose prime the result
+        keeps.  (self, None, None) at levels >= 1 of one prime; None for no scalar."""
+        if type(other) is CyclotomicNumber:
+            if not other.m:
+                return self, other.nums[0], other.den
+            if not self.m:
+                return other, self.nums[0], self.den
+            if self.p != other.p:
                 raise ValueError("mixed cyclotomic primes %d and %d" % (self.p, other.p))
-            high = self if self.m >= other.m else other
-            return high.p, high.m, self._terms(high.m), other._terms(high.m)
+            return self, None, None
         if isinstance(other, (int, Fraction)):
-            return self.p, self.m, self._terms(self.m), [(0, Fraction(other))] if other else []
+            return self, other.numerator, other.denominator
         return None
 
     def __add__(self, other):
-        r = self._rational(other)
-        if r is not None:  # keeps self.p, as _pair does
-            return self._of(self.p, 0, (self.coeffs[0] + r,))
-        pair = self._pair(other)
-        if pair is None:
+        """A rational adds to the zeta^0 numerator only, which keeps the level.  Two
+        numbers at level >= 1 add over the lcm of their denominators, the lower
+        one's numerators at its step in the higher one's basis."""
+        high = self._high(other)
+        if high is None:
             return NotImplemented
-        p, top, xs, ys = pair
-        return _reduce(p, top, xs + ys)
+        x, n, d = high
+        if n is not None:
+            if not x.m:
+                return _rat(x.p, x.nums[0] * d + n * x.den, x.den * d)
+            nums = [v * d for v in x.nums]
+            nums[0] += n * x.den
+            return _make(x.p, x.m, nums, x.den * d)
+        x, y = (self, other) if self.m >= other.m else (other, self)
+        den = lcm(x.den, y.den)
+        nums = [v * (den // x.den) for v in x.nums]
+        fy, step = den // y.den, x.p ** (x.m - y.m)
+        nums[::step] = [u + v * fy for u, v in zip(nums[::step], y.nums)]
+        return _make(x.p, x.m, nums, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._of(self.p, self.m, tuple([-c if c else c for c in self.coeffs]))
+        return self._of(self.p, self.m, tuple([-v for v in self.nums]), self.den)
 
     def __sub__(self, other):
-        r = self._rational(other)
-        if r is not None:
-            return self._of(self.p, 0, (self.coeffs[0] - r,))
-        if isinstance(other, (int, Fraction, CyclotomicNumber)):
+        high = self._high(other)
+        if high is None:
+            return NotImplemented
+        if self.m or high[0] is not self:
             return self.__add__(-other)
-        return NotImplemented
+        return _rat(self.p, self.nums[0] * high[2] - high[1] * self.den, self.den * high[2])
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __mul__(self, other):
-        r = self._rational(other)
-        if r is not None:
-            return self._of(self.p, 0, (self.coeffs[0] * r,))
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return as_scalar(0, self.p)  # canonical level 0, so == and hash agree
-            # most coefficients of a high-level phase are 0
-            return self._of(self.p, self.m, tuple([c * other if c else c for c in self.coeffs]))
-        pair = self._pair(other)
-        if pair is None:
+        """A rational n/d scales the other operand's numerators by n and its den by d.
+        Two numbers at level >= 1 make one integer convolution, a row of the higher
+        (or denser) one's numerators per nonzero numerator of the other, folded."""
+        if type(other) is CyclotomicNumber and not (self.m or other.m):  # two rationals
+            return _rat(self.p, self.nums[0] * other.nums[0], self.den * other.den)
+        high = self._high(other)
+        if high is None:
             return NotImplemented
-        p, top, xs, ys = pair
-        return _reduce(p, top, [(i + j, ci * cj) for i, ci in xs for j, cj in ys])
+        x, n, d = high
+        if n is not None:
+            if not x.m or not n:  # a rational, or the zero
+                return _rat(x.p, x.nums[0] * n, x.den * d)
+            return _make(x.p, x.m, [v * n for v in x.nums], x.den * d)
+        x, y = (self, other) if self.m > other.m or self.m == other.m and (
+            self.nums.count(0) <= other.nums.count(0)) else (other, self)
+        p, top, row, step = x.p, x.m, x.nums, x.p ** (x.m - y.m)
+        vec = [0] * (len(row) + step * (len(y.nums) - 1))
+        for i, v in enumerate(y.nums):
+            if v:
+                i *= step
+                vec[i:i + len(row)] = map(add, vec[i:i + len(row)], map(v.__mul__, row))
+        return _make(p, top, _fold(p, top, vec), x.den * y.den)
 
     __rmul__ = __mul__
 
+    def _permuted(self, top: int, exponent) -> list:
+        """The power-basis numerators at level top of sum_j nums[j] zeta_{p^top}^
+        exponent(j * p^(top - m)), for an exponent map injective mod p^top."""
+        order = self.p ** top
+        step, vec = order // self.p ** self.m, [0] * order
+        for j, v in enumerate(self.nums):
+            vec[exponent(j * step) % order] = v
+        return _fold(self.p, top, vec)
+
     def times_root(self, m: int, a: int) -> "CyclotomicNumber":
-        """self * zeta_{p^m}^a: each term moves to its shifted exponent at level
-        max(m, self.m), and one _reduce follows.  zeta_1 = 1 costs nothing."""
+        """self * zeta_{p^m}^a: each numerator moves to its shifted exponent at level
+        max(m, self.m), with one fold and no field multiply; zeta_1 = 1 costs nothing."""
         if not m:
             return self
         top = max(m, self.m)
-        shift = a * self.p ** (top - m)
-        return _reduce(self.p, top, [(e + shift, c) for e, c in self._terms(top)])
+        return _make(self.p, top, self._permuted(top, (a * self.p ** (top - m)).__add__),
+                     self.den)
 
     def inverse(self) -> "CyclotomicNumber":
         """cofactor / N, with N the norm of x to Q (see the module docstring).
@@ -154,14 +172,15 @@ class CyclotomicNumber:
         if self.is_zero():
             raise ZeroDivisionError("cyclotomic division by zero")
         if not self.m:
-            return self._of(self.p, 0, (1 / self.coeffs[0],))
+            n = self.nums[0]
+            return self._of(self.p, 0, (self.den if n > 0 else -self.den,), abs(n))
         p = self.p
-        norm, cofactor = self, 1
-        while norm.m:
+        norm, cofactor = self, as_scalar(1, p)
+        while any(norm.nums[1:]):  # norm is rational once only zeta^0's numerator is left
             step = p ** (norm.m - 1)
             conj = reduce(mul, map(norm._galois, range(1 + step, p * step, step)))
             norm, cofactor = norm * conj, conj * cofactor
-        return as_scalar(cofactor / norm.coeffs[0], p)
+        return cofactor * Fraction(norm.den, norm.nums[0])
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -175,14 +194,14 @@ class CyclotomicNumber:
 
     def __pow__(self, e: int):
         if self.m == 0:  # a rational: Fraction ** e, which rejects 0 ** -e too
-            return self._of(self.p, 0, (self.coeffs[0] ** e,))
+            return as_scalar(Fraction(self.nums[0], self.den) ** e, self.p)
         return _power(self, e, as_scalar(1, self.p))
 
     def _galois(self, a: int) -> "CyclotomicNumber":
         """The field automorphism zeta -> zeta^a, for a prime to p."""
         if self.m == 0:
             return self
-        return _reduce(self.p, self.m, [(a * e, c) for e, c in self._terms(self.m)])
+        return _make(self.p, self.m, self._permuted(self.m, a.__mul__), self.den)
 
     def conjugate(self) -> "CyclotomicNumber":
         """Complex conjugation zeta -> zeta^{-1}."""
@@ -194,31 +213,32 @@ class CyclotomicNumber:
         """Equality of canonical forms, with no arithmetic.
 
         The power-basis coordinates of a value at its least level are unique,
-        and every instance is stored there, so two numbers of one prime are
-        equal iff their (m, coeffs) are.  A number at level >= 1 is not
-        rational, so it differs from every level-0 number and rational; and
-        Q(zeta_{p^a}) meets Q(zeta_{q^b}) in Q for p != q, so numbers of two
-        primes at level >= 1 differ.  Two rationals compare by value whatever
-        their primes.  A QuadExt is not canonical and decides by value."""
-        if isinstance(other, CyclotomicNumber):
+        and every instance is stored there.  den is then the least positive
+        integer making every coordinate integral, since any such integer is a
+        multiple of it and gcd(den, *nums) = 1.  So two numbers of one prime
+        are equal iff their (m, den, nums) are.  A number at level >= 1 is not
+        rational, so it differs from every rational; and Q(zeta_{p^a}) meets
+        Q(zeta_{q^b}) in Q for p != q, so numbers of two primes at level >= 1
+        differ.  Two rationals, reduced (num, den) pairs as Fractions are,
+        compare by value whatever their primes.  A QuadExt decides by value."""
+        if type(other) is CyclotomicNumber:
             if self.m or other.m:
-                return self.m == other.m and self.p == other.p and self.coeffs == other.coeffs
-            return self.coeffs[0] == other.coeffs[0]
+                return (self.m == other.m and self.p == other.p and self.den == other.den
+                        and self.nums == other.nums)
+            return self.den == other.den and self.nums[0] == other.nums[0]
         if isinstance(other, (int, Fraction)):
-            return not self.m and self.coeffs[0] == other
+            return not self.m and self.den == other.denominator and self.nums[0] == other.numerator
         return NotImplemented
 
-    def __hash__(self):
-        return hash(self.coeffs[0]) if self.m == 0 else hash((self.p, self.m, self.coeffs))
+    def __hash__(self):  # a rational hashes as the equal int or Fraction
+        return hash((self.p, self.m, self.den, self.nums) if self.m else
+                    Fraction(self.nums[0], self.den))
 
     def __repr__(self):
-        if self.m == 0:
-            return str(self.coeffs[0])
-        parts = []
-        for j, c in enumerate(self.coeffs):
-            if c:
-                parts.append("%s*z%d^%d" % (c, self.p ** self.m, j))
-        return " + ".join(parts) if parts else "0"
+        if self.m == 0:  # as str(Fraction) prints it
+            return str(self.nums[0]) if self.den == 1 else "%d/%d" % (self.nums[0], self.den)
+        order = self.p ** self.m
+        return " + ".join("%s*z%d^%d" % (c, order, j) for j, c in enumerate(self.coeffs) if c)
 
     def embed(self, digits: int = 20):
         """Numeric value under zeta_{p^m} -> exp(2*pi*i/p^m) as an mpmath mpc."""
@@ -234,42 +254,32 @@ class CyclotomicNumber:
 
 
 def _fold(p: int, m: int, vec) -> list:
-    """A length <= p^m exponent vector folded into the power basis: phi(p^m)
-    entries, in vec's own arithmetic (ints stay ints).
-
-    For phi <= e < p^m, zeta^e = -sum_{j<p-1} zeta^(e - phi + j p^(m-1))."""
-    phi = _euler_phi_prime_power(p, m)
-    out = list(vec[:phi]) + [Fraction(0)] * (phi - min(phi, len(vec)))
-    step = p ** m // p  # only read when len(vec) > phi, so m >= 1
-    for e in range(phi, len(vec)):
-        c = vec[e]
-        if c:
-            for i in range(e - phi, phi, step):
-                out[i] -= c
-    return out
+    """An exponent vector shorter than 2 p^m in the power basis of level m, in its own
+    arithmetic: e wraps mod p^m, and zeta^e = -sum_{j<p-1} zeta^(e - phi + j p^(m-1))."""
+    order, phi = p ** m, _euler_phi_prime_power(p, m)
+    out, wrap = list(vec[:order]) + [0] * (order - len(vec)), vec[order:]
+    out[:len(wrap)] = map(add, out[:len(wrap)], wrap)
+    tail = out[phi:]
+    return list(map(sub, out[:phi], tail * (p - 1))) if any(tail) else out[:phi]
 
 
-def _reduce(p: int, m: int, terms) -> CyclotomicNumber:
-    """sum c * zeta_{p^m}^e over the tower's own (e, c) terms, e any integer and
-    c a Fraction, in canonical form: the one scatter of the tower's arithmetic."""
-    order, zero = p ** m, Fraction(0)
-    vec = [zero] * order
-    for e, c in terms:
-        e %= order
-        v = vec[e]
-        vec[e] = c if v is zero else v + c  # a first term costs no addition
-    return CyclotomicNumber._of(p, *_least(p, m, tuple(_fold(p, m, vec))))
+def _make(p: int, m: int, nums, den: int) -> CyclotomicNumber:
+    """nums / den at level m (den > 0) in canonical form: at its least level, with
+    gcd(den, *nums) = 1, so the zero is (0, (0,), 1).  The value drops a level while
+    every numerator off the multiples of p is 0, as zeta^(p j) = zeta_{p^(m-1)}^j."""
+    while m and nums.count(0) - nums[::p].count(0) == len(nums) - len(nums[::p]):
+        m, nums = m - 1, nums[::p]
+    g = gcd(den, *nums)
+    return CyclotomicNumber._of(p, m, tuple([v // g for v in nums]) if g != 1 else tuple(nums),
+                                den // g)
 
 
-def _least(p: int, m: int, coeffs: tuple) -> tuple:
-    """(level, coefficients) of the same value at its least level."""
-    while m > 0:
-        if m == 1:
-            return (1, coeffs) if any(coeffs[1:]) else (0, coeffs[:1])
-        if any(any(coeffs[j::p]) for j in range(1, p)):
-            break
-        m, coeffs = m - 1, coeffs[::p]
-    return m, coeffs
+def _rat(p: int, n: int, d: int) -> CyclotomicNumber:
+    """n/d at level 0, for d > 0."""
+    g = gcd(n, d)
+    z = object.__new__(CyclotomicNumber)
+    z.p, z.m, z.nums, z.den = p, 0, (n // g,), d // g
+    return z
 
 
 def _power(x, e: int, unit):
@@ -287,20 +297,16 @@ def _power(x, e: int, unit):
 
 # -- public helpers ----------------------------------------------------
 
-def root_of_unity(p: int, m: int, a: int, c: Fraction = Fraction(1)) -> CyclotomicNumber:
-    """c * zeta_{p^m}^a in canonical form, for a nonzero Fraction c."""
+def root_of_unity(p: int, m: int, a: int, num: int = 1, den: int = 1) -> CyclotomicNumber:
+    """num/den * zeta_{p^m}^a in canonical form, for a nonzero int num and den > 0."""
     if m < 0:
         raise ValueError("level must be >= 0")
     a %= p ** m
     while m and a % p == 0:  # zeta_{p^m}^(p b) = zeta_{p^(m-1)}^b
         m, a = m - 1, a // p
-    phi = _euler_phi_prime_power(p, m)
-    if a >= phi:
-        return _reduce(p, m, [(a, c)])
-    # below phi, a basis vector whose exponent p does not divide is canonical
-    vec = [Fraction(0)] * phi
-    vec[a] = c
-    return CyclotomicNumber._of(p, m, tuple(vec))
+    vec = [0] * (a + 1)
+    vec[a] = num
+    return _make(p, m, _fold(p, m, vec), den)
 
 
 def root_of_unity_sum(p: int, m: int, counts) -> CyclotomicNumber:
@@ -308,7 +314,7 @@ def root_of_unity_sum(p: int, m: int, counts) -> CyclotomicNumber:
     if len(counts) > p ** m:
         raise ValueError("more than p^m exponents for level %d" % m)
     # outside counts (integer histograms, JSON) fold in their own arithmetic
-    # and become Fractions once, in the checked constructor
+    # and go through the checked constructor
     return CyclotomicNumber(p, m, _fold(p, m, counts))
 
 
@@ -322,7 +328,8 @@ def embed_complex(z, digits: int = 20):
 def as_scalar(x, p: int = 2):
     if isinstance(x, (CyclotomicNumber, QuadExt)):
         return x
-    return CyclotomicNumber._of(p, 0, (x if type(x) is Fraction else Fraction(x),))
+    x = x if type(x) in (int, Fraction) else Fraction(x)
+    return CyclotomicNumber._of(p, 0, (x.numerator,), x.denominator)
 
 
 @lru_cache(maxsize=64)

@@ -9,8 +9,8 @@ translations become modulations and vice versa, and a level-k indicator picks
 up p^(-k n^2).  Both factors are monomials, so a transform only adds to scale
 and phase; coeff builds the full value when read.  An inner product folds the
 scales and phases into each pair's p-power and psi exponent and scatters the
-integer numerators of every pair's bases, over one common denominator, into one
-exponent vector, reduced once.  Coset and integrality tests and tr(b a) run on
+bases' stored integer numerators, over one common denominator, into one exponent
+vector, reduced once.  Coset and integrality tests and tr(b a) run on
 the matrices' integer numerators and denominators, so no entry is a Fraction.
 A matrix keeps its negation, so F(F(f)) and reflect(f) share bases, centres,
 modulations, scales and phases, and fn_equal finds them equal term by term,
@@ -25,7 +25,7 @@ from math import lcm
 from operator import attrgetter
 
 from .padic import PAdicContext, PAdicMatrix, _phase_add, psi_parts, trace_parts
-from .scalars import (CyclotomicNumber, _reduce, as_scalar, root_of_unity, root_of_unity_sum,
+from .scalars import (CyclotomicNumber, _fold, _make, as_scalar, root_of_unity_sum,
                       scalar_conjugate, scalar_is_zero)
 
 
@@ -50,30 +50,13 @@ def _in_field(c, p: int):
             return c
         if c.m:
             raise ValueError("coefficient %r does not lie in the tower of p = %d" % (c, p))
-        c = c.coeffs[0]
+        return CyclotomicNumber._of(p, 0, c.nums, c.den)
     return as_scalar(c, p)
 
 
-def _over_one_den(c) -> tuple:
-    """(level, [(exponent, numerator)], den): c's nonzero coefficients, or a
-    rational's one, as integers over their least common denominator."""
-    if not c.m:
-        return 0, [(0, c.coeffs[0].numerator)], c.coeffs[0].denominator
-    d = lcm(*[x.denominator for x in c.coeffs])
-    return c.m, [(j, x.numerator * (d // x.denominator)) for j, x in enumerate(c.coeffs) if x], d
-
-
 def _slot_sum(p: int, top: int, vec: list, den: int):
-    """sum_e vec[e] / den * zeta_{p^top}^e in canonical form.  Only two or more nonzero
-    slots are folded and reduced at level top; none is the level-0 zero, and one is
-    v / den times its root of unity, at the root's own level."""
-    slots = [(e, v) for e, v in enumerate(vec) if v]
-    if len(slots) > 1:
-        return _reduce(p, top, [(e, Fraction(v, den)) for e, v in slots])
-    if not slots:
-        return as_scalar(0, p)
-    (e, v), = slots
-    return root_of_unity(p, top, e, Fraction(v, den))
+    """sum_e vec[e] / den * zeta_{p^top}^e in canonical form."""
+    return _make(p, top, _fold(p, top, vec), den)
 
 
 class SchwartzTerm:
@@ -200,17 +183,17 @@ class SchwartzBruhatFn:
 
         A surviving pair adds s.base * conj(t.base) * p^(s.scale + t.scale - k n^2)
         * zeta_{p^m}^a, with the phase s.phase - t.phase folded into psi's.  Each
-        base is read as integers over one denominator, and every pair goes into
-        one integer exponent vector, over the pairs' common denominator, at the
-        highest level seen: each slot becomes a Fraction once, reduced once."""
+        base is read as its stored integer numerators over its one denominator,
+        and every pair goes into one integer exponent vector, over the pairs'
+        common denominator, at the highest level seen, reduced once."""
         self._check_space(other)
         p = self.ctx.p
         n2 = self.n * self.n
-        other_terms = [(t, _over_one_den(scalar_conjugate(t.base)), (t.phase[0], -t.phase[1]))
+        other_terms = [(t, scalar_conjugate(t.base), (t.phase[0], -t.phase[1]))
                        for t in other.terms]
         pairs = []
         for s in self.terms:
-            x = _over_one_den(s.base)
+            x = s.base
             for t, y, t_phase_bar in other_terms:
                 # coset intersection
                 inner, outer = (s, t) if s.level >= t.level else (t, s)
@@ -226,18 +209,20 @@ class SchwartzBruhatFn:
                 phase = _phase_add(p, _phase_add(p, s.phase, t_phase_bar),
                                    psi_parts(u * dv - v * du, du * dv, p))
                 e = s.scale + t.scale - k * n2  # the volume p^e
-                pairs.append((x, y, p ** max(e, 0), x[2] * y[2] * p ** max(-e, 0), *phase))
-        top = max([0] + [max(x[0], y[0], m) for x, y, _, _, m, _ in pairs])
+                pairs.append((x, y, p ** max(e, 0), x.den * y.den * p ** max(-e, 0), *phase))
+        top = max([0] + [max(x.m, y.m, m) for x, y, _, _, m, _ in pairs])
         den = lcm(*[d for _, _, _, d, _, _ in pairs])
         order = p ** top
         vec = [0] * order
-        for (xm, xs, _), (ym, ys, _), vol, d, m, a in pairs:
+        for x, y, vol, d, m, a in pairs:
             vol *= den // d
-            shift, xstep, ystep = a * p ** (top - m), p ** (top - xm), p ** (top - ym)
-            for i, c in xs:
-                i, c = i * xstep + shift, c * vol
-                for j, b in ys:
-                    vec[(i + j * ystep) % order] += c * b
+            shift, xstep, ystep = a * p ** (top - m), p ** (top - x.m), p ** (top - y.m)
+            ys = [(j * ystep, b) for j, b in enumerate(y.nums) if b]
+            for i, c in enumerate(x.nums):
+                if c:
+                    i, c = i * xstep + shift, c * vol
+                    for j, b in ys:
+                        vec[(i + j) % order] += c * b
         return _slot_sum(p, top, vec, den)
 
     def fn_equal(self, other: "SchwartzBruhatFn") -> bool:

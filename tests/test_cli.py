@@ -318,6 +318,19 @@ def test_arch_gamma_unchecked_grid_or_tolerance_exits_3(flags, capsys):
     assert "invalid input" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("p", [2 ** 89 - 1, 10 ** 400 + 1], ids=["2^89-1", "10^400+1"])
+def test_p_at_or_above_the_miller_rabin_bound_exits_3(p, capsys):
+    # the first never returned, and the second was an uncaught OverflowError, exit 1
+    assert main(["verify-inverse", "--p", str(p), "--n", "2"]) == 3
+    assert "invalid input" in capsys.readouterr().err
+
+
+def test_arch_gamma_tau_past_the_float_range_exits_3(capsys):
+    # --tau 1e400 was an uncaught OverflowError, exit 1
+    assert main(["arch-gamma", "--tau", "1e400", "--s", "0.5"]) == 3
+    assert "invalid input" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("char", [
     '{"conductor_exp": 1, "generators": {"2": {"root": [25, 1]}}}',
     '{"conductor_exp": 1, "table": {"1": 1, "2": "root:25/1"}}',

@@ -63,6 +63,21 @@ def test_large_primes_are_accepted(p):
     assert _accepted(p)
 
 
+MILLER_RABIN_BOUND = 3317044064679887385961981
+
+
+@pytest.mark.parametrize("p", [2 ** 89 - 1, 10 ** 400 + 1, MILLER_RABIN_BOUND])
+def test_p_at_or_above_the_miller_rabin_bound_is_refused_at_once(p):
+    # 2^89 - 1, a prime, ran trial division without end; 10^400 + 1 overflowed the
+    # float square root of its trial-division bound
+    with pytest.raises(ValueError, match=str(MILLER_RABIN_BOUND)):
+        PAdicContext(p)
+
+
+def test_the_largest_prime_below_the_bound_is_accepted():
+    assert _accepted(sympy.prevprime(MILLER_RABIN_BOUND))
+
+
 def test_psi_conductor_is_zp():
     ctx = PAdicContext(2)
     assert psi_value(Fraction(3), ctx) == 1

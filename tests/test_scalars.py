@@ -151,10 +151,9 @@ def _element(p, m, terms):
 def _lift(x, m):
     """x written at level m >= x.m, with no drop to its least level: a
     non-canonical value that only the trusted constructor can build."""
-    vec = [Fraction(0)] * (1 if m == 0 else (x.p - 1) * x.p ** (m - 1))
-    for e, c in x._terms(m):
-        vec[e] = c
-    return CyclotomicNumber._of(x.p, m, tuple(vec))
+    nums = [0] * (1 if m == 0 else (x.p - 1) * x.p ** (m - 1))
+    nums[::x.p ** (m - x.m)] = x.nums
+    return CyclotomicNumber._of(x.p, m, tuple(nums), x.den)
 
 
 def _to_poly(x, m):

@@ -476,15 +476,15 @@ def test_random_schwartz_draws_are_pinned():
 
 def _slot_sums_of_the_selftest(seed):
     """Run fourier-selftest's laws at one seed (--count 10) with schwartz._slot_sum
-    checked against the fold of every slot, _reduce over all nonzero slots; return
-    the number of nonzero slots of each call."""
+    checked against the fold of every slot, root_of_unity_sum over the slots as
+    Fractions; return the number of nonzero slots of each call."""
     from gjzeta import schwartz
-    from gjzeta.scalars import _reduce
+    from gjzeta.scalars import root_of_unity_sum
     slot_sum, seen = schwartz._slot_sum, []
 
     def checked(p, top, vec, den):
         got = slot_sum(p, top, vec, den)
-        want = _reduce(p, top, [(e, Fraction(v, den)) for e, v in enumerate(vec) if v])
+        want = root_of_unity_sum(p, top, [Fraction(v, den) for v in vec])
         assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
         seen.append(sum(map(bool, vec)))
         return got
