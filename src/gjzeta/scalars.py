@@ -123,8 +123,6 @@ class CyclotomicNumber:
         """A rational n/d scales the other operand's numerators by n and its den by d.
         Two numbers at level >= 1 make one integer convolution, a row of the higher
         (or denser) one's numerators per nonzero numerator of the other, folded."""
-        if type(other) is CyclotomicNumber and not (self.m or other.m):  # two rationals
-            return _rat(self.p, self.nums[0] * other.nums[0], self.den * other.den)
         high = self._high(other)
         if high is None:
             return NotImplemented
@@ -297,16 +295,16 @@ def _power(x, e: int, unit):
 
 # -- public helpers ----------------------------------------------------
 
-def root_of_unity(p: int, m: int, a: int, num: int = 1, den: int = 1) -> CyclotomicNumber:
-    """num/den * zeta_{p^m}^a in canonical form, for a nonzero int num and den > 0."""
+def root_of_unity(p: int, m: int, a: int) -> CyclotomicNumber:
+    """zeta_{p^m}^a in canonical form."""
     if m < 0:
         raise ValueError("level must be >= 0")
     a %= p ** m
     while m and a % p == 0:  # zeta_{p^m}^(p b) = zeta_{p^(m-1)}^b
         m, a = m - 1, a // p
     vec = [0] * (a + 1)
-    vec[a] = num
-    return _make(p, m, _fold(p, m, vec), den)
+    vec[a] = 1
+    return _make(p, m, _fold(p, m, vec), 1)
 
 
 def root_of_unity_sum(p: int, m: int, counts) -> CyclotomicNumber:

@@ -13,6 +13,7 @@ from gjzeta.cli import random_schwartz
 from gjzeta.schwartz import SchwartzBruhatFn, SchwartzTerm
 from gjzeta.scalars import (as_scalar, root_of_unity, root_of_unity_sum,
                             scalar_conjugate, scalar_is_zero)
+from test_scalar_oracle import _assert_same, _reduce as _oracle_reduce
 
 
 def test_unit_ball_is_self_dual():
@@ -476,16 +477,15 @@ def test_random_schwartz_draws_are_pinned():
 
 def _slot_sums_of_the_selftest(seed):
     """Run fourier-selftest's laws at one seed (--count 10) with schwartz._slot_sum
-    checked against the fold of every slot, root_of_unity_sum over the slots as
-    Fractions; return the number of nonzero slots of each call."""
+    checked against the Fraction oracle's scatter and fold of every slot; return
+    the number of nonzero slots of each call."""
     from gjzeta import schwartz
-    from gjzeta.scalars import root_of_unity_sum
     slot_sum, seen = schwartz._slot_sum, []
 
     def checked(p, top, vec, den):
         got = slot_sum(p, top, vec, den)
-        want = root_of_unity_sum(p, top, [Fraction(v, den) for v in vec])
-        assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+        _assert_same(got, _oracle_reduce(p, top, [(e, Fraction(v, den))
+                                                  for e, v in enumerate(vec) if v]))
         seen.append(sum(map(bool, vec)))
         return got
     rng = random.Random(seed)
