@@ -10,7 +10,7 @@ quadratures; gamma factors are checked against a Gamma-function oracle.
 The quadrature is QUADPACK's QAGI, ported to Python in `quadpack`, with the
 same floats as scipy.integrate.quad, so the real place loads neither scipy nor
 numpy.  Both quadrature passes share one rule evaluation per interval, and every
-s reads each node's Phi part from one bounded table (see zeta_real); the
+s reads an interval's Phi part from one bounded table (see zeta_real); the
 Gaussian stays an mpmath evaluation, so every arch-gamma row is bit-identical
 to evaluating Phi at x and -x on its own (`evaluate_reference` in
 tests/test_archimedean.py).
@@ -92,6 +92,12 @@ class RealSchwartzFn:
         """fourier_real(self), built on the first read and kept."""
         return fourier_real(self)
 
+    @functools.cached_property
+    def complex_coeffs(self) -> tuple:
+        """to_complex of each coefficient, highest degree first (Horner's order),
+        built on the first read and kept."""
+        return tuple([to_complex(c) for c in reversed(self.coeffs)])
+
     def __repr__(self):
         return "RealSchwartzFn([%s])" % ", ".join(c.format("pi") for c in self.coeffs)
 
@@ -146,13 +152,14 @@ def _gaussian_node(t: float, prec: int) -> tuple[float, float]:
     return x, float(mpmath.exp(-mpmath.pi * x * x))
 
 
-TABLE_NODES = 2048  # nodes a table stores; later ones are computed, not stored
+TABLE_NODES = 2048  # nodes a table stores, 30 per interval; later ones are computed, not stored
 
 
 @functools.lru_cache(maxsize=32)
 def _integrand_table(coeffs: tuple, sign: float, prec: int) -> dict:
-    """t -> [Phi(x) + sign Phi(-x)] exp(-pi x^2) at x = e^t, filled by zeta_real;
-    QAGI bisects dyadically, so the same t come back for every s and call."""
+    """(a, b) -> (t, v(t), -t, v(-t)) for the 15 t of the rule on (a, b), where
+    v(t) = [Phi(x) + sign Phi(-x)] exp(-pi x^2) at x = e^t, filled by zeta_real;
+    QAGI bisects dyadically, so the same intervals come back for every s and call."""
     return {}
 
 
@@ -167,39 +174,49 @@ def zeta_real(phi: RealSchwartzFn, chi: RealCharacter, s: complex) -> complex:
     the same integrand.  The 15-point rule runs once per interval for both
     parts (`quadpack.qk15i`), and the second pass reads it from a dict local
     to the call.  [Phi(e^t) +- Phi(-e^t)] exp(-pi e^{2t}) does not depend on s
-    or tau, so it is read from a table kept across calls (`_integrand_table`).
-    Phi(x) and Phi(-x) share the Gaussian, an mpmath evaluation cached per
-    node and precision (`_gaussian_node`): the float expressions are those of
-    `evaluate_reference` in tests/test_archimedean.py, so every value is
-    bit-identical to evaluating Phi at x and -x separately, and to
-    scipy.integrate.quad's QAGI on the same integrand.
+    or tau: its 30 values on an interval's nodes t and -t are read from a table
+    kept across calls (`_integrand_table`), so each s computes only
+    e^{t(s + i tau)} at the nodes.  Phi(x) and Phi(-x) share the Gaussian, an
+    mpmath evaluation cached per node and precision (`_gaussian_node`): the
+    float expressions are those of `evaluate_reference` in
+    tests/test_archimedean.py, so every value is bit-identical to evaluating
+    Phi at x and -x separately, and to scipy.integrate.quad's QAGI on the same
+    integrand.
+
+    An error estimate over tolerance, or a pass that ends with a nonzero QAGI
+    ier (such as 5, "probably divergent", at an s next to a pole), raises
+    ToleranceNotMet: its value is not an integral.
     """
     delta = chi.sign_exponent % 2
     sp = complex(s) + 1j * float(chi.imaginary_twist)
     sign = 1.0 if delta == 0 else -1.0
-    coeffs = tuple([to_complex(c) for c in reversed(phi.coeffs)])
+    coeffs = phi.complex_coeffs
     prec = mpmath.mp.prec
     table = _integrand_table(coeffs, sign, prec)
     rules = {}  # (a, b) -> the 15-point rule's real and imaginary parts on (a, b)
 
-    def folded(t: float) -> complex:
-        val = table.get(t)
-        if val is None:
-            # exp(-pi e^{2t}) underflows to exactly 0 well before e^{t Re s}
-            # can overflow; short-circuit so the dead region stays finite
-            val = 0j
-            if t <= 4.0:
-                x, gauss = _gaussian_node(t, prec)
-                px = pmx = 0j
-                for c in coeffs:
-                    px = px * x + c
-                    pmx = pmx * -x + c
-                val = px * gauss + sign * (pmx * gauss)
-            if len(table) < TABLE_NODES:
-                table[t] = val
-        if val == 0:
+    def node(t: float) -> complex:
+        # exp(-pi e^{2t}) underflows to exactly 0 well before e^{t Re s}
+        # can overflow; short-circuit so the dead region stays finite
+        if t > 4.0:
             return 0j
-        return val * cmath.exp(t * sp)
+        x, gauss = _gaussian_node(t, prec)
+        px = pmx = 0j
+        for c in coeffs:
+            px = px * x + c
+            pmx = pmx * -x + c
+        return px * gauss + sign * (pmx * gauss)
+
+    def folded(a: float, b: float, ts: tuple) -> list:
+        nodes = table.get((a, b))
+        if nodes is None:
+            nodes = tuple([(t, node(t), -t, node(-t)) for t in ts])
+            if len(table) < TABLE_NODES // 30:
+                table[a, b] = nodes
+        exp = cmath.exp
+        # a node value of 0 contributes 0j: exp(t s') may overflow where it is 0
+        return [(v * exp(t * sp) if v else 0j) + (w * exp(mt * sp) if w else 0j)
+                for t, v, mt, w in nodes]
 
     def real_rule(a: float, b: float):  # no pass visits an interval twice
         both = rules[(a, b)] = qk15i(folded, a, b)
@@ -209,12 +226,15 @@ def zeta_real(phi: RealSchwartzFn, chi: RealCharacter, s: complex) -> complex:
         both = rules.get((a, b))
         return (both or qk15i(folded, a, b))[1]
 
-    re_val, re_err, _, _ = qagie(real_rule, ABS_TOL / 4, REL_TOL / 4, MAX_SUBDIVISIONS)
-    im_val, im_err, _, _ = qagie(imag_rule, ABS_TOL / 4, REL_TOL / 4, MAX_SUBDIVISIONS)
+    re_val, re_err, _, re_ier = qagie(real_rule, ABS_TOL / 4, REL_TOL / 4, MAX_SUBDIVISIONS)
+    im_val, im_err, _, im_ier = qagie(imag_rule, ABS_TOL / 4, REL_TOL / 4, MAX_SUBDIVISIONS)
     total = complex(re_val, im_val)
     err = re_err + im_err
     if err > max(ABS_TOL, REL_TOL * abs(total)):
         raise ToleranceNotMet("quadrature error %.3e exceeds tolerance" % err)
+    if re_ier or im_ier:
+        raise ToleranceNotMet("quadrature ended with QAGI ier %d (real part) and ier %d "
+                              "(imaginary part)" % (re_ier, im_ier))
     return total
 
 

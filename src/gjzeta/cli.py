@@ -349,10 +349,17 @@ def cmd_fourier_selftest(args):
             "verdict": "PASS" if not failures else "FAIL"}
 
 
+@lru_cache(maxsize=1)
+def _arch_phi():
+    """arch-gamma's Phi = (1 + x) exp(-pi x^2), built once per process so that its
+    transform and float coefficients are too."""
+    from .archimedean import RealSchwartzFn
+    return RealSchwartzFn.hermite_multiple([1, 1])
+
+
 def cmd_arch_gamma(args):
     # looked up per call: mpmath loads only here, and a rebound gamma_real is seen
-    from .archimedean import (S_GRID, RealCharacter, RealSchwartzFn, gamma_oracle,
-                              gamma_real)
+    from .archimedean import S_GRID, RealCharacter, gamma_oracle, gamma_real
     if not 0 <= args.tol < float("inf"):
         raise InvalidSpec("tol must be finite and >= 0, got %r" % args.tol)
     tau = _rational(args.tau)
@@ -361,11 +368,13 @@ def cmd_arch_gamma(args):
     except OverflowError:
         raise InvalidSpec("tau must be finite as a float, got %s" % args.tau) from None
     chi = RealCharacter(args.delta, tau)
-    grid = [complex(x) for x in (args.s.split(",") if args.s is not None else S_GRID)]
+    if args.s is None:  # an INCONCLUSIVE report lists args, so it names the grid run
+        args.s = ",".join(map(str, S_GRID))
+    grid = [complex(x) for x in args.s.split(",")]
     if not all(cmath.isfinite(s) and 0 < s.real < 1 for s in grid):
         raise InvalidSpec("every s must be finite with 0 < Re s < 1, where Z(Phi, s) "
                           "and Z(Phi^, 1 - s) converge; got %s" % args.s)
-    phi = RealSchwartzFn.hermite_multiple([1, 1])
+    phi = _arch_phi()
     rows = []
     for s in grid:
         val = gamma_real(chi, s, phi)

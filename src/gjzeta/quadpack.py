@@ -11,11 +11,14 @@ Arrays keep the reference's 1-based indices; slot 0 is unused.
 
 qagie takes the rule as a function of the interval, so a caller can share one
 rule evaluation between several integrands: qk15i evaluates the real and the
-imaginary part of a complex integrand on the same nodes.
+imaginary part of a complex integrand on the same nodes.  An interval's nodes
+are computed once (rule_geometry), and qk15i asks its integrand for all 15 node
+values at once, so an integrand can key what it keeps on the interval.
 """
 
 from __future__ import annotations
 
+import functools
 import sys
 
 EPMACH = sys.float_info.epsilon  # d1mach(4)
@@ -37,68 +40,63 @@ WG = (0.0, 0.129484966168869693270611432679082,
       0.0, 0.279705391489276667901467771423780,
       0.0, 0.381830050505118944950369775488975,
       0.0, 0.417959183673469387755102040816327)
-_RULE = tuple(zip(XGK[:7], WGK[:7], WG[:7]))
+
+
+# the index in rule_geometry's order of each pair centr -+ hlgth XGK[j], and its weights
+_PAIRS = tuple((2 * j + 1, WGK[j], WG[j]) for j in range(7))
+
+
+@functools.lru_cache(maxsize=256)
+def rule_geometry(a: float, b: float):
+    """(hlgth, abscissae, t) of dqk15i on (a, b): the abscissae are the centre,
+    then centr - hlgth x and centr + hlgth x for each x of XGK[:7], and t is
+    each one's (1 - x) / x, the reference's boun + dinf (1 - x) / x with boun = 0
+    and dinf = 1.  QAGI bisects dyadically, so every call and every s meets the
+    same intervals."""
+    centr = 0.5 * (a + b)
+    hlgth = 0.5 * (b - a)
+    absc = [centr]
+    for x in XGK[:7]:
+        d = hlgth * x
+        absc += (centr - d, centr + d)
+    return hlgth, tuple(absc), tuple([(1.0 - x) / x for x in absc])
 
 
 def qk15i(f, a: float, b: float):
     """dqk15i with inf = 2 and bound 0 on (a, b), 0 <= a < b <= 1, for a complex
-    integrand f: t = (1 - x) / x maps (0, 1] onto [0, inf), and the rule takes
-    f(t) + f(-t) at each node.
+    integrand: t = (1 - x) / x maps (0, 1] onto [0, inf), and the rule takes
+    f(t) + f(-t) at each node.  f(a, b, ts) returns those 15 sums for the t of
+    `rule_geometry(a, b)`, in its order, as complex numbers.
 
-    Each node's pair is summed once, as one complex number; the rule then runs
-    on its real and on its imaginary part, each with dqk15i's own float
-    operations (complex + adds componentwise, so the sum's real part is the
-    reference's f(t) + f(-t) of the real part).  Returns (result, abserr,
-    resabs, resasc) of the real part, then of the imaginary part.
+    The rule then runs on the real and on the imaginary part of the sums, each
+    with dqk15i's own float operations (complex + adds componentwise, so the
+    sum's real part is the reference's f(t) + f(-t) of the real part).  Returns
+    (result, abserr, resabs, resasc) of the real part, then of the imaginary part.
     """
-    centr = 0.5 * (a + b)
-    hlgth = 0.5 * (b - a)
-    # the reference's boun + dinf * (1 - x) / x, with boun = 0 and dinf = 1
-    t = (1.0 - centr) / centr
-    fc = f(t) + f(-t)
-    fcr = (fc.real / centr) / centr
-    fci = (fc.imag / centr) / centr
-    resgr = WG[7] * fcr
-    reskr = WGK[7] * fcr
-    resabsr = abs(reskr)
-    resgi = WG[7] * fci
-    reski = WGK[7] * fci
-    resabsi = abs(reski)
-    fv = []
-    for x, wgk, wg in _RULE:
-        d = hlgth * x
-        absc1 = centr - d
-        absc2 = centr + d
-        t1 = (1.0 - absc1) / absc1
-        t2 = (1.0 - absc2) / absc2
-        f1 = f(t1) + f(-t1)
-        f2 = f(t2) + f(-t2)
-        r1 = (f1.real / absc1) / absc1
-        r2 = (f2.real / absc2) / absc2
-        i1 = (f1.imag / absc1) / absc1
-        i2 = (f2.imag / absc2) / absc2
-        fv.append((wgk, r1, r2, i1, i2))
-        fsum = r1 + r2
-        resgr = resgr + wg * fsum
-        reskr = reskr + wgk * fsum
-        resabsr = resabsr + wgk * (abs(r1) + abs(r2))
-        fsum = i1 + i2
-        resgi = resgi + wg * fsum
-        reski = reski + wgk * fsum
-        resabsi = resabsi + wgk * (abs(i1) + abs(i2))
-    rh = reskr * 0.5
-    ih = reski * 0.5
-    resascr = WGK[7] * abs(fcr - rh)
-    resasci = WGK[7] * abs(fci - ih)
-    for wgk, r1, r2, i1, i2 in fv:
-        resascr = resascr + wgk * (abs(r1 - rh) + abs(r2 - rh))
-        resasci = resasci + wgk * (abs(i1 - ih) + abs(i2 - ih))
-    return (_errors(reskr, resgr, resabsr, resascr, hlgth),
-            _errors(reski, resgi, resabsi, resasci, hlgth))
+    hlgth, absc, ts = rule_geometry(a, b)
+    fv = f(a, b, ts)
+    return (_rule([(v.real / x) / x for v, x in zip(fv, absc)], hlgth),
+            _rule([(v.imag / x) / x for v, x in zip(fv, absc)], hlgth))
 
 
-def _errors(resk, resg, resabs, resasc, hlgth):
-    """The end of dqk15i for one part: (result, abserr, resabs, resasc) on (a, b)."""
+def _rule(fv, hlgth):
+    """The rest of dqk15i for one part, fv the 15 node values in the order of
+    `rule_geometry`: (result, abserr, resabs, resasc) on (a, b)."""
+    fc = fv[0]
+    resg = WG[7] * fc
+    resk = WGK[7] * fc
+    resabs = abs(resk)
+    for j, wgk, wg in _PAIRS:
+        f1 = fv[j]
+        f2 = fv[j + 1]
+        fsum = f1 + f2
+        resg = resg + wg * fsum
+        resk = resk + wgk * fsum
+        resabs = resabs + wgk * (abs(f1) + abs(f2))
+    reskh = resk * 0.5
+    resasc = WGK[7] * abs(fc - reskh)
+    for j, wgk, _ in _PAIRS:
+        resasc = resasc + wgk * (abs(fv[j] - reskh) + abs(fv[j + 1] - reskh))
     result = resk * hlgth
     resasc = resasc * hlgth
     resabs = resabs * hlgth

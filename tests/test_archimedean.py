@@ -6,15 +6,15 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 from scipy.integrate import quad
 
-from gjzeta import archimedean
+from gjzeta import archimedean, quadpack
 from gjzeta.archimedean import (ABS_TOL, MAX_SUBDIVISIONS, REL_TOL, S_GRID, TABLE_NODES,
                                 RealCharacter, RealSchwartzFn, _gaussian_node,
                                 _integrand_table, fourier_real, gamma_oracle,
                                 gamma_real, zeta_real)
-from gjzeta.errors import NearZeroDenominator
+from gjzeta.errors import NearZeroDenominator, ToleranceNotMet
 
 GAUSS = RealSchwartzFn.gaussian()
 TRIV = RealCharacter()
@@ -111,6 +111,17 @@ def test_degenerate_phi_near_zero_denominator():
         gamma_real(SGN, 0.5, RealSchwartzFn.hermite_multiple([2, 0, 1]))
 
 
+@pytest.mark.parametrize("phi, s", [(RealSchwartzFn.hermite_multiple([1, 1]), 1e-10),
+                                    (fourier_real(RealSchwartzFn.hermite_multiple([1, 1])),
+                                     1 - 0.999999999)],
+                         ids=["Z(Phi, 1e-10)", "Z(Phi^, 1 - 0.999999999)"])
+def test_zeta_real_near_the_pole_is_tolerance_not_met(phi, s):
+    # one QAGI pass ends with ier 5, "probably divergent", under an error
+    # estimate within tolerance; the value it returned was taken as the integral
+    with pytest.raises(ToleranceNotMet, match="ier 5"):
+        zeta_real(phi, TRIV, s)
+
+
 def test_quadrature_is_deterministic():
     phi = RealSchwartzFn.hermite_multiple([1, 2, 3])
     a = zeta_real(phi, TRIV, 0.45 + 0.2j)
@@ -156,32 +167,45 @@ def test_gaussian_cache_is_bounded():
 
 def test_integrand_tables_are_bounded(monkeypatch):
     maxsize = _integrand_table.cache_info().maxsize
-    assert maxsize is not None and maxsize > 0 and TABLE_NODES > 0
-    # a table past its cap stores nothing more and serves the same values
+    assert maxsize is not None and maxsize > 0 and TABLE_NODES >= 30
+    # a table holds the 30 nodes t and -t of each interval it stores; past its
+    # cap it stores nothing more and serves the same values
     phi = RealSchwartzFn.hermite_multiple([1, 2, (0, 1)])
     grid = (0.45 + 0.2j, 0.3)
     _integrand_table.cache_clear()
     full = [zeta_real(phi, SGN, s) for s in grid]
-    assert 40 < len(_integrand_table(*_table_key(phi, SGN))) <= TABLE_NODES
+    table = _integrand_table(*_table_key(phi, SGN))
+    assert 3 < len(table) <= TABLE_NODES // 30
+    assert all(len(nodes) == 15 and all(len(node) == 4 for node in nodes)
+               for nodes in table.values())
     _integrand_table.cache_clear()
-    monkeypatch.setattr(archimedean, "TABLE_NODES", 40)
+    monkeypatch.setattr(archimedean, "TABLE_NODES", 100)
     assert [zeta_real(phi, SGN, s) for s in grid] == full
-    assert len(_integrand_table(*_table_key(phi, SGN))) == 40
+    assert len(_integrand_table(*_table_key(phi, SGN))) == 3
+
+
+def test_rule_geometry_cache_is_bounded():
+    maxsize = quadpack.rule_geometry.cache_info().maxsize
+    assert maxsize is not None and maxsize > 0
 
 
 def test_zeta_real_cold_equals_warm():
-    # cold: no table and no Gaussian; warm: every node read from the table
+    # cold: no table, no rule geometry and no Gaussian; warm: every interval's
+    # nodes and values read from the caches
     phi = RealSchwartzFn.hermite_multiple([1, 2, (0, 1)])
     chi = RealCharacter(1, Fraction(1, 3))
     _integrand_table.cache_clear()
+    quadpack.rule_geometry.cache_clear()
     _gaussian_node.cache_clear()
     cold = zeta_real(phi, chi, 0.45 + 0.2j)
     table = _integrand_table(*_table_key(phi, chi))
-    hits, nodes = _integrand_table.cache_info().hits, len(table)
+    hits, intervals = _integrand_table.cache_info().hits, len(table)
     gauss = _gaussian_node.cache_info()
+    geometry = quadpack.rule_geometry.cache_info()
     warm = zeta_real(phi, chi, 0.45 + 0.2j)
-    assert _integrand_table.cache_info().hits == hits + 1 and len(table) == nodes
+    assert _integrand_table.cache_info().hits == hits + 1 and len(table) == intervals
     assert _gaussian_node.cache_info() == gauss  # no node was computed again
+    assert quadpack.rule_geometry.cache_info().misses == geometry.misses
     assert warm == cold
 
 
@@ -197,8 +221,8 @@ def test_integrand_tables_key_on_precision():
     assert _integrand_table.cache_info().hits == hits
     assert precise_key[2] != key[2]
     shared = _integrand_table(*key).keys() & _integrand_table(*precise_key).keys()
-    assert shared and any(_integrand_table(*key)[t] != _integrand_table(*precise_key)[t]
-                          for t in shared)
+    assert shared and any(_integrand_table(*key)[ab] != _integrand_table(*precise_key)[ab]
+                          for ab in shared)
     assert abs(precise - default) < 1e-9
 
 
@@ -262,7 +286,8 @@ def zeta_reference(phi, chi, s):
     re_val, re_err = part(lambda t: integrand(t).real)
     im_val, im_err = part(lambda t: integrand(t).imag)
     total = complex(re_val, im_val)
-    assert re_err + im_err <= max(ABS_TOL, REL_TOL * abs(total))
+    if re_err + im_err > max(ABS_TOL, REL_TOL * abs(total)):
+        return None  # over tolerance
     return total
 
 
@@ -294,3 +319,33 @@ def test_zeta_real_equals_reference_quadrature(coeffs):
             chi = RealCharacter(delta, tau)
             for s in REFERENCE_S:
                 assert zeta_real(phi, chi, s) == zeta_reference(phi, chi, s)
+
+
+def _bits(z):
+    return z.real.hex(), z.imag.hex()
+
+
+_RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+
+
+# no shrinking: each example is a few hundred mpmath Gaussians, and a failing
+# example is already small
+@settings(max_examples=20, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(st.lists(st.one_of(_RATIONALS, st.tuples(_RATIONALS, _RATIONALS)), min_size=1, max_size=7),
+       st.integers(0, 1), st.integers(-3, 3).map(lambda k: Fraction(k, 4)),
+       st.builds(complex, st.floats(0.05, 0.95), st.floats(-0.5, 0.5)))
+def test_zeta_real_equals_reference_on_random_inputs(coeffs, delta, tau, s):
+    # degree <= 6, once warm, reading the tables and rule geometry that earlier
+    # examples left at other s and Phi, and once with every cache cleared
+    phi, chi = RealSchwartzFn.hermite_multiple(coeffs), RealCharacter(delta, tau)
+    expected = zeta_reference(phi, chi, s)
+    for cold in (False, True):
+        if cold:
+            _integrand_table.cache_clear()
+            quadpack.rule_geometry.cache_clear()
+            _gaussian_node.cache_clear()
+        if expected is None:
+            with pytest.raises(ToleranceNotMet):
+                zeta_real(phi, chi, s)
+        else:
+            assert _bits(zeta_real(phi, chi, s)) == _bits(expected)

@@ -206,6 +206,26 @@ def test_arch_gamma_json(capsys):
     assert code == 0 and rep["verdict"] == "PASS"
 
 
+@pytest.mark.parametrize("s", ["1e-10", "0.999999999"])
+def test_arch_gamma_near_a_pole_is_inconclusive(s, capsys):
+    # QAGI's ier 5 ("probably divergent") was discarded: both exited 1 FAIL, with
+    # max_abs_err 0.2687 and 2.0e9, though an engine limit is never a refutation
+    code, rep = run_json(["arch-gamma", "--s", s], capsys)
+    assert code == 2 and rep["verdict"] == "INCONCLUSIVE"
+    assert rep["results"]["error"] == "ToleranceNotMet" and "ier 5" in rep["results"]["message"]
+    # the sign character has no pole at 0, and there the same s passes
+    if s == "1e-10":
+        assert run(["arch-gamma", "--delta", "1", "--s", s], capsys)[0] == 0
+
+
+def test_arch_gamma_inconclusive_report_names_the_grid_run(capsys):
+    # with no --s the report said "s": null, though the default grid ran
+    code, rep = run_json(["arch-gamma", "--tau", "1e300"], capsys)
+    assert code == 2 and rep["verdict"] == "INCONCLUSIVE"
+    assert [complex(x) for x in rep["parameters"]["s"].split(",")] == \
+        [complex(s) for s in archimedean.S_GRID]
+
+
 def test_character_json_inline(capsys):
     # the quadratic character mod 4 given explicitly
     char = '{"conductor_exp": 2, "table": {"1": 1, "3": -1}}'
